@@ -1,7 +1,11 @@
 #include "src/hangdoctor/detector_service.h"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <chrono>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -38,6 +42,18 @@ void ValidateOptions(const ServiceOptions& options) {
   }
 }
 
+// One futex wait on `word` while it holds `expected`. Unlike std::atomic::wait it returns
+// on any wake, so a wake meant to make the caller re-check other state is never slept through.
+void FutexWait(std::atomic<uint32_t>& word, uint32_t expected) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAIT_PRIVATE, expected,
+          nullptr, nullptr, 0);
+}
+
+void FutexWake(std::atomic<uint32_t>& word) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAKE_PRIVATE, 1, nullptr,
+          nullptr, 0);
+}
+
 void SortById(std::vector<SessionResult>& results) {
   std::sort(results.begin(), results.end(),
             [](const SessionResult& a, const SessionResult& b) { return a.id < b.id; });
@@ -45,7 +61,11 @@ void SortById(std::vector<SessionResult>& results) {
 
 }  // namespace
 
-DetectorService::DetectorService(const ServiceOptions& options) : options_(options) {
+DetectorService::DetectorService(const ServiceOptions& options)
+    : DetectorService(options, IngestHooks{}) {}
+
+DetectorService::DetectorService(const ServiceOptions& options, IngestHooks hooks)
+    : options_(options), hooks_(std::move(hooks)) {
   ValidateOptions(options);
   if (options.knowledge_base != nullptr) {
     seed_view_ = &options.knowledge_base->seed();
@@ -65,6 +85,7 @@ DetectorService::DetectorService(const ServiceOptions& options) : options_(optio
     shards_.push_back(std::move(shard));
   }
   if (options.threads > 0) {
+    worker_state_ = std::make_unique<Worker[]>(static_cast<size_t>(options.threads));
     workers_.reserve(static_cast<size_t>(options.threads));
     for (int32_t w = 0; w < options.threads; ++w) {
       workers_.emplace_back([this, w] { WorkerLoop(static_cast<size_t>(w)); });
@@ -78,7 +99,11 @@ DetectorService::~DetectorService() {
     // processed up to enqueued, so every batch routed before destruction is applied. Any
     // results or errors not drained by the caller die with the shards — harvesting them
     // here would hand them to nobody.
-    stop_.store(true, std::memory_order_release);
+    stop_.store(true, std::memory_order_seq_cst);
+    for (size_t w = 0; w < workers_.size(); ++w) {
+      worker_state_[w].wake.fetch_add(1, std::memory_order_seq_cst);
+      FutexWake(worker_state_[w].wake);
+    }
     for (std::thread& worker : workers_) {
       worker.join();
     }
@@ -116,7 +141,18 @@ void DetectorService::InsertSlot(Shard& shard, telemetry::SessionId id,
   live_.fetch_add(1, std::memory_order_relaxed);
 }
 
-DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry::SessionId id) {
+namespace {
+
+[[noreturn]] void ThrowNotOpen(telemetry::SessionId id, const void* source) {
+  throw std::invalid_argument("DetectorService: session " + std::to_string(id.value) +
+                              (source == nullptr ? " is not open"
+                                                 : " is not open from this source"));
+}
+
+}  // namespace
+
+DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry::SessionId id,
+                                                        const void* source) {
   SessionSlot* slot = nullptr;
   {
     std::lock_guard<simkit::SpinLock> lock(shard.lock);
@@ -127,23 +163,24 @@ DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry:
       slot = found->get();
     }
   }
-  if (slot == nullptr) {
-    throw std::invalid_argument("DetectorService: session " + std::to_string(id.value) +
-                                " is not open");
+  if (slot == nullptr || slot->source != source) {
+    ThrowNotOpen(id, source);
   }
   return slot;
 }
 
 std::unique_ptr<DetectorService::SessionSlot> DetectorService::RemoveSlot(
-    Shard& shard, telemetry::SessionId id) {
+    Shard& shard, telemetry::SessionId id, const void* source) {
   std::unique_ptr<SessionSlot> slot;
   {
     std::lock_guard<simkit::SpinLock> lock(shard.lock);
-    shard.live.Erase(id, &slot);
+    std::unique_ptr<SessionSlot>* found = shard.live.Find(id);
+    if (found != nullptr && (*found)->source == source) {
+      shard.live.Erase(id, &slot);
+    }
   }
   if (slot == nullptr) {
-    throw std::invalid_argument("DetectorService: session " + std::to_string(id.value) +
-                                " is not open");
+    ThrowNotOpen(id, source);
   }
   live_.fetch_sub(1, std::memory_order_relaxed);
   return slot;
@@ -221,39 +258,6 @@ void DetectorService::Open(telemetry::SessionId id, const SessionInfo& info,
   InsertSlot(ShardFor(id), id, BuildSlot(info, config));
 }
 
-MonitorDirectives DetectorService::OnDispatchStart(telemetry::SessionId id,
-                                                   const DispatchStart& start) {
-  return FindSlot(ShardFor(id), id)->core->OnDispatchStart(start);
-}
-
-void DetectorService::OnDispatchEnd(telemetry::SessionId id, const DispatchEnd& end) {
-  FindSlot(ShardFor(id), id)->core->OnDispatchEnd(end);
-}
-
-void DetectorService::OnActionQuiesced(telemetry::SessionId id, const ActionQuiesce& quiesce) {
-  FindSlot(ShardFor(id), id)->core->OnActionQuiesced(quiesce);
-}
-
-void DetectorService::OnCounterFault(telemetry::SessionId id, const CounterFault& fault) {
-  FindSlot(ShardFor(id), id)->core->OnCounterFault(fault);
-}
-
-void DetectorService::OnAsyncPost(telemetry::SessionId id, const AsyncPost& post) {
-  FindSlot(ShardFor(id), id)->core->OnAsyncPost(post);
-}
-
-void DetectorService::OnAsyncRun(telemetry::SessionId id, const AsyncRun& run) {
-  FindSlot(ShardFor(id), id)->core->OnAsyncRun(run);
-}
-
-void DetectorService::OnAsyncWaitStart(telemetry::SessionId id, const AsyncWaitStart& wait) {
-  FindSlot(ShardFor(id), id)->core->OnAsyncWaitStart(wait);
-}
-
-void DetectorService::OnAsyncWaitEnd(telemetry::SessionId id, const AsyncWaitEnd& wait) {
-  FindSlot(ShardFor(id), id)->core->OnAsyncWaitEnd(wait);
-}
-
 SessionResult DetectorService::Close(telemetry::SessionId id) {
   Shard& shard = ShardFor(id);
   return Harvest(id, RemoveSlot(shard, id));
@@ -285,13 +289,8 @@ DetectorService::Ingestor::Ingestor(DetectorService* service)
           [service](size_t shard_index, std::vector<ServiceRecordRef>&& refs) {
             service->EnqueueBatch(shard_index, IngestBatch{std::move(refs)});
           }) {
-  service->RequirePipeline("Ingestor");
-}
-
-void DetectorService::RequirePipeline(const char* what) const {
-  if (workers_.empty()) {
-    throw std::logic_error(std::string("DetectorService::") + what +
-                           " requires ServiceOptions.threads >= 1");
+  if (service->workers_.empty()) {
+    throw std::logic_error("DetectorService::Ingestor requires ServiceOptions.threads >= 1");
   }
 }
 
@@ -302,46 +301,30 @@ void DetectorService::EnqueueBatch(size_t shard_index, IngestBatch&& batch) {
   // barrier pass with work in flight.
   shard.enqueued.fetch_add(1, std::memory_order_relaxed);
   shard.ring->Push(std::move(batch));  // blocks on a full ring: bounded backpressure
+  // One wake per batch, bumped after the push is published, so a worker that read the old
+  // count before scanning its rings sees it move and does not sleep. Only the producer that
+  // claims the parked flag pays the futex call — a woken worker may wait for a core, and the
+  // others must not pay a syscall meanwhile (seq_cst pairs with the worker's park).
+  Worker& worker = worker_state_[shard_index % workers_.size()];
+  worker.wake.fetch_add(1, std::memory_order_seq_cst);
+  if (worker.parked.load(std::memory_order_seq_cst) &&
+      worker.parked.exchange(false, std::memory_order_seq_cst)) {
+    FutexWake(worker.wake);
+  }
 }
 
 void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
+  IngestCompletion::Kind ended;
+  std::unique_ptr<SessionSlot> removed;
   try {
     const SpiPayload& payload = *ref.record;
     switch (payload.kind) {
-      case SpiPayload::Kind::kSessionOpen:
-        InsertSlot(shard, ref.session, BuildSlot(payload.info, payload.config));
-        break;
-      case SpiPayload::Kind::kDispatchStart:
-        FindSlot(shard, ref.session)->core->OnDispatchStart(payload.start);
-        break;
-      case SpiPayload::Kind::kDispatchEnd: {
-        // The stored record owns its samples; repoint the span for the push.
-        DispatchEnd end = payload.end;
-        end.samples = payload.samples;
-        FindSlot(shard, ref.session)->core->OnDispatchEnd(end);
-        break;
+      case SpiPayload::Kind::kSessionOpen: {
+        std::unique_ptr<SessionSlot> slot = BuildSlot(payload.info, payload.config);
+        slot->source = ref.source;
+        InsertSlot(shard, ref.session, std::move(slot));
+        return;
       }
-      case SpiPayload::Kind::kActionQuiesce:
-        FindSlot(shard, ref.session)->core->OnActionQuiesced(payload.quiesce);
-        break;
-      case SpiPayload::Kind::kCounterFault:
-        FindSlot(shard, ref.session)->core->OnCounterFault(payload.fault);
-        break;
-      case SpiPayload::Kind::kAsyncPost:
-        FindSlot(shard, ref.session)->core->OnAsyncPost(payload.async_post);
-        break;
-      case SpiPayload::Kind::kAsyncRun:
-        FindSlot(shard, ref.session)->core->OnAsyncRun(payload.async_run);
-        break;
-      case SpiPayload::Kind::kAsyncWaitStart:
-        FindSlot(shard, ref.session)->core->OnAsyncWaitStart(payload.wait_start);
-        break;
-      case SpiPayload::Kind::kAsyncWaitEnd:
-        FindSlot(shard, ref.session)->core->OnAsyncWaitEnd(payload.wait_end);
-        break;
-      case SpiPayload::Kind::kSessionClose:
-        shard.closed.push_back(Harvest(ref.session, RemoveSlot(shard, ref.session)));
-        break;
       case SpiPayload::Kind::kKbPublish:
         // A replayed epoch boundary. Publish() is internally serialized, so concurrent
         // workers replaying interleaved schedules stay safe (the exact snapshot sequence is
@@ -349,12 +332,47 @@ void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
         if (options_.knowledge_base != nullptr) {
           options_.knowledge_base->Publish();
         }
+        return;
+      case SpiPayload::Kind::kSessionClose:
+        ended = IngestCompletion::Kind::kClosed;
         break;
+      case SpiPayload::Kind::kSessionAbort:
+        ended = IngestCompletion::Kind::kAborted;
+        break;
+      case SpiPayload::Kind::kSessionHandoff:
+        ended = IngestCompletion::Kind::kHandedOff;
+        break;
+      default:
+        PushSpiPayload(*FindSlot(shard, ref.session, ref.source)->core, payload);
+        return;
     }
+    removed = RemoveSlot(shard, ref.session, ref.source);
   } catch (const std::exception& e) {
-    // The pipeline cannot throw into its producer; collect and keep applying. One bad
+    // The pipeline cannot throw into its producer; report and keep applying. One bad
     // session must not poison the other sessions sharing its shard.
-    shard.errors.push_back(IngestError{ref.session, e.what()});
+    IngestCompletion failed;
+    failed.ref = ref;
+    failed.error = e.what();
+    Complete(shard, failed);
+    return;
+  }
+  IngestCompletion done;
+  done.kind = ended;
+  done.ref = ref;
+  if (ended == IngestCompletion::Kind::kClosed) {
+    done.result = Harvest(ref.session, std::move(removed));
+  }
+  removed.reset();  // an aborted or handed-off session's arena goes unharvested
+  Complete(shard, done);
+}
+
+void DetectorService::Complete(Shard& shard, IngestCompletion& completion) {
+  if (hooks_.on_complete) {
+    hooks_.on_complete(completion);
+  } else if (completion.kind == IngestCompletion::Kind::kClosed) {
+    shard.closed.push_back(std::move(completion.result));
+  } else if (completion.kind == IngestCompletion::Kind::kError) {
+    shard.errors.push_back(IngestError{completion.ref.session, std::move(completion.error)});
   }
 }
 
@@ -365,56 +383,62 @@ void DetectorService::WorkerLoop(size_t worker_index) {
   // options_.threads, not workers_.size(): the first workers start while the constructor is
   // still appending to workers_.
   const size_t stride = static_cast<size_t>(options_.threads);
-  int idle_rounds = 0;
+  Worker& self = worker_state_[worker_index];
+  IngestBatch batch;
   for (;;) {
+    // Read the wake count before scanning. A batch published after this load bumps the
+    // count, so the wait below returns at once; a batch published before it is found by the
+    // scan. A pop that fails on a claimed-but-unpublished ticket is covered the same way:
+    // its producer bumps the count once it publishes.
+    const uint32_t seen = self.wake.load(std::memory_order_seq_cst);
     bool did_work = false;
     // Shard s is owned by worker s % threads: every shard has exactly one consumer, so
     // per-shard session state needs no locking beyond the map-probe spin lock it already
     // shares with the synchronous path.
     for (size_t s = worker_index; s < shards_.size(); s += stride) {
       Shard& shard = *shards_[s];
-      IngestBatch batch;
       while (shard.ring->TryPop(batch)) {
         did_work = true;
+        self.busy.store(true, std::memory_order_relaxed);
         for (const ServiceRecordRef& ref : batch.refs) {
+          // Single writer: a plain store, no locked read-modify-write per record.
+          self.progress.store(self.progress.load(std::memory_order_relaxed) + 1,
+                              std::memory_order_relaxed);
+          if (hooks_.before_apply) {
+            hooks_.before_apply(ref);
+          }
           ApplyRecord(shard, ref);
         }
-        // Release pairs with the barrier's acquire: it publishes `closed` and `errors`
-        // along with the count.
+        self.busy.store(false, std::memory_order_relaxed);
+        if (hooks_.after_batch) {
+          hooks_.after_batch(s, batch.refs);
+        }
+        // Release pairs with the barrier's acquire: it publishes `closed`, `errors` and
+        // everything the hooks did along with the count.
         shard.processed.fetch_add(1, std::memory_order_release);
       }
     }
     if (did_work) {
-      idle_rounds = 0;
       continue;
     }
     if (stop_.load(std::memory_order_acquire)) {
-      // Drain before exiting: recheck the rings once stop is visible so batches enqueued
-      // before the destructor's store are never stranded.
+      // Drain before exiting: a batch pushed before the destructor's store may have landed
+      // after this round's scan, so leave only once every counted batch is applied.
       bool drained = true;
       for (size_t s = worker_index; s < shards_.size(); s += stride) {
-        Shard& shard = *shards_[s];
-        if (shard.processed.load(std::memory_order_relaxed) <
-            shard.enqueued.load(std::memory_order_acquire)) {
-          drained = false;
-          break;
-        }
+        const Shard& shard = *shards_[s];
+        drained = drained && shard.processed.load(std::memory_order_relaxed) >=
+                                 shard.enqueued.load(std::memory_order_acquire);
       }
       if (drained) {
         return;
       }
       continue;
     }
-    // Idle backoff: spin briefly (a producer is probably mid-batch), then yield, then nap —
-    // a parked pipeline must not burn a core.
-    ++idle_rounds;
-    if (idle_rounds < 64) {
-      simkit::CpuRelax();
-    } else if (idle_rounds < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
+    // One futex wait per park, then back to the scan: a wake whose producer cleared
+    // `parked` is never slept through, because each park sets the flag afresh.
+    self.parked.store(true, std::memory_order_seq_cst);
+    FutexWait(self.wake, seen);
   }
 }
 
@@ -438,95 +462,52 @@ void DetectorService::WaitIngestIdle() {
   }
 }
 
-std::vector<SessionResult> DetectorService::DrainClosed() {
+template <typename T>
+std::vector<T> DetectorService::TakeAll(std::vector<T> Shard::*pending) {
   WaitIngestIdle();
-  std::vector<SessionResult> results;
+  std::vector<T> all;
   for (const auto& shard : shards_) {
-    for (SessionResult& result : shard->closed) {
-      results.push_back(std::move(result));
-    }
-    shard->closed.clear();
+    std::vector<T>& items = (*shard).*pending;
+    std::move(items.begin(), items.end(), std::back_inserter(all));
+    items.clear();
   }
+  return all;
+}
+
+std::vector<SessionResult> DetectorService::DrainClosed() {
+  std::vector<SessionResult> results = TakeAll(&Shard::closed);
   SortById(results);
   return results;
 }
 
 std::vector<IngestError> DetectorService::TakeIngestErrors() {
-  WaitIngestIdle();
-  std::vector<IngestError> errors;
-  for (const auto& shard : shards_) {
-    for (IngestError& error : shard->errors) {
-      errors.push_back(std::move(error));
-    }
-    shard->errors.clear();
-  }
-  return errors;
+  return TakeAll(&Shard::errors);
 }
 
 std::vector<SessionResult> DetectorService::Consume(std::span<const ServiceRecord> stream) {
-  if (!workers_.empty()) {
-    {
-      Ingestor ingestor(this);
-      for (const ServiceRecord& record : stream) {
-        ingestor.Push(record);
-      }
-    }  // flushes
-    std::vector<SessionResult> results = DrainClosed();
-    std::vector<IngestError> errors = TakeIngestErrors();
-    if (!errors.empty()) {
-      throw std::invalid_argument(errors.front().message);
+  if (workers_.empty()) {
+    // Without workers the caller's thread applies each record exactly as a worker would.
+    for (const ServiceRecord& record : stream) {
+      ApplyRecord(ShardFor(record.session), {record.session, &record.record});
     }
-    return results;
-  }
-  std::vector<SessionResult> results;
-  for (const ServiceRecord& record : stream) {
-    const SpiPayload& payload = record.record;
-    switch (payload.kind) {
-      case SpiPayload::Kind::kSessionOpen:
-        Open(record.session, payload.info, payload.config);
-        break;
-      case SpiPayload::Kind::kDispatchStart:
-        OnDispatchStart(record.session, payload.start);
-        break;
-      case SpiPayload::Kind::kDispatchEnd: {
-        // The stored record owns its samples; repoint the span for the push.
-        DispatchEnd end = payload.end;
-        end.samples = payload.samples;
-        OnDispatchEnd(record.session, end);
-        break;
-      }
-      case SpiPayload::Kind::kActionQuiesce:
-        OnActionQuiesced(record.session, payload.quiesce);
-        break;
-      case SpiPayload::Kind::kCounterFault:
-        OnCounterFault(record.session, payload.fault);
-        break;
-      case SpiPayload::Kind::kAsyncPost:
-        OnAsyncPost(record.session, payload.async_post);
-        break;
-      case SpiPayload::Kind::kAsyncRun:
-        OnAsyncRun(record.session, payload.async_run);
-        break;
-      case SpiPayload::Kind::kAsyncWaitStart:
-        OnAsyncWaitStart(record.session, payload.wait_start);
-        break;
-      case SpiPayload::Kind::kAsyncWaitEnd:
-        OnAsyncWaitEnd(record.session, payload.wait_end);
-        break;
-      case SpiPayload::Kind::kSessionClose:
-        results.push_back(Close(record.session));
-        break;
-      case SpiPayload::Kind::kKbPublish:
-        // Synchronous consumption replays a recorded epoch schedule exactly: sessions opened
-        // after this record see precisely the snapshots they saw when it was recorded.
-        if (options_.knowledge_base != nullptr) {
-          options_.knowledge_base->Publish();
-        }
-        break;
+  } else {
+    Ingestor ingestor(this);  // flushes as it goes out of scope
+    for (const ServiceRecord& record : stream) {
+      ingestor.Push(record);
     }
   }
-  SortById(results);
+  std::vector<SessionResult> results = DrainClosed();
+  std::vector<IngestError> errors = TakeIngestErrors();
+  if (!errors.empty()) {
+    throw std::invalid_argument(errors.front().message);
+  }
   return results;
+}
+
+DetectorService::WorkerHealth DetectorService::worker_health(int32_t worker) const {
+  const Worker& state = worker_state_[static_cast<size_t>(worker)];
+  return {state.progress.load(std::memory_order_relaxed),
+          state.busy.load(std::memory_order_relaxed)};
 }
 
 size_t DetectorService::live_sessions() const {
@@ -545,46 +526,6 @@ std::vector<telemetry::SessionId> DetectorService::LiveSessionIds() const {
   }
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-void DetectorService::ImportSession(telemetry::SessionId id, const SessionInfo& info,
-                                    const HangDoctorConfig& config,
-                                    std::span<const SpiPayload> prefix) {
-  Open(id, info, config);
-  for (const SpiPayload& payload : prefix) {
-    switch (payload.kind) {
-      case SpiPayload::Kind::kDispatchStart:
-        OnDispatchStart(id, payload.start);
-        break;
-      case SpiPayload::Kind::kDispatchEnd: {
-        DispatchEnd end = payload.end;
-        end.samples = payload.samples;
-        OnDispatchEnd(id, end);
-        break;
-      }
-      case SpiPayload::Kind::kActionQuiesce:
-        OnActionQuiesced(id, payload.quiesce);
-        break;
-      case SpiPayload::Kind::kCounterFault:
-        OnCounterFault(id, payload.fault);
-        break;
-      case SpiPayload::Kind::kAsyncPost:
-        OnAsyncPost(id, payload.async_post);
-        break;
-      case SpiPayload::Kind::kAsyncRun:
-        OnAsyncRun(id, payload.async_run);
-        break;
-      case SpiPayload::Kind::kAsyncWaitStart:
-        OnAsyncWaitStart(id, payload.wait_start);
-        break;
-      case SpiPayload::Kind::kAsyncWaitEnd:
-        OnAsyncWaitEnd(id, payload.wait_end);
-        break;
-      default:
-        throw std::invalid_argument(
-            "ImportSession: prefix must hold telemetry records only");
-    }
-  }
 }
 
 HangBugReport MergeSessionReports(std::span<const SessionResult> results) {

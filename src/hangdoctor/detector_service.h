@@ -22,9 +22,14 @@
 //    simkit::BatchRouter) and blocks on a full ring (bounded backpressure, never unbounded
 //    queuing). Every shard is drained by exactly one worker, so the worker applies records —
 //    including session open/close — to its shards' arenas with no per-session locking at all.
+//    An idle worker parks on a futex-backed wake counter that producers bump once per
+//    pushed batch: no polling while idle, no sleep-granularity latency when work arrives.
 //    Directives cannot flow back through a ring, so the pipeline is for telemetry that is
 //    already recorded or streamed (mux-log replay, the fleet runner's capture-then-ingest
-//    mode, the capacity bench); a live co-simulated host keeps using synchronous push.
+//    mode, hangdoctord's wire ingest); a live co-simulated host keeps using synchronous push.
+//    A producer that answers for its records (hangdoctord) installs IngestHooks: session
+//    ends and refused records reach on_complete, each applied batch comes back through
+//    after_batch, so the producer is woken once per batch rather than once per record.
 //
 // Concurrency and determinism contract:
 //  - Each session's records are pushed in session order by one producer (the natural shape:
@@ -54,6 +59,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -134,9 +140,39 @@ struct IngestError {
   std::string message;
 };
 
+// How a pipelined record ended its session, or why it could not be applied. Reported to
+// IngestHooks::on_complete on the worker that owns the session's shard.
+struct IngestCompletion {
+  enum class Kind : uint8_t {
+    kClosed,     // a kSessionClose harvested the session into `result`
+    kAborted,    // a kSessionAbort dropped it
+    kHandedOff,  // a kSessionHandoff dropped it
+    kError,      // the record could not be applied; `error` says why
+  };
+  Kind kind = Kind::kError;
+  ServiceRecordRef ref;
+  SessionResult result;  // kClosed; the hook may move it out
+  std::string error;     // kError
+};
+
+// Shard-worker callbacks for a pipeline producer that answers for its records. Each runs on
+// the worker that owns the record's shard; any may be left empty.
+struct IngestHooks {
+  // Immediately before each record is applied.
+  std::function<void(const ServiceRecordRef&)> before_apply;
+  // Once per session end (close, abort, handoff) and once per record the pipeline could not
+  // apply. When set, closed results and errors come here instead of being kept for
+  // DrainClosed / TakeIngestErrors.
+  std::function<void(IngestCompletion&)> on_complete;
+  // After every record of a batch has been applied: from here on the pipeline no longer
+  // references the batch's payloads.
+  std::function<void(size_t shard, std::span<const ServiceRecordRef> batch)> after_batch;
+};
+
 class DetectorService {
  public:
   explicit DetectorService(const ServiceOptions& options = {});
+  DetectorService(const ServiceOptions& options, IngestHooks hooks);
   ~DetectorService();
   DetectorService(const DetectorService&) = delete;
   DetectorService& operator=(const DetectorService&) = delete;
@@ -203,14 +239,26 @@ class DetectorService {
   // Per-record entry points; route to the owning shard. Throw std::invalid_argument for a
   // session that was never opened (or already closed) — an unroutable record is a client
   // bug, not telemetry the service can degrade on.
-  MonitorDirectives OnDispatchStart(telemetry::SessionId id, const DispatchStart& start);
-  void OnDispatchEnd(telemetry::SessionId id, const DispatchEnd& end);
-  void OnActionQuiesced(telemetry::SessionId id, const ActionQuiesce& quiesce);
-  void OnCounterFault(telemetry::SessionId id, const CounterFault& fault);
-  void OnAsyncPost(telemetry::SessionId id, const AsyncPost& post);
-  void OnAsyncRun(telemetry::SessionId id, const AsyncRun& run);
-  void OnAsyncWaitStart(telemetry::SessionId id, const AsyncWaitStart& wait);
-  void OnAsyncWaitEnd(telemetry::SessionId id, const AsyncWaitEnd& wait);
+  MonitorDirectives OnDispatchStart(telemetry::SessionId id, const DispatchStart& start) {
+    return Core(id).OnDispatchStart(start);
+  }
+  void OnDispatchEnd(telemetry::SessionId id, const DispatchEnd& end) {
+    Core(id).OnDispatchEnd(end);
+  }
+  void OnActionQuiesced(telemetry::SessionId id, const ActionQuiesce& quiesce) {
+    Core(id).OnActionQuiesced(quiesce);
+  }
+  void OnCounterFault(telemetry::SessionId id, const CounterFault& fault) {
+    Core(id).OnCounterFault(fault);
+  }
+  void OnAsyncPost(telemetry::SessionId id, const AsyncPost& post) { Core(id).OnAsyncPost(post); }
+  void OnAsyncRun(telemetry::SessionId id, const AsyncRun& run) { Core(id).OnAsyncRun(run); }
+  void OnAsyncWaitStart(telemetry::SessionId id, const AsyncWaitStart& wait) {
+    Core(id).OnAsyncWaitStart(wait);
+  }
+  void OnAsyncWaitEnd(telemetry::SessionId id, const AsyncWaitEnd& wait) {
+    Core(id).OnAsyncWaitEnd(wait);
+  }
 
   // Finalizes the session: harvests its result and frees its arena. The returned log is
   // moved, not copied, so closing is O(result), independent of how many sessions ever ran.
@@ -219,30 +267,18 @@ class DetectorService {
   // Drops a session without harvesting (client error path: the producer died mid-stream).
   void Discard(telemetry::SessionId id);
 
-  // Migration hooks (the fleetd coordinator's session export/import surface, riding the
-  // record/replay path). Export is the pair {LiveSessionIds(), the caller's recorded HDSL
-  // prefix}: a session log prefix is a complete description of everything the detector
-  // observed, so no detector state needs to cross processes. Callers must quiesce their
-  // producers first (the snapshot is not a barrier).
+  // The sessions currently live, ascending. Callers must quiesce their producers first
+  // (the snapshot is not a barrier).
   std::vector<telemetry::SessionId> LiveSessionIds() const;
-
-  // Import: re-creates a migrated session by replaying its recorded prefix — Open(id, info,
-  // config) followed by each record through the synchronous entry points, in order. After
-  // this returns, the session is live and continues from exactly the state the prefix
-  // describes (per-session purity is what makes the migrated result bit-identical). The
-  // prefix holds telemetry records only; a kSessionOpen/kSessionClose marker inside it
-  // throws std::invalid_argument.
-  void ImportSession(telemetry::SessionId id, const SessionInfo& info,
-                     const HangDoctorConfig& config, std::span<const SpiPayload> prefix);
 
   SessionHandle Handle(telemetry::SessionId id) { return SessionHandle(this, id); }
 
   // Batch entry: consumes one interleaved stream in order — open/record/close framing per
   // session_stream.h — and returns the results of every session closed by the stream, in
   // ascending-SessionId order. Opened sessions seed from the service-wide seed_db /
-  // knowledge base, like Open(). Without workers this applies records synchronously on the
-  // calling thread; with workers it routes the stream through the pipeline and throws the
-  // first IngestError (if any) after the barrier.
+  // knowledge base, like Open(). Without workers the calling thread applies the records,
+  // with workers the pipeline does; either way the first record that could not be applied
+  // is thrown as std::invalid_argument once the whole stream has been applied.
   std::vector<SessionResult> Consume(std::span<const ServiceRecord> stream);
 
   // Pipeline barrier: blocks until every batch routed so far has been applied by the shard
@@ -264,12 +300,21 @@ class DetectorService {
   int32_t shards() const { return static_cast<int32_t>(shards_.size()); }
   int32_t ingest_threads() const { return static_cast<int32_t>(workers_.size()); }
 
+  // A shard worker's watchdog view: `progress` counts the records it has taken up, `busy`
+  // is held while it applies a batch. Busy with progress frozen means one record wedged it.
+  struct WorkerHealth {
+    uint64_t progress = 0;
+    bool busy = false;
+  };
+  WorkerHealth worker_health(int32_t worker) const;
+
  private:
   // One session's arena: everything that exists only while the session is live. `database`
   // overlays the service seed (seed_view_), so a slot holds only what this session learned.
   struct SessionSlot {
     BlockingApiDatabase database;
     std::unique_ptr<DetectorCore> core;
+    const void* source = nullptr;  // the ServiceRecordRef::source of the pipelined open
   };
 
   // One routed unit: up to batch_size record refs.
@@ -294,24 +339,39 @@ class DetectorService {
     std::vector<IngestError> errors;    // worker-written; read only after the barrier
   };
 
+  // One shard worker's shared counters: watchdog health, and the wake counter it parks on.
+  // Cache-line aligned so neighbouring workers do not false-share.
+  struct alignas(64) Worker {
+    std::atomic<uint64_t> progress{0};
+    std::atomic<bool> busy{false};
+    std::atomic<uint32_t> wake{0};  // bumped by producers after every pushed batch
+    std::atomic<bool> parked{false};
+  };
+
   Shard& ShardFor(telemetry::SessionId id) {
     return *shards_[telemetry::ShardOf(id, shards_.size())];
   }
+  DetectorCore& Core(telemetry::SessionId id) { return *FindSlot(ShardFor(id), id)->core; }
 
   // Arena lifecycle shared by both ingestion surfaces. Find/Remove throw
-  // std::invalid_argument for a session that is not live; Insert throws on a duplicate.
+  // std::invalid_argument for a session that is not live from `source` (the synchronous
+  // path's sessions all have a null source); Insert throws on a duplicate.
   std::unique_ptr<SessionSlot> BuildSlot(const SessionInfo& info,
                                          const HangDoctorConfig& config);
   void InsertSlot(Shard& shard, telemetry::SessionId id, std::unique_ptr<SessionSlot> slot);
-  SessionSlot* FindSlot(Shard& shard, telemetry::SessionId id);
-  std::unique_ptr<SessionSlot> RemoveSlot(Shard& shard, telemetry::SessionId id);
+  SessionSlot* FindSlot(Shard& shard, telemetry::SessionId id, const void* source = nullptr);
+  std::unique_ptr<SessionSlot> RemoveSlot(Shard& shard, telemetry::SessionId id,
+                                          const void* source = nullptr);
   SessionResult Harvest(telemetry::SessionId id, std::unique_ptr<SessionSlot> slot);
 
   // Pipeline internals.
   void EnqueueBatch(size_t shard_index, IngestBatch&& batch);
   void ApplyRecord(Shard& shard, ServiceRecordRef ref);
+  void Complete(Shard& shard, IngestCompletion& completion);
+  // Barrier, then moves every shard's `pending` items out, shards in index order.
+  template <typename T>
+  std::vector<T> TakeAll(std::vector<T> Shard::*pending);
   void WorkerLoop(size_t worker_index);
-  void RequirePipeline(const char* what) const;
   // Session-close side of the KB protocol: absorb + count toward the automatic epoch.
   void AbsorbIntoKb(telemetry::SessionId id, SessionResult& result, DetectorCore& core);
 
@@ -320,6 +380,8 @@ class DetectorService {
   BlockingApiDatabase own_seed_;
   const BlockingApiDatabase* seed_view_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
+  IngestHooks hooks_;
+  std::unique_ptr<Worker[]> worker_state_;  // one per thread in workers_
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> opened_{0};

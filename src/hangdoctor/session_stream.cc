@@ -1,5 +1,8 @@
 #include "src/hangdoctor/session_stream.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace hangdoctor {
 
 void SpiStreamRecorder::OnSessionStart(const SessionInfo& info) { info_ = info; }
@@ -106,6 +109,43 @@ void TeeSink::OnAsyncWaitStart(const AsyncWaitStart& wait) {
 void TeeSink::OnAsyncWaitEnd(const AsyncWaitEnd& wait) {
   if (first_ != nullptr) first_->OnAsyncWaitEnd(wait);
   if (second_ != nullptr) second_->OnAsyncWaitEnd(wait);
+}
+
+void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload) {
+  switch (payload.kind) {
+    case SpiPayload::Kind::kDispatchStart:
+      backend.OnDispatchStart(payload.start);
+      return;
+    case SpiPayload::Kind::kDispatchEnd: {
+      // The stored record owns its samples; repoint the span for the push.
+      DispatchEnd end = payload.end;
+      end.samples = payload.samples;
+      backend.OnDispatchEnd(end);
+      return;
+    }
+    case SpiPayload::Kind::kActionQuiesce:
+      backend.OnActionQuiesced(payload.quiesce);
+      return;
+    case SpiPayload::Kind::kCounterFault:
+      backend.OnCounterFault(payload.fault);
+      return;
+    case SpiPayload::Kind::kAsyncPost:
+      backend.OnAsyncPost(payload.async_post);
+      return;
+    case SpiPayload::Kind::kAsyncRun:
+      backend.OnAsyncRun(payload.async_run);
+      return;
+    case SpiPayload::Kind::kAsyncWaitStart:
+      backend.OnAsyncWaitStart(payload.wait_start);
+      return;
+    case SpiPayload::Kind::kAsyncWaitEnd:
+      backend.OnAsyncWaitEnd(payload.wait_end);
+      return;
+    default:
+      throw std::invalid_argument("record kind " +
+                                  std::to_string(static_cast<int>(payload.kind)) +
+                                  " is not telemetry");
+  }
 }
 
 }  // namespace hangdoctor

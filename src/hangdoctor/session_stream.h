@@ -39,6 +39,12 @@ struct SpiPayload {
     kAsyncRun = 8,
     kAsyncWaitStart = 9,
     kAsyncWaitEnd = 10,
+    // Pipeline control records: drop the session without harvesting it. They travel the
+    // session's ring like any record, so each lands after every record pushed before it.
+    // kSessionAbort ends a torn session (its producer died mid-stream); kSessionHandoff
+    // ends one that is being replayed on another owner.
+    kSessionAbort = 11,
+    kSessionHandoff = 12,
   };
 
   Kind kind = Kind::kSessionClose;
@@ -58,15 +64,23 @@ struct SpiPayload {
 // One element of the interleaved stream: an SPI payload stamped with its session.
 using ServiceRecord = telemetry::SessionStamped<SpiPayload>;
 
-// A non-owning view of one stream element — what actually travels through the ingest
-// pipeline's rings. 16 bytes instead of a full SpiPayload copy, so N sessions replaying one
-// shared donor stream (the bench shape) cost N×16B of refs, not N copies of the payloads.
-// The referenced payload must stay alive until the record has been applied, i.e. until the
-// service's ingest barrier (WaitIngestIdle / DrainClosed) has returned.
+// A non-owning view of one stream element — what travels through the ingest pipeline's
+// rings: 24 bytes, so N sessions replaying one shared donor stream cost N refs, not N copies.
+// The payload must stay alive until the record is applied (the service's ingest barrier, or
+// the pipeline's after_batch hook). `source` names the producer-side owner (hangdoctord: the
+// connection): a pipelined session belongs to the source of its open, and a record, close,
+// abort or handoff from another source is refused, so a losing duplicate open can never
+// feed, harvest or discard the winner's session. Null for single-source producers.
 struct ServiceRecordRef {
   telemetry::SessionId session;
   const SpiPayload* record = nullptr;
+  const void* source = nullptr;
 };
+
+// Pushes one telemetry record into `backend` — the one SPI dispatch switch every ingestion
+// surface shares (the span in end.samples is repointed at `samples`). Throws
+// std::invalid_argument for the session framing and control kinds, which are not telemetry.
+void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload);
 
 // In-memory TelemetrySink: captures a session's post-injection SPI stream as owned
 // SpiPayloads, ready to be stamped with a SessionId and fed to a DetectorService. Because a

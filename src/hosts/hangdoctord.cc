@@ -12,8 +12,8 @@
 //
 // --worker runs the daemon as a fleetd shard-group member: worker-role HELLOs are accepted
 // (coordinator control frames + per-close kSessionResult replies) and the self-watchdog is
-// armed (default 2000 ms; tune with --watchdog-ms) so a wedged applier forfeits the lease
-// and the coordinator migrates this worker's sessions. --drain-ms bounds the shutdown
+// armed (default 2000 ms; tune with --watchdog-ms) so a wedged shard worker forfeits the
+// lease and the coordinator migrates this worker's sessions. --drain-ms bounds the shutdown
 // drain: a drain that cannot finish inside the deadline reports the undrained session ids
 // (the coordinator recovers them by HDSL replay) instead of hanging the exit.
 #include <algorithm>
@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
   try {
     netd::NetServer server(options);
     std::printf("hangdoctord listening on port %u (%d workers, %d rings, %d shards%s)\n",
-                server.port(), options.workers,
-                options.rings == 0 ? options.workers : options.rings,
-                options.service.shards,
+                server.port(), options.workers, server.service().ingest_threads(),
+                server.service().shards(),
                 options.allow_worker_role ? ", worker mode" : "");
     std::fflush(stdout);
 
@@ -98,7 +97,7 @@ int main(int argc, char** argv) {
         }
         std::printf("\n");
         std::fflush(stdout);
-        // A wedged applier cannot be joined; the coordinator replays the undrained
+        // A wedged shard worker cannot be joined; the coordinator replays the undrained
         // sessions elsewhere. Exit without running the blocking destructor.
         std::_Exit(2);
       }

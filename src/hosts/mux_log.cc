@@ -377,44 +377,10 @@ bool ReplayMultiplexedLog(const std::string& bytes, const ServiceOptions& option
         if (tag == SessionRecordTag::kTraceUsage) {
           continue;  // overhead footer: no SPI traffic to replay
         }
-        const SessionRecord& record = logs[index].records[next_record[index]++];
-        switch (record.tag) {
-          case SessionRecordTag::kDispatchStart:
-            out.record.kind = SpiPayload::Kind::kDispatchStart;
-            out.record.start = record.start;
-            break;
-          case SessionRecordTag::kDispatchEnd:
-            out.record.kind = SpiPayload::Kind::kDispatchEnd;
-            out.record.end = record.end;
-            out.record.samples = record.samples;
-            break;
-          case SessionRecordTag::kActionQuiesce:
-            out.record.kind = SpiPayload::Kind::kActionQuiesce;
-            out.record.quiesce = record.quiesce;
-            break;
-          case SessionRecordTag::kCounterFault:
-            out.record.kind = SpiPayload::Kind::kCounterFault;
-            out.record.fault = record.fault;
-            break;
-          case SessionRecordTag::kAsyncPost:
-            out.record.kind = SpiPayload::Kind::kAsyncPost;
-            out.record.async_post = record.async_post;
-            break;
-          case SessionRecordTag::kAsyncRun:
-            out.record.kind = SpiPayload::Kind::kAsyncRun;
-            out.record.async_run = record.async_run;
-            break;
-          case SessionRecordTag::kAsyncWaitStart:
-            out.record.kind = SpiPayload::Kind::kAsyncWaitStart;
-            out.record.wait_start = record.wait_start;
-            break;
-          case SessionRecordTag::kAsyncWaitEnd:
-            out.record.kind = SpiPayload::Kind::kAsyncWaitEnd;
-            out.record.wait_end = record.wait_end;
-            break;
-          default:
-            *error = "unexpected record tag in frame stream";
-            return false;
+        // Each record is replayed exactly once, so its samples can move into the stream.
+        if (!ToSpiPayload(std::move(logs[index].records[next_record[index]++]), &out.record)) {
+          *error = "unexpected record tag in frame stream";
+          return false;
         }
         break;
       }

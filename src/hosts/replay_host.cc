@@ -10,37 +10,13 @@ ReplaySession::ReplaySession(SessionLog log, BlockingApiDatabase* database,
       core_(log_.info, log_.config, database, fleet_report) {}
 
 void ReplaySession::Run() {
+  SpiPayload payload;
   for (SessionRecord& record : log_.records) {
-    switch (record.tag) {
-      case SessionRecordTag::kDispatchStart:
-        // The directives drove the *live* host's mechanisms; their effects are already
-        // baked into the recorded stream, so replay discards them.
-        (void)core_.OnDispatchStart(record.start);
-        break;
-      case SessionRecordTag::kDispatchEnd:
-        record.end.samples = record.samples;
-        core_.OnDispatchEnd(record.end);
-        break;
-      case SessionRecordTag::kActionQuiesce:
-        core_.OnActionQuiesced(record.quiesce);
-        break;
-      case SessionRecordTag::kCounterFault:
-        core_.OnCounterFault(record.fault);
-        break;
-      case SessionRecordTag::kAsyncPost:
-        core_.OnAsyncPost(record.async_post);
-        break;
-      case SessionRecordTag::kAsyncRun:
-        core_.OnAsyncRun(record.async_run);
-        break;
-      case SessionRecordTag::kAsyncWaitStart:
-        core_.OnAsyncWaitStart(record.wait_start);
-        break;
-      case SessionRecordTag::kAsyncWaitEnd:
-        core_.OnAsyncWaitEnd(record.wait_end);
-        break;
-      default:
-        break;
+    // The directives drove the *live* host's mechanisms; their effects are already baked
+    // into the recorded stream, so replay discards them.
+    if (ToSpiPayload(std::move(record), &payload)) {
+      PushSpiPayload(core_, payload);
+      record.samples.swap(payload.samples);  // hand the samples back: log() stays whole
     }
   }
 }

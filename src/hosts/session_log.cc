@@ -23,7 +23,7 @@ int64_t ZigzagDecode(uint64_t value) {
 // Sequential reader over a loaded log; all Get* methods fail sticky.
 class Parser {
  public:
-  Parser(const std::string& data, std::string* error) : data_(data), error_(error) {}
+  Parser(std::string_view data, std::string* error) : data_(data), error_(error) {}
 
   bool ok() const { return ok_; }
   size_t pos() const { return pos_; }
@@ -88,7 +88,7 @@ class Parser {
       Fail("unexpected end of log");
       return "";
     }
-    std::string value = data_.substr(pos_, length);
+    std::string value(data_.substr(pos_, length));
     pos_ += length;
     return value;
   }
@@ -96,7 +96,7 @@ class Parser {
   bool AtEnd() const { return pos_ >= data_.size(); }
 
  private:
-  const std::string& data_;
+  std::string_view data_;
   std::string* error_;
   size_t pos_ = 0;
   bool ok_ = true;
@@ -104,7 +104,7 @@ class Parser {
 
 // Shared prefix grammar — magic, version, SessionInfo, config, symbol table — leaving the
 // parser positioned at the first record's tag byte.
-bool ParsePrefix(Parser& parser, const std::string& data, SessionLog* log,
+bool ParsePrefix(Parser& parser, std::string_view data, SessionLog* log,
                  SessionLogLayout* layout, std::string* error) {
   if (data.size() < sizeof(kSessionLogMagic) ||
       std::memcmp(data.data(), kSessionLogMagic, sizeof(kSessionLogMagic)) != 0) {
@@ -614,7 +614,7 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
   return ParseSessionLog(bytes, &scratch, layout, error);
 }
 
-bool ParseSessionLogPrefix(const std::string& bytes, SessionLog* log, std::string* error) {
+bool ParseSessionLogPrefix(std::string_view bytes, SessionLog* log, std::string* error) {
   Parser parser(bytes, error);
   if (!ParsePrefix(parser, bytes, log, nullptr, error)) {
     return false;
@@ -625,7 +625,7 @@ bool ParseSessionLogPrefix(const std::string& bytes, SessionLog* log, std::strin
   return parser.ok();
 }
 
-bool ParseSessionRecordBytes(const std::string& bytes, const telemetry::SymbolTable& symbols,
+bool ParseSessionRecordBytes(std::string_view bytes, const telemetry::SymbolTable& symbols,
                              SessionRecord* record, std::string* error) {
   Parser parser(bytes, error);
   if (!ParseRecordBody(parser, symbols, record)) {
@@ -638,6 +638,46 @@ bool ParseSessionRecordBytes(const std::string& bytes, const telemetry::SymbolTa
     return parser.Fail("trailing bytes after record");
   }
   return parser.ok();
+}
+
+bool ToSpiPayload(SessionRecord&& record, SpiPayload* payload) {
+  switch (record.tag) {
+    case SessionRecordTag::kDispatchStart:
+      payload->start = record.start;
+      payload->kind = SpiPayload::Kind::kDispatchStart;
+      return true;
+    case SessionRecordTag::kDispatchEnd:
+      payload->end = record.end;
+      payload->samples = std::move(record.samples);
+      payload->kind = SpiPayload::Kind::kDispatchEnd;
+      return true;
+    case SessionRecordTag::kActionQuiesce:
+      payload->quiesce = record.quiesce;
+      payload->kind = SpiPayload::Kind::kActionQuiesce;
+      return true;
+    case SessionRecordTag::kCounterFault:
+      payload->fault = record.fault;
+      payload->kind = SpiPayload::Kind::kCounterFault;
+      return true;
+    case SessionRecordTag::kAsyncPost:
+      payload->async_post = record.async_post;
+      payload->kind = SpiPayload::Kind::kAsyncPost;
+      return true;
+    case SessionRecordTag::kAsyncRun:
+      payload->async_run = record.async_run;
+      payload->kind = SpiPayload::Kind::kAsyncRun;
+      return true;
+    case SessionRecordTag::kAsyncWaitStart:
+      payload->wait_start = record.wait_start;
+      payload->kind = SpiPayload::Kind::kAsyncWaitStart;
+      return true;
+    case SessionRecordTag::kAsyncWaitEnd:
+      payload->wait_end = record.wait_end;
+      payload->kind = SpiPayload::Kind::kAsyncWaitEnd;
+      return true;
+    default:
+      return false;
+  }
 }
 
 }  // namespace hangdoctor

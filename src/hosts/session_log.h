@@ -36,10 +36,12 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/hangdoctor/detector_core.h"
 #include "src/hangdoctor/host_spi.h"
+#include "src/hangdoctor/session_stream.h"
 
 namespace hangdoctor {
 
@@ -174,14 +176,18 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
 // records, no trailing bytes. On success `log` holds info/config/symbols with `records`
 // empty; `log->info.symbols` points at `log->symbols`, which must outlive every record
 // later parsed against it.
-bool ParseSessionLogPrefix(const std::string& bytes, SessionLog* log, std::string* error);
+bool ParseSessionLogPrefix(std::string_view bytes, SessionLog* log, std::string* error);
 
 // Parses exactly one record (tag byte + body; trailing bytes rejected) against `symbols`,
 // with the same FrameId range checks as the full parse. kTraceUsage parses into
 // `record->usage_cpu` / `usage_bytes`; a bare end marker is rejected — mux/wire framing
 // regenerates end markers, they never travel as records.
-bool ParseSessionRecordBytes(const std::string& bytes, const telemetry::SymbolTable& symbols,
+bool ParseSessionRecordBytes(std::string_view bytes, const telemetry::SymbolTable& symbols,
                              SessionRecord* record, std::string* error);
+
+// Re-expresses one parsed SPI record as a stream payload, taking its samples. Returns false,
+// leaving `payload` untouched, for records that carry no SPI traffic (kTraceUsage, kEnd).
+bool ToSpiPayload(SessionRecord&& record, SpiPayload* payload);
 
 }  // namespace hangdoctor
 

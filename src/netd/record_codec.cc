@@ -16,7 +16,7 @@ bool MuxStreamDecoder::Fail(const std::string& message) {
   return false;
 }
 
-bool MuxStreamDecoder::Decode(const std::string& payload, DecodedFrame* out) {
+bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
   if (!ok_) {
     return false;
   }
@@ -26,7 +26,12 @@ bool MuxStreamDecoder::Decode(const std::string& payload, DecodedFrame* out) {
   if (payload.empty()) {
     return Fail("empty container frame");
   }
-  *out = DecodedFrame{};
+  // Reset only what every frame sets: a reused frame keeps its buffers (and its 800-byte
+  // payload is not rebuilt from defaults per frame).
+  out->id = telemetry::SessionId{0};
+  out->open_bytes = 0;
+  out->skip = false;
+  out->record.session = out->id;
   auto tag = static_cast<hd::MuxFrameTag>(static_cast<uint8_t>(payload[0]));
   size_t pos = 1;
   uint64_t id = 0;
@@ -80,47 +85,10 @@ bool MuxStreamDecoder::Decode(const std::string& payload, DecodedFrame* out) {
       out->id = telemetry::SessionId{id};
       out->log = it->second;
       out->record.session = out->id;
-      hd::SpiPayload& payload_out = out->record.record;
-      switch (record.tag) {
-        case hd::SessionRecordTag::kDispatchStart:
-          payload_out.kind = hd::SpiPayload::Kind::kDispatchStart;
-          payload_out.start = record.start;
-          break;
-        case hd::SessionRecordTag::kDispatchEnd:
-          payload_out.kind = hd::SpiPayload::Kind::kDispatchEnd;
-          payload_out.end = record.end;
-          payload_out.samples = std::move(record.samples);
-          break;
-        case hd::SessionRecordTag::kActionQuiesce:
-          payload_out.kind = hd::SpiPayload::Kind::kActionQuiesce;
-          payload_out.quiesce = record.quiesce;
-          break;
-        case hd::SessionRecordTag::kCounterFault:
-          payload_out.kind = hd::SpiPayload::Kind::kCounterFault;
-          payload_out.fault = record.fault;
-          break;
-        case hd::SessionRecordTag::kAsyncPost:
-          payload_out.kind = hd::SpiPayload::Kind::kAsyncPost;
-          payload_out.async_post = record.async_post;
-          break;
-        case hd::SessionRecordTag::kAsyncRun:
-          payload_out.kind = hd::SpiPayload::Kind::kAsyncRun;
-          payload_out.async_run = record.async_run;
-          break;
-        case hd::SessionRecordTag::kAsyncWaitStart:
-          payload_out.kind = hd::SpiPayload::Kind::kAsyncWaitStart;
-          payload_out.wait_start = record.wait_start;
-          break;
-        case hd::SessionRecordTag::kAsyncWaitEnd:
-          payload_out.kind = hd::SpiPayload::Kind::kAsyncWaitEnd;
-          payload_out.wait_end = record.wait_end;
-          break;
-        case hd::SessionRecordTag::kTraceUsage:
-          // Overhead footer: structurally a record, but no SPI traffic to apply.
-          out->skip = true;
-          break;
-        default:
-          return Fail("unexpected record tag in frame");
+      if (!hd::ToSpiPayload(std::move(record), &out->record.record)) {
+        // kTraceUsage overhead footer (the parser rejects bare end markers): structurally a
+        // record, but no SPI traffic to apply.
+        out->skip = true;
       }
       return true;
     }
@@ -146,6 +114,7 @@ bool MuxStreamDecoder::Decode(const std::string& payload, DecodedFrame* out) {
         return Fail("malformed epoch-publish frame");
       }
       out->kind = DecodedFrame::Kind::kEpochPublish;
+      out->log.reset();
       return true;
     }
     case hd::MuxFrameTag::kEnd: {
@@ -158,6 +127,7 @@ bool MuxStreamDecoder::Decode(const std::string& payload, DecodedFrame* out) {
       }
       saw_bye_ = true;
       out->kind = DecodedFrame::Kind::kBye;
+      out->log.reset();
       return true;
     }
     default:

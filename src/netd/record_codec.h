@@ -19,6 +19,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,9 +52,11 @@ struct DecodedFrame {
 
 class MuxStreamDecoder {
  public:
-  // Decodes one wire frame payload (= one container frame). Returns false and goes sticky
-  // on any grammar or framing violation; `out` is meaningful only on success.
-  bool Decode(const std::string& payload, DecodedFrame* out);
+  // Decodes one wire frame payload (= one container frame), parsing it in place. Returns
+  // false and goes sticky on any grammar or framing violation; `out` is meaningful only on
+  // success. `out` may be reused across calls: of its payload, only the members the decoded
+  // kind selects are rewritten.
+  bool Decode(std::string_view payload, DecodedFrame* out);
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }

@@ -5,15 +5,16 @@
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <mutex>
-#include <semaphore>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -24,8 +25,6 @@
 #include "src/netd/result_codec.h"
 #include "src/netd/wire.h"
 #include "src/simkit/affinity.h"
-#include "src/simkit/mpmc_ring.h"
-#include "src/simkit/spinlock.h"
 #include "src/telemetry/session.h"
 
 namespace netd {
@@ -49,8 +48,6 @@ void SignalEventFd(int fd) {
 
 }  // namespace
 
-// One unit of work traveling a ring: a decoded frame bound to its connection.
-struct Apply;
 struct Connection;
 
 // One in-flight HANDOFF order: `remaining` discards still traveling the rings; the last
@@ -61,19 +58,18 @@ struct HandoffState {
   std::atomic<uint64_t> discarded{0};
 };
 
-struct Apply {
-  // kHandoffDiscard is a migrate-away order: like kAbort it frees the session without
-  // harvesting, but records no outcome — the session is not torn, it is being replayed on
-  // its new owner from the coordinator's HDSL tap.
-  enum class Kind : uint8_t { kOpen, kRecord, kClose, kAbort, kHandoffDiscard };
-  Kind kind = Kind::kRecord;
+// A decoded record on its way through the service's shard rings: the SPI payload the shard
+// worker applies, plus what it needs to answer for it. Records are pooled per epoll worker:
+// the epoll worker takes one per routed record, the shard worker hands it back after the
+// batch that carried it has been applied.
+struct NetRecord : hd::SpiPayload {
   telemetry::SessionId id{0};
-  int64_t estimate = 0;  // kOpen/kClose/kAbort/kHandoffDiscard: the session's budget charge
-  std::shared_ptr<hd::SessionLog> log;  // keeps the session's symbol table alive
-  hd::ServiceRecord record;
   std::shared_ptr<Connection> conn;
-  std::shared_ptr<HandoffState> handoff;  // kHandoffDiscard
-  std::string reason;  // kAbort
+  std::shared_ptr<hd::SessionLog> log;    // open/close: keeps the symbol table alive
+  int64_t estimate = 0;                   // open/close/abort/handoff: the budget charge
+  std::shared_ptr<HandoffState> handoff;  // kSessionHandoff
+  std::string reason;                     // kSessionAbort
+  NetRecord* next = nullptr;              // pool link
 };
 
 struct Connection {
@@ -81,9 +77,10 @@ struct Connection {
   int worker = 0;
   FrameSplitter splitter;
   MuxStreamDecoder decoder;
+  DecodedFrame frame;  // reused for every decoded frame
   bool hello_done = false;
-  // Set at HELLO, before any apply is routed from this connection; the routing ring's
-  // push/pop pair publishes it to the appliers.
+  // Set at HELLO, before any record is routed from this connection; the ring push/pop pair
+  // publishes it to the shard workers.
   HelloRole role = HelloRole::kClient;
 
   // Worker-thread-only state.
@@ -96,41 +93,40 @@ struct Connection {
   bool bye_sent = false;
   bool dead = false;       // sticky protocol error: no further reads/decodes
   bool peer_gone = false;  // EOF/reset: no further writes either
-  bool closing = false;    // close once out is flushed and applies have landed
-  bool has_parked = false;
-  Apply parked;
+  bool closing = false;    // close once out is flushed and records have landed
+  NetRecord* parked = nullptr;  // decoded, waiting for ring space (EPOLLIN off meanwhile)
 
-  // Cross-thread state (appliers touch these).
+  // Cross-thread state (shard workers touch these).
   std::mutex reply_mu;
-  std::string replies;  // applier-encoded reply frames, drained into `out` by the worker
-  std::string applier_error_msg;  // guarded by reply_mu
-  std::atomic<bool> applier_error{false};
-  std::atomic<int64_t> pending{0};  // applies routed but not yet landed
+  std::string replies;          // shard-encoded reply frames, drained into `out`
+  std::string apply_error_msg;  // guarded by reply_mu
+  std::atomic<bool> apply_error{false};
+  std::atomic<bool> wake_queued{false};  // on its worker's ready list
+  std::atomic<int64_t> pending{0};       // records routed but not yet applied
   std::atomic<uint64_t> closed_count{0};
-  std::atomic<bool> closed{false};  // fd gone: appliers stop enqueueing replies
+  std::atomic<bool> closed{false};  // fd gone: shard workers stop enqueueing replies
 
   explicit Connection(size_t max_frame) : splitter(max_frame) {}
 };
 
 struct WorkerState {
+  int index = 0;
   int epfd = -1;
   int wake_fd = -1;
   std::thread thread;
   std::mutex inbox_mu;
-  std::vector<int> inbox;
+  std::vector<int> inbox;                          // adopted fds (guarded by inbox_mu)
+  std::vector<std::shared_ptr<Connection>> ready;  // shard-worker news (guarded by inbox_mu)
   std::unordered_map<int, std::shared_ptr<Connection>> conns;  // worker-thread only
+  std::vector<std::shared_ptr<Connection>> parked;  // worker-thread only: awaiting ring space
+  std::atomic<bool> wants_space{false};
+  std::unique_ptr<hd::DetectorService::Ingestor> ingestor;
+  // Record pool: `records` owns every record this worker ever allocated; `free_records` is
+  // the worker's own free list and `returned` the stack shard workers push spent records on.
+  std::vector<std::unique_ptr<NetRecord>> records;
+  NetRecord* free_records = nullptr;
+  std::atomic<NetRecord*> returned{nullptr};
   bool drain_started = false;
-};
-
-struct RingSlot {
-  std::unique_ptr<simkit::MpmcRing<Apply>> ring;
-  std::counting_semaphore<> items{0};
-  std::thread thread;
-  // Watchdog progress signal (LCI hang_detector idiom): the applier bumps `progress` as it
-  // takes each item and holds `busy` across the apply. busy == true with `progress` frozen
-  // past the timeout is the stuck verdict.
-  std::atomic<uint64_t> progress{0};
-  std::atomic<bool> busy{false};
 };
 
 struct NetServer::Impl {
@@ -138,21 +134,25 @@ struct NetServer::Impl {
   NetServer* self = nullptr;
 
   std::vector<std::unique_ptr<WorkerState>> workers;
-  std::vector<std::unique_ptr<RingSlot>> rings;
+  // Per service shard: records routed (Ingestor push) but not yet applied. A record is only
+  // routed while its shard is under opt.ring_capacity, which is what bounds records in
+  // flight per ring; control records (abort, handoff, drain closes) may overshoot.
+  std::unique_ptr<std::atomic<int64_t>[]> inflight;
+  size_t shards = 1;
 
-  // Backpressure wakeups: workers with a parked record register their wake fd; appliers
-  // signal the set after freeing ring space.
-  std::mutex waiter_mu;
-  std::vector<int> waiter_fds;
-  std::atomic<int> waiters{0};
+  // Per-shard scratch of the shard worker applying that shard's batch (one at a time).
+  struct BatchScratch {
+    std::vector<std::pair<std::shared_ptr<Connection>, int64_t>> touched;  // + records
+    std::vector<const Connection*> replied;
+    std::vector<bool> signal;  // per epoll worker
+  };
+  std::vector<BatchScratch> scratch;
 
   std::mutex results_mu;
   std::vector<NetSessionOutcome> results;
 
-  std::atomic<int64_t> inflight{0};  // records routed but not yet applied
   std::atomic<bool> draining{false};
   std::atomic<bool> stopping{false};
-  std::atomic<bool> applier_stop{false};
   std::atomic<uint32_t> next_worker{0};
   bool stopped = false;
 
@@ -169,69 +169,94 @@ struct NetServer::Impl {
   int accept_stop_fd = -1;
   std::thread acceptor;
 
-  // ---- routing ----
+  // ---- routing (epoll worker side) ----
 
-  size_t RingOf(telemetry::SessionId id) const {
-    return telemetry::ShardOf(id, rings.size());
+  size_t ShardOf(telemetry::SessionId id) const { return telemetry::ShardOf(id, shards); }
+
+  NetRecord* NewRecord(WorkerState& wk, const std::shared_ptr<Connection>& conn,
+                       telemetry::SessionId id, hd::SpiPayload::Kind kind) {
+    if (wk.free_records == nullptr) {
+      wk.free_records = wk.returned.exchange(nullptr, std::memory_order_acquire);
+    }
+    NetRecord* rec = wk.free_records;
+    if (rec == nullptr) {
+      wk.records.push_back(std::make_unique<NetRecord>());
+      rec = wk.records.back().get();
+    } else {
+      wk.free_records = rec->next;
+    }
+    rec->kind = kind;
+    rec->id = id;
+    rec->conn = conn;
+    rec->estimate = 0;
+    return rec;
   }
 
-  void WakeWaiters() {
-    if (waiters.load(std::memory_order_acquire) == 0) {
+  // Hands a record to the worker's Ingestor, behind everything this connection routed
+  // before it; the end-of-round flush ships it.
+  void Push(WorkerState& wk, NetRecord* rec) {
+    inflight[ShardOf(rec->id)].fetch_add(1, std::memory_order_relaxed);
+    rec->conn->pending.fetch_add(1, std::memory_order_relaxed);
+    wk.ingestor->Push(hd::ServiceRecordRef{rec->id, rec, rec->conn.get()});
+  }
+
+  // Session records respect the per-ring cap: at the cap the record parks on its connection,
+  // whose reads pause (TCP backpressure) until a shard worker frees ring space. A drain
+  // waives the cap: it takes in only what already arrived, and must take all of it.
+  void Route(WorkerState& wk, const std::shared_ptr<Connection>& conn, NetRecord* rec) {
+    if (!draining.load(std::memory_order_relaxed) &&
+        inflight[ShardOf(rec->id)].load(std::memory_order_relaxed) >= opt.ring_capacity) {
+      self->stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+      conn->parked = rec;
+      wk.parked.push_back(conn);
       return;
     }
-    std::lock_guard<std::mutex> lock(waiter_mu);
-    for (int fd : waiter_fds) {
-      SignalEventFd(fd);
-    }
-    waiter_fds.clear();
-    waiters.store(0, std::memory_order_release);
+    Push(wk, rec);
   }
 
-  void RegisterWaiter(int wake_fd) {
-    std::lock_guard<std::mutex> lock(waiter_mu);
-    waiter_fds.push_back(wake_fd);
-    waiters.store(static_cast<int>(waiter_fds.size()), std::memory_order_release);
+  // Control records must land behind the parked record, so it goes first, cap or not.
+  void Unpark(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    if (conn->parked != nullptr) {
+      Push(wk, std::exchange(conn->parked, nullptr));
+    }
   }
 
-  void RouteBlocking(Apply&& apply) {
-    size_t r = RingOf(apply.id);
-    apply.conn->pending.fetch_add(1, std::memory_order_relaxed);
-    inflight.fetch_add(1, std::memory_order_relaxed);
-    rings[r]->ring->Push(std::move(apply));
-    rings[r]->items.release();
-  }
-
-  // Returns false when the ring was full: the apply is parked on the connection and EPOLLIN
-  // must stay off until ring space frees up.
-  bool Route(std::shared_ptr<Connection>& conn, Apply&& apply) {
-    size_t r = RingOf(apply.id);
-    apply.conn = conn;
-    conn->pending.fetch_add(1, std::memory_order_relaxed);
-    inflight.fetch_add(1, std::memory_order_relaxed);
-    if (rings[r]->ring->TryPush(apply)) {
-      rings[r]->items.release();
-      return true;
+  void RetryParked(WorkerState& wk) {
+    if (wk.parked.empty()) {
+      return;
     }
-    self->stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-    RegisterWaiter(workers[conn->worker]->wake_fd);
-    // Re-try once after registering, closing the race where the applier freed space and
-    // signaled waiters between our failed push and the registration.
-    if (rings[r]->ring->TryPush(apply)) {
-      rings[r]->items.release();
-      return true;
+    // Register for a ring-space wake before rechecking: seq_cst pairs with AfterBatch's
+    // decrement-then-check, so either the shard worker sees the registration or the
+    // recheck below sees the space.
+    wk.wants_space.store(true, std::memory_order_seq_cst);
+    std::vector<std::shared_ptr<Connection>> parked;
+    parked.swap(wk.parked);
+    for (const std::shared_ptr<Connection>& conn : parked) {
+      if (conn->parked == nullptr) {
+        continue;  // pushed meanwhile ahead of a control record
+      }
+      if (inflight[ShardOf(conn->parked->id)].load(std::memory_order_seq_cst) >=
+          opt.ring_capacity) {
+        wk.parked.push_back(conn);
+        continue;
+      }
+      Push(wk, std::exchange(conn->parked, nullptr));
+      UpdateEvents(wk, conn);
+      ProcessFrames(wk, conn);  // keep decoding what was already buffered
+      MaybeFinish(wk, conn);
     }
-    conn->parked = std::move(apply);
-    conn->has_parked = true;
-    return false;
   }
 
   // ---- worker side ----
 
   void UpdateEvents(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    if (conn->closed.load()) {
+      return;
+    }
     epoll_event ev{};
     ev.data.fd = conn->fd;
     ev.events = 0;
-    if (conn->reading && !conn->dead && !conn->has_parked && !conn->closing) {
+    if (conn->reading && !conn->dead && conn->parked == nullptr && !conn->closing) {
       ev.events |= EPOLLIN;
     }
     if (conn->want_write) {
@@ -287,15 +312,15 @@ struct NetServer::Impl {
     FlushWrites(wk, conn);
   }
 
-  void AbortLiveSessions(const std::shared_ptr<Connection>& conn, const std::string& reason) {
+  void AbortLiveSessions(WorkerState& wk, const std::shared_ptr<Connection>& conn,
+                         const std::string& reason) {
+    Unpark(wk, conn);
     for (const auto& [id, est] : conn->live) {
-      Apply apply;
-      apply.kind = Apply::Kind::kAbort;
-      apply.id = telemetry::SessionId{id};
-      apply.estimate = est;
-      apply.reason = reason;
-      apply.conn = conn;
-      RouteBlocking(std::move(apply));
+      NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
+                                 hd::SpiPayload::Kind::kSessionAbort);
+      rec->estimate = est;
+      rec->reason = reason;
+      Push(wk, rec);
     }
     conn->live.clear();
     conn->refused.clear();
@@ -310,7 +335,7 @@ struct NetServer::Impl {
     conn->dead = true;
     conn->reading = false;
     SendReply(wk, conn, BuildError(message));
-    AbortLiveSessions(conn, "protocol error: " + message);
+    AbortLiveSessions(wk, conn, "protocol error: " + message);
     conn->closing = true;
     UpdateEvents(wk, conn);
     MaybeFinish(wk, conn);
@@ -320,9 +345,7 @@ struct NetServer::Impl {
     conn->peer_gone = true;
     conn->reading = false;
     conn->out.clear();
-    if (!conn->live.empty()) {
-      AbortLiveSessions(conn, "connection closed mid-session");
-    }
+    AbortLiveSessions(wk, conn, "connection closed mid-session");
     conn->closing = true;
     MaybeFinish(wk, conn);
   }
@@ -331,21 +354,15 @@ struct NetServer::Impl {
     if (conn->closed.load()) {
       return;
     }
-    bool idle = conn->pending.load(std::memory_order_acquire) == 0 && !conn->has_parked;
+    bool idle = conn->pending.load(std::memory_order_acquire) == 0 && conn->parked == nullptr;
     if (!idle) {
       return;
     }
-    // pending == 0 guarantees every applier reply for this connection has been enqueued
-    // (appliers enqueue before decrementing). Drain them into the write buffer NOW — the
-    // bye/close decision below must never outrun a kSessionClosed still parked in
-    // `replies`, or the peer loses replies that were already earned.
-    {
-      std::lock_guard<std::mutex> lock(conn->reply_mu);
-      if (!conn->replies.empty()) {
-        conn->out.append(conn->replies);
-        conn->replies.clear();
-      }
-    }
+    // pending == 0 guarantees every shard-worker reply for this connection has been
+    // enqueued (replies are enqueued before the batch's pending decrement). Drain them into
+    // the write buffer NOW — the bye/close decision below must never outrun a
+    // kSessionClosed still sitting in `replies`, or the peer loses replies already earned.
+    TakeReplies(conn);
     if (conn->want_bye && !conn->bye_sent && !conn->peer_gone && !conn->dead) {
       conn->bye_sent = true;
       SendReply(wk, conn, BuildBye(conn->closed_count.load()));
@@ -359,7 +376,16 @@ struct NetServer::Impl {
     }
   }
 
-  void HandleFrame(WorkerState& wk, std::shared_ptr<Connection>& conn, DecodedFrame&& dec) {
+  void TakeReplies(const std::shared_ptr<Connection>& conn) {
+    std::lock_guard<std::mutex> lock(conn->reply_mu);
+    if (!conn->replies.empty()) {
+      conn->out.append(conn->replies);
+      conn->replies.clear();
+    }
+  }
+
+  void HandleFrame(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    DecodedFrame& dec = conn->frame;
     switch (dec.kind) {
       case DecodedFrame::Kind::kOpen: {
         int64_t est = static_cast<int64_t>(dec.open_bytes) + opt.session_overhead_bytes;
@@ -374,43 +400,36 @@ struct NetServer::Impl {
         }
         self->live_session_bytes_.fetch_add(est, std::memory_order_relaxed);
         conn->live[dec.id.value] = est;
-        Apply apply;
-        apply.kind = Apply::Kind::kOpen;
-        apply.id = dec.id;
-        apply.estimate = est;
-        apply.log = std::move(dec.log);
-        apply.record = std::move(dec.record);
-        Route(conn, std::move(apply));
+        NetRecord* rec = NewRecord(wk, conn, dec.id, hd::SpiPayload::Kind::kSessionOpen);
+        rec->info = std::move(dec.record.record.info);
+        rec->config = std::move(dec.record.record.config);
+        rec->log = dec.log;
+        rec->estimate = est;
+        Route(wk, conn, rec);
         return;
       }
       case DecodedFrame::Kind::kRecord: {
         if (dec.skip || conn->refused.count(dec.id.value) != 0) {
           return;
         }
-        Apply apply;
-        apply.kind = Apply::Kind::kRecord;
-        apply.id = dec.id;
-        apply.log = std::move(dec.log);
-        apply.record = std::move(dec.record);
-        Route(conn, std::move(apply));
+        NetRecord* rec = NewRecord(wk, conn, dec.id, dec.record.record.kind);
+        static_cast<hd::SpiPayload&>(*rec) = std::move(dec.record.record);
+        Route(wk, conn, rec);
         return;
       }
       case DecodedFrame::Kind::kClose: {
         if (conn->refused.erase(dec.id.value) != 0) {
           return;  // the open was kBusy'd; nothing to close
         }
-        auto it = conn->live.find(dec.id.value);
-        int64_t est = it != conn->live.end() ? it->second : 0;
-        if (it != conn->live.end()) {
+        int64_t est = 0;
+        if (auto it = conn->live.find(dec.id.value); it != conn->live.end()) {
+          est = it->second;
           conn->live.erase(it);
         }
-        Apply apply;
-        apply.kind = Apply::Kind::kClose;
-        apply.id = dec.id;
-        apply.estimate = est;
-        apply.log = std::move(dec.log);
-        apply.record = std::move(dec.record);
-        Route(conn, std::move(apply));
+        NetRecord* rec = NewRecord(wk, conn, dec.id, hd::SpiPayload::Kind::kSessionClose);
+        rec->log = dec.log;  // the decoder let go of it: the close keeps it until harvest
+        rec->estimate = est;
+        Route(wk, conn, rec);
         return;
       }
       case DecodedFrame::Kind::kEpochPublish:
@@ -443,7 +462,7 @@ struct NetServer::Impl {
   }
 
   void HandleControl(WorkerState& wk, const std::shared_ptr<Connection>& conn,
-                     const std::string& payload) {
+                     std::string_view payload) {
     uint8_t tag = static_cast<uint8_t>(payload[0]);
     std::string error;
     if (tag == kCtrlHeartbeat) {
@@ -478,25 +497,18 @@ struct NetServer::Impl {
       }
       auto handoff = std::make_shared<HandoffState>();
       handoff->epoch = epoch;
-      // Route the discards through the session rings like records, so each lands strictly
-      // after everything this connection already routed for that session. Sessions the
-      // connection does not hold live (already closed, refused, never opened here) have
-      // nothing to discard and do not travel.
-      std::vector<Apply> orders;
+      // The discards travel the session rings like records, so each lands strictly after
+      // everything this connection already routed for that session. Sessions the connection
+      // does not hold live (already closed, refused, never opened here) have nothing to
+      // discard and do not travel.
+      std::vector<std::pair<uint64_t, int64_t>> orders;
       for (uint64_t id : sessions) {
         conn->refused.erase(id);
         auto it = conn->live.find(id);
-        if (it == conn->live.end()) {
-          continue;
+        if (it != conn->live.end()) {
+          orders.emplace_back(id, it->second);
+          conn->live.erase(it);
         }
-        Apply apply;
-        apply.kind = Apply::Kind::kHandoffDiscard;
-        apply.id = telemetry::SessionId{id};
-        apply.estimate = it->second;
-        apply.handoff = handoff;
-        apply.conn = conn;
-        orders.push_back(std::move(apply));
-        conn->live.erase(it);
       }
       if (orders.empty()) {
         SendReply(wk, conn, BuildHandoffAck(epoch, 0));
@@ -504,10 +516,13 @@ struct NetServer::Impl {
       }
       // `remaining` must cover every order before the first lands, or an early discard
       // could see remaining == 0 and ack a half-applied handoff.
-      handoff->remaining.store(static_cast<int64_t>(orders.size()),
-                               std::memory_order_release);
-      for (Apply& apply : orders) {
-        RouteBlocking(std::move(apply));
+      handoff->remaining.store(static_cast<int64_t>(orders.size()), std::memory_order_release);
+      for (const auto& [id, est] : orders) {
+        NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
+                                   hd::SpiPayload::Kind::kSessionHandoff);
+        rec->estimate = est;
+        rec->handoff = handoff;
+        Push(wk, rec);
       }
       return;
     }
@@ -516,31 +531,32 @@ struct NetServer::Impl {
 
   // Decodes every complete buffered frame, stopping early on a parked record or a dead
   // connection.
-  void ProcessFrames(WorkerState& wk, std::shared_ptr<Connection>& conn) {
-    while (!conn->has_parked && !conn->dead && !conn->closing && conn->reading) {
-      std::string payload;
+  void ProcessFrames(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    int64_t frames = 0;
+    std::string_view payload;
+    while (conn->parked == nullptr && !conn->dead && !conn->closing && conn->reading) {
       if (!conn->splitter.Next(&payload)) {
         if (!conn->splitter.ok()) {
           ProtocolError(wk, conn, conn->splitter.error());
         }
-        return;
+        break;
       }
-      self->stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
+      ++frames;
       if (!conn->hello_done) {
         uint32_t version = 0;
         HelloRole role = HelloRole::kClient;
         std::string error;
         if (!ParseHello(payload, &version, &role, &error)) {
           ProtocolError(wk, conn, error);
-          return;
+          break;
         }
         if (version < kWireVersionMin || version > kWireVersionMax) {
           ProtocolError(wk, conn, "unsupported wire version " + std::to_string(version));
-          return;
+          break;
         }
         if (role == HelloRole::kWorker && !opt.allow_worker_role) {
           ProtocolError(wk, conn, "worker role not allowed on this daemon");
-          return;
+          break;
         }
         conn->hello_done = true;
         conn->role = role;
@@ -552,27 +568,35 @@ struct NetServer::Impl {
         HandleControl(wk, conn, payload);
         continue;
       }
-      DecodedFrame dec;
-      if (!conn->decoder.Decode(payload, &dec)) {
+      if (!conn->decoder.Decode(payload, &conn->frame)) {
         ProtocolError(wk, conn, conn->decoder.error());
-        return;
+        break;
       }
-      HandleFrame(wk, conn, std::move(dec));
+      HandleFrame(wk, conn);
     }
-    if (conn->has_parked) {
+    self->stats_.frames_in.fetch_add(frames, std::memory_order_relaxed);
+    if (conn->parked != nullptr) {
       UpdateEvents(wk, conn);  // EPOLLIN off until the ring drains
     }
   }
 
-  void HandleReadable(WorkerState& wk, std::shared_ptr<Connection>& conn) {
-    if (conn->dead || conn->closing || !conn->reading || conn->has_parked) {
-      return;
-    }
+  // One read into the splitter. Returns the read(2) result.
+  ssize_t ReadInto(const std::shared_ptr<Connection>& conn, size_t limit) {
     char buf[64 * 1024];
-    ssize_t n = read(conn->fd, buf, sizeof(buf));
+    ssize_t n = read(conn->fd, buf, std::min(sizeof(buf), limit));
     if (n > 0) {
       self->stats_.bytes_in.fetch_add(n, std::memory_order_relaxed);
       conn->splitter.Feed(buf, static_cast<size_t>(n));
+    }
+    return n;
+  }
+
+  void HandleReadable(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    if (conn->dead || conn->closing || !conn->reading || conn->parked != nullptr) {
+      return;
+    }
+    ssize_t n = ReadInto(conn, SIZE_MAX);
+    if (n > 0) {
       ProcessFrames(wk, conn);
       return;  // level-triggered epoll re-fires if more bytes are queued
     }
@@ -584,39 +608,13 @@ struct NetServer::Impl {
     PeerGone(wk, conn);
   }
 
-  void RetryParked(WorkerState& wk, std::shared_ptr<Connection>& conn) {
-    if (!conn->has_parked) {
-      return;
-    }
-    size_t r = RingOf(conn->parked.id);
-    if (!rings[r]->ring->TryPush(conn->parked)) {
-      RegisterWaiter(wk.wake_fd);
-      if (!rings[r]->ring->TryPush(conn->parked)) {
-        return;  // still full; stay paused
-      }
-    }
-    rings[r]->items.release();
-    conn->has_parked = false;
-    conn->parked = Apply{};
-    if (!conn->dead && !conn->closing) {
-      conn->reading = true;
-    }
-    UpdateEvents(wk, conn);
-    ProcessFrames(wk, conn);  // keep decoding what was already buffered
-  }
-
   void AdoptIntoWorker(WorkerState& wk, int fd) {
     SetNonBlocking(fd);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));  // no-op for socketpairs
     auto conn = std::make_shared<Connection>(opt.max_frame_bytes);
     conn->fd = fd;
-    for (size_t i = 0; i < workers.size(); ++i) {
-      if (workers[i].get() == &wk) {
-        conn->worker = static_cast<int>(i);
-        break;
-      }
-    }
+    conn->worker = wk.index;
     wk.conns[fd] = conn;
     epoll_event ev{};
     ev.data.fd = fd;
@@ -627,30 +625,46 @@ struct NetServer::Impl {
     }
   }
 
+  // Takes in what the peer had already sent when the drain began, so a peer that hung up
+  // before it is seen as gone: its torn sessions abort instead of being harvested as if
+  // complete. Bounded by the bytes queued on the socket at this moment. Returns true when
+  // the peer is gone.
+  bool ReadArrived(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
+    int queued = 0;  // stays 0 if the ioctl fails
+    ioctl(conn->fd, FIONREAD, &queued);
+    while (queued > 0 && !conn->dead && !conn->closing && conn->reading) {
+      ssize_t n = ReadInto(conn, static_cast<size_t>(queued));
+      if (n <= 0) {
+        break;
+      }
+      queued -= static_cast<int>(n);
+      ProcessFrames(wk, conn);
+    }
+    pollfd pfd{conn->fd, POLLIN | POLLRDHUP, 0};
+    return poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+  }
+
   void StartDrain(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
     if (conn->closed.load() || conn->closing) {
       return;
     }
-    conn->reading = false;
-    if (conn->has_parked) {
-      // Order: the parked record precedes the forced closes of its session.
-      Apply parked = std::move(conn->parked);
-      conn->has_parked = false;
-      size_t r = RingOf(parked.id);
-      rings[r]->ring->Push(std::move(parked));
-      rings[r]->items.release();
+    if (!conn->dead && conn->reading && ReadArrived(wk, conn) && !conn->closing) {
+      PeerGone(wk, conn);
+      return;
     }
+    if (conn->closed.load() || conn->closing) {
+      return;
+    }
+    conn->reading = false;
+    // Order: the parked record precedes the forced closes of its session.
+    Unpark(wk, conn);
     // Flush in-flight sessions: force a close through the rings so their results are
     // harvested and reported before the connection goes away.
     for (const auto& [id, est] : conn->live) {
-      Apply apply;
-      apply.kind = Apply::Kind::kClose;
-      apply.id = telemetry::SessionId{id};
-      apply.estimate = est;
-      apply.record.session = apply.id;
-      apply.record.record.kind = hd::SpiPayload::Kind::kSessionClose;
-      apply.conn = conn;
-      RouteBlocking(std::move(apply));
+      NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
+                                 hd::SpiPayload::Kind::kSessionClose);
+      rec->estimate = est;
+      Push(wk, rec);
     }
     conn->live.clear();
     conn->refused.clear();
@@ -664,9 +678,11 @@ struct NetServer::Impl {
     ssize_t rc = read(wk.wake_fd, &counter, sizeof(counter));
     (void)rc;
     std::vector<int> adopted;
+    std::vector<std::shared_ptr<Connection>> ready;
     {
       std::lock_guard<std::mutex> lock(wk.inbox_mu);
       adopted.swap(wk.inbox);
+      ready.swap(wk.ready);
     }
     for (int fd : adopted) {
       AdoptIntoWorker(wk, fd);
@@ -678,35 +694,31 @@ struct NetServer::Impl {
         StartDrain(wk, conn);
       }
     }
-    // Service every connection: applier replies, applier errors, parked retries, pending
-    // byes. O(connections per worker) per wake, which is the event the wake batches anyway.
-    auto conns = wk.conns;
-    for (auto& [fd, conn] : conns) {
-      auto c = conn;
-      if (c->applier_error.load(std::memory_order_acquire) && !c->dead) {
+    // Only the connections a shard worker had news for: replies, errors, or pending
+    // emptied.
+    for (const std::shared_ptr<Connection>& conn : ready) {
+      // Clear before reading, so news queued after this point queues the connection again.
+      conn->wake_queued.store(false, std::memory_order_seq_cst);
+      if (conn->closed.load()) {
+        continue;
+      }
+      if (conn->apply_error.load(std::memory_order_acquire) && !conn->dead) {
         std::string message;
         {
-          std::lock_guard<std::mutex> lock(c->reply_mu);
-          message = c->applier_error_msg;
+          std::lock_guard<std::mutex> lock(conn->reply_mu);
+          message = conn->apply_error_msg;
         }
-        ProtocolError(wk, c, message);
+        ProtocolError(wk, conn, message);
       }
-      {
-        std::lock_guard<std::mutex> lock(c->reply_mu);
-        if (!c->replies.empty()) {
-          c->out.append(c->replies);
-          c->replies.clear();
-        }
-      }
-      RetryParked(wk, c);
-      FlushWrites(wk, c);
-      MaybeFinish(wk, c);
+      TakeReplies(conn);
+      FlushWrites(wk, conn);
+      MaybeFinish(wk, conn);
     }
   }
 
   void WorkerLoop(size_t index) {
     if (opt.pin_workers) {
-      simkit::PinCurrentThreadToCore(static_cast<int>(index));
+      simkit::PinCurrentThreadToCore(static_cast<int>(self->service_->ingest_threads() + index));
     }
     WorkerState& wk = *workers[index];
     epoll_event events[64];
@@ -737,13 +749,14 @@ struct NetServer::Impl {
           MaybeFinish(wk, conn);
         }
       }
+      RetryParked(wk);
+      // End of the read batch: one ring push per shard for everything decoded this round.
+      wk.ingestor->Flush();
       if (stopping.load()) {
         // Hard stop: abort what remains and leave.
         auto conns = wk.conns;
         for (auto& [fd, conn] : conns) {
-          if (!conn->live.empty()) {
-            AbortLiveSessions(conn, "server stopped");
-          }
+          AbortLiveSessions(wk, conn, "server stopped");
           CloseConn(wk, conn);
         }
         if (wk.conns.empty()) {
@@ -753,241 +766,167 @@ struct NetServer::Impl {
     }
   }
 
-  // ---- applier side ----
+  // ---- shard worker side (DetectorService hooks) ----
 
-  void SignalConnWorker(const std::shared_ptr<Connection>& conn) {
-    SignalEventFd(workers[conn->worker]->wake_fd);
-  }
-
-  void EnqueueReply(const std::shared_ptr<Connection>& conn, const std::string& payload) {
-    if (conn->closed.load(std::memory_order_acquire)) {
+  void EnqueueReply(size_t shard, Connection& conn, const std::string& payload) {
+    if (conn.closed.load(std::memory_order_acquire)) {
       return;
     }
-    std::lock_guard<std::mutex> lock(conn->reply_mu);
-    AppendFrame(&conn->replies, payload);
-  }
-
-  void MarkApplierError(const std::shared_ptr<Connection>& conn, const std::string& message) {
     {
-      std::lock_guard<std::mutex> lock(conn->reply_mu);
-      if (conn->applier_error_msg.empty()) {
-        conn->applier_error_msg = message;
-      }
+      std::lock_guard<std::mutex> lock(conn.reply_mu);
+      AppendFrame(&conn.replies, payload);
     }
-    conn->applier_error.store(true, std::memory_order_release);
+    scratch[shard].replied.push_back(&conn);
   }
 
-  // `owner` maps session id -> the connection that successfully opened it on this applier
-  // (ids shard to appliers, so the map is authoritative and race-free). It exists for the
-  // cross-connection duplicate-open case: the loser's open threw, but the id is still in
-  // the loser's worker-side bookkeeping, so its later close/abort/records MUST NOT touch —
-  // discard, harvest, or feed — the winner's live session.
-  void ApplyItem(Apply& item,
-                 std::unordered_map<uint64_t, std::shared_ptr<hd::SessionLog>>& retained,
-                 std::unordered_map<uint64_t, const Connection*>& owner) {
-    auto& service = *self->service_;
-    auto conn = item.conn;
-    try {
-      switch (item.kind) {
-        case Apply::Kind::kOpen:
-          service.Open(item.id, item.log->info, item.log->config);
-          retained[item.id.value] = item.log;
-          owner[item.id.value] = conn.get();
-          break;
-        case Apply::Kind::kRecord: {
-          auto ow = owner.find(item.id.value);
-          if (ow == owner.end() || ow->second != conn.get()) {
-            throw std::invalid_argument("record for session not owned by this connection");
-          }
-          hd::SpiPayload& payload = item.record.record;
-          switch (payload.kind) {
-            case hd::SpiPayload::Kind::kDispatchStart:
-              service.OnDispatchStart(item.id, payload.start);
-              break;
-            case hd::SpiPayload::Kind::kDispatchEnd:
-              payload.end.samples = payload.samples;
-              service.OnDispatchEnd(item.id, payload.end);
-              break;
-            case hd::SpiPayload::Kind::kActionQuiesce:
-              service.OnActionQuiesced(item.id, payload.quiesce);
-              break;
-            case hd::SpiPayload::Kind::kCounterFault:
-              service.OnCounterFault(item.id, payload.fault);
-              break;
-            case hd::SpiPayload::Kind::kAsyncPost:
-              service.OnAsyncPost(item.id, payload.async_post);
-              break;
-            case hd::SpiPayload::Kind::kAsyncRun:
-              service.OnAsyncRun(item.id, payload.async_run);
-              break;
-            case hd::SpiPayload::Kind::kAsyncWaitStart:
-              service.OnAsyncWaitStart(item.id, payload.wait_start);
-              break;
-            case hd::SpiPayload::Kind::kAsyncWaitEnd:
-              service.OnAsyncWaitEnd(item.id, payload.wait_end);
-              break;
-            default:
-              throw std::invalid_argument("unexpected payload kind");
-          }
-          break;
-        }
-        case Apply::Kind::kClose: {
-          auto ow = owner.find(item.id.value);
-          if (ow == owner.end() || ow->second != conn.get()) {
-            // This connection's charge was already released when its open failed.
-            item.estimate = 0;
-            throw std::invalid_argument("close for session not owned by this connection");
-          }
-          owner.erase(ow);
-          hd::SessionResult result = service.Close(item.id);
-          self->live_session_bytes_.fetch_sub(item.estimate, std::memory_order_relaxed);
-          self->stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-          retained.erase(item.id.value);
-          EnqueueReply(conn, BuildSessionClosed(item.id.value, result.stream_ok,
-                                                result.report.NumBugs(),
-                                                result.stream_error));
-          if (conn->role == HelloRole::kWorker) {
-            // The coordinator folds full worker results into the fleet report; the compact
-            // kSessionClosed above stays for symmetry with plain clients.
-            EnqueueReply(conn,
-                         BuildSessionResult(item.id.value, EncodeSessionResult(result)));
-          }
-          conn->closed_count.fetch_add(1, std::memory_order_relaxed);
-          NetSessionOutcome outcome;
-          outcome.id = item.id;
-          outcome.result = std::move(result);
-          std::lock_guard<std::mutex> lock(results_mu);
-          results.push_back(std::move(outcome));
-          break;
-        }
-        case Apply::Kind::kAbort: {
-          auto ow = owner.find(item.id.value);
-          if (ow == owner.end() || ow->second != conn.get()) {
-            break;  // the open failed on this connection; nothing to discard or release
-          }
-          owner.erase(ow);
-          service.Discard(item.id);
-          self->live_session_bytes_.fetch_sub(item.estimate, std::memory_order_relaxed);
-          self->stats_.sessions_aborted.fetch_add(1, std::memory_order_relaxed);
-          retained.erase(item.id.value);
-          NetSessionOutcome outcome;
-          outcome.id = item.id;
-          outcome.aborted = true;
-          outcome.stream_error = item.reason;
-          std::lock_guard<std::mutex> lock(results_mu);
-          results.push_back(std::move(outcome));
-          break;
-        }
-        case Apply::Kind::kHandoffDiscard: {
-          // Migrate-away: free the arena without harvesting and record NO outcome — the
-          // session is not torn, its complete stream replays on the new owner, which is
-          // where its one result will come from.
-          auto ow = owner.find(item.id.value);
-          if (ow != owner.end() && ow->second == conn.get()) {
-            owner.erase(ow);
-            service.Discard(item.id);
-            retained.erase(item.id.value);
-            item.handoff->discarded.fetch_add(1, std::memory_order_relaxed);
-            self->stats_.sessions_migrated.fetch_add(1, std::memory_order_relaxed);
-          }
-          self->live_session_bytes_.fetch_sub(item.estimate, std::memory_order_relaxed);
-          if (item.handoff->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            EnqueueReply(conn, BuildHandoffAck(
-                                   item.handoff->epoch,
-                                   item.handoff->discarded.load(std::memory_order_relaxed)));
-          }
-          break;
-        }
-      }
-    } catch (const std::exception& e) {
-      // Open of a duplicate id (cross-connection), a record the service cannot route, or a
-      // discard of a session whose open already failed. The session is beyond saving; the
-      // connection learns via the sticky error path.
-      if (item.kind != Apply::Kind::kRecord) {
-        self->live_session_bytes_.fetch_sub(item.estimate, std::memory_order_relaxed);
-      }
-      if (item.kind == Apply::Kind::kHandoffDiscard) {
-        // The discard failed (nothing live to drop) but the handoff must still be acked —
-        // an unacked handoff would wedge the coordinator's migration.
-        if (item.handoff->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          EnqueueReply(conn, BuildHandoffAck(
-                                 item.handoff->epoch,
-                                 item.handoff->discarded.load(std::memory_order_relaxed)));
-        }
-      } else if (item.kind != Apply::Kind::kAbort) {
-        MarkApplierError(conn, std::string("session ") + std::to_string(item.id.value) +
-                                   ": " + e.what());
-        if (item.kind == Apply::Kind::kOpen) {
-          self->stats_.sessions_aborted.fetch_add(1, std::memory_order_relaxed);
-          NetSessionOutcome outcome;
-          outcome.id = item.id;
-          outcome.aborted = true;
-          outcome.stream_error = e.what();
-          std::lock_guard<std::mutex> lock(results_mu);
-          results.push_back(std::move(outcome));
-        }
+  void MarkApplyError(size_t shard, Connection& conn, const std::string& message) {
+    {
+      std::lock_guard<std::mutex> lock(conn.reply_mu);
+      if (conn.apply_error_msg.empty()) {
+        conn.apply_error_msg = message;
       }
     }
-    item.conn.reset();
-    conn->pending.fetch_sub(1, std::memory_order_release);
-    inflight.fetch_sub(1, std::memory_order_release);
-    SignalConnWorker(conn);
-    WakeWaiters();
+    conn.apply_error.store(true, std::memory_order_release);
+    scratch[shard].replied.push_back(&conn);
   }
 
-  void ApplierLoop(size_t index) {
-    if (opt.pin_workers) {
-      simkit::PinCurrentThreadToCore(static_cast<int>(workers.size() + index));
+  void Retain(NetSessionOutcome outcome) {
+    std::lock_guard<std::mutex> lock(results_mu);
+    results.push_back(std::move(outcome));
+  }
+
+  void ReleaseBudget(const NetRecord& rec) {
+    self->live_session_bytes_.fetch_sub(rec.estimate, std::memory_order_relaxed);
+  }
+
+  // The last discard of a HANDOFF to land acks it.
+  void HandoffLanded(size_t shard, const NetRecord& rec) {
+    if (rec.handoff->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      EnqueueReply(shard, *rec.conn,
+                   BuildHandoffAck(rec.handoff->epoch,
+                                   rec.handoff->discarded.load(std::memory_order_relaxed)));
     }
-    RingSlot& slot = *rings[index];
-    // Each session's open keeps its parsed log (symbol-table owner) alive here until the
-    // session closes — every record of a session lands on this one applier.
-    std::unordered_map<uint64_t, std::shared_ptr<hd::SessionLog>> retained;
-    std::unordered_map<uint64_t, const Connection*> owner;
-    auto run = [&](Apply& item) {
-      slot.progress.fetch_add(1, std::memory_order_relaxed);
-      slot.busy.store(true, std::memory_order_relaxed);
-      if (opt.before_apply) {
-        opt.before_apply(item.id.value);
-      }
-      ApplyItem(item, retained, owner);
-      self->stats_.records_applied.fetch_add(1, std::memory_order_relaxed);
-      slot.busy.store(false, std::memory_order_relaxed);
-    };
-    while (true) {
-      slot.items.acquire();
-      Apply item;
-      bool popped = false;
-      int spins = 0;
-      // Outside shutdown, an acquired permit proves a published item exists: producers
-      // release only after their TryPush returns. TryPop can still fail here when a
-      // *different* producer holds a claimed-but-unpublished ticket at the head (between
-      // its tail CAS and its seq store) — the ring pops in ticket order, so the published
-      // item behind it is momentarily unreachable. Burning the permit on that transient
-      // would strand the item (and its reply) until the next push, or forever on a quiet
-      // ring, so spin the pop out instead; the claimant's publish is a few stores away.
-      while (!(popped = slot.ring->TryPop(item))) {
-        if (applier_stop.load()) {
-          break;
+  }
+
+  // Every session end and every refused record, on the shard worker that applied it. The
+  // service refuses a record whose session was not opened by the same connection, so a
+  // losing duplicate open (cross-connection) never feeds, harvests or discards the winner.
+  void OnComplete(hd::IngestCompletion& done) {
+    const NetRecord& rec = *static_cast<const NetRecord*>(done.ref.record);
+    Connection& conn = *rec.conn;
+    const size_t shard = ShardOf(rec.id);
+    switch (done.kind) {
+      case hd::IngestCompletion::Kind::kClosed: {
+        ReleaseBudget(rec);
+        self->stats_.sessions_closed.fetch_add(1, std::memory_order_relaxed);
+        EnqueueReply(shard, conn,
+                     BuildSessionClosed(rec.id.value, done.result.stream_ok,
+                                        done.result.report.NumBugs(), done.result.stream_error));
+        if (conn.role == HelloRole::kWorker) {
+          // The coordinator folds full worker results into the fleet report; the compact
+          // kSessionClosed above stays for symmetry with plain clients.
+          EnqueueReply(shard, conn,
+                       BuildSessionResult(rec.id.value, EncodeSessionResult(done.result)));
         }
-        if (++spins < 64) {
-          simkit::CpuRelax();
+        conn.closed_count.fetch_add(1, std::memory_order_relaxed);
+        Retain(NetSessionOutcome{rec.id, false, {}, std::move(done.result)});
+        return;
+      }
+      case hd::IngestCompletion::Kind::kAborted:
+        ReleaseBudget(rec);
+        self->stats_.sessions_aborted.fetch_add(1, std::memory_order_relaxed);
+        Retain(NetSessionOutcome{rec.id, true, rec.reason, {}});
+        return;
+      case hd::IngestCompletion::Kind::kHandedOff:
+        // Migrate-away: no outcome — the session is not torn, its complete stream replays
+        // on the new owner, which is where its one result will come from.
+        ReleaseBudget(rec);
+        rec.handoff->discarded.fetch_add(1, std::memory_order_relaxed);
+        self->stats_.sessions_migrated.fetch_add(1, std::memory_order_relaxed);
+        HandoffLanded(shard, rec);
+        return;
+      case hd::IngestCompletion::Kind::kError:
+        break;
+    }
+    switch (rec.kind) {
+      case hd::SpiPayload::Kind::kSessionAbort:
+        return;  // the open failed on this connection: nothing live, budget already freed
+      case hd::SpiPayload::Kind::kSessionHandoff:
+        HandoffLanded(shard, rec);  // an unacked handoff would wedge the migration
+        return;
+      case hd::SpiPayload::Kind::kSessionOpen:
+        // A duplicate id (cross-connection) or malformed info: the session never existed.
+        ReleaseBudget(rec);
+        self->stats_.sessions_aborted.fetch_add(1, std::memory_order_relaxed);
+        Retain(NetSessionOutcome{rec.id, true, done.error, {}});
+        break;
+      default:
+        break;  // a close's charge went with its failed open
+    }
+    // The connection learns through the sticky error path.
+    MarkApplyError(shard, conn, "session " + std::to_string(rec.id.value) + ": " + done.error);
+  }
+
+  // Once per applied batch: hand the records back to their pools, settle each connection's
+  // pending count once, and wake each epoll worker at most once — only for connections
+  // that got a reply or an error, or whose pending count reached zero.
+  void AfterBatch(size_t shard, std::span<const hd::ServiceRecordRef> batch) {
+    BatchScratch& sc = scratch[shard];
+    for (const hd::ServiceRecordRef& ref : batch) {
+      auto* rec = const_cast<NetRecord*>(static_cast<const NetRecord*>(ref.record));
+      if (sc.touched.empty() || sc.touched.back().first.get() != rec->conn.get()) {
+        auto it = std::find_if(sc.touched.begin(), sc.touched.end(),
+                               [&](const auto& entry) { return entry.first == rec->conn; });
+        if (it == sc.touched.end()) {
+          sc.touched.emplace_back(std::move(rec->conn), 0);
         } else {
-          std::this_thread::yield();
-          spins = 0;
+          std::iter_swap(it, sc.touched.end() - 1);
         }
       }
-      if (popped) {
-        run(item);
-        continue;
+      ++sc.touched.back().second;
+      rec->conn.reset();
+      rec->log.reset();
+      rec->handoff.reset();
+      rec->samples = {};
+      // Back onto its epoll worker's pool.
+      std::atomic<NetRecord*>& pool =
+          workers[static_cast<size_t>(sc.touched.back().first->worker)]->returned;
+      rec->next = pool.load(std::memory_order_relaxed);
+      while (!pool.compare_exchange_weak(rec->next, rec, std::memory_order_release,
+                                         std::memory_order_relaxed)) {
       }
-      // applier_stop with nothing poppable: workers are joined, every claim is published.
-      // Late releases can outnumber items at shutdown; drain whatever remains.
-      while (slot.ring->TryPop(item)) {
-        run(item);
-      }
-      break;
     }
+    self->stats_.records_applied.fetch_add(static_cast<int64_t>(batch.size()),
+                                           std::memory_order_relaxed);
+    const int64_t left_in_ring =
+        inflight[shard].fetch_sub(static_cast<int64_t>(batch.size()), std::memory_order_seq_cst) -
+        static_cast<int64_t>(batch.size());
+    for (auto& [conn, count] : sc.touched) {
+      int64_t left = conn->pending.fetch_sub(count, std::memory_order_acq_rel) - count;
+      bool replied = std::find(sc.replied.begin(), sc.replied.end(), conn.get()) !=
+                     sc.replied.end();
+      if ((left == 0 || replied) && !conn->wake_queued.exchange(true, std::memory_order_seq_cst)) {
+        WorkerState& wk = *workers[static_cast<size_t>(conn->worker)];
+        {
+          std::lock_guard<std::mutex> lock(wk.inbox_mu);
+          wk.ready.push_back(conn);
+        }
+        sc.signal[static_cast<size_t>(conn->worker)] = true;
+      }
+    }
+    for (size_t w = 0; w < workers.size(); ++w) {
+      if (left_in_ring < opt.ring_capacity &&
+          workers[w]->wants_space.load(std::memory_order_seq_cst) &&
+          workers[w]->wants_space.exchange(false, std::memory_order_seq_cst)) {
+        sc.signal[w] = true;
+      }
+      if (sc.signal[w]) {
+        sc.signal[w] = false;
+        SignalEventFd(workers[w]->wake_fd);
+      }
+    }
+    sc.touched.clear();
+    sc.replied.clear();
   }
 
   // ---- acceptor ----
@@ -1031,29 +970,31 @@ struct NetServer::Impl {
 
   // ---- self-watchdog ----
 
-  // The LCI hang_detector idiom turned on the detector fleet itself: sample each applier's
-  // progress counter; busy with the counter frozen past the timeout means one record has
-  // wedged the applier. The verdict is surfaced as heartbeat health, and the lease is
-  // force-failed (sticky) so the coordinator migrates this worker's sessions. The stuck
-  // flag itself clears if the applier ever resumes — health reports the present, the lease
+  // The LCI hang_detector idiom turned on the detector fleet itself: sample each shard
+  // worker's progress counter; busy with the counter frozen past the timeout means one
+  // record has wedged the worker. The verdict is surfaced as heartbeat health, and the lease
+  // is force-failed (sticky) so the coordinator migrates this worker's sessions. The stuck
+  // flag itself clears if the worker ever resumes — health reports the present, the lease
   // remembers the past.
   void WatchdogLoop() {
-    std::vector<uint64_t> last(rings.size(), 0);
-    std::vector<std::chrono::steady_clock::time_point> since(rings.size(),
+    const size_t count = static_cast<size_t>(self->service_->ingest_threads());
+    std::vector<uint64_t> last(count, 0);
+    std::vector<std::chrono::steady_clock::time_point> since(count,
                                                              std::chrono::steady_clock::now());
     while (!watchdog_stop.load(std::memory_order_relaxed)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(opt.watchdog_poll_ms));
       auto now = std::chrono::steady_clock::now();
       bool any_stuck = false;
-      for (size_t r = 0; r < rings.size(); ++r) {
-        uint64_t progress = rings[r]->progress.load(std::memory_order_relaxed);
-        if (!rings[r]->busy.load(std::memory_order_relaxed) || progress != last[r]) {
-          last[r] = progress;
-          since[r] = now;
+      for (size_t w = 0; w < count; ++w) {
+        hd::DetectorService::WorkerHealth health =
+            self->service_->worker_health(static_cast<int32_t>(w));
+        if (!health.busy || health.progress != last[w]) {
+          last[w] = health.progress;
+          since[w] = now;
           continue;
         }
         auto stalled =
-            std::chrono::duration_cast<std::chrono::milliseconds>(now - since[r]).count();
+            std::chrono::duration_cast<std::chrono::milliseconds>(now - since[w]).count();
         if (stalled >= opt.watchdog_timeout_ms) {
           any_stuck = true;
         }
@@ -1070,7 +1011,8 @@ struct NetServer::Impl {
   }
 
   // The join half of shutdown (shared by Stop() and the deadline overload once the drain
-  // has quiesced). Must not be entered with a wedged applier: the joins are unconditional.
+  // has quiesced). Must not be entered with a wedged shard worker: the waits are
+  // unconditional.
   void FinishStop() {
     if (stopped) {
       return;
@@ -1089,17 +1031,12 @@ struct NetServer::Impl {
         wk->thread.join();
       }
     }
-    // Workers are gone: no further pushes. Let the appliers finish what is routed, then
-    // stop.
-    applier_stop.store(true);
-    for (auto& slot : rings) {
-      slot->items.release();
+    // The epoll workers are gone: ship what their Ingestors still hold and let the shard
+    // workers land it while the reply eventfds are still open.
+    for (auto& wk : workers) {
+      wk->ingestor.reset();
     }
-    for (auto& slot : rings) {
-      if (slot->thread.joinable()) {
-        slot->thread.join();
-      }
-    }
+    self->service_->WaitIngestIdle();
     for (auto& wk : workers) {
       close(wk->epfd);
       close(wk->wake_fd);
@@ -1113,7 +1050,8 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
     throw std::invalid_argument("NetServer: workers must be >= 1");
   }
   if (opt.service.threads != 0) {
-    throw std::invalid_argument("NetServer: service.threads must be 0 (appliers ingest)");
+    throw std::invalid_argument(
+        "NetServer: service.threads must be 0 (`rings` sets the shard workers)");
   }
   if (opt.rings == 0) {
     opt.rings = opt.workers;
@@ -1126,10 +1064,37 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
   }
   impl_->opt = opt;
   impl_->self = this;
-  service_ = std::make_unique<hd::DetectorService>(opt.service);
+
+  // The daemon's pipeline: `rings` shard workers, at least one shard each. The record cap
+  // (Impl::Route) parks connections before a ring can fill, so the rings are sized for the
+  // smallest batches and never block an epoll worker on session records.
+  hd::ServiceOptions service = opt.service;
+  service.threads = opt.rings;
+  service.shards = std::max(service.shards, opt.rings);
+  service.ring_capacity = static_cast<int32_t>(
+      std::min<int64_t>(int64_t{opt.ring_capacity} * opt.workers, int64_t{1} << 20));
+  service.batch_size = std::min(opt.ring_capacity, 64);
+  hd::IngestHooks hooks;
+  if (opt.before_apply) {
+    hooks.before_apply = [hook = opt.before_apply](const hd::ServiceRecordRef& ref) {
+      hook(ref.session.value);
+    };
+  }
+  Impl* impl = impl_.get();
+  hooks.on_complete = [impl](hd::IngestCompletion& done) { impl->OnComplete(done); };
+  hooks.after_batch = [impl](size_t shard, std::span<const hd::ServiceRecordRef> batch) {
+    impl->AfterBatch(shard, batch);
+  };
+  impl_->shards = static_cast<size_t>(service.shards);
+  impl_->inflight = std::make_unique<std::atomic<int64_t>[]>(impl_->shards);
+  impl_->scratch.resize(impl_->shards);
+  for (Impl::BatchScratch& sc : impl_->scratch) {
+    sc.signal.assign(static_cast<size_t>(opt.workers), false);
+  }
 
   for (int32_t w = 0; w < opt.workers; ++w) {
     auto wk = std::make_unique<WorkerState>();
+    wk->index = w;
     wk->epfd = epoll_create1(EPOLL_CLOEXEC);
     wk->wake_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (wk->epfd < 0 || wk->wake_fd < 0) {
@@ -1141,11 +1106,9 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
     epoll_ctl(wk->epfd, EPOLL_CTL_ADD, wk->wake_fd, &ev);
     impl_->workers.push_back(std::move(wk));
   }
-  for (int32_t r = 0; r < opt.rings; ++r) {
-    auto slot = std::make_unique<RingSlot>();
-    slot->ring =
-        std::make_unique<simkit::MpmcRing<Apply>>(static_cast<size_t>(opt.ring_capacity));
-    impl_->rings.push_back(std::move(slot));
+  service_ = std::make_unique<hd::DetectorService>(service, std::move(hooks));
+  for (auto& wk : impl_->workers) {
+    wk->ingestor = std::make_unique<hd::DetectorService::Ingestor>(service_.get());
   }
 
   if (opt.listen) {
@@ -1173,9 +1136,6 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
 
   for (size_t w = 0; w < impl_->workers.size(); ++w) {
     impl_->workers[w]->thread = std::thread([this, w] { impl_->WorkerLoop(w); });
-  }
-  for (size_t r = 0; r < impl_->rings.size(); ++r) {
-    impl_->rings[r]->thread = std::thread([this, r] { impl_->ApplierLoop(r); });
   }
   if (opt.listen) {
     impl_->acceptor = std::thread([this] { impl_->AcceptorLoop(); });
@@ -1213,7 +1173,9 @@ void NetServer::BeginDrain() {
 
 bool NetServer::WaitIdle(int64_t timeout_ms) {
   auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (live_connections_.load() > 0 || impl_->inflight.load() > 0) {
+  // A connection closes only once its pending count is zero, so no live connection means
+  // every routed record has been applied.
+  while (live_connections_.load() > 0) {
     if (std::chrono::steady_clock::now() >= deadline) {
       return false;
     }
@@ -1237,8 +1199,8 @@ std::vector<uint64_t> NetServer::Stop(int64_t drain_timeout_ms) {
   }
   BeginDrain();
   if (!WaitIdle(drain_timeout_ms)) {
-    // The drain did not quiesce in time (classically: an applier wedged on one record —
-    // exactly what the self-watchdog flags). Joining now could block forever, so report
+    // The drain did not quiesce in time (classically: a shard worker wedged on one record
+    // — exactly what the self-watchdog flags). Joining now could block forever, so report
     // what is still held instead: these sessions' complete streams live in the
     // coordinator's tap, and HDSL replay on another worker recovers every one of them.
     // Everything stays running; a later Stop()/destructor completes shutdown once the

@@ -1,34 +1,37 @@
 // hangdoctord's network core: an epoll server that ingests HDSL wire streams from thousands
 // of connections into one shared DetectorService.
 //
-// Thread split (DESIGN.md section 3.9):
-//   acceptor          one thread on the listen socket; hands accepted fds to workers
-//                     round-robin (closed with a kBusy frame when max_connections is hit).
-//   epoll workers     `workers` threads, each owning an epoll set of whole connections:
-//                     level-triggered non-blocking reads into a FrameSplitter, HELLO
-//                     negotiation, MuxStreamDecoder, and the write side of every reply.
-//                     A connection lives on exactly one worker for its whole life.
-//   appliers          `rings` threads, each draining one bounded simkit::MpmcRing of
-//                     decoded records and applying them synchronously to the shared
-//                     DetectorService (disjoint sessions — the documented safe shape).
-//                     Records route by ShardOf(session, rings), so every session's records
-//                     traverse exactly one ring (pushed by its one worker, in stream order,
-//                     per-producer FIFO) and are applied by exactly one applier — the
-//                     end-to-end ordering that makes wire ingest bit-identical to the
-//                     per-job oracle at any {connections, workers, rings, shards}.
+// One ingest pipeline (DESIGN.md section 3.9), the DetectorService's own:
 //
-// Flow control: when a ring rejects a push, the worker parks the record, deletes EPOLLIN
-// for that connection (TCP backpressure — the peer's sends stall against its socket
-// buffer), and registers for a ring-space wakeup; nothing is dropped and read-side memory
-// stays bounded by one frame per connection.
+//   acceptor → epoll worker + Ingestor → shard rings → shard worker → completion
+//            → batched reply wake → epoll worker writes
+//
+//   acceptor        hands accepted fds to epoll workers round-robin (kBusy + close past
+//                   max_connections).
+//   epoll workers   `workers` threads, each owning whole connections: reads, FrameSplitter,
+//                   HELLO, in-place MuxStreamDecoder, admission, and every reply's write.
+//                   Decoded records go into the worker's Ingestor, flushed once per epoll
+//                   round: one ring push per shard per round, not per record.
+//   shard workers   the service's `rings` threads. A session's records travel one ring in
+//                   stream order and are applied by one worker, which is what keeps wire
+//                   ingest bit-identical to the per-job oracle at any topology. Completions
+//                   become replies or outcomes; after each batch a connection's pending
+//                   count is settled once, and its epoll worker is woken at most once —
+//                   only if the batch produced a reply or an error or emptied the count.
+//
+// Flow control: at most `ring_capacity` session records are in flight per shard ring. At
+// the cap the record parks on its connection with EPOLLIN off (TCP backpressure) until a
+// shard worker frees space; nothing is dropped.
 //
 // Admission: live open-header bytes are budgeted. An open that would exceed
 // `session_budget_bytes` is refused with a structured kBusy reply; the session is never
 // created and its subsequent records are dropped silently until its close frame.
 //
-// Drain: BeginDrain() stops accepting and reading, force-closes every in-flight session
-// through the rings (harvesting their results — "flush in-flight sessions"), flushes
-// replies, and closes. SIGTERM in hangdoctord maps to exactly this.
+// Drain: BeginDrain() stops accepting, takes in only what each peer had already sent (so a
+// peer that hung up before the drain is seen as gone and its torn sessions abort), then
+// stops reading, force-closes every in-flight session through the rings (harvesting their
+// results — "flush in-flight sessions"), flushes replies, and closes. SIGTERM in
+// hangdoctord maps to exactly this.
 #ifndef SRC_NETD_SERVER_H_
 #define SRC_NETD_SERVER_H_
 
@@ -45,14 +48,15 @@
 namespace netd {
 
 struct ServerOptions {
-  // Shared detector backend. `service.threads` must stay 0: the appliers are the ingest
-  // threads, driving the synchronous push API; a nonzero value throws.
+  // Shared detector backend. `service.threads` must stay 0 (a nonzero value throws):
+  // `rings` sets the pipeline's shard workers, and the server sizes the service's rings and
+  // batches itself. `service.shards` is raised to `rings` when smaller.
   hangdoctor::ServiceOptions service;
   // Epoll worker threads (>= 1).
   int32_t workers = 1;
-  // Applier threads / rings (>= 1); 0 resolves to `workers`.
+  // Ingest (shard worker) threads (>= 1); 0 resolves to `workers`.
   int32_t rings = 0;
-  // Per-ring capacity in records (rounded up to a power of two by the ring).
+  // Session records in flight (routed, not yet applied) per shard ring, >= 1.
   int32_t ring_capacity = 1024;
   // TCP listener. port 0 binds an ephemeral port (read it back via port()); listen = false
   // skips the listener entirely — connections arrive only via AdoptConnection (the
@@ -67,21 +71,22 @@ struct ServerOptions {
   int64_t session_overhead_bytes = 4096;
   // Per-frame size cap (wire.h FrameSplitter).
   size_t max_frame_bytes = 8u << 20;
-  // Best-effort affinity: pin worker w to core w and applier a to core workers + a.
+  // Best-effort affinity: pin epoll worker w to core rings + w (the shard workers follow
+  // service.pin_workers, which pins shard worker a to core a).
   bool pin_workers = false;
   // Accept worker-role HELLOs (fleetd coordinator links): control frames and per-close
   // kSessionResult replies. Off by default so a plain daemon rejects a stray coordinator at
   // HELLO time instead of half-speaking the fleet protocol.
   bool allow_worker_role = false;
-  // Self-watchdog (LCI hang_detector idiom): a thread that flags any applier stuck longer
-  // than this on a single record, surfaces it in heartbeat health, and force-fails the
-  // lease so the coordinator migrates this worker's sessions. 0 = no watchdog thread.
+  // Self-watchdog (LCI hang_detector idiom): a thread that flags any shard worker stuck
+  // longer than this on a single record, surfaces it in heartbeat health, and force-fails
+  // the lease so the coordinator migrates this worker's sessions. 0 = no watchdog thread.
   int64_t watchdog_timeout_ms = 0;
   // Watchdog sampling period.
   int64_t watchdog_poll_ms = 20;
-  // Test hook: invoked on the applier thread with the session id immediately before each
-  // apply. Lets tests wedge an applier deterministically (watchdog + bounded-Stop
-  // coverage) without sleeping on real hangs. Must be set before construction.
+  // Test hook: invoked on the shard worker with the session id immediately before each
+  // record is applied. Lets tests wedge a shard worker deterministically (watchdog +
+  // bounded-Stop coverage) without sleeping on real hangs. Must be set before construction.
   std::function<void(uint64_t)> before_apply;
 };
 
@@ -132,7 +137,7 @@ class NetServer {
   void BeginDrain();
 
   // BeginDrain + join everything. Idempotent; the destructor calls it. The drain wait is
-  // generous (10 s) but the joins are unconditional — a wedged applier makes this block;
+  // generous (10 s) but the joins are unconditional — a wedged shard worker makes this block;
   // use the deadline overload when shutdown must be bounded.
   void Stop();
 
@@ -141,7 +146,7 @@ class NetServer {
   // session ids still live in the service — the undrained sessions a coordinator must
   // recover by HDSL replay elsewhere — WITHOUT joining, leaving the machinery intact: the
   // server stays drainable, and a later Stop()/destructor finishes shutdown once the wedge
-  // clears (a stuck applier cannot be force-killed; it can only be disowned).
+  // clears (a stuck shard worker cannot be force-killed; it can only be disowned).
   std::vector<uint64_t> Stop(int64_t drain_timeout_ms);
 
   // Outcomes of every session that closed (or aborted) so far. Barrier-free snapshot;
@@ -158,8 +163,8 @@ class NetServer {
   const ServerStats& stats() const { return stats_; }
   hangdoctor::DetectorService& service() { return *service_; }
 
-  // Self-watchdog health (heartbeat fields). applier_stuck tracks the current wedge and
-  // clears when the applier makes progress again; lease_failed is sticky — once a wedge
+  // Self-watchdog health (heartbeat fields). applier_stuck tracks the current shard-worker
+  // wedge and clears when it makes progress again; lease_failed is sticky — once a wedge
   // crossed the timeout, this worker's lease is forfeit and its sessions migrate.
   bool applier_stuck() const;
   bool lease_failed() const;
@@ -168,8 +173,10 @@ class NetServer {
 
  private:
   struct Impl;
-  std::unique_ptr<Impl> impl_;
+  // Declared before impl_ so it is destroyed after it: the epoll workers' Ingestors in
+  // impl_ must never outlive the service they feed.
   std::unique_ptr<hangdoctor::DetectorService> service_;
+  std::unique_ptr<Impl> impl_;
   std::atomic<int64_t> live_connections_{0};
   std::atomic<int64_t> live_session_bytes_{0};
   ServerStats stats_;

@@ -16,7 +16,7 @@ void PutVarint(std::string* out, uint64_t value) {
   out->push_back(static_cast<char>(static_cast<uint8_t>(value)));
 }
 
-bool GetVarint(const std::string& data, size_t* pos, uint64_t* value) {
+bool GetVarint(std::string_view data, size_t* pos, uint64_t* value) {
   *value = 0;
   int shift = 0;
   while (*pos < data.size()) {
@@ -38,7 +38,7 @@ void PutString(std::string* out, const std::string& value) {
   out->append(value);
 }
 
-bool GetString(const std::string& data, size_t* pos, std::string* value) {
+bool GetString(std::string_view data, size_t* pos, std::string* value) {
   uint64_t size = 0;
   if (!GetVarint(data, pos, &size)) {
     return false;
@@ -46,7 +46,7 @@ bool GetString(const std::string& data, size_t* pos, std::string* value) {
   if (size > data.size() - *pos) {
     return false;
   }
-  value->assign(data, *pos, size);
+  value->assign(data.substr(*pos, size));
   *pos += size;
   return true;
 }
@@ -65,7 +65,7 @@ std::string BuildHello(uint32_t version, HelloRole role) {
   return payload;
 }
 
-bool ParseHello(const std::string& payload, uint32_t* version, HelloRole* role,
+bool ParseHello(std::string_view payload, uint32_t* version, HelloRole* role,
                 std::string* error) {
   if (payload.size() < sizeof(kMagic) ||
       std::memcmp(payload.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -101,7 +101,7 @@ std::string BuildHeartbeat(uint64_t epoch) {
   return payload;
 }
 
-bool ParseHeartbeat(const std::string& payload, uint64_t* epoch, std::string* error) {
+bool ParseHeartbeat(std::string_view payload, uint64_t* epoch, std::string* error) {
   if (payload.empty() || static_cast<uint8_t>(payload[0]) != kCtrlHeartbeat) {
     *error = "heartbeat: bad tag";
     return false;
@@ -124,7 +124,7 @@ std::string BuildHandoff(uint64_t epoch, const std::vector<uint64_t>& sessions) 
   return payload;
 }
 
-bool ParseHandoff(const std::string& payload, uint64_t* epoch,
+bool ParseHandoff(std::string_view payload, uint64_t* epoch,
                   std::vector<uint64_t>* sessions, std::string* error) {
   if (payload.empty() || static_cast<uint8_t>(payload[0]) != kCtrlHandoff) {
     *error = "handoff: bad tag";
@@ -321,6 +321,15 @@ bool FrameSplitter::Feed(const char* data, size_t size) {
 }
 
 bool FrameSplitter::Next(std::string* payload) {
+  std::string_view view;
+  if (!Next(&view)) {
+    return false;
+  }
+  payload->assign(view);
+  return true;
+}
+
+bool FrameSplitter::Next(std::string_view* payload) {
   if (!ok_) {
     return false;
   }
@@ -355,7 +364,7 @@ bool FrameSplitter::Next(std::string* payload) {
   if (length > buffer_.size() - pos) {
     return false;  // payload still arriving
   }
-  payload->assign(buffer_, pos, length);
+  *payload = std::string_view(buffer_).substr(pos, static_cast<size_t>(length));
   consumed_ = pos + static_cast<size_t>(length);
   return true;
 }

@@ -50,7 +50,7 @@
 // Server → worker-role client only:
 //   kHeartbeatAck  varint epoch, varint live_sessions, varint records_applied, byte
 //                  applier_stuck, byte lease_failed — structured health. applier_stuck is
-//                  the self-watchdog verdict (an applier wedged > timeout on one record);
+//                  the self-watchdog verdict (a shard worker wedged > timeout on one record);
 //                  lease_failed is sticky and tells the coordinator to migrate everything
 //                  this worker holds.
 //   kStaleEpoch    varint lease_epoch — the control frame carried an epoch older than the
@@ -67,6 +67,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace netd {
@@ -102,9 +103,9 @@ inline constexpr uint8_t kCtrlHandoff = 0x41;
 // Low-level encoders, shared by both ends (LEB128, length-prefixed strings — the HDSL
 // encoding, so a wire frame is bytes the container grammar already speaks).
 void PutVarint(std::string* out, uint64_t value);
-bool GetVarint(const std::string& data, size_t* pos, uint64_t* value);
+bool GetVarint(std::string_view data, size_t* pos, uint64_t* value);
 void PutString(std::string* out, const std::string& value);
-bool GetString(const std::string& data, size_t* pos, std::string* value);
+bool GetString(std::string_view data, size_t* pos, std::string* value);
 
 // Appends `varint payload.size()` + payload to `out`.
 void AppendFrame(std::string* out, const std::string& payload);
@@ -113,14 +114,14 @@ void AppendFrame(std::string* out, const std::string& payload);
 // historical two-field payload, so a new client speaking to an old daemon is byte-identical
 // to PR 9's HELLO.
 std::string BuildHello(uint32_t version, HelloRole role = HelloRole::kClient);
-bool ParseHello(const std::string& payload, uint32_t* version, HelloRole* role,
+bool ParseHello(std::string_view payload, uint32_t* version, HelloRole* role,
                 std::string* error);
 
 // Control frame payloads (worker-role connections).
 std::string BuildHeartbeat(uint64_t epoch);
-bool ParseHeartbeat(const std::string& payload, uint64_t* epoch, std::string* error);
+bool ParseHeartbeat(std::string_view payload, uint64_t* epoch, std::string* error);
 std::string BuildHandoff(uint64_t epoch, const std::vector<uint64_t>& sessions);
-bool ParseHandoff(const std::string& payload, uint64_t* epoch,
+bool ParseHandoff(std::string_view payload, uint64_t* epoch,
                   std::vector<uint64_t>* sessions, std::string* error);
 
 // Server reply payloads.
@@ -174,6 +175,9 @@ class FrameSplitter {
   // Pops the next complete frame payload into `payload`. Returns false when no complete
   // frame is buffered (or the splitter is in error — check ok() to distinguish).
   bool Next(std::string* payload);
+  // Same, without the copy: `payload` views the splitter's buffer and stays valid until the
+  // next Feed.
+  bool Next(std::string_view* payload);
 
   bool ok() const { return ok_; }
   const std::string& error() const { return error_; }

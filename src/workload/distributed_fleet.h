@@ -30,7 +30,7 @@ namespace workload {
 struct DistributedFleetOptions {
   // Worker daemons in the shard group (>= 1).
   int32_t workers = 2;
-  // Per-worker daemon shape (NetServer knobs).
+  // Per-worker daemon shape (NetServer knobs): epoll workers and shard workers.
   int32_t server_workers = 1;
   int32_t rings = 2;
   // Drain-migrate the busiest live worker's sessions onto the next live worker once this
@@ -48,7 +48,7 @@ struct DistributedFleetOptions {
   // last pulse, pulses the coordinator with it. Leases live `lease_timeout_ms` real ms —
   // the window a worker has to ack a heartbeat before it is fenced. Heartbeat acks ride
   // the same stream as session replies, so the timeout must dominate the worker's worst
-  // backpressure stall (a parked applier queue delays acks), not just the network round
+  // backpressure stall (a parked shard queue delays acks), not just the network round
   // trip; frame-count-coupled virtual time would fence a healthy-but-busy worker.
   int64_t lease_timeout_ms = 2000;
   int64_t pulse_every_frames = 64;

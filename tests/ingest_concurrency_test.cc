@@ -5,11 +5,23 @@
 // determinism contract — pipelined ingest at any {threads, shards} produces results
 // bit-identical to the synchronous path and to the per-job fleet oracle, fault-injected
 // sessions included.
+#include <sys/socket.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <mutex>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +34,10 @@
 #include "src/hangdoctor/detector_service.h"
 #include "src/hangdoctor/session_stream.h"
 #include "src/hosts/hang_doctor.h"
+#include "src/hosts/mux_log.h"
+#include "src/netd/client.h"
+#include "src/netd/record_codec.h"
+#include "src/netd/server.h"
 #include "src/simkit/affinity.h"
 #include "src/simkit/batch_router.h"
 #include "src/simkit/mpmc_ring.h"
@@ -559,6 +575,371 @@ TEST(IngestPipelineTest, PipelinedFleetMatchesOracleUnderFaultInjection) {
     workload::FleetSummary pipelined = workload::RunFleet(jobs, options);
     ExpectFleetsEqual(oracle, pipelined, "chaos threads=" + std::to_string(threads));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pipeline hooks: the completion callback, control records, source ownership, the parked
+// idle wait and the watchdog counters — the surface hangdoctord's ingest is built on.
+
+// Everything the hooks observed, in order, under one lock.
+struct HookLog {
+  std::mutex mu;
+  // Per session: the payloads applied, in order, and the threads that applied them.
+  std::map<uint64_t, std::vector<const hangdoctor::SpiPayload*>> applied;
+  std::map<uint64_t, std::set<std::thread::id>> apply_threads;
+  // Per session: the completions (kind + thread).
+  std::map<uint64_t, std::vector<std::pair<hangdoctor::IngestCompletion::Kind, std::thread::id>>>
+      completions;
+  std::map<uint64_t, hangdoctor::SessionResult> closed;
+  std::vector<std::pair<uint64_t, const void*>> errors;  // session, source
+
+  hangdoctor::IngestHooks Hooks() {
+    hangdoctor::IngestHooks hooks;
+    hooks.before_apply = [this](const hangdoctor::ServiceRecordRef& ref) {
+      std::lock_guard<std::mutex> lock(mu);
+      applied[ref.session.value].push_back(ref.record);
+      apply_threads[ref.session.value].insert(std::this_thread::get_id());
+    };
+    hooks.on_complete = [this](hangdoctor::IngestCompletion& done) {
+      std::lock_guard<std::mutex> lock(mu);
+      const uint64_t id = done.ref.session.value;
+      if (done.kind == hangdoctor::IngestCompletion::Kind::kError) {
+        errors.emplace_back(id, done.ref.source);
+        return;
+      }
+      completions[id].emplace_back(done.kind, std::this_thread::get_id());
+      if (done.kind == hangdoctor::IngestCompletion::Kind::kClosed) {
+        closed[id] = std::move(done.result);
+      }
+    };
+    return hooks;
+  }
+};
+
+hangdoctor::SpiPayload ControlPayload(hangdoctor::SpiPayload::Kind kind) {
+  hangdoctor::SpiPayload payload;
+  payload.kind = kind;
+  return payload;
+}
+
+hangdoctor::SpiPayload DonorOpen() {
+  hangdoctor::SpiPayload open = ControlPayload(hangdoctor::SpiPayload::Kind::kSessionOpen);
+  open.info = Donor().info;
+  open.config = Donor().config;
+  return open;
+}
+
+// Sessions end three ways: id % 3 == 0 closes, 1 aborts, 2 is handed off. Each session's
+// records are round-robined with every other session's, then its end record follows.
+TEST(IngestHooksTest, CompletionRunsOncePerSessionOnTheOwningWorker) {
+  constexpr uint64_t kSessions = 18;
+  const DonorStream& donor = Donor();
+  const hangdoctor::SpiPayload open = DonorOpen();
+  const hangdoctor::SpiPayload ends[3] = {
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose),
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort),
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionHandoff)};
+  HookLog log;
+  hangdoctor::ServiceOptions options;
+  options.shards = 5;
+  options.threads = 3;
+  options.ring_capacity = 2;
+  options.batch_size = 7;
+  hangdoctor::DetectorService service(options, log.Hooks());
+  {
+    hangdoctor::DetectorService::Ingestor ingestor(&service);
+    for (uint64_t s = 0; s < kSessions; ++s) {
+      ingestor.Push({telemetry::SessionId{s}, &open});
+    }
+    for (const hangdoctor::SpiPayload& record : donor.records) {
+      for (uint64_t s = 0; s < kSessions; ++s) {
+        ingestor.Push({telemetry::SessionId{s}, &record});
+      }
+    }
+    for (uint64_t s = 0; s < kSessions; ++s) {
+      ingestor.Push({telemetry::SessionId{s}, &ends[s % 3]});
+    }
+  }
+  service.WaitIngestIdle();
+  EXPECT_TRUE(service.DrainClosed().empty()) << "closed results go to the hook";
+  EXPECT_TRUE(service.TakeIngestErrors().empty());
+  EXPECT_EQ(service.live_sessions(), 0u);
+
+  // The synchronous reference for the closed sessions.
+  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
+  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
+  ASSERT_EQ(expected.size(), 1u);
+
+  std::lock_guard<std::mutex> lock(log.mu);
+  EXPECT_TRUE(log.errors.empty());
+  ASSERT_EQ(log.completions.size(), kSessions);
+  const hangdoctor::IngestCompletion::Kind kinds[3] = {
+      hangdoctor::IngestCompletion::Kind::kClosed, hangdoctor::IngestCompletion::Kind::kAborted,
+      hangdoctor::IngestCompletion::Kind::kHandedOff};
+  for (uint64_t s = 0; s < kSessions; ++s) {
+    const std::string label = "session " + std::to_string(s);
+    ASSERT_EQ(log.completions[s].size(), 1u) << label;
+    EXPECT_EQ(log.completions[s][0].first, kinds[s % 3]) << label;
+    // Every record of the session, its end included, ran on one thread, and the completion
+    // ran on that same thread: the worker that owns the session's shard.
+    ASSERT_EQ(log.apply_threads[s].size(), 1u) << label;
+    EXPECT_EQ(log.completions[s][0].second, *log.apply_threads[s].begin()) << label;
+    if (s % 3 == 0) {
+      expected[0].id = telemetry::SessionId{s};
+      ExpectSessionResultsEqual(expected, {log.closed[s]}, label);
+    }
+  }
+}
+
+TEST(IngestHooksTest, AbortAndHandoffLandAfterEveryEarlierRecordOfTheirSession) {
+  constexpr uint64_t kSessions = 8;
+  const DonorStream& donor = Donor();
+  const hangdoctor::SpiPayload open = DonorOpen();
+  const hangdoctor::SpiPayload abort =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort);
+  const hangdoctor::SpiPayload handoff =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionHandoff);
+  for (int32_t batch_size : {1, 5, 256}) {
+    HookLog log;
+    hangdoctor::ServiceOptions options;
+    options.shards = 3;
+    options.threads = 2;
+    options.ring_capacity = 1;
+    options.batch_size = batch_size;
+    hangdoctor::DetectorService service(options, log.Hooks());
+    // Two producers, each owning half of the sessions; every session stops at a different
+    // point of the donor stream, then its control record follows at once.
+    std::vector<std::thread> producers;
+    for (uint64_t half = 0; half < 2; ++half) {
+      producers.emplace_back([&, half] {
+        hangdoctor::DetectorService::Ingestor ingestor(&service);
+        for (uint64_t s = half; s < kSessions; s += 2) {
+          ingestor.Push({telemetry::SessionId{s}, &open});
+        }
+        for (size_t r = 0; r < donor.records.size(); ++r) {
+          for (uint64_t s = half; s < kSessions; s += 2) {
+            const size_t stop = donor.records.size() * (s + 1) / (kSessions + 1);
+            if (r < stop) {
+              ingestor.Push({telemetry::SessionId{s}, &donor.records[r]});
+            } else if (r == stop) {
+              ingestor.Push({telemetry::SessionId{s}, s % 2 == 0 ? &abort : &handoff});
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& producer : producers) {
+      producer.join();
+    }
+    service.WaitIngestIdle();
+    EXPECT_EQ(service.live_sessions(), 0u);
+    std::lock_guard<std::mutex> lock(log.mu);
+    EXPECT_TRUE(log.errors.empty());
+    for (uint64_t s = 0; s < kSessions; ++s) {
+      const std::string label =
+          "batch_size=" + std::to_string(batch_size) + " session " + std::to_string(s);
+      const size_t stop = donor.records.size() * (s + 1) / (kSessions + 1);
+      // Applied in push order: the open, every earlier record, then the control record last.
+      std::vector<const hangdoctor::SpiPayload*> want{&open};
+      for (size_t r = 0; r < stop; ++r) {
+        want.push_back(&donor.records[r]);
+      }
+      want.push_back(s % 2 == 0 ? &abort : &handoff);
+      EXPECT_EQ(log.applied[s], want) << label;
+      ASSERT_EQ(log.completions[s].size(), 1u) << label;
+      EXPECT_EQ(log.completions[s][0].first,
+                s % 2 == 0 ? hangdoctor::IngestCompletion::Kind::kAborted
+                           : hangdoctor::IngestCompletion::Kind::kHandedOff)
+          << label;
+    }
+  }
+}
+
+// A second source opening a live id loses, and nothing it sends afterwards — records, close,
+// abort, handoff — touches the winner's session, which still closes bit-identically.
+TEST(IngestHooksTest, CrossSourceDuplicateOpenNeverTouchesTheWinnersSession) {
+  const DonorStream& donor = Donor();
+  const hangdoctor::SpiPayload open = DonorOpen();
+  const hangdoctor::SpiPayload close =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose);
+  const hangdoctor::SpiPayload abort =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort);
+  const hangdoctor::SpiPayload handoff =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionHandoff);
+  const int winner = 1;
+  const int loser = 2;
+  const telemetry::SessionId id{42};
+  HookLog log;
+  hangdoctor::ServiceOptions options;
+  options.shards = 2;
+  options.threads = 2;
+  hangdoctor::DetectorService service(options, log.Hooks());
+  {
+    hangdoctor::DetectorService::Ingestor ingestor(&service);
+    ingestor.Push({id, &open, &winner});
+    ingestor.Push({id, &open, &loser});
+    const size_t half = donor.records.size() / 2;
+    for (size_t r = 0; r < half; ++r) {
+      ingestor.Push({id, &donor.records[r], &winner});
+    }
+    ingestor.Push({id, &donor.records[half], &loser});
+    ingestor.Push({id, &abort, &loser});
+    ingestor.Push({id, &handoff, &loser});
+    ingestor.Push({id, &close, &loser});
+    for (size_t r = half; r < donor.records.size(); ++r) {
+      ingestor.Push({id, &donor.records[r], &winner});
+    }
+    ingestor.Push({id, &close, &winner});
+  }
+  service.WaitIngestIdle();
+  EXPECT_EQ(service.live_sessions(), 0u);
+
+  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
+  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
+  ASSERT_EQ(expected.size(), 1u);
+  expected[0].id = id;
+
+  std::lock_guard<std::mutex> lock(log.mu);
+  // The loser's open, record, abort, handoff and close are all refused.
+  ASSERT_EQ(log.errors.size(), 5u);
+  for (const auto& [session, source] : log.errors) {
+    EXPECT_EQ(session, id.value);
+    EXPECT_EQ(source, &loser);
+  }
+  ASSERT_EQ(log.completions[id.value].size(), 1u);
+  EXPECT_EQ(log.completions[id.value][0].first, hangdoctor::IngestCompletion::Kind::kClosed);
+  ExpectSessionResultsEqual(expected, {log.closed[id.value]}, "winner");
+}
+
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+// An idle worker parks: it burns no CPU (a spin, yield or timed-nap loop would), and the
+// next pushed batch wakes it — there is no timeout to fall back on, so a lost wake would
+// hang this test instead of passing it.
+TEST(IngestHooksTest, ParkedWorkerIsWokenByTheNextBatchWithoutATimedNap) {
+  std::mutex mu;
+  std::condition_variable applied_cv;
+  int64_t batches = 0;
+  hangdoctor::IngestHooks hooks;
+  hooks.after_batch = [&](size_t, std::span<const hangdoctor::ServiceRecordRef>) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++batches;
+    applied_cv.notify_all();
+  };
+  hangdoctor::ServiceOptions options;
+  options.shards = 4;
+  options.threads = 4;
+  hangdoctor::DetectorService service(options, std::move(hooks));
+  const hangdoctor::SpiPayload publish = ControlPayload(hangdoctor::SpiPayload::Kind::kKbPublish);
+
+  const double cpu0 = ProcessCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double idle_cpu_ms = ProcessCpuMs() - cpu0;
+  // Four idle workers napping 100 us at a time would spend tens of ms here.
+  EXPECT_LT(idle_cpu_ms, 15.0) << "idle workers must park, not poll";
+
+  for (int round = 1; round <= 3; ++round) {
+    {
+      hangdoctor::DetectorService::Ingestor ingestor(&service);
+      ingestor.Push({telemetry::SessionId{static_cast<uint64_t>(round)}, &publish});
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(applied_cv.wait_for(lock, std::chrono::seconds(30),
+                                    [&] { return batches == round; }))
+        << "round " << round << ": the parked worker was never woken";
+    lock.unlock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park again
+  }
+}
+
+// hangdoctord's self-watchdog reads the shard workers' counters from the service: a worker
+// wedged inside ServerOptions::before_apply stays busy with its progress frozen, and
+// resumes once released.
+TEST(IngestHooksTest, WorkerWedgedByBeforeApplyShowsFrozenProgress) {
+  // One recorded session, as the wire carries it.
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("hd_ingest_hooks_" + std::to_string(getpid()));
+  std::filesystem::create_directories(dir);
+  workload::FleetJob job;
+  job.spec = SharedCatalog().FindApp("K9-Mail");
+  job.profile = droidsim::LgV10();
+  job.seed = workload::FleetSeed(31, 0);
+  job.session = simkit::Seconds(10);
+  job.record_path = (dir / "session.hdsl").string();
+  ASSERT_TRUE(workload::RunFleetJob(job).record_ok);
+  std::string bytes;
+  {
+    std::ifstream in(job.record_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove_all(dir);
+  std::string container, error;
+  std::vector<hangdoctor::SessionLogSlice> slices{{telemetry::SessionId{5}, bytes}};
+  ASSERT_TRUE(hangdoctor::MuxSessionLogs(slices, {}, &container, &error)) << error;
+  std::vector<std::string> frames;
+  ASSERT_TRUE(netd::ContainerToWireFrames(container, &frames, &error)) << error;
+
+  std::atomic<bool> wedged{false};
+  std::atomic<bool> release{false};
+  std::atomic<int> applies{0};
+  netd::ServerOptions options;
+  options.listen = false;
+  options.workers = 1;
+  options.rings = 1;
+  options.before_apply = [&](uint64_t) {
+    if (applies.fetch_add(1) == 3) {  // the session's third record
+      wedged.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  };
+  netd::NetServer server(options);
+  struct ReleaseOnExit {
+    std::atomic<bool>* flag;
+    ~ReleaseOnExit() { flag->store(true); }
+  } release_guard{&release};
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  server.AdoptConnection(sv[0]);
+  netd::NetClient client;
+  client.Adopt(sv[1]);
+  ASSERT_TRUE(client.SendHello(netd::kWireVersionMax));
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(client.SendFrame(frame)) << client.error();
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(wedged.load());
+  ASSERT_EQ(server.service().ingest_threads(), 1);
+  hangdoctor::DetectorService::WorkerHealth first = server.service().worker_health(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  hangdoctor::DetectorService::WorkerHealth second = server.service().worker_health(0);
+  EXPECT_TRUE(first.busy);
+  EXPECT_TRUE(second.busy);
+  EXPECT_EQ(first.progress, second.progress) << "a wedged worker's progress must freeze";
+  EXPECT_EQ(second.progress, 4u) << "the open and three records taken; the third wedged";
+
+  release.store(true);
+  std::vector<netd::Reply> replies;
+  netd::Reply reply;
+  while (client.ReadReply(&reply)) {
+    replies.push_back(reply);
+  }
+  ASSERT_FALSE(replies.empty());
+  EXPECT_EQ(replies.back().tag, netd::ReplyTag::kBye);
+  hangdoctor::DetectorService::WorkerHealth after = server.service().worker_health(0);
+  EXPECT_GT(after.progress, second.progress);
+  server.Stop();
+  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].aborted);
 }
 
 }  // namespace

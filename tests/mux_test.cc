@@ -4,6 +4,8 @@
 // bytes. On top of that: replaying a v3 stream through a DetectorService reproduces the
 // per-log ReplaySession results bit-for-bit at any shard count, and malformed containers are
 // rejected with an error instead of feeding garbage downstream.
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,10 +31,21 @@ const workload::Catalog& SharedCatalog() {
   return *catalog;
 }
 
+// A scratch directory private to this process and removed at exit: ctest runs every TEST as
+// its own process, in parallel, so a shared directory would let one case overwrite the
+// donor log another is reading.
 std::string TempPath(const std::string& leaf) {
-  std::filesystem::path dir = std::filesystem::temp_directory_path() / "hd_mux";
-  std::filesystem::create_directories(dir);
-  return (dir / leaf).string();
+  struct ScratchDir {
+    std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                 ("hd_mux_" + std::to_string(getpid()));
+    ScratchDir() { std::filesystem::create_directories(path); }
+    ~ScratchDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const ScratchDir dir;
+  return (dir.path / leaf).string();
 }
 
 std::string FileBytes(const std::string& path) {

@@ -442,4 +442,61 @@ TEST(NetdProtocolTest, GracefulDrainFlushesInFlightSessionReports) {
   EXPECT_EQ(server.live_sessions(), 0u);
 }
 
+// The drain takes in what a peer had already sent before it stops reading. A peer that sent
+// half a session and hung up before the drain began is gone: its session aborts instead of
+// being harvested as if it were complete (a truncated stream would yield a wrong report).
+TEST(NetdProtocolTest, DrainAbortsSessionsOfAPeerThatHungUpFirst) {
+  netd::NetServer server(SocketpairOptions());
+  server.BeginDrain();  // before the server has read a single byte
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  std::vector<std::string> frames = WireFrames({81});
+  {
+    netd::NetClient client;
+    client.Adopt(sv[1]);
+    ASSERT_TRUE(client.SendHello(4));
+    for (size_t i = 0; i < frames.size() / 2; ++i) {
+      ASSERT_TRUE(client.SendFrame(frames[i]));
+    }
+  }  // hangs up
+  server.AdoptConnection(sv[0]);
+  ASSERT_TRUE(server.WaitIdle(30000));
+  server.Stop();
+  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].id.value, 81u);
+  EXPECT_TRUE(outcomes[0].aborted);
+  EXPECT_EQ(server.stats().sessions_aborted.load(), 1);
+  EXPECT_EQ(server.live_sessions(), 0u);
+  EXPECT_EQ(server.live_session_bytes(), 0);
+}
+
+// ... while a peer that is still connected has what it already sent applied, and its
+// in-flight session is force-closed and harvested.
+TEST(NetdProtocolTest, DrainAppliesWhatAConnectedPeerAlreadySent) {
+  netd::NetServer server(SocketpairOptions());
+  server.BeginDrain();
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  netd::NetClient client;
+  client.Adopt(sv[1]);
+  ASSERT_TRUE(client.SendHello(4));
+  std::vector<std::string> frames = WireFrames({82});
+  for (size_t i = 0; i < frames.size() / 2; ++i) {
+    ASSERT_TRUE(client.SendFrame(frames[i]));
+  }
+  server.AdoptConnection(sv[0]);
+  std::vector<Reply> replies;
+  ReadUntilEof(client, &replies);
+  ASSERT_EQ(replies.size(), 3u);  // hello-ok + the forced close + bye
+  EXPECT_EQ(replies[1].tag, ReplyTag::kSessionClosed);
+  EXPECT_EQ(replies[1].session_id, 82u);
+  EXPECT_EQ(replies[2].tag, ReplyTag::kBye);
+  server.Stop();
+  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].aborted);
+  EXPECT_EQ(server.live_session_bytes(), 0);
+}
+
 }  // namespace
