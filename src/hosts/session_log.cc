@@ -102,10 +102,9 @@ class Parser {
   bool ok_ = true;
 };
 
-// Shared prefix grammar — magic, version, SessionInfo, config, symbol table — leaving the
-// parser positioned at the first record's tag byte.
-bool ParsePrefix(Parser& parser, std::string_view data, SessionLog* log,
-                 SessionLogLayout* layout, std::string* error) {
+// Header grammar — magic, version, SessionInfo, config — leaving the parser positioned at
+// the symbol table's count varint.
+bool ParseHeader(Parser& parser, std::string_view data, SessionLog* log, std::string* error) {
   if (data.size() < sizeof(kSessionLogMagic) ||
       std::memcmp(data.data(), kSessionLogMagic, sizeof(kSessionLogMagic)) != 0) {
     *error = "not a session log (bad magic)";
@@ -166,10 +165,13 @@ bool ParsePrefix(Parser& parser, std::string_view data, SessionLog* log,
   log->config.second_phase_only = parser.GetByte() != 0;
   log->config.keep_traces = parser.GetByte() != 0;
 
-  log->symbols = std::make_unique<telemetry::SymbolTable>();
-  if (layout != nullptr) {
-    layout->symtab_begin = parser.pos();
-  }
+  return parser.ok();
+}
+
+// Symbol-table grammar: every frame in id order. The result is meaningful only while the
+// parser is still ok.
+std::shared_ptr<telemetry::SymbolTable> ParseSymbolTable(Parser& parser) {
+  auto symbols = std::make_shared<telemetry::SymbolTable>();
   uint64_t num_frames = parser.GetVarint();
   for (uint64_t i = 0; parser.ok() && i < num_frames; ++i) {
     telemetry::StackFrame frame;
@@ -182,17 +184,69 @@ bool ParsePrefix(Parser& parser, std::string_view data, SessionLog* log,
     if (!parser.ok()) {
       break;
     }
-    telemetry::FrameId id =
-        log->symbols->Intern(std::move(frame), (flags & 2) != 0, (flags & 4) != 0);
+    telemetry::FrameId id = symbols->Intern(std::move(frame), (flags & 2) != 0, (flags & 4) != 0);
     if (id != i) {
-      return parser.Fail("symbol table not in id order");
+      parser.Fail("symbol table not in id order");
+      break;
     }
   }
-  log->info.symbols = log->symbols.get();
+  return symbols;
+}
+
+void SetSymbols(SessionLog* log, std::shared_ptr<const telemetry::SymbolTable> symbols) {
+  log->info.symbols = symbols.get();
+  log->symbols = std::move(symbols);
+}
+
+// Shared prefix grammar — header, then symbol table — leaving the parser positioned at the
+// first record's tag byte.
+bool ParsePrefix(Parser& parser, std::string_view data, SessionLog* log,
+                 SessionLogLayout* layout, std::string* error) {
+  if (!ParseHeader(parser, data, log, error)) {
+    return false;
+  }
+  if (layout != nullptr) {
+    layout->symtab_begin = parser.pos();
+  }
+  SetSymbols(log, ParseSymbolTable(parser));
   if (layout != nullptr) {
     layout->header_end = parser.pos();
   }
   return parser.ok();
+}
+
+// An open prefix: header and symbol table with nothing after them. With a cache, the
+// section runs from the table's count varint to the end of `bytes`, so it is looked up
+// whole before the frame loop; without one (or on a miss) it parses exactly as in
+// ParsePrefix.
+bool ParseOpenPrefix(std::string_view bytes, SymbolTableCache* cache, SessionLog* log,
+                     std::string* error, bool* shared) {
+  Parser parser(bytes, error);
+  if (!ParseHeader(parser, bytes, log, error)) {
+    return false;
+  }
+  const std::string_view section = bytes.substr(parser.pos());
+  if (cache != nullptr) {
+    if (std::shared_ptr<const telemetry::SymbolTable> symbols = cache->Find(section)) {
+      SetSymbols(log, std::move(symbols));
+      if (shared != nullptr) {
+        *shared = true;
+      }
+      return true;
+    }
+  }
+  std::shared_ptr<const telemetry::SymbolTable> symbols = ParseSymbolTable(parser);
+  if (!parser.ok()) {
+    return false;
+  }
+  if (!parser.AtEnd()) {
+    return parser.Fail("trailing bytes after session log prefix");
+  }
+  if (cache != nullptr) {
+    symbols = cache->Insert(section, std::move(symbols));
+  }
+  SetSymbols(log, std::move(symbols));
+  return true;
 }
 
 // Shared record grammar: one tag byte + body into `record`. kEnd is tag-only; kTraceUsage
@@ -614,15 +668,42 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
   return ParseSessionLog(bytes, &scratch, layout, error);
 }
 
+std::shared_ptr<const telemetry::SymbolTable> SymbolTableCache::Find(
+    std::string_view section) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(section);
+  return it == entries_.end() ? nullptr : it->second.lock();
+}
+
+std::shared_ptr<const telemetry::SymbolTable> SymbolTableCache::Insert(
+    std::string_view section, std::shared_ptr<const telemetry::SymbolTable> table) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(entries_, [](const auto& entry) { return entry.second.expired(); });
+  auto it = entries_.try_emplace(std::string(section)).first;
+  // A concurrent miss on the same bytes may have published first: share its table while it
+  // is still alive.
+  if (std::shared_ptr<const telemetry::SymbolTable> live = it->second.lock()) {
+    return live;
+  }
+  it->second = table;
+  return table;
+}
+
+size_t SymbolTableCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
+}
+
 bool ParseSessionLogPrefix(std::string_view bytes, SessionLog* log, std::string* error) {
-  Parser parser(bytes, error);
-  if (!ParsePrefix(parser, bytes, log, nullptr, error)) {
-    return false;
+  return ParseOpenPrefix(bytes, nullptr, log, error, nullptr);
+}
+
+bool ParseSessionLogPrefix(std::string_view bytes, SymbolTableCache& cache, SessionLog* log,
+                           std::string* error, bool* shared) {
+  if (shared != nullptr) {
+    *shared = false;
   }
-  if (!parser.AtEnd()) {
-    return parser.Fail("trailing bytes after session log prefix");
-  }
-  return parser.ok();
+  return ParseOpenPrefix(bytes, &cache, log, error, shared);
 }
 
 bool ParseSessionRecordBytes(std::string_view bytes, const telemetry::SymbolTable& symbols,

@@ -34,9 +34,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/hangdoctor/detector_core.h"
@@ -132,10 +135,15 @@ struct SessionRecord {
 };
 
 // A fully parsed session log.
+//
+// The symbol table is an immutable, shared value: every reader (the core, the analyzer, the
+// decoders, the compactor) takes it by const reference, so sessions whose logs carry
+// byte-identical symbol tables may hold one table between them (SymbolTableCache below).
+// The table lives until the last SessionLog holding it is gone.
 struct SessionLog {
   SessionInfo info;  // info.symbols points at *symbols below
   HangDoctorConfig config;
-  std::unique_ptr<telemetry::SymbolTable> symbols;
+  std::shared_ptr<const telemetry::SymbolTable> symbols;
   std::vector<SessionRecord> records;
   bool has_usage = false;
   int64_t usage_cpu = 0;
@@ -167,6 +175,51 @@ bool LoadSessionLogBytes(const std::string& bytes, SessionLog* log, std::string*
 // `bytes` is not a well-formed log; `layout` is valid only on success.
 bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::string* error);
 
+// A content-addressed pool of parsed symbol tables. One app build runs on many devices, so a
+// daemon serving a fleet receives the same table from every one of them; sessions whose
+// prefixes carry byte-identical symbol-table sections share one parsed table through the
+// pool instead of each parsing (and later freeing) its own. Thread-safe.
+//
+// Rules:
+//   - Byte equality. An entry is keyed on the section's exact bytes (`symtab_begin` to the
+//     end of an open prefix), and a lookup matches only a byte-equal key; a hash only picks
+//     the bucket, so a collision can never alias one client's table to another's.
+//   - Only clean parses. A table enters the pool only when its whole prefix parsed, with no
+//     trailing bytes.
+//   - Lifetime. The pool holds tables weakly: a table lives exactly as long as some
+//     SessionLog holds it. Expired entries are pruned on every insert, so the pool's memory
+//     is bounded by the live sessions' distinct tables, with no size knob.
+class SymbolTableCache {
+ public:
+  SymbolTableCache() = default;
+  SymbolTableCache(const SymbolTableCache&) = delete;
+  SymbolTableCache& operator=(const SymbolTableCache&) = delete;
+
+  // The live table parsed from exactly `section`, or null.
+  std::shared_ptr<const telemetry::SymbolTable> Find(std::string_view section) const;
+
+  // Publishes `table`, parsed from exactly `section`, and returns the pool's table for that
+  // section: `table` itself, or the one a concurrent parse published first.
+  std::shared_ptr<const telemetry::SymbolTable> Insert(
+      std::string_view section, std::shared_ptr<const telemetry::SymbolTable> table);
+
+  // Entries held, expired ones not yet pruned included.
+  size_t size() const;
+
+ private:
+  struct SectionHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view section) const {
+      return std::hash<std::string_view>{}(section);
+    }
+  };
+
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, std::weak_ptr<const telemetry::SymbolTable>, SectionHash,
+                     std::equal_to<>>
+      entries_;  // guarded by mu_
+};
+
 // Incremental entry points for streaming consumers (the netd wire decoder): a connection
 // delivers a session's complete prefix first — the mux open-frame payload — and then one
 // record at a time, so the monolithic parse is also exposed piecewise. Both share the
@@ -174,9 +227,17 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
 //
 // Parses a complete log prefix: magic, version, SessionInfo, config, symbol table — no
 // records, no trailing bytes. On success `log` holds info/config/symbols with `records`
-// empty; `log->info.symbols` points at `log->symbols`, which must outlive every record
-// later parsed against it.
+// empty; `log->info.symbols` points at `*log->symbols`, which the log keeps alive for every
+// record later parsed against it. This is the uncached reference parse.
 bool ParseSessionLogPrefix(std::string_view bytes, SessionLog* log, std::string* error);
+
+// The same parse through `cache`: once the header has parsed, the symbol-table section is
+// looked up before the frame loop. A hit takes the pooled table (`*shared` = true); a miss
+// parses the section exactly as above and publishes the table if the whole prefix parsed.
+// Accepts and rejects exactly the bytes the uncached parse does, with the same errors, and
+// on success yields a table with identical content.
+bool ParseSessionLogPrefix(std::string_view bytes, SymbolTableCache& cache, SessionLog* log,
+                           std::string* error, bool* shared = nullptr);
 
 // Parses exactly one record (tag byte + body; trailing bytes rejected) against `symbols`,
 // with the same FrameId range checks as the full parse. kTraceUsage parses into

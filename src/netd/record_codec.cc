@@ -49,7 +49,8 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
       }
       auto log = std::make_shared<hd::SessionLog>();
       std::string error;
-      if (!hd::ParseSessionLogPrefix(payload.substr(pos), log.get(), &error)) {
+      if (!hd::ParseSessionLogPrefix(payload.substr(pos), *symbols_, log.get(), &error,
+                                     &out->shared_symbols)) {
         return Fail("session " + std::to_string(id) + ": " + error);
       }
       live_[id] = log;

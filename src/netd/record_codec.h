@@ -10,10 +10,14 @@
 // frame unable to corrupt a neighboring session.
 //
 // Ownership: an open frame's payload is a complete v4 log prefix; the decoder parses it into
-// a shared SessionLog that owns the session's symbol table. Every decoded record of that
+// a shared SessionLog that holds the session's symbol table. Every decoded record of that
 // session carries the shared_ptr, so symbols outlive the record wherever the server's apply
 // pipeline takes it — the same lifetime rule mux replay satisfies by keeping parsed logs on
-// the stack.
+// the stack. The table itself is an immutable value parsed through a SymbolTableCache
+// (src/hosts/session_log.h): sessions whose prefixes carry byte-identical symbol-table bytes
+// hold one table, which lives until the last such SessionLog is gone. A decoder owns a
+// private cache unless given one; the daemon hands every connection's decoder the same one,
+// so sessions share tables across connections and epoll workers.
 #ifndef SRC_NETD_RECORD_CODEC_H_
 #define SRC_NETD_RECORD_CODEC_H_
 
@@ -21,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/hangdoctor/session_stream.h"
@@ -43,8 +48,10 @@ struct DecodedFrame {
   telemetry::SessionId id{0};
   // kOpen: bytes of the open payload — the admission estimate's variable part.
   size_t open_bytes = 0;
-  // kOpen / kRecord / kClose: the session's parsed prefix (owns the symbol table).
+  // kOpen / kRecord / kClose: the session's parsed prefix (holds the symbol table).
   std::shared_ptr<hangdoctor::SessionLog> log;
+  // kOpen: the symbol table came from the cache, shared with a live session, not parsed.
+  bool shared_symbols = false;
   hangdoctor::ServiceRecord record;
   // kRecord of a kTraceUsage footer: structurally valid, but carries no SPI traffic.
   bool skip = false;
@@ -52,6 +59,12 @@ struct DecodedFrame {
 
 class MuxStreamDecoder {
  public:
+  // Parses open-frame symbol tables through a private cache.
+  MuxStreamDecoder() = default;
+  // Parses them through `symbols`, which may be shared with other decoders on any thread.
+  explicit MuxStreamDecoder(std::shared_ptr<hangdoctor::SymbolTableCache> symbols)
+      : symbols_(std::move(symbols)) {}
+
   // Decodes one wire frame payload (= one container frame), parsing it in place. Returns
   // false and goes sticky on any grammar or framing violation; `out` is meaningful only on
   // success. `out` may be reused across calls: of its payload, only the members the decoded
@@ -66,6 +79,8 @@ class MuxStreamDecoder {
  private:
   bool Fail(const std::string& message);
 
+  std::shared_ptr<hangdoctor::SymbolTableCache> symbols_ =
+      std::make_shared<hangdoctor::SymbolTableCache>();
   std::unordered_map<uint64_t, std::shared_ptr<hangdoctor::SessionLog>> live_;
   bool saw_bye_ = false;
   bool ok_ = true;

@@ -106,7 +106,8 @@ struct Connection {
   std::atomic<uint64_t> closed_count{0};
   std::atomic<bool> closed{false};  // fd gone: shard workers stop enqueueing replies
 
-  explicit Connection(size_t max_frame) : splitter(max_frame) {}
+  Connection(size_t max_frame, std::shared_ptr<hd::SymbolTableCache> symbol_tables)
+      : splitter(max_frame), decoder(std::move(symbol_tables)) {}
 };
 
 struct WorkerState {
@@ -132,6 +133,9 @@ struct WorkerState {
 struct NetServer::Impl {
   ServerOptions opt;
   NetServer* self = nullptr;
+  // One pool for every connection's decoder: byte-identical symbol tables are parsed once
+  // and shared by all live sessions that carry them, whichever connection sent them.
+  std::shared_ptr<hd::SymbolTableCache> symbol_tables = std::make_shared<hd::SymbolTableCache>();
 
   std::vector<std::unique_ptr<WorkerState>> workers;
   // Per service shard: records routed (Ingestor push) but not yet applied. A record is only
@@ -388,6 +392,8 @@ struct NetServer::Impl {
     DecodedFrame& dec = conn->frame;
     switch (dec.kind) {
       case DecodedFrame::Kind::kOpen: {
+        (dec.shared_symbols ? self->stats_.symbol_tables_shared : self->stats_.symbol_tables_parsed)
+            .fetch_add(1, std::memory_order_relaxed);
         int64_t est = static_cast<int64_t>(dec.open_bytes) + opt.session_overhead_bytes;
         int64_t live_now = self->live_session_bytes_.load(std::memory_order_relaxed);
         if (live_now + est > opt.session_budget_bytes) {
@@ -612,7 +618,7 @@ struct NetServer::Impl {
     SetNonBlocking(fd);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));  // no-op for socketpairs
-    auto conn = std::make_shared<Connection>(opt.max_frame_bytes);
+    auto conn = std::make_shared<Connection>(opt.max_frame_bytes, symbol_tables);
     conn->fd = fd;
     conn->worker = wk.index;
     wk.conns[fd] = conn;
@@ -931,26 +937,40 @@ struct NetServer::Impl {
 
   // ---- acceptor ----
 
+  // An accept refused for want of fds or kernel memory leaves the connection in the backlog,
+  // so the listener polls readable again at once; retrying straight away would spin a core
+  // until something frees up. The acceptor instead sleeps, doubling from the first bound to
+  // the second, and still wakes on accept_stop_fd meanwhile.
+  static constexpr int kAcceptBackoffMinMs = 1;
+  static constexpr int kAcceptBackoffMaxMs = 100;
+
   void AcceptorLoop() {
     pollfd fds[2];
     fds[0] = {listen_fd, POLLIN, 0};
     fds[1] = {accept_stop_fd, POLLIN, 0};
+    int backoff_ms = 0;
     while (true) {
-      int rc = poll(fds, 2, -1);
+      int rc = backoff_ms > 0 ? poll(&fds[1], 1, backoff_ms) : poll(fds, 2, -1);
       if (rc < 0 && errno == EINTR) {
         continue;
       }
       if ((fds[1].revents & POLLIN) != 0) {
         return;
       }
-      if ((fds[0].revents & POLLIN) == 0) {
+      if (backoff_ms == 0 && (fds[0].revents & POLLIN) == 0) {
         continue;
       }
       while (true) {
         int fd = accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
         if (fd < 0) {
+          bool exhausted = errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
+                           errno == ENOMEM;
+          backoff_ms = !exhausted ? 0
+                       : backoff_ms == 0 ? kAcceptBackoffMinMs
+                                         : std::min(backoff_ms * 2, kAcceptBackoffMaxMs);
           break;
         }
+        backoff_ms = 0;
         if (draining.load() ||
             self->live_connections_.load() >= opt.max_connections) {
           self->stats_.connections_rejected.fetch_add(1, std::memory_order_relaxed);

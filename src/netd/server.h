@@ -116,6 +116,10 @@ struct ServerStats {
   std::atomic<int64_t> stale_epochs{0};
   std::atomic<int64_t> sessions_migrated{0};  // handoff-discarded (replayed elsewhere)
   std::atomic<int64_t> watchdog_trips{0};
+  // Session opens whose symbol table was parsed, and those that shared the live table of an
+  // earlier session with byte-identical symbol-table bytes instead (any connection).
+  std::atomic<int64_t> symbol_tables_parsed{0};
+  std::atomic<int64_t> symbol_tables_shared{0};
 };
 
 class NetServer {

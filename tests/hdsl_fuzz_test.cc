@@ -194,6 +194,108 @@ TEST(HdslFuzzTest, TruncationAtEveryRecordBoundaryIsRejected) {
   }
 }
 
+// Differential: the cached open-prefix parse (the daemon's path, src/hosts/session_log.h
+// SymbolTableCache) against the uncached reference parse. The cache is pre-warmed with every
+// clean corpus prefix, the adversarial case: a mutant that still carries a clean symbol-table
+// section must hit it, and every other mutant must parse exactly as the reference does.
+// Mutants come from the bare prefixes and from each prefix followed by its first record
+// (trailing bytes the open grammar must reject). Either way both parses must agree on the
+// verdict and the error string and, on success, on every frame of the table.
+TEST(HdslFuzzTest, CachedPrefixParseMatchesTheUncachedParseOnEveryMutant) {
+  struct Base {
+    std::string prefix;       // header + symbol table
+    std::string with_record;  // ... + the first record
+    size_t header_end = 0;
+  };
+  std::vector<Base> bases;
+  hangdoctor::SymbolTableCache cache;
+  std::vector<hangdoctor::SessionLog> warm;
+  for (const std::string& path : CorpusFiles()) {
+    std::string bytes = FileBytes(path);
+    hangdoctor::SessionLogLayout layout;
+    std::string error;
+    ASSERT_TRUE(hangdoctor::ScanSessionLog(bytes, &layout, &error)) << path << ": " << error;
+    ASSERT_GE(layout.record_offsets.size(), 2u) << path;
+    bases.push_back({bytes.substr(0, layout.header_end),
+                     bytes.substr(0, layout.record_offsets[1]), layout.header_end});
+    warm.emplace_back();
+    ASSERT_TRUE(hangdoctor::ParseSessionLogPrefix(bases.back().prefix, cache, &warm.back(),
+                                                  &error))
+        << path << ": " << error;
+  }
+  ASSERT_FALSE(bases.empty());
+
+  auto expect_same_table = [](const telemetry::SymbolTable& got,
+                              const telemetry::SymbolTable& want, const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    EXPECT_EQ(got.content_hash(), want.content_hash()) << label;
+    for (telemetry::FrameId id = 0; id < want.size(); ++id) {
+      const telemetry::StackFrame& a = got.Frame(id);
+      const telemetry::StackFrame& b = want.Frame(id);
+      EXPECT_TRUE(a == b && a.in_closed_library == b.in_closed_library)
+          << label << " frame " << id;
+      EXPECT_EQ(got.IsUi(id), want.IsUi(id)) << label << " frame " << id;
+      EXPECT_EQ(got.IsSelfDeveloped(id), want.IsSelfDeveloped(id)) << label << " frame " << id;
+    }
+  };
+
+  const int64_t iters = FuzzIters();
+  simkit::Rng rng(FuzzSeed(), /*stream=*/0x73796d63ULL);
+  int64_t hits = 0;
+  int64_t parsed = 0;
+  int64_t rejected = 0;
+  for (int64_t i = 0; i < iters; ++i) {
+    const Base& base =
+        bases[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bases.size()) - 1))];
+    faultsim::HdslMutation applied;
+    std::string mutant;
+    if (i % 2 == 0) {
+      mutant = faultsim::MutateSessionLog(base.prefix, base.prefix.size(), {}, rng, &applied);
+    } else {
+      const size_t first_record[] = {base.header_end};
+      mutant = faultsim::MutateSessionLog(base.with_record, base.header_end, first_record, rng,
+                                          &applied);
+    }
+    const std::string label =
+        "iter " + std::to_string(i) + " family " + faultsim::HdslMutationName(applied);
+
+    hangdoctor::SessionLog cached;
+    hangdoctor::SessionLog reference;
+    std::string cached_error;
+    std::string reference_error;
+    bool shared = false;
+    const bool cached_ok =
+        hangdoctor::ParseSessionLogPrefix(mutant, cache, &cached, &cached_error, &shared);
+    const bool reference_ok =
+        hangdoctor::ParseSessionLogPrefix(mutant, &reference, &reference_error);
+    ASSERT_EQ(cached_ok, reference_ok) << label << ": " << cached_error << " | "
+                                       << reference_error;
+    EXPECT_EQ(cached_error, reference_error) << label;
+    if (!reference_ok) {
+      ++rejected;
+      EXPECT_FALSE(shared) << label;
+      continue;
+    }
+    ++parsed;
+    hits += shared ? 1 : 0;
+    EXPECT_EQ(cached.info.symbols, cached.symbols.get()) << label;
+    EXPECT_EQ(cached.info.app_package, reference.info.app_package) << label;
+    expect_same_table(*cached.symbols, *reference.symbols, label);
+  }
+  EXPECT_EQ(parsed + rejected, iters);
+  // Both sides of the lookup must be exercised: mutants that keep a clean table (hits) and
+  // mutants that parse to a different table or not at all (misses).
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(parsed, hits);
+  EXPECT_GT(rejected, 0);
+  for (size_t j = 0; j < bases.size(); ++j) {
+    hangdoctor::SessionLog reference;
+    std::string error;
+    ASSERT_TRUE(hangdoctor::ParseSessionLogPrefix(bases[j].prefix, &reference, &error));
+    expect_same_table(*warm[j].symbols, *reference.symbols, "warm table " + std::to_string(j));
+  }
+}
+
 std::string MuxCorpusPath() { return std::string(HD_CORPUS_DIR) + "/fleet_kb.hdsl3"; }
 
 TEST(HdslMuxCorpusTest, MuxEntryDemuxesToTheSessionCorpusAndReplaysWithAndWithoutKb) {

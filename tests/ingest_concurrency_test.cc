@@ -19,11 +19,13 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "src/hangdoctor/session_stream.h"
 #include "src/hosts/hang_doctor.h"
 #include "src/hosts/mux_log.h"
+#include "src/hosts/session_log.h"
 #include "src/netd/client.h"
 #include "src/netd/record_codec.h"
 #include "src/netd/server.h"
@@ -940,6 +943,296 @@ TEST(IngestHooksTest, WorkerWedgedByBeforeApplyShowsFrozenProgress) {
   std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].aborted);
+}
+
+// ---------------------------------------------------------------------------
+// SymbolTableCache: byte-identical symbol-table sections share one immutable table; any
+// other bytes get their own; tables live exactly as long as a SessionLog holds them.
+
+// One frame of a synthetic table, with the two host classification bits.
+struct TableFrame {
+  telemetry::StackFrame frame;
+  bool is_ui = false;
+  bool is_self = false;
+};
+
+std::vector<TableFrame> SyntheticTable(size_t frames) {
+  std::vector<TableFrame> table;
+  for (size_t i = 0; i < frames; ++i) {
+    TableFrame entry;
+    entry.frame = {"method" + std::to_string(i), "com.example.Class" + std::to_string(i % 7),
+                   "Class" + std::to_string(i % 7) + ".java", static_cast<int32_t>(10 + i),
+                   i % 11 == 0};
+    entry.is_ui = i % 5 == 0;
+    entry.is_self = i % 3 == 0;
+    table.push_back(entry);
+  }
+  return table;
+}
+
+// The open prefix (header + symbol table, no records) the writer emits for `table`.
+std::string PrefixBytes(const std::vector<TableFrame>& table,
+                        const std::string& app_package = "com.example.cache") {
+  telemetry::SymbolTable symbols;
+  for (const TableFrame& entry : table) {
+    symbols.Intern(entry.frame, entry.is_ui, entry.is_self);
+  }
+  hangdoctor::SessionInfo info;
+  info.app_package = app_package;
+  info.num_actions = 3;
+  info.symbols = &symbols;
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("hd_symbol_cache_" + std::to_string(getpid()) + ".hdsl");
+  {
+    hangdoctor::SessionLogWriter writer(path.string(), hangdoctor::HangDoctorConfig{});
+    writer.OnSessionStart(info);
+    writer.Finish();
+    EXPECT_TRUE(writer.ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  EXPECT_FALSE(bytes.empty());
+  bytes.pop_back();  // the end marker: what remains is exactly the open prefix
+  return bytes;
+}
+
+// [symtab_begin, end) of an open prefix.
+std::string_view SectionOf(const std::string& prefix) {
+  hangdoctor::SessionLogLayout layout;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::ScanSessionLog(
+      prefix + static_cast<char>(hangdoctor::SessionRecordTag::kEnd), &layout, &error))
+      << error;
+  return std::string_view(prefix).substr(layout.symtab_begin);
+}
+
+void ExpectSameTableContent(const telemetry::SymbolTable& got,
+                            const telemetry::SymbolTable& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  EXPECT_EQ(got.content_hash(), want.content_hash()) << label;
+  for (telemetry::FrameId id = 0; id < want.size(); ++id) {
+    EXPECT_EQ(got.Frame(id), want.Frame(id)) << label << " frame " << id;
+    EXPECT_EQ(got.Frame(id).in_closed_library, want.Frame(id).in_closed_library) << label;
+    EXPECT_EQ(got.IsUi(id), want.IsUi(id)) << label << " frame " << id;
+    EXPECT_EQ(got.IsSelfDeveloped(id), want.IsSelfDeveloped(id)) << label << " frame " << id;
+  }
+}
+
+// Parses through `cache`, asserting success; reports whether the table was shared.
+std::shared_ptr<hangdoctor::SessionLog> CachedParse(hangdoctor::SymbolTableCache& cache,
+                                                    const std::string& prefix,
+                                                    bool* shared = nullptr) {
+  auto log = std::make_shared<hangdoctor::SessionLog>();
+  std::string error;
+  EXPECT_TRUE(hangdoctor::ParseSessionLogPrefix(prefix, cache, log.get(), &error, shared))
+      << error;
+  EXPECT_EQ(log->info.symbols, log->symbols.get());
+  return log;
+}
+
+hangdoctor::SessionLog UncachedParse(const std::string& prefix) {
+  hangdoctor::SessionLog log;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::ParseSessionLogPrefix(prefix, &log, &error)) << error;
+  return log;
+}
+
+TEST(SymbolTableCacheTest, EqualSectionsShareOneTable) {
+  const std::vector<TableFrame> table = SyntheticTable(200);
+  const std::string prefix = PrefixBytes(table);
+  hangdoctor::SymbolTableCache cache;
+  bool shared = true;
+  auto first = CachedParse(cache, prefix, &shared);
+  EXPECT_FALSE(shared) << "an empty cache must parse";
+  auto second = CachedParse(cache, prefix, &shared);
+  EXPECT_TRUE(shared);
+  EXPECT_EQ(first->symbols.get(), second->symbols.get());
+  // The key is the symbol-table section, not the whole prefix: another device of the same
+  // app build (different header bytes, same table bytes) shares it too.
+  auto other_header = CachedParse(cache, PrefixBytes(table, "com.example.other"), &shared);
+  EXPECT_TRUE(shared);
+  EXPECT_EQ(other_header->symbols.get(), first->symbols.get());
+  EXPECT_EQ(other_header->info.app_package, "com.example.other");
+  EXPECT_EQ(cache.size(), 1u);
+  ExpectSameTableContent(*first->symbols, *UncachedParse(prefix).symbols, "shared");
+}
+
+TEST(SymbolTableCacheTest, OneByteDifferenceGetsItsOwnTable) {
+  const std::vector<TableFrame> table = SyntheticTable(200);
+  const std::string prefix = PrefixBytes(table);
+  hangdoctor::SymbolTableCache cache;
+  auto warm = CachedParse(cache, prefix);
+
+  struct Variant {
+    const char* name;
+    std::vector<TableFrame> table;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"line", table});
+  variants.back().table[42].frame.line += 1;
+  variants.push_back({"ui bit", table});
+  variants.back().table[42].is_ui = !variants.back().table[42].is_ui;
+  variants.push_back({"self-developed bit", table});
+  variants.back().table[42].is_self = !variants.back().table[42].is_self;
+
+  std::set<uint64_t> hashes{warm->symbols->content_hash()};
+  for (const Variant& variant : variants) {
+    const std::string bytes = PrefixBytes(variant.table);
+    ASSERT_EQ(bytes.size(), prefix.size()) << variant.name;
+    size_t differing = 0;
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      differing += bytes[i] != prefix[i] ? 1 : 0;
+    }
+    EXPECT_EQ(differing, 1u) << variant.name;
+    bool shared = true;
+    auto log = CachedParse(cache, bytes, &shared);
+    EXPECT_FALSE(shared) << variant.name;
+    EXPECT_NE(log->symbols.get(), warm->symbols.get()) << variant.name;
+    EXPECT_TRUE(hashes.insert(log->symbols->content_hash()).second)
+        << variant.name << ": content_hash must tell the tables apart";
+    ExpectSameTableContent(*log->symbols, *UncachedParse(bytes).symbols, variant.name);
+    EXPECT_EQ(CachedParse(cache, bytes, &shared)->symbols.get(), log->symbols.get());
+    EXPECT_TRUE(shared) << variant.name;
+  }
+  // The clean table is untouched by its neighbours.
+  ExpectSameTableContent(*warm->symbols, *UncachedParse(prefix).symbols, "clean");
+}
+
+TEST(SymbolTableCacheTest, EntryExpiresWithItsLastSessionLog) {
+  const std::string prefix = PrefixBytes(SyntheticTable(64));
+  const std::string_view section = SectionOf(prefix);
+  hangdoctor::SymbolTableCache cache;
+  auto first = CachedParse(cache, prefix);
+  auto second = CachedParse(cache, prefix);
+  std::weak_ptr<const telemetry::SymbolTable> table = first->symbols;
+  first.reset();
+  EXPECT_EQ(cache.Find(section).get(), second->symbols.get()) << "one holder keeps it";
+  second.reset();
+  EXPECT_TRUE(table.expired()) << "the cache must not keep a table alive";
+  EXPECT_EQ(cache.Find(section), nullptr);
+  EXPECT_EQ(cache.size(), 1u) << "expired entries wait for the next insert";
+
+  // A fresh parse of the same bytes parses again, and the insert prunes the dead entry.
+  bool shared = true;
+  auto again = CachedParse(cache, prefix, &shared);
+  EXPECT_FALSE(shared);
+  EXPECT_EQ(cache.size(), 1u);
+  again.reset();
+  auto other = CachedParse(cache, PrefixBytes(SyntheticTable(65)), &shared);
+  EXPECT_FALSE(shared);
+  EXPECT_EQ(cache.size(), 1u) << "inserting another table prunes the expired one";
+  EXPECT_EQ(cache.Find(section), nullptr);
+}
+
+TEST(SymbolTableCacheTest, FailedOrTrailingBytePrefixIsNeverInserted) {
+  const std::string prefix = PrefixBytes(SyntheticTable(64));
+  const size_t symtab_begin = prefix.size() - SectionOf(prefix).size();
+  std::vector<std::pair<std::string, std::string>> bad = {
+      {"trailing byte", prefix + "x"},
+      {"truncated table", prefix.substr(0, prefix.size() - 3)},
+      {"truncated header", prefix.substr(0, symtab_begin - 1)},
+      {"frame count one high", prefix},
+      {"frame count one low", prefix},
+  };
+  // The 64-frame count is the section's first byte, a one-byte varint.
+  ASSERT_EQ(static_cast<uint8_t>(prefix[symtab_begin]), 64u);
+  bad[3].second[symtab_begin] = 65;
+  bad[4].second[symtab_begin] = 63;
+  for (const bool warmed : {false, true}) {
+    hangdoctor::SymbolTableCache cache;
+    std::shared_ptr<hangdoctor::SessionLog> holder;
+    if (warmed) {
+      holder = CachedParse(cache, prefix);
+    }
+    for (const auto& [name, bytes] : bad) {
+      std::string label = std::string(name) + (warmed ? " (warm cache)" : " (cold cache)");
+      hangdoctor::SessionLog cached;
+      hangdoctor::SessionLog reference;
+      std::string cached_error;
+      std::string reference_error;
+      bool shared = true;
+      EXPECT_FALSE(
+          hangdoctor::ParseSessionLogPrefix(bytes, cache, &cached, &cached_error, &shared))
+          << label;
+      EXPECT_FALSE(shared) << label;
+      EXPECT_FALSE(hangdoctor::ParseSessionLogPrefix(bytes, &reference, &reference_error))
+          << label;
+      EXPECT_EQ(cached_error, reference_error) << label;
+      EXPECT_FALSE(cached_error.empty()) << label;
+    }
+    EXPECT_EQ(cache.size(), warmed ? 1u : 0u);
+  }
+}
+
+// Four threads parse a clean prefix and its one-byte neighbours through one cache. Phase
+// one holds a table per prefix, so every parse must share it; phase two holds nothing, so
+// tables expire and are re-published concurrently. Every table must match the uncached
+// reference either way (and the TSan leg checks the pool's locking).
+TEST(SymbolTableCacheTest, ConcurrentParsesStayRaceFree) {
+  const std::vector<TableFrame> table = SyntheticTable(300);
+  std::vector<std::string> prefixes{PrefixBytes(table)};
+  for (size_t k : {7u, 123u, 299u}) {
+    std::vector<TableFrame> variant = table;
+    variant[k].is_ui = !variant[k].is_ui;
+    prefixes.push_back(PrefixBytes(variant));
+  }
+  std::vector<uint64_t> want_hash;
+  for (const std::string& prefix : prefixes) {
+    want_hash.push_back(UncachedParse(prefix).symbols->content_hash());
+  }
+  std::set<uint64_t> distinct(want_hash.begin(), want_hash.end());
+  ASSERT_EQ(distinct.size(), prefixes.size());
+
+  hangdoctor::SymbolTableCache cache;
+  std::vector<std::shared_ptr<hangdoctor::SessionLog>> held;
+  for (const std::string& prefix : prefixes) {
+    held.push_back(CachedParse(cache, prefix));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kIters = 300;
+  std::atomic<int64_t> mismatches{0};
+  std::atomic<int64_t> unshared_while_held{0};
+  auto run = [&](bool holding) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<std::shared_ptr<hangdoctor::SessionLog>> mine;
+        for (int i = 0; i < kIters; ++i) {
+          const size_t which = static_cast<size_t>(t + i * 3) % prefixes.size();
+          auto log = std::make_shared<hangdoctor::SessionLog>();
+          std::string error;
+          bool shared = false;
+          if (!hangdoctor::ParseSessionLogPrefix(prefixes[which], cache, log.get(), &error,
+                                                 &shared) ||
+              log->symbols->content_hash() != want_hash[which] ||
+              log->symbols->size() != table.size()) {
+            mismatches.fetch_add(1);
+          }
+          if (holding && (!shared || log->symbols != held[which]->symbols)) {
+            unshared_while_held.fetch_add(1);
+          }
+          if (i % 4 == 0) {
+            mine.push_back(std::move(log));  // keep some alive, drop the rest at once
+          }
+          if (mine.size() > 8) {
+            mine.erase(mine.begin());
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  };
+  run(true);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(unshared_while_held.load(), 0);
+  held.clear();
+  run(false);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_LE(cache.size(), prefixes.size());
 }
 
 }  // namespace

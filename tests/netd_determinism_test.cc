@@ -5,15 +5,21 @@
 // service_test enforces in-process, extended across real sockets, framing, epoll workers,
 // rings, and appliers. With chaos on, the plan-chosen disconnected connections abort their
 // in-flight sessions while every session on a calm connection still matches the oracle
-// exactly: a torn neighbor never perturbs anyone else's report.
+// exactly: a torn neighbor never perturbs anyone else's report. Sessions whose symbol tables
+// are byte-identical share one parsed table across connections, and a neighbour whose table
+// differs by one bit still gets its own.
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -21,8 +27,14 @@
 #include <gtest/gtest.h>
 
 #include "src/hangdoctor/detector_service.h"
+#include "src/hosts/mux_log.h"
+#include "src/hosts/replay_host.h"
+#include "src/hosts/session_log.h"
+#include "src/netd/client.h"
 #include "src/netd/loadgen.h"
+#include "src/netd/record_codec.h"
 #include "src/netd/server.h"
+#include "src/netd/wire.h"
 #include "src/workload/catalog.h"
 #include "src/workload/fleet.h"
 
@@ -187,6 +199,184 @@ TEST(NetdDeterminismTest, ChaosDisconnectsAbortWithoutPerturbingNeighbors) {
     EXPECT_EQ(server.live_session_bytes(), 0) << label;
     EXPECT_EQ(server.stats().sessions_aborted.load(), static_cast<int64_t>(aborted)) << label;
   }
+}
+
+// The daemon parses each distinct symbol table once and shares it across connections
+// (hangdoctor::SymbolTableCache). Sharing must never leak between clients whose tables
+// differ: here two connections stream sessions with identical tables, and a neighbour's
+// table differs from theirs only in the UI bit of one diagnosed culprit frame — enough to
+// flip that frame's diagnosis between a blocking bug and a UI operation. Every session's
+// report must stay bit-identical to an uncached replay of its own bytes.
+
+// The session's Hang Bug Report and verdict sequence, replayed offline from its own bytes
+// through the uncached parse.
+struct ReplayOracle {
+  std::string report;
+  std::vector<hangdoctor::Verdict> verdicts;
+};
+
+ReplayOracle Replay(const std::string& bytes) {
+  hangdoctor::SessionLog log;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::LoadSessionLogBytes(bytes, &log, &error)) << error;
+  hangdoctor::ReplaySession replay(std::move(log));
+  replay.Run();
+  ReplayOracle oracle{replay.core().local_report().Render(4), {}};
+  for (const hangdoctor::ExecutionRecord& record : replay.core().log()) {
+    oracle.verdicts.push_back(record.verdict);
+  }
+  return oracle;
+}
+
+// `bytes` with the UI bit of `frame` flipped in its symbol table; every other byte is the
+// recorded one.
+std::string FlipUiBit(const std::string& bytes, telemetry::FrameId frame) {
+  hangdoctor::SessionLog log;
+  hangdoctor::SessionLogLayout layout;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::LoadSessionLogBytes(bytes, &log, &error)) << error;
+  EXPECT_TRUE(hangdoctor::ScanSessionLog(bytes, &layout, &error)) << error;
+  telemetry::SymbolTable flipped;
+  for (telemetry::FrameId id = 0; id < log.symbols->size(); ++id) {
+    bool is_ui = log.symbols->IsUi(id);
+    flipped.Intern(log.symbols->Frame(id), id == frame ? !is_ui : is_ui,
+                   log.symbols->IsSelfDeveloped(id));
+  }
+  hangdoctor::SessionInfo info = log.info;
+  info.symbols = &flipped;
+  const std::string path = TempDir() + "/flipped_prefix.hdsl";
+  {
+    hangdoctor::SessionLogWriter writer(path, log.config);
+    writer.OnSessionStart(info);
+    writer.Finish();
+    EXPECT_TRUE(writer.ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string prefix((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  prefix.pop_back();  // the end marker
+  EXPECT_EQ(prefix.size(), layout.header_end);
+  return prefix + bytes.substr(layout.header_end);
+}
+
+// Wire frames of a container holding `sessions`.
+std::vector<std::string> SessionFrames(const std::vector<hangdoctor::SessionLogSlice>& sessions) {
+  std::string container;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::MuxSessionLogs(sessions, {}, &container, &error)) << error;
+  std::vector<std::string> frames;
+  EXPECT_TRUE(netd::ContainerToWireFrames(container, &frames, &error)) << error;
+  return frames;
+}
+
+TEST(NetdDeterminismTest, SharedSymbolTablesNeverLeakAcrossClients) {
+  // Find a recorded session and a frame whose UI bit decides one of its diagnoses.
+  const RecordedFleet& fleet = Fleet();
+  std::string base;
+  std::string neighbour;
+  for (size_t i = 0; i < fleet.logs.size() && neighbour.empty(); ++i) {
+    hangdoctor::SessionLog log;
+    std::string error;
+    ASSERT_TRUE(hangdoctor::LoadSessionLogBytes(fleet.logs[i], &log, &error)) << error;
+    const telemetry::SymbolTable& symbols = *log.symbols;
+    hangdoctor::ReplaySession replay(std::move(log));
+    replay.Run();
+    for (const hangdoctor::ExecutionRecord& record : replay.core().log()) {
+      if (record.verdict != hangdoctor::Verdict::kDiagnosedBug) {
+        continue;
+      }
+      for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
+        if (symbols.Frame(id) == record.diagnosis.culprit) {
+          std::string flipped = FlipUiBit(fleet.logs[i], id);
+          if (Replay(flipped).report != Replay(fleet.logs[i]).report) {
+            base = fleet.logs[i];
+            neighbour = std::move(flipped);
+          }
+          break;
+        }
+      }
+      if (!neighbour.empty()) {
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(neighbour.empty()) << "no recorded diagnosis turns on one frame's UI bit";
+  size_t differing = 0;
+  for (size_t b = 0; b < base.size(); ++b) {
+    differing += base[b] != neighbour[b] ? 1 : 0;
+  }
+  ASSERT_EQ(differing, 1u);
+
+  // Connection A carries sessions 1 (base) and 2 (the neighbour); connection B carries
+  // session 3 (base again). Each connection first sends everything before its first close,
+  // so every session is open at once, and A's opens are decoded before B's: the base table
+  // is parsed once (by A) and shared by B, the neighbour's is parsed on its own.
+  const std::map<uint64_t, const std::string*> bytes_of{
+      {1, &base}, {2, &neighbour}, {3, &base}};
+  const std::vector<std::vector<std::string>> frames{
+      SessionFrames({{telemetry::SessionId{1}, base}, {telemetry::SessionId{2}, neighbour}}),
+      SessionFrames({{telemetry::SessionId{3}, base}})};
+  netd::ServerOptions options;
+  options.listen = false;
+  options.workers = 2;  // round-robin adoption: A and B land on different epoll workers
+  options.rings = 2;
+  options.service.shards = 4;
+  netd::NetServer server(options);
+  std::vector<netd::NetClient> clients(2);
+  std::vector<size_t> sent(2, 0);
+  int64_t opens = 0;
+  for (size_t c = 0; c < clients.size(); ++c) {
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    server.AdoptConnection(sv[0]);
+    clients[c].Adopt(sv[1]);
+    ASSERT_TRUE(clients[c].SendHello(netd::kWireVersionMax));
+    for (; sent[c] < frames[c].size(); ++sent[c]) {
+      auto tag = static_cast<hangdoctor::MuxFrameTag>(frames[c][sent[c]][0]);
+      if (tag == hangdoctor::MuxFrameTag::kCloseSession || tag == hangdoctor::MuxFrameTag::kEnd) {
+        break;
+      }
+      opens += tag == hangdoctor::MuxFrameTag::kOpenSession ? 1 : 0;
+      ASSERT_TRUE(clients[c].SendFrame(frames[c][sent[c]])) << clients[c].error();
+    }
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server.stats().symbol_tables_parsed.load() +
+                   server.stats().symbol_tables_shared.load() <
+               opens &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ASSERT_EQ(opens, 3) << "every open must precede the first close";
+  for (size_t c = 0; c < clients.size(); ++c) {
+    for (; sent[c] < frames[c].size(); ++sent[c]) {
+      ASSERT_TRUE(clients[c].SendFrame(frames[c][sent[c]])) << clients[c].error();
+    }
+  }
+  for (netd::NetClient& client : clients) {
+    netd::Reply reply;
+    while (client.ReadReply(&reply)) {
+    }
+  }
+  server.Stop();
+
+  EXPECT_EQ(server.stats().symbol_tables_parsed.load(), 2);
+  EXPECT_EQ(server.stats().symbol_tables_shared.load(), 1);
+  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
+  ASSERT_EQ(outcomes.size(), 3u);
+  for (const netd::NetSessionOutcome& outcome : outcomes) {
+    const std::string label = "session " + std::to_string(outcome.id.value);
+    ASSERT_FALSE(outcome.aborted) << label << ": " << outcome.stream_error;
+    EXPECT_TRUE(outcome.result.stream_ok) << label << ": " << outcome.result.stream_error;
+    ReplayOracle oracle = Replay(*bytes_of.at(outcome.id.value));
+    EXPECT_EQ(outcome.result.report.Render(4), oracle.report) << label;
+    std::vector<hangdoctor::Verdict> verdicts;
+    for (const hangdoctor::ExecutionRecord& record : outcome.result.log) {
+      verdicts.push_back(record.verdict);
+    }
+    EXPECT_EQ(verdicts, oracle.verdicts) << label;
+  }
+  EXPECT_EQ(server.live_sessions(), 0u);
+  EXPECT_EQ(server.live_session_bytes(), 0);
 }
 
 }  // namespace

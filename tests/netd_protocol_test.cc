@@ -4,10 +4,17 @@
 // network. Each case is a protocol clause: version negotiation (v3 + v4 accepted, others
 // rejected), frame round-trip byte-identity, 1-byte drip and fully-coalesced reads,
 // oversized-length and truncated-frame rejection with a sticky per-connection error,
-// structured BUSY admission replies, and graceful-drain report flush.
+// structured BUSY admission replies, and graceful-drain report flush. One case forks a
+// listening daemon out of file descriptors: its acceptor must back off, not spin.
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -497,6 +504,169 @@ TEST(NetdProtocolTest, DrainAppliesWhatAConnectedPeerAlreadySent) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].aborted);
   EXPECT_EQ(server.live_session_bytes(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Acceptor under fd exhaustion. accept4 failing with EMFILE leaves the connection queued, so
+// the listener polls readable again at once; an acceptor that simply retried would spin a
+// core for as long as the process is out of fds. The daemon runs in a forked child (the
+// lowered RLIMIT_NOFILE and the exhausted fd table stay out of the test process) and reports
+// what it measured over a pipe.
+
+constexpr int64_t kQueuedClients = 4;
+
+struct AcceptorProbe {
+  int32_t setup_failed = 0;
+  double cpu_ms = 0;   // daemon process CPU over the exhausted window
+  double wall_ms = 0;  // length of that window
+  int64_t accepted_while_exhausted = 0;
+  int64_t accepted_after = 0;  // once the fds were freed again
+};
+
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+bool ReadFull(int fd, void* data, size_t size) {
+  auto* out = static_cast<char*>(data);
+  while (size > 0) {
+    ssize_t n = read(fd, out, size);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    out += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool WriteFull(int fd, const void* data, size_t size) {
+  const auto* in = static_cast<const char*>(data);
+  while (size > 0) {
+    ssize_t n = write(fd, in, size);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    in += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// The forked daemon: listens, uses up every fd its lowered limit allows, sends its port,
+// then waits for the test's go (clients queued) and measures.
+[[noreturn]] void RunExhaustedDaemon(int commands, int reports) {
+  AcceptorProbe probe;
+  rlimit limit{};
+  if (getrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    probe.setup_failed = 1;
+  }
+  limit.rlim_cur = std::min<rlim_t>(limit.rlim_cur, 256);  // keeps the fill loop short
+  if (probe.setup_failed != 0 || setrlimit(RLIMIT_NOFILE, &limit) != 0) {
+    probe.setup_failed = 1;
+    uint16_t no_port = 0;
+    WriteFull(reports, &no_port, sizeof(no_port));
+    WriteFull(reports, &probe, sizeof(probe));
+    _exit(1);
+  }
+  {
+    netd::ServerOptions options;
+    options.workers = 1;
+    options.rings = 1;
+    options.service.shards = 1;
+    netd::NetServer server(options);
+    std::vector<int> filler;
+    for (int fd = dup(reports); fd >= 0; fd = dup(reports)) {
+      filler.push_back(fd);
+    }
+    const uint16_t port = server.port();
+    char go = 0;
+    if (errno != EMFILE || !WriteFull(reports, &port, sizeof(port)) ||
+        !ReadFull(commands, &go, 1)) {
+      probe.setup_failed = 2;
+    }
+    const double cpu0 = ProcessCpuMs();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    probe.cpu_ms = ProcessCpuMs() - cpu0;
+    probe.wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    probe.accepted_while_exhausted = server.stats().connections_accepted.load();
+    for (int fd : filler) {
+      close(fd);
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().connections_accepted.load() < kQueuedClients &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    probe.accepted_after = server.stats().connections_accepted.load();
+    WriteFull(reports, &probe, sizeof(probe));
+    server.Stop();
+  }
+  _exit(0);
+}
+
+TEST(NetdAcceptorTest, FdExhaustionBacksOffInsteadOfSpinningAndRecovers) {
+  int commands[2] = {-1, -1};
+  int reports[2] = {-1, -1};
+  ASSERT_EQ(pipe(commands), 0);
+  ASSERT_EQ(pipe(reports), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(commands[1]);
+    close(reports[0]);
+    RunExhaustedDaemon(commands[0], reports[1]);
+  }
+  close(commands[0]);
+  close(reports[1]);
+  // Whatever happens below, the child is not left behind: closing the command pipe unblocks
+  // a child still waiting for its go, and the kill covers a child that never reads it.
+  struct Reap {
+    pid_t pid;
+    int commands;
+    int reports;
+    int status = -1;
+    ~Reap() {
+      close(commands);
+      close(reports);
+      if (status == -1) {
+        kill(pid, SIGKILL);
+        waitpid(pid, nullptr, 0);
+      }
+    }
+  } reap{pid, commands[1], reports[0]};
+
+  uint16_t port = 0;
+  ASSERT_TRUE(ReadFull(reports[0], &port, sizeof(port)));
+  ASSERT_NE(port, 0) << "the daemon could not lower its fd limit";
+  std::vector<netd::NetClient> clients(kQueuedClients);
+  for (netd::NetClient& client : clients) {
+    ASSERT_TRUE(client.Connect(port)) << client.error();  // completes in the backlog
+  }
+  const char go = 'g';
+  ASSERT_TRUE(WriteFull(commands[1], &go, 1));
+  AcceptorProbe probe;
+  ASSERT_TRUE(ReadFull(reports[0], &probe, sizeof(probe)));
+  ASSERT_EQ(waitpid(pid, &reap.status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(reap.status) && WEXITSTATUS(reap.status) == 0);
+
+  ASSERT_EQ(probe.setup_failed, 0);
+  EXPECT_EQ(probe.accepted_while_exhausted, 0) << "the fd table was meant to be full";
+  EXPECT_LT(probe.cpu_ms, 0.1 * probe.wall_ms)
+      << "an acceptor out of fds must back off, not spin (" << probe.cpu_ms << " ms CPU in "
+      << probe.wall_ms << " ms)";
+  EXPECT_EQ(probe.accepted_after, kQueuedClients) << "queued clients must be accepted once "
+                                                     "fds free up";
 }
 
 }  // namespace
