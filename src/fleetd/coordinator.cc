@@ -104,9 +104,12 @@ bool Coordinator::RouteFrame(uint64_t session, const std::string& frame, std::st
 
   SessionState& state = sessions_[session];
   state.outcome.id = telemetry::SessionId{session};
-  state.tap.push_back(frame);
-  if (tag == hangdoctor::MuxFrameTag::kCloseSession) {
+  // Framed once: the same bytes are the tap's replay prefix and the owner link's batch.
+  const size_t framed_at = state.tap.size();
+  netd::AppendFrame(&state.tap, frame);
+  if (tag == hangdoctor::MuxFrameTag::kCloseSession && !state.close_routed) {
     state.close_routed = true;
+    closes_pending_ += state.done ? 0 : 1;
   }
 
   while (true) {
@@ -118,7 +121,8 @@ bool Coordinator::RouteFrame(uint64_t session, const std::string& frame, std::st
     Link& link = *links_[static_cast<size_t>(owner)];
     if (link.alive) {
       state.last_owner = owner;
-      if (link.client.SendFrame(frame)) {
+      link.out.append(state.tap, framed_at);
+      if (link.out.size() < kLinkBatchBytes || FlushLinkLocked(owner)) {
         return true;
       }
     }
@@ -130,14 +134,18 @@ bool Coordinator::RouteFrame(uint64_t session, const std::string& frame, std::st
       if (error) *error = "route: total outage — no live worker remains";
       return false;
     }
-    if (sessions_[session].done) {
+    if (state.done) {
       return true;  // replay landed it (or aborted it); either way it is final
     }
-    if (sessions_[session].last_owner >= 0 &&
-        !topology_.fenced(sessions_[session].last_owner)) {
+    if (state.last_owner >= 0 && !topology_.fenced(state.last_owner)) {
       return true;  // delivered via replay onto the failover target
     }
   }
+}
+
+void Coordinator::Flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  FlushAllLocked();
 }
 
 bool Coordinator::MigrateWorker(int32_t from, int32_t to, std::string* error) {
@@ -167,8 +175,11 @@ bool Coordinator::MigrateWorker(int32_t from, int32_t to, std::string* error) {
     return true;  // ranges moved; nothing live to hand off
   }
 
+  // The handoff goes out behind every frame still buffered for the old owner, in the same
+  // write, so the worker's discard lands after each record routed to it.
   Link& old_owner = *links_[static_cast<size_t>(from)];
-  if (!old_owner.client.SendFrame(netd::BuildHandoff(epoch, ids))) {
+  netd::AppendFrame(&old_owner.out, netd::BuildHandoff(epoch, ids));
+  if (!FlushLinkLocked(from)) {
     CascadeFenceLocked(from, "handoff send failed");
     return true;  // recovered by replay instead of drained
   }
@@ -191,21 +202,13 @@ bool Coordinator::MigrateWorker(int32_t from, int32_t to, std::string* error) {
   // Replay each retained prefix on the new owner and resume routing there.
   for (uint64_t id : ids) {
     SessionState& state = sessions_[id];
-    if (state.done) {
-      continue;  // its result landed before the ranges moved
+    if (!state.done) {  // else its result landed before the ranges moved
+      state.last_owner = to;
     }
-    state.last_owner = to;
   }
   stats_.migrated += static_cast<int64_t>(ids.size());
-  for (uint64_t id : ids) {
-    SessionState& state = sessions_[id];
-    if (state.done || state.last_owner != to) {
-      continue;
-    }
-    if (!ReplayTapLocked(to, state)) {
-      CascadeFenceLocked(to, "migration replay failed");
-      break;
-    }
+  if (!ReplayLocked(to, ids)) {
+    CascadeFenceLocked(to, "migration replay failed");
   }
   return true;
 }
@@ -244,15 +247,15 @@ void Coordinator::Pulse(int64_t now_ms) {
     ++stats_.failovers;
     FailoverLocked(decision.victim, decision.target, decision.reason);
   }
+  // Each heartbeat rides behind its link's buffered frames, in the same write.
+  const std::string heartbeat = netd::BuildHeartbeat(topology_.epoch());
   for (int32_t w = 0; w < topology_.workers(); ++w) {
     Link& link = *links_[static_cast<size_t>(w)];
-    if (topology_.fenced(w) || !link.alive || link.heartbeat_lost) {
-      continue;
-    }
-    if (!link.client.SendFrame(netd::BuildHeartbeat(topology_.epoch()))) {
-      CascadeFenceLocked(w, "heartbeat send failed");
+    if (!topology_.fenced(w) && link.alive && !link.heartbeat_lost) {
+      netd::AppendFrame(&link.out, heartbeat);
     }
   }
+  FlushAllLocked();
 }
 
 void Coordinator::SetHeartbeatLoss(int32_t worker, bool lost) {
@@ -265,15 +268,9 @@ void Coordinator::SetHeartbeatLoss(int32_t worker, bool lost) {
 
 bool Coordinator::WaitForResults(int64_t timeout_ms) {
   std::unique_lock<std::mutex> lock(mu_);
+  FlushAllLocked();
   auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  return cv_.wait_until(lock, deadline, [&] {
-    for (const auto& [id, state] : sessions_) {
-      if (state.close_routed && !state.done) {
-        return false;
-      }
-    }
-    return true;
-  });
+  return cv_.wait_until(lock, deadline, [&] { return closes_pending_ == 0; });
 }
 
 FleetReport Coordinator::Finish() {
@@ -284,32 +281,34 @@ FleetReport Coordinator::Finish() {
       return report;
     }
     finished_ = true;
+    report.outcomes.reserve(sessions_.size());
     for (auto& [id, state] : sessions_) {
       if (!state.done) {
         state.outcome.aborted = true;
         state.outcome.stream_error = "no result before Finish";
         FinishSessionLocked(id, &state);
       }
-      report.outcomes.push_back(state.outcome);
+      report.outcomes.push_back(std::move(state.outcome));
     }
-    std::vector<hangdoctor::SessionResult> clean;
+    std::vector<const hangdoctor::SessionResult*> clean;
     for (const netd::NetSessionOutcome& outcome : report.outcomes) {
       if (!outcome.aborted) {
-        clean.push_back(outcome.result);
+        clean.push_back(&outcome.result);
       }
     }
     report.merged = hangdoctor::MergeSessionReports(clean);
-    report.stats = stats_;
     for (int32_t w = 0; w < topology_.workers(); ++w) {
       Link& link = *links_[static_cast<size_t>(w)];
       if (link.alive && !topology_.fenced(w)) {
-        link.client.SendFrame(ByeFrame());
+        netd::AppendFrame(&link.out, ByeFrame());  // behind the last buffered frames
+        FlushLinkLocked(w);
       }
       if (link.client.connected()) {
         ::shutdown(link.client.fd(), SHUT_RDWR);  // wake the reader
       }
       link.alive = false;
     }
+    report.stats = stats_;
   }
   for (auto& link : links_) {
     if (link->reader.joinable()) {
@@ -349,20 +348,30 @@ void Coordinator::ReaderLoop(int32_t worker) {
   Link& link = *links_[static_cast<size_t>(worker)];
   netd::Reply reply;
   while (link.client.ReadReply(&reply)) {
+    // A result is decoded into its outcome before the lock is taken, so routing never
+    // waits on a decode.
+    netd::NetSessionOutcome decoded;
+    std::string error;
+    if (reply.tag == netd::ReplyTag::kSessionResult &&
+        !netd::DecodeSessionResult(reply.result, &decoded.result, &error)) {
+      decoded.aborted = true;
+      decoded.stream_error = "result decode failed: " + error;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     if (finished_) {
       return;
     }
-    OnReplyLocked(worker, reply);
+    OnReplyLocked(worker, reply, &decoded);
   }
   std::lock_guard<std::mutex> lock(mu_);
   link.alive = false;
   if (!finished_) {
-    LinkDownLocked(worker, "link closed");
+    CascadeFenceLocked(worker, "link closed");
   }
 }
 
-void Coordinator::OnReplyLocked(int32_t worker, const netd::Reply& reply) {
+void Coordinator::OnReplyLocked(int32_t worker, const netd::Reply& reply,
+                                netd::NetSessionOutcome* decoded) {
   Link& link = *links_[static_cast<size_t>(worker)];
   switch (reply.tag) {
     case netd::ReplyTag::kSessionResult: {
@@ -376,16 +385,9 @@ void Coordinator::OnReplyLocked(int32_t worker, const netd::Reply& reply) {
       if (topology_.fenced(worker) || topology_.OwnerOf(reply.session_id) != worker) {
         return;
       }
-      hangdoctor::SessionResult result;
-      std::string decode_error;
-      if (!netd::DecodeSessionResult(reply.result, &result, &decode_error)) {
-        it->second.outcome.aborted = true;
-        it->second.outcome.stream_error = "result decode failed: " + decode_error;
-      } else {
-        it->second.outcome.aborted = false;
-        it->second.outcome.result = std::move(result);
-        ++stats_.results;
-      }
+      decoded->id = it->second.outcome.id;
+      stats_.results += decoded->aborted ? 0 : 1;
+      it->second.outcome = std::move(*decoded);
       FinishSessionLocked(it->first, &it->second);
       return;
     }
@@ -414,7 +416,7 @@ void Coordinator::OnReplyLocked(int32_t worker, const netd::Reply& reply) {
       return;
     case netd::ReplyTag::kHandoffAck:
       link.handoff_ack_epoch = reply.epoch;
-      link.handoff_discarded = reply.discarded;
+      stats_.discarded += static_cast<int64_t>(reply.discarded);
       cv_.notify_all();
       return;
     case netd::ReplyTag::kSessionClosed:
@@ -425,10 +427,6 @@ void Coordinator::OnReplyLocked(int32_t worker, const netd::Reply& reply) {
       // Sticky protocol error: the worker closes next, and the reader's EOF path fences it.
       return;
   }
-}
-
-void Coordinator::LinkDownLocked(int32_t worker, const std::string& reason) {
-  CascadeFenceLocked(worker, reason);
 }
 
 void Coordinator::CascadeFenceLocked(int32_t worker, const std::string& reason) {
@@ -451,6 +449,7 @@ void Coordinator::FailoverLocked(int32_t victim, int32_t target, const std::stri
     ::shutdown(victim_link.client.fd(), SHUT_RDWR);
   }
   victim_link.alive = false;
+  victim_link.out.clear();  // every unwritten byte is in a tap; the replay below delivers it
   if (target < 0) {
     total_outage_ = true;
     AbortUnfinishedLocked("total outage: " + reason);
@@ -467,33 +466,61 @@ void Coordinator::FailoverLocked(int32_t victim, int32_t target, const std::stri
     }
   }
   stats_.recovered += static_cast<int64_t>(ids.size());
-  for (uint64_t id : ids) {
-    SessionState& state = sessions_[id];
-    if (state.done || state.last_owner != target) {
-      continue;
-    }
-    if (!ReplayTapLocked(target, state)) {
-      CascadeFenceLocked(target, "failover replay failed");
-      return;
-    }
+  if (!ReplayLocked(target, ids)) {
+    CascadeFenceLocked(target, "failover replay failed");
   }
 }
 
-bool Coordinator::ReplayTapLocked(int32_t target, const SessionState& state) {
+bool Coordinator::ReplayLocked(int32_t target, const std::vector<uint64_t>& ids) {
   Link& link = *links_[static_cast<size_t>(target)];
-  if (!link.alive) {
-    return false;
-  }
-  for (const std::string& frame : state.tap) {
-    if (!link.client.SendFrame(frame)) {
+  for (uint64_t id : ids) {
+    const SessionState& state = sessions_[id];
+    if (state.done || state.last_owner != target) {
+      continue;  // concluded meanwhile, or re-collected by a cascade onto another target
+    }
+    link.out.append(state.tap);
+    if (link.out.size() >= kLinkBatchBytes && !FlushLinkLocked(target)) {
       return false;
     }
   }
-  return true;
+  return FlushLinkLocked(target);
+}
+
+bool Coordinator::FlushLinkLocked(int32_t worker) {
+  Link& link = *links_[static_cast<size_t>(worker)];
+  if (!link.alive) {
+    link.out.clear();
+    return false;
+  }
+  if (link.out.empty()) {
+    return true;
+  }
+  ++stats_.link_writes;
+  bool ok = link.client.SendRaw(link.out);
+  link.out.clear();
+  if (link.out.capacity() > 4 * kLinkBatchBytes) {
+    link.out.shrink_to_fit();  // a large replay does not pin its buffer for the whole run
+  }
+  return ok;
+}
+
+void Coordinator::FlushAllLocked() {
+  for (int32_t w = 0; w < topology_.workers(); ++w) {
+    Link& link = *links_[static_cast<size_t>(w)];
+    if (link.out.empty() || topology_.fenced(w)) {
+      continue;
+    }
+    // A failed write fences the link; the failover replays (and writes) its sessions' taps
+    // on the target, so a target already passed in this sweep is not left buffered.
+    if (!FlushLinkLocked(w)) {
+      CascadeFenceLocked(w, link.alive ? "send failed: " + link.client.error() : "link down");
+    }
+  }
 }
 
 void Coordinator::FinishSessionLocked(uint64_t id, SessionState* state) {
   state->done = true;
+  closes_pending_ -= state->close_routed ? 1 : 0;
   state->tap.clear();
   state->tap.shrink_to_fit();
   if (options_.on_session_done) {

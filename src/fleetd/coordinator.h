@@ -4,14 +4,16 @@
 // RunFleet oracle at any worker count.
 //
 // The migration primitive is HDSL record/replay. The coordinator is the tap: every frame it
-// routes for a live session is retained as that session's replay prefix (and freed the
-// moment the session's result lands). Moving a session is then
-//   drain     MoveRanges (epoch bump) -> kCtrlHandoff to the old owner -> await kHandoffAck
-//             (the discard rides the worker's session rings, so it lands strictly after
-//             every routed record) -> replay each prefix on the new owner -> resume routing.
-//   failover  Fence the dead worker (epoch bump), replay the prefixes of its unfinished
-//             sessions on the lowest live worker. Nothing is drained — the worker is gone —
-//             so replay reconstructs its sessions from the tap alone.
+// routes for a live session is framed once and retained, as wire bytes, in that session's
+// replay prefix (freed the moment the session's result lands). Moving a session is then
+//   drain     MoveRanges (epoch bump) -> kCtrlHandoff to the old owner, behind every frame
+//             still buffered for it -> await kHandoffAck (the discard rides the worker's
+//             session rings, so it lands strictly after every routed record) -> append each
+//             prefix to the new owner's buffer -> resume routing.
+//   failover  Fence the dead worker (epoch bump), drop its unwritten buffer, and replay the
+//             prefixes of its unfinished sessions on the lowest live worker. Nothing is
+//             drained — the worker is gone — so replay reconstructs its sessions from the
+//             tap alone, including the bytes the dead link never wrote.
 //
 // Why the fold stays bit-identical: detection is per-session pure (a session's result is a
 // function of its own record stream only — detector_service.h's contract), and the tap holds
@@ -21,13 +23,20 @@
 // session contributes exactly one result no matter how many times it moved, and the final
 // ascending-session-id fold is independent of worker count, migrations, and crashes.
 //
-// Threading: one reader thread per link decodes replies; all state lives under one mutex.
-// Liveness time is injected through Pulse(now_ms) — heartbeat acks renew leases only when
-// the next Pulse applies them — so the lease battery and the driver run on a virtual clock.
+// Threading and writes: one reader thread per link decodes replies (a kSessionResult is
+// decoded before the lock is taken); all state lives under one mutex. Worker links are
+// written only by the caller's thread, under that mutex, and in batches: RouteFrame appends
+// to the owner link's buffer, which is written with one send once it holds kLinkBatchBytes.
+// Every point that talks to or waits on the workers writes the buffers first — Pulse (ahead
+// of the heartbeat), MigrateWorker (ahead of the handoff), WaitForResults, Finish (ahead of
+// the BYE), Flush, and every replay. A failed write fences the link exactly as a dead reader
+// does. Liveness time is injected through Pulse(now_ms) — heartbeat acks renew leases only
+// when the next Pulse applies them — so the lease battery can run on a virtual clock.
 #ifndef SRC_FLEETD_COORDINATOR_H_
 #define SRC_FLEETD_COORDINATOR_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -42,6 +51,9 @@
 #include "src/netd/server.h"
 
 namespace fleetd {
+
+// A worker link's buffered frames are written with one send once they reach this size.
+inline constexpr size_t kLinkBatchBytes = 64 * 1024;
 
 // One worker daemon to link to: a TCP port (fleetd binary) or an already-connected fd
 // (socketpair drivers — the coordinator owns the fd from construction on).
@@ -69,6 +81,8 @@ struct CoordinatorStats {
   int64_t failovers = 0;     // workers fenced
   int64_t stale_epochs = 0;  // kStaleEpoch replies observed (fenced frames bounced)
   int64_t results = 0;       // accepted session results
+  int64_t discarded = 0;     // sessions the old owners' kHandoffAcks report discarded
+  int64_t link_writes = 0;   // buffered-frame writes on worker links (batches + flushes)
 };
 
 // The folded output of one fleet run.
@@ -94,10 +108,15 @@ class Coordinator {
   void AssignRange(uint64_t first, uint64_t last);
 
   // Routes one mux-container frame (kOpenSession/kRecord/kCloseSession payload bytes) for
-  // `session` to its current owner, retaining it in the session's replay tap. A dead owner
-  // triggers failover inline: the frame still reaches a live worker (via tap replay), so a
-  // false return means total outage — no live worker remains.
+  // `session` to its current owner's link buffer, retaining it in the session's replay tap.
+  // The buffer is written once it reaches kLinkBatchBytes or at the next flush point. A dead
+  // owner triggers failover inline: the frame still reaches a live worker (via tap replay),
+  // so a false return means total outage — no live worker remains.
   bool RouteFrame(uint64_t session, const std::string& frame, std::string* error);
+
+  // Writes every live link's buffered frames now. A front end calls it once per batch of
+  // routed client bytes so no session's close waits for the next batch to fill.
+  void Flush();
 
   // Drain-migrates every unfinished session owned by `from` onto `to` (handoff + replay).
   // Waits for the handoff ack up to handoff_timeout_ms; a worker that dies or times out
@@ -136,15 +155,16 @@ class Coordinator {
   struct Link {
     netd::NetClient client;
     std::thread reader;
+    // Framed bytes routed to this worker and not yet written.
+    std::string out;
     bool alive = false;
     bool ack_pending = false;      // a kHeartbeatAck arrived since the last Pulse
     WorkerHealth ack_health;
     bool heartbeat_lost = false;   // fault injection: drop this worker's heartbeats
     uint64_t handoff_ack_epoch = 0;
-    uint64_t handoff_discarded = 0;
   };
   struct SessionState {
-    std::vector<std::string> tap;  // routed frames — the session's replay prefix
+    std::string tap;  // framed bytes routed so far — the session's replay prefix
     int32_t last_owner = -1;
     bool close_routed = false;
     bool done = false;
@@ -152,13 +172,21 @@ class Coordinator {
   };
 
   void ReaderLoop(int32_t worker);
-  void OnReplyLocked(int32_t worker, const netd::Reply& reply);
-  void LinkDownLocked(int32_t worker, const std::string& reason);
+  // `decoded` is the outcome the reader decoded from a kSessionResult reply (aborted when
+  // the decode failed); other tags ignore it.
+  void OnReplyLocked(int32_t worker, const netd::Reply& reply, netd::NetSessionOutcome* decoded);
+  // Writes `worker`'s buffer with one send and empties it. False when the write fails or
+  // the link is down; the caller fences the link (its taps still hold every dropped byte).
+  bool FlushLinkLocked(int32_t worker);
+  // FlushLinkLocked on every live link, fencing each one whose write fails.
+  void FlushAllLocked();
   // Fences `worker` (unless already fenced) and replays its unfinished sessions on the
   // failover target; a failed replay cascades onto the next target.
   void CascadeFenceLocked(int32_t worker, const std::string& reason);
   void FailoverLocked(int32_t victim, int32_t target, const std::string& reason);
-  bool ReplayTapLocked(int32_t target, const SessionState& state);
+  // Appends the tap of every listed session still bound to `target` to its buffer, then
+  // writes it out. False when a write fails (the caller fences `target`).
+  bool ReplayLocked(int32_t target, const std::vector<uint64_t>& ids);
   void FinishSessionLocked(uint64_t id, SessionState* state);
   void AbortUnfinishedLocked(const std::string& reason);
 
@@ -169,6 +197,8 @@ class Coordinator {
   std::vector<std::unique_ptr<Link>> links_;
   std::map<uint64_t, SessionState> sessions_;  // ordered: deterministic replay + fold order
   CoordinatorStats stats_;
+  // Sessions whose close was routed and that are not done yet (WaitForResults waits for 0).
+  int64_t closes_pending_ = 0;
   bool total_outage_ = false;
   bool finished_ = false;
 };

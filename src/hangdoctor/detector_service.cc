@@ -529,11 +529,16 @@ std::vector<telemetry::SessionId> DetectorService::LiveSessionIds() const {
 }
 
 HangBugReport MergeSessionReports(std::span<const SessionResult> results) {
-  std::vector<const SessionResult*> ordered;
-  ordered.reserve(results.size());
+  std::vector<const SessionResult*> pointers;
+  pointers.reserve(results.size());
   for (const SessionResult& result : results) {
-    ordered.push_back(&result);
+    pointers.push_back(&result);
   }
+  return MergeSessionReports(pointers);
+}
+
+HangBugReport MergeSessionReports(std::span<const SessionResult* const> results) {
+  std::vector<const SessionResult*> ordered(results.begin(), results.end());
   std::sort(ordered.begin(), ordered.end(),
             [](const SessionResult* a, const SessionResult* b) { return a->id < b->id; });
   HangBugReport merged;

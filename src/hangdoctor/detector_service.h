@@ -392,6 +392,8 @@ class DetectorService {
 // Folds session-local Hang Bug Reports into one fleet report in ascending-SessionId order —
 // the deterministic merge the service's bit-identity contract names.
 HangBugReport MergeSessionReports(std::span<const SessionResult> results);
+// The same fold over results held elsewhere (inside per-session outcomes), without copies.
+HangBugReport MergeSessionReports(std::span<const SessionResult* const> results);
 
 }  // namespace hangdoctor
 

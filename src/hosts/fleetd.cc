@@ -178,6 +178,9 @@ void ServeClient(FrontEnd* front, std::shared_ptr<ClientConn> conn) {
         goto done;
       }
     }
+    // The coordinator batches worker writes; this chunk's frames (a close among them, or
+    // the last frames before BYE) must not wait for another client's bytes to fill a batch.
+    front->coordinator->Flush();
     if (bye || !splitter.ok()) {
       break;
     }

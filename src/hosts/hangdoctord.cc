@@ -120,7 +120,10 @@ int main(int argc, char** argv) {
     hangdoctor::HangBugReport merged = hangdoctor::MergeSessionReports(closed);
     int32_t devices = static_cast<int32_t>(closed.size());
     std::printf("%s", merged.Render(devices > 0 ? devices : 1).c_str());
-    std::printf("drained clean: %zu sessions, %zu aborted\n", closed.size(), aborted);
+    // Worker-role closes shipped their results to the coordinator and are not retained, so
+    // the count comes from the server's own close counter.
+    std::printf("drained clean: %lld sessions, %zu aborted\n",
+                static_cast<long long>(server.stats().sessions_closed.load()), aborted);
     std::fflush(stdout);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "hangdoctord: %s\n", e.what());

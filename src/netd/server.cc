@@ -828,13 +828,15 @@ struct NetServer::Impl {
         EnqueueReply(shard, conn,
                      BuildSessionClosed(rec.id.value, done.result.stream_ok,
                                         done.result.report.NumBugs(), done.result.stream_error));
+        conn.closed_count.fetch_add(1, std::memory_order_relaxed);
         if (conn.role == HelloRole::kWorker) {
-          // The coordinator folds full worker results into the fleet report; the compact
-          // kSessionClosed above stays for symmetry with plain clients.
+          // The coordinator folds full worker results into the fleet report and owns them
+          // from here: the shipped result is not retained (the compact kSessionClosed above
+          // stays for symmetry with plain clients).
           EnqueueReply(shard, conn,
                        BuildSessionResult(rec.id.value, EncodeSessionResult(done.result)));
+          return;
         }
-        conn.closed_count.fetch_add(1, std::memory_order_relaxed);
         Retain(NetSessionOutcome{rec.id, false, {}, std::move(done.result)});
         return;
       }

@@ -153,7 +153,9 @@ class NetServer {
   // clears (a stuck shard worker cannot be force-killed; it can only be disowned).
   std::vector<uint64_t> Stop(int64_t drain_timeout_ms);
 
-  // Outcomes of every session that closed (or aborted) so far. Barrier-free snapshot;
+  // Outcomes of every session that closed (or aborted) so far, except clean closes on
+  // worker-role connections: their result went to the coordinator as kSessionResult and is
+  // not retained here (stats().sessions_closed still counts them). Barrier-free snapshot;
   // callers quiesce first (WaitIdle or Stop).
   std::vector<NetSessionOutcome> TakeResults();
 

@@ -9,7 +9,12 @@
 //                   fencing (kStaleEpoch), handoff discards, per-close kSessionResult that
 //                   decodes to the replay-oracle-identical report, the self-watchdog
 //                   flagging a wedged applier, and the bounded Stop() overload returning
-//                   the undrained session ids.
+//                   the undrained session ids; a worker-role close ships its result
+//                   and is not retained, while a client-role close still is.
+//   Batched links   the Coordinator driven directly over socketpair-linked workers: a link
+//                   is written once per kLinkBatchBytes plus once per flush point, and a
+//                   crash, a drain-migration or a front-end Flush() with frames still
+//                   buffered keeps the fold oracle-identical.
 //   End to end      the 16-app study fleet recorded once and pushed through
 //                   RunDistributedFleetFromLogs at workers {1, 2, 4} x {no event,
 //                   drain-migration at 50%, worker crash, heartbeat loss}: every session's
@@ -22,10 +27,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,6 +42,7 @@
 #include <gtest/gtest.h>
 
 #include "src/faultsim/fleet_faults.h"
+#include "src/fleetd/coordinator.h"
 #include "src/fleetd/topology.h"
 #include "src/hangdoctor/detector_service.h"
 #include "src/hosts/mux_log.h"
@@ -531,6 +540,45 @@ TEST(WorkerServerTest, CloseEmitsSessionResultIdenticalToOracle) {
   server.Stop();
 }
 
+TEST(WorkerServerTest, ShippedWorkerResultsAreNotRetainedButClientOutcomesAre) {
+  netd::NetServer server(WorkerOptions());
+  netd::NetClient worker = WorkerLink(&server);
+  for (const std::string& frame : SessionFrames(0)) {  // session 1, worker role
+    ASSERT_TRUE(worker.SendFrame(frame)) << worker.error();
+  }
+  netd::Reply reply;
+  bool saw_result = false;
+  while (!saw_result && worker.ReadReply(&reply)) {
+    saw_result = reply.tag == netd::ReplyTag::kSessionResult && reply.session_id == 1;
+  }
+  ASSERT_TRUE(saw_result) << worker.error();
+
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  server.AdoptConnection(sv[0]);
+  netd::NetClient client;
+  client.Adopt(sv[1]);
+  ASSERT_TRUE(client.SendHello(netd::kWireVersionMax));
+  ASSERT_TRUE(client.ReadReply(&reply)) << client.error();
+  ASSERT_EQ(reply.tag, netd::ReplyTag::kHelloOk);
+  for (const std::string& frame : SessionFrames(1)) {  // session 2, client role
+    ASSERT_TRUE(client.SendFrame(frame)) << client.error();
+  }
+  bool saw_closed = false;
+  while (!saw_closed && client.ReadReply(&reply)) {
+    saw_closed = reply.tag == netd::ReplyTag::kSessionClosed && reply.session_id == 2;
+  }
+  ASSERT_TRUE(saw_closed) << client.error();
+
+  server.Stop();
+  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
+  ASSERT_EQ(outcomes.size(), 1u) << "only the client-role close is retained";
+  EXPECT_EQ(outcomes[0].id.value, 2u);
+  EXPECT_FALSE(outcomes[0].aborted) << outcomes[0].stream_error;
+  EXPECT_EQ(outcomes[0].result.report.Render(4), Fleet().oracle.jobs[1].report.Render(4));
+  EXPECT_EQ(server.stats().sessions_closed.load(), 2) << "both closes still count";
+}
+
 TEST(WorkerServerTest, HandoffDiscardsLiveSessionsAndAcks) {
   netd::NetServer server(WorkerOptions());
   netd::NetClient client = WorkerLink(&server);
@@ -641,8 +689,9 @@ TEST(WorkerServerTest, WatchdogFlagsWedgedApplierAndBoundedStopReturnsUndrained)
 // End to end: the study fleet through the shard group, against the RunFleet oracle.
 // ---------------------------------------------------------------------------------------
 
-void ExpectFleetMatchesOracle(const workload::DistributedFleetResult& result,
-                              const std::string& label) {
+// `result` is a DistributedFleetResult or a fleetd::FleetReport: outcomes plus merged.
+template <typename FleetResult>
+void ExpectFleetMatchesOracle(const FleetResult& result, const std::string& label) {
   const RecordedFleet& fleet = Fleet();
   ASSERT_EQ(result.outcomes.size(), fleet.oracle.jobs.size()) << label;
   for (size_t i = 0; i < result.outcomes.size(); ++i) {
@@ -722,6 +771,184 @@ TEST(DistributedFleetTest, MigrationPlusCrashStillFoldsOracleIdentical) {
   workload::DistributedFleetResult result =
       workload::RunDistributedFleetFromLogs(fleet.sessions, options);
   ExpectFleetMatchesOracle(result, "migrate+crash workers=4");
+}
+
+// ---------------------------------------------------------------------------------------
+// Batched links: the Coordinator driven directly, so the tests choose exactly which frames
+// are still buffered when a crash, a migration or a flush happens.
+// ---------------------------------------------------------------------------------------
+
+using FleetFrames = std::vector<std::vector<std::string>>;
+
+const FleetFrames& AllSessionFrames() {
+  static const FleetFrames* frames = [] {
+    auto* f = new FleetFrames();
+    for (size_t i = 0; i < Fleet().sessions.size(); ++i) {
+      f->push_back(SessionFrames(i));
+    }
+    return f;
+  }();
+  return *frames;
+}
+
+// `workers` worker daemons behind socketpairs and one Coordinator over them, with the
+// recorded fleet's ids partitioned across them.
+struct ShardGroup {
+  explicit ShardGroup(int32_t workers, fleetd::CoordinatorOptions options = {}) {
+    for (int32_t w = 0; w < workers; ++w) {
+      servers.push_back(std::make_unique<netd::NetServer>(WorkerOptions()));
+      int sv[2];
+      EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+      servers.back()->AdoptConnection(sv[0]);
+      options.workers.push_back(fleetd::WorkerEndpoint{.port = 0, .fd = sv[1]});
+    }
+    coordinator = std::make_unique<fleetd::Coordinator>(options);
+    coordinator->AssignRange(1, Fleet().sessions.size());
+  }
+  ~ShardGroup() {
+    coordinator.reset();  // Finish + join the readers before the workers go away
+    for (auto& server : servers) {
+      server->Stop();
+    }
+  }
+
+  std::vector<std::unique_ptr<netd::NetServer>> servers;
+  std::unique_ptr<fleetd::Coordinator> coordinator;
+  std::vector<size_t> next = std::vector<size_t>(AllSessionFrames().size(), 0);
+};
+
+void Route(ShardGroup& group, size_t session_index) {
+  std::string error;
+  const std::string& frame = AllSessionFrames()[session_index][group.next[session_index]++];
+  ASSERT_TRUE(group.coordinator->RouteFrame(session_index + 1, frame, &error)) << error;
+}
+
+// Routes round-robin (the mux interleaving) for up to `rounds` rounds, or until every
+// session is exhausted. With `hold_closes` every session stops short of its close, so all
+// of them stay live.
+void RouteRounds(ShardGroup& group, size_t rounds, bool hold_closes) {
+  const FleetFrames& frames = AllSessionFrames();
+  bool any = true;
+  for (size_t round = 0; round < rounds && any; ++round) {
+    any = false;
+    for (size_t s = 0; s < frames.size(); ++s) {
+      if (group.next[s] + (hold_closes ? 1 : 0) < frames[s].size()) {
+        Route(group, s);
+        any = true;
+      }
+    }
+  }
+}
+
+// Routes more of `session_index`'s frames (never its close) until one lands in its owner's
+// buffer without a write: the owner link then holds routed, unwritten bytes.
+void LeaveBuffered(ShardGroup& group, size_t session_index) {
+  while (true) {
+    ASSERT_LT(group.next[session_index] + 1, AllSessionFrames()[session_index].size());
+    int64_t writes = group.coordinator->stats().link_writes;
+    Route(group, session_index);
+    if (group.coordinator->stats().link_writes == writes) {
+      return;
+    }
+  }
+}
+
+TEST(CoordinatorBatchTest, EachLinkIsWrittenOncePerBatchNotOncePerFrame) {
+  const FleetFrames& frames = AllSessionFrames();
+  int64_t framed_bytes = 0;
+  int64_t frame_count = 0;
+  for (const auto& session : frames) {
+    for (const std::string& frame : session) {
+      std::string framed;
+      netd::AppendFrame(&framed, frame);
+      framed_bytes += static_cast<int64_t>(framed.size());
+      ++frame_count;
+    }
+  }
+  ShardGroup group(2);
+  RouteRounds(group, SIZE_MAX, /*hold_closes=*/false);
+  ASSERT_TRUE(group.coordinator->WaitForResults(60'000));
+  fleetd::FleetReport report = group.coordinator->Finish();
+  ExpectFleetMatchesOracle(report, "batched");
+  // Every batch write carries at least kLinkBatchBytes of routed frames; on top of those,
+  // each link is written at most once per flush point (WaitForResults, Finish's BYE).
+  const int64_t bound = framed_bytes / static_cast<int64_t>(fleetd::kLinkBatchBytes) + 2 * 2;
+  EXPECT_LE(report.stats.link_writes, bound)
+      << frame_count << " frames, " << framed_bytes << " framed bytes";
+  EXPECT_GE(report.stats.link_writes, 2) << "both links carried sessions";
+  EXPECT_EQ(report.stats.failovers, 0);
+}
+
+TEST(CoordinatorBatchTest, CrashWithFramesBufferedForTheVictimReplaysItsTaps) {
+  ShardGroup group(2);
+  fleetd::Coordinator& coordinator = *group.coordinator;
+  RouteRounds(group, 40, /*hold_closes=*/true);
+  const size_t victim_session = AllSessionFrames().size() - 1;  // the last id: worker 1
+  ASSERT_EQ(coordinator.OwnerOf(victim_session + 1), 1);
+  LeaveBuffered(group, victim_session);
+  int64_t victim_live = 0;
+  for (size_t s = 0; s < AllSessionFrames().size(); ++s) {
+    victim_live += coordinator.OwnerOf(s + 1) == 1 ? 1 : 0;
+  }
+
+  coordinator.CrashWorker(1);
+  RouteRounds(group, SIZE_MAX, /*hold_closes=*/false);
+  ASSERT_TRUE(coordinator.WaitForResults(60'000));
+  fleetd::FleetReport report = coordinator.Finish();
+  ExpectFleetMatchesOracle(report, "crash with a buffered victim");
+  EXPECT_EQ(report.stats.failovers, 1);
+  EXPECT_EQ(report.stats.recovered, victim_live)
+      << "every live session the victim held, its unwritten frames included";
+}
+
+TEST(CoordinatorBatchTest, HandoffLandsBehindFramesBufferedForTheOldOwner) {
+  fleetd::CoordinatorOptions options;
+  options.handoff_timeout_ms = 5000;  // a lost handoff shows up as a failover, not a hang
+  ShardGroup group(2, options);
+  fleetd::Coordinator& coordinator = *group.coordinator;
+  RouteRounds(group, 40, /*hold_closes=*/true);
+  ASSERT_EQ(coordinator.OwnerOf(1), 0);
+  LeaveBuffered(group, 0);
+  int64_t old_owner_live = 0;
+  for (size_t s = 0; s < AllSessionFrames().size(); ++s) {
+    old_owner_live += coordinator.OwnerOf(s + 1) == 0 ? 1 : 0;
+  }
+
+  std::string error;
+  ASSERT_TRUE(coordinator.MigrateWorker(0, 1, &error)) << error;
+  fleetd::CoordinatorStats stats = coordinator.stats();
+  EXPECT_EQ(stats.discarded, old_owner_live)
+      << "the discard must land after the buffered records, on live sessions";
+  EXPECT_EQ(stats.migrated, old_owner_live);
+  EXPECT_EQ(stats.failovers, 0);
+
+  RouteRounds(group, SIZE_MAX, /*hold_closes=*/false);
+  ASSERT_TRUE(coordinator.WaitForResults(60'000));
+  fleetd::FleetReport report = coordinator.Finish();
+  ExpectFleetMatchesOracle(report, "migration with a buffered old owner");
+  EXPECT_EQ(report.stats.failovers, 0);
+}
+
+TEST(CoordinatorBatchTest, FlushDeliversARoutedCloseWithoutWaitForResults) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<uint64_t, bool>> done;
+  fleetd::CoordinatorOptions options;
+  options.on_session_done = [&](uint64_t id, bool aborted) {
+    std::lock_guard<std::mutex> lock(mu);
+    done.emplace_back(id, aborted);
+    cv.notify_all();
+  };
+  ShardGroup group(2, options);
+  while (group.next[0] < AllSessionFrames()[0].size()) {
+    Route(group, 0);
+  }
+  group.coordinator->Flush();
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(20), [&] { return !done.empty(); }))
+      << "the close stayed buffered: a front end waiting on on_session_done would hang";
+  EXPECT_EQ(done[0].first, 1u);
+  EXPECT_FALSE(done[0].second);
 }
 
 }  // namespace
