@@ -29,6 +29,7 @@
 #include "src/faultsim/fleet_faults.h"
 #include "src/hangdoctor/stream_guard.h"
 #include "src/hosts/hang_doctor.h"
+#include "src/simkit/flags.h"
 #include "src/workload/distributed_fleet.h"
 #include "src/workload/experiment.h"
 #include "src/workload/fleet.h"
@@ -53,9 +54,7 @@ std::string Downloads(int64_t n) {
   return std::to_string(n) + "+";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   // Every argument is validated up front: an unknown flag or a typo'd --app= name fails
   // loudly with the valid spellings instead of silently running the default study.
   static const char* const kValueFlags[] = {"--fleet-scale=", "--faults=", "--record=",
@@ -103,13 +102,7 @@ int main(int argc, char** argv) {
   // --shared-kb exists to publish on that cadence.
   {
     auto has_value = [&](const char* prefix) {
-      size_t len = std::strlen(prefix);
-      for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], prefix, len) == 0) {
-          return true;
-        }
-      }
-      return false;
+      return simkit::FlagString(argc, argv, prefix).has_value();
     };
     const bool replaying = has_value("--replay=");
     struct Conflict {
@@ -126,13 +119,13 @@ int main(int argc, char** argv) {
         {replaying && has_value("--threads="),
          "--threads does nothing under --replay: replay re-runs detectors on the per-job "
          "path, not the pipelined service ingest"},
-        {replaying && workload::HasFlag(argc, argv, "--shared-kb"),
+        {replaying && simkit::HasFlag(argc, argv, "--shared-kb"),
          "--shared-kb does nothing under --replay: replay re-runs detectors on the "
          "per-job path, which has no fleet-wide knowledge base"},
-        {replaying && workload::HasFlag(argc, argv, "--service"),
+        {replaying && simkit::HasFlag(argc, argv, "--service"),
          "--service does nothing under --replay: replay re-runs detectors on the per-job "
          "path, not the session-multiplexed service"},
-        {has_value("--kb-epoch=") && !workload::HasFlag(argc, argv, "--shared-kb"),
+        {has_value("--kb-epoch=") && !simkit::HasFlag(argc, argv, "--shared-kb"),
          "--kb-epoch requires --shared-kb: the epoch cadence is the shared knowledge "
          "base's publish schedule"},
         {replaying && has_value("--workers="),
@@ -172,7 +165,7 @@ int main(int argc, char** argv) {
   workload::Catalog catalog;
   hangdoctor::BlockingApiDatabase known_db = catalog.MakeKnownDatabase();
   baselines::OfflineScanner scanner(&known_db);
-  const bool async_section = workload::HasFlag(argc, argv, "--async");
+  const bool async_section = simkit::HasFlag(argc, argv, "--async");
 
   // Resolve --app= names against the catalog before anything runs. An async study app is a
   // valid spelling only under --async (it never appears in the Table 5 rows).
@@ -287,7 +280,7 @@ int main(int argc, char** argv) {
   // epoch-published KnowledgeBase (--kb-epoch=N picks the publish cadence). The table below
   // is bit-identical either way — the KB is advisory — so only the summary block at the end
   // is new output, keeping the default byte-identical to the goldens.
-  const bool shared_kb = workload::HasFlag(argc, argv, "--shared-kb");
+  const bool shared_kb = simkit::HasFlag(argc, argv, "--shared-kb");
   if (shared_kb) {
     options.shared_kb = true;
     try {
@@ -297,7 +290,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool service_flag = workload::HasFlag(argc, argv, "--service");
+  const bool service_flag = simkit::HasFlag(argc, argv, "--service");
   auto fleet_start = std::chrono::steady_clock::now();
   workload::FleetSummary summary;
   if (!replay_dir.empty()) {
@@ -634,4 +627,16 @@ int main(int argc, char** argv) {
                 static_cast<long>(wait_frame_bugs));
   }
   return 0;
+}
+
+}  // namespace
+
+// A malformed numeric flag value (simkit/flags.h) exits 2, like every other flag error.
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const simkit::FlagError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

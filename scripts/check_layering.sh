@@ -63,6 +63,24 @@ if [ -n "$async_uses" ]; then
   exit 1
 fi
 
+# One byte codec (DESIGN.md section 3.3): src/telemetry/bytes.h holds the only varint,
+# zigzag, raw-double and length-prefixed-string implementation. A LEB128 loop (the 7-bit
+# mask, the 0x80 loop bound, the 7-bit shift) or a zigzag sign fold anywhere else in the
+# program code, or a codec function of that name defined over a buffer, is a private copy
+# coming back. ladderbench/ is a separate package with its own build and is not scanned.
+codec_copies=$(grep -rnE \
+  '& 0x7[fF]\b|>= 0x80\b|shift \+= 7|>>= 7|>> 63\b|^\s*((static|inline)\s+)*(void|bool|u?int(8|32|64)_t)\s+(\w+::)?(PutVarint|GetVarint|PutZig|GetZig|Zigzag\w*)\([^)]' \
+  --include='*.h' --include='*.cc' "$repo_root/src" "$repo_root/tools" "$repo_root/bench" \
+  | grep -v "^$repo_root/src/telemetry/bytes\.h:" || true)
+
+if [ -n "$codec_copies" ]; then
+  echo "layering violation: a private varint/zigzag codec outside src/telemetry/bytes.h;" >&2
+  echo "use the shared codec instead:" >&2
+  echo "$codec_copies" >&2
+  exit 1
+fi
+
 echo "layering ok: src/hangdoctor depends only on src/telemetry and src/simkit"
 echo "layering ok: no perfsim/droidsim alias-shim usage"
 echo "layering ok: no droidsim async substrate types in the core"
+echo "layering ok: one byte codec (src/telemetry/bytes.h)"

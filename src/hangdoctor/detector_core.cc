@@ -304,16 +304,14 @@ void DetectorCore::RunDiagnoser(const ActionQuiesce& quiesce, LiveExecution& liv
       diagnosis = *memo;
     } else {
       ++kb_stats_.memo_misses;
-      diagnosis = analyzer_.AnalyzeCausal(live.traces, *info_.symbols, info_.app_package,
-                                          live.wait_frames);
+      diagnosis = analyzer_.AnalyzeCausal(live.traces, *info_.symbols, live.wait_frames);
       // Copied, not moved: the scratch key keeps its buffers warm for the next diagnosis.
       kb_memos_.push_back({kb_key_scratch_, diagnosis});
     }
   } else {
     // Counted with the KB off too, so a KB-off arm reports the diagnoser work a KB targets.
     ++kb_stats_.memo_misses;
-    diagnosis = analyzer_.AnalyzeCausal(live.traces, *info_.symbols, info_.app_package,
-                                        live.wait_frames);
+    diagnosis = analyzer_.AnalyzeCausal(live.traces, *info_.symbols, live.wait_frames);
   }
   record.diagnosis = diagnosis;
   if (config_.keep_traces) {

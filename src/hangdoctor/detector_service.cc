@@ -9,8 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/simkit/affinity.h"
-
 namespace hangdoctor {
 namespace {
 
@@ -377,9 +375,6 @@ void DetectorService::Complete(Shard& shard, IngestCompletion& completion) {
 }
 
 void DetectorService::WorkerLoop(size_t worker_index) {
-  if (options_.pin_workers) {
-    simkit::PinCurrentThreadToCore(static_cast<int>(worker_index));
-  }
   // options_.threads, not workers_.size(): the first workers start while the constructor is
   // still appending to workers_.
   const size_t stride = static_cast<size_t>(options_.threads);

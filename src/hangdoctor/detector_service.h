@@ -96,9 +96,6 @@ struct ServiceOptions {
   int32_t ring_capacity = 256;
   // Records per routed batch: the amortization factor for the hash + ring-dispatch cost.
   int32_t batch_size = 256;
-  // Best-effort core affinity: pin worker w to core w. Off by default — pinning helps on
-  // dedicated many-core hosts and hurts on small shared runners.
-  bool pin_workers = false;
   // Seed blocking-API catalog shared by every session. Copied once at construction (no
   // caller-lifetime footgun); per-session databases overlay the copy instead of duplicating
   // the std::set per session — bit-equivalent, O(1) per open. Mutually exclusive with

@@ -50,10 +50,10 @@ class OverheadMeter {
   // A re-issued start_counters directive after a transient counter-session failure. The
   // retry's perf_start cost is charged via AddCpu as usual; the count is kept separately so
   // the Section 4.5 accounting can attribute how much overhead degradation retries added.
-  void CountCounterRetry() { ++counter_retries_; }
+  void CountCounterRetry(int64_t count = 1) { counter_retries_ += count; }
   // One cross-thread causal record handled (its async_record cost is charged via AddCpu);
   // counted separately so async sessions' overhead columns can attribute the causal traffic.
-  void CountAsyncRecord() { ++async_records_; }
+  void CountAsyncRecord(int64_t count = 1) { async_records_ += count; }
 
   simkit::SimDuration cpu() const { return cpu_; }
   int64_t memory_bytes() const { return bytes_; }

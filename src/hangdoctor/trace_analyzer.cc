@@ -25,13 +25,10 @@ constexpr telemetry::FrameId kNoFrame = UINT32_MAX;
 }  // namespace
 
 Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
-                                 const telemetry::SymbolTable& symbols,
-                                 const std::string& app_package) const {
+                                 const telemetry::SymbolTable& symbols) const {
   // A dominant single API is reported as a (possibly new) blocking API even when its class
   // lives in the app's own package — runtime behaviour, not provenance, is what matters
-  // (Section 2.2: blocking status comes from expert diagnosis of runtime data). The package
-  // only disambiguates case 4, where the culprit is a caller *function* rather than an API.
-  (void)app_package;
+  // (Section 2.2: blocking status comes from expert diagnosis of runtime data).
   Diagnosis diagnosis;
   std::vector<const telemetry::StackTrace*> usable;
   for (const telemetry::StackTrace& trace : traces) {
@@ -152,10 +149,9 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
 
 Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> traces,
                                        const telemetry::SymbolTable& symbols,
-                                       const std::string& app_package,
                                        std::span<const telemetry::FrameId> wait_frames) const {
   if (wait_frames.empty()) {
-    return Analyze(traces, symbols, app_package);
+    return Analyze(traces, symbols);
   }
   // Partition by thread: the main thread's samples carry the symptom (the wait frame); any
   // async thread's samples carry the cause. Diagnosis runs once per hang, so the copies here
@@ -165,7 +161,7 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
   for (const telemetry::StackTrace& trace : traces) {
     (trace.thread == telemetry::kMainThread ? main_traces : async_traces).push_back(trace);
   }
-  Diagnosis main_diag = Analyze(main_traces, symbols, app_package);
+  Diagnosis main_diag = Analyze(main_traces, symbols);
   if (!main_diag.valid) {
     return main_diag;
   }
@@ -179,7 +175,7 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
   if (!culprit_is_wait || async_traces.empty()) {
     return main_diag;
   }
-  Diagnosis async_diag = Analyze(async_traces, symbols, app_package);
+  Diagnosis async_diag = Analyze(async_traces, symbols);
   if (!async_diag.valid) {
     return main_diag;  // async thread was idle/unsampled; the wait-site diagnosis stands
   }

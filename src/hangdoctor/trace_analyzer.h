@@ -56,11 +56,10 @@ class TraceAnalyzer {
   explicit TraceAnalyzer(TraceAnalyzerConfig config = {}) : config_(config) {}
 
   // `symbols` must be the table the traces' frame ids were interned in (the app's).
-  // `app_package` is accepted for interface stability but unused: self-developed culprits
-  // are recognized structurally (case 4) or by the host's provenance bit on the frame.
+  // Self-developed culprits are recognized structurally (case 4) or by the host's
+  // provenance bit on the frame, never by package name.
   Diagnosis Analyze(std::span<const telemetry::StackTrace> traces,
-                    const telemetry::SymbolTable& symbols,
-                    const std::string& app_package = "") const;
+                    const telemetry::SymbolTable& symbols) const;
 
   // The waiting-chain walk. With no wait frames this is exactly Analyze() — bit-identical
   // for every pre-async session. Otherwise: analyze the main-thread samples as usual; when
@@ -69,7 +68,7 @@ class TraceAnalyzer {
   // hang to the thread doing the work, keeping the wait site as provenance. When the async
   // samples are unusable (idle thread, no samples) the wait-frame diagnosis stands.
   Diagnosis AnalyzeCausal(std::span<const telemetry::StackTrace> traces,
-                          const telemetry::SymbolTable& symbols, const std::string& app_package,
+                          const telemetry::SymbolTable& symbols,
                           std::span<const telemetry::FrameId> wait_frames) const;
 
   const TraceAnalyzerConfig& config() const { return config_; }

@@ -7,60 +7,17 @@
 #include <unordered_set>
 #include <utility>
 
+#include "src/telemetry/bytes.h"
+
 namespace hangdoctor {
 
 namespace {
 
-uint64_t ZigzagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^ static_cast<uint64_t>(value >> 63);
-}
-
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>(static_cast<uint8_t>(value) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(static_cast<uint8_t>(value)));
-}
-
-void PutString(std::string* out, const std::string& value) {
-  PutVarint(out, value.size());
-  out->append(value);
-}
-
-bool GetVarint(const std::string& data, size_t* pos, uint64_t* value) {
-  *value = 0;
-  int shift = 0;
-  while (*pos < data.size()) {
-    auto byte = static_cast<uint8_t>(data[(*pos)++]);
-    *value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      return true;
-    }
-    shift += 7;
-    if (shift >= 64) {
-      return false;
-    }
-  }
-  return false;
-}
-
-bool GetString(const std::string& data, size_t* pos, std::string* value, std::string* error) {
-  uint64_t length = 0;
-  if (!GetVarint(data, pos, &length)) {
-    *error = "truncated string length";
-    return false;
-  }
-  // Compare against the remaining bytes, never `pos + length`: a corrupt length near 2^64
-  // would wrap that sum and pass the check.
-  if (length > data.size() - *pos) {
-    *error = "string overruns the archive";
-    return false;
-  }
-  value->assign(data, *pos, static_cast<size_t>(length));
-  *pos += static_cast<size_t>(length);
-  return true;
-}
+using telemetry::GetString;
+using telemetry::GetVarint;
+using telemetry::PutSigned;
+using telemetry::PutString;
+using telemetry::PutVarint;
 
 // Insertion-ordered string interner: ids are emission order, so the pool — and therefore the
 // whole archive — is a pure function of the input logs in input order.
@@ -80,31 +37,6 @@ class StringPool {
   std::unordered_map<std::string, uint64_t> ids_;
   std::vector<std::string> strings_;
 };
-
-// Re-encodes one symbol table exactly as SessionLogWriter's header emitter does: count, then
-// per frame function/clazz/file/zigzag(line)/flags. Byte identity of the reconstruction
-// rests on matching that encoding field for field.
-void EncodeSymbols(const telemetry::SymbolTable& symbols, std::string* out) {
-  PutVarint(out, symbols.size());
-  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
-    const telemetry::StackFrame& frame = symbols.Frame(id);
-    PutString(out, frame.function);
-    PutString(out, frame.clazz);
-    PutString(out, frame.file);
-    PutVarint(out, ZigzagEncode(frame.line));
-    uint8_t flags = 0;
-    if (frame.in_closed_library) {
-      flags |= 1;
-    }
-    if (symbols.IsUi(id)) {
-      flags |= 2;
-    }
-    if (symbols.IsSelfDeveloped(id)) {
-      flags |= 4;
-    }
-    out->push_back(static_cast<char>(flags));
-  }
-}
 
 }  // namespace
 
@@ -146,18 +78,8 @@ bool CompactSessionLogs(std::span<const CompactInput> logs, std::string* out,
       PutVarint(body, pool.Intern(frame.function));
       PutVarint(body, pool.Intern(frame.clazz));
       PutVarint(body, pool.Intern(frame.file));
-      PutVarint(body, ZigzagEncode(frame.line));
-      uint8_t flags = 0;
-      if (frame.in_closed_library) {
-        flags |= 1;
-      }
-      if (symbols.IsUi(id)) {
-        flags |= 2;
-      }
-      if (symbols.IsSelfDeveloped(id)) {
-        flags |= 4;
-      }
-      body->push_back(static_cast<char>(flags));
+      PutSigned(body, frame.line);
+      body->push_back(static_cast<char>(SymbolFlags(symbols, id)));
     }
     size_t suffix = input.bytes.size() - layout.header_end;
     PutVarint(body, suffix);
@@ -167,7 +89,7 @@ bool CompactSessionLogs(std::span<const CompactInput> logs, std::string* out,
     // refuse to archive it (an inline encoding this writer does not know about, say).
     std::string rebuilt;
     rebuilt.append(input.bytes, 0, layout.symtab_begin);
-    EncodeSymbols(symbols, &rebuilt);
+    AppendSymbolTable(symbols, &rebuilt);
     rebuilt.append(input.bytes, layout.header_end, suffix);
     if (rebuilt != input.bytes) {
       *error = input.name + ": symbol table does not re-encode byte-identically";
@@ -225,9 +147,16 @@ bool ExtractCompactLog(const std::string& bytes, std::vector<CompactInput>* logs
     *error = "pool count overruns the archive";
     return false;
   }
+  auto get_string = [&](std::string* value) {
+    if (!GetString(bytes, &pos, value)) {
+      *error = "truncated string or string overruns the archive";
+      return false;
+    }
+    return true;
+  };
   std::vector<std::string> pool(static_cast<size_t>(pool_count));
   for (std::string& value : pool) {
-    if (!GetString(bytes, &pos, &value, error)) {
+    if (!get_string(&value)) {
       return false;
     }
   }
@@ -253,14 +182,12 @@ bool ExtractCompactLog(const std::string& bytes, std::vector<CompactInput>* logs
   };
   for (uint64_t i = 0; i < log_count; ++i) {
     CompactInput log;
-    if (!GetString(bytes, &pos, &log.name, error)) {
+    if (!get_string(&log.name)) {
       return false;
     }
-    std::string prefix;
-    if (!GetString(bytes, &pos, &prefix, error)) {
+    if (!get_string(&log.bytes)) {  // the prefix
       return false;
     }
-    log.bytes = std::move(prefix);
     uint64_t num_frames = 0;
     if (!GetVarint(bytes, &pos, &num_frames)) {
       *error = "truncated frame count";
@@ -295,7 +222,7 @@ bool ExtractCompactLog(const std::string& bytes, std::vector<CompactInput>* logs
       log.bytes.push_back(flags);
     }
     std::string suffix;
-    if (!GetString(bytes, &pos, &suffix, error)) {
+    if (!get_string(&suffix)) {
       return false;
     }
     log.bytes.append(suffix);

@@ -4,8 +4,8 @@
 // a short session's log — so a directory of fleet logs compresses dramatically by interning
 // each (function, clazz, file) string once and re-encoding symbol tables as pool references.
 //
-// Archive layout (same primitive codec as HDSL: LEB128 varints, zigzag signed, length-
-// prefixed strings):
+// Archive layout (the HDSL byte codec, src/telemetry/bytes.h: LEB128 varints, zigzag
+// signed, length-prefixed strings):
 //   magic "HDSC", varint version = 1
 //   pool   — varint count, then each string length-prefixed; ids are emission order
 //   logs   — varint count, then per log:
@@ -13,15 +13,16 @@
 //              prefix          (varint size + bytes: the log's bytes [0, symtab_begin) —
 //                               magic, version, SessionInfo, config — copied verbatim)
 //              symbol table    (varint frame count, then per frame: varint function/clazz/
-//                               file pool ids, zigzag line, flags byte — the same field
-//                               order and flag bits as the v2 inline encoding)
+//                               file pool ids, zigzag line, SymbolFlags byte — the field
+//                               order and flag bits of AppendSymbolTable, session_log.h)
 //              suffix          (varint size + bytes: the log's bytes [header_end, end) —
 //                               every record — copied verbatim)
 //
 // Extraction rebuilds each v2 log byte-identically: prefix + re-encoded symbol table +
 // suffix. Byte identity holds because the v2 symbol encoding is canonical (pure LEB128 /
-// zigzag, no padding); CompactSessionLogs still verifies the round trip for every log at
-// compact time and refuses rather than archive anything it cannot reproduce exactly.
+// zigzag, no padding) and AppendSymbolTable is its one encoder; CompactSessionLogs still
+// verifies the round trip for every log at compact time and refuses rather than archive
+// anything it cannot reproduce exactly.
 //
 // Rollups answer the fleet-scale questions ("which app hangs, on which API?") straight from
 // an archive: a per-app activity census and a per-API innermost-frame census over every

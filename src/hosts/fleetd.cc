@@ -37,30 +37,9 @@
 #include "src/fleetd/coordinator.h"
 #include "src/hosts/mux_log.h"
 #include "src/netd/wire.h"
+#include "src/simkit/flags.h"
 
 namespace {
-
-int64_t FlagValue(int argc, char** argv, const char* prefix, int64_t fallback) {
-  size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      return std::strtoll(argv[i] + len, nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-std::vector<uint16_t> WorkerPorts(int argc, char** argv) {
-  std::vector<uint16_t> ports;
-  const char* prefix = "--worker-port=";
-  size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      ports.push_back(static_cast<uint16_t>(std::strtoll(argv[i] + len, nullptr, 10)));
-    }
-  }
-  return ports;
-}
 
 // One client connection: reads frames on its own thread, routes them, and answers with the
 // per-session kSessionClosed replies (pushed by the coordinator's done callback) plus the
@@ -209,15 +188,28 @@ done:
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<uint16_t> worker_ports = WorkerPorts(argc, argv);
+  using simkit::FlagInt;
+  std::vector<uint16_t> worker_ports;
+  uint16_t listen_port = 0;
+  uint64_t max_sessions = 0;
+  int64_t lease_ms = 0;
+  int64_t heartbeat_ms = 0;
+  try {
+    for (std::string_view port : simkit::FlagStrings(argc, argv, "--worker-port=")) {
+      worker_ports.push_back(simkit::ParseFlag<uint16_t>("--worker-port=", port));
+    }
+    listen_port = static_cast<uint16_t>(FlagInt(argc, argv, "--port=", 0));
+    max_sessions = static_cast<uint64_t>(FlagInt(argc, argv, "--max-sessions=", 1 << 20));
+    lease_ms = FlagInt(argc, argv, "--lease-ms=", 2000);
+    heartbeat_ms = FlagInt(argc, argv, "--heartbeat-ms=", 200);
+  } catch (const simkit::FlagError& e) {
+    std::fprintf(stderr, "fleetd: %s\n", e.what());
+    return 2;
+  }
   if (worker_ports.empty()) {
     std::fprintf(stderr, "fleetd: at least one --worker-port=N required\n");
     return 1;
   }
-  auto listen_port = static_cast<uint16_t>(FlagValue(argc, argv, "--port=", 0));
-  uint64_t max_sessions = static_cast<uint64_t>(FlagValue(argc, argv, "--max-sessions=", 1 << 20));
-  int64_t lease_ms = FlagValue(argc, argv, "--lease-ms=", 2000);
-  int64_t heartbeat_ms = FlagValue(argc, argv, "--heartbeat-ms=", 200);
 
   sigset_t mask;
   sigemptyset(&mask);

@@ -5,10 +5,11 @@
 //
 // Usage:
 //   hangdoctord [--port=N] [--workers=N] [--rings=N] [--shards=N] [--budget-mb=N]
-//               [--max-connections=N] [--pin] [--worker] [--watchdog-ms=N] [--drain-ms=N]
+//               [--max-connections=N] [--worker] [--watchdog-ms=N] [--drain-ms=N]
 //
 // --port=0 (default) binds an ephemeral port; the banner line "listening on port N" names
-// it, which is how scripts/netd_smoke.sh and the loadgen find the daemon.
+// it, which is how scripts/netd_smoke.sh and the loadgen find the daemon. A malformed
+// numeric value (--port=abc) exits with status 2.
 //
 // --worker runs the daemon as a fleetd shard-group member: worker-role HELLOs are accepted
 // (coordinator control frames + per-close kSessionResult replies) and the self-watchdog is
@@ -21,51 +22,34 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/hangdoctor/detector_service.h"
 #include "src/netd/server.h"
-
-namespace {
-
-int64_t FlagValue(int argc, char** argv, const char* prefix, int64_t fallback) {
-  size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      return std::strtoll(argv[i] + len, nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-bool HasBareFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
+#include "src/simkit/flags.h"
 
 int main(int argc, char** argv) {
+  using simkit::FlagInt;
   netd::ServerOptions options;
-  options.port = static_cast<uint16_t>(FlagValue(argc, argv, "--port=", 0));
-  options.workers = static_cast<int32_t>(FlagValue(argc, argv, "--workers=", 2));
-  options.rings = static_cast<int32_t>(FlagValue(argc, argv, "--rings=", 0));
-  options.service.shards =
-      static_cast<int32_t>(FlagValue(argc, argv, "--shards=", options.workers));
-  options.session_budget_bytes = FlagValue(argc, argv, "--budget-mb=", 256) << 20;
-  options.max_connections =
-      static_cast<int32_t>(FlagValue(argc, argv, "--max-connections=", 4096));
-  options.pin_workers = HasBareFlag(argc, argv, "--pin");
-  options.allow_worker_role = HasBareFlag(argc, argv, "--worker");
-  options.watchdog_timeout_ms =
-      FlagValue(argc, argv, "--watchdog-ms=", options.allow_worker_role ? 2000 : 0);
-  int64_t drain_ms = FlagValue(argc, argv, "--drain-ms=", 0);
+  int64_t drain_ms = 0;
+  try {
+    options.port = static_cast<uint16_t>(FlagInt(argc, argv, "--port=", 0));
+    options.workers = static_cast<int32_t>(FlagInt(argc, argv, "--workers=", 2));
+    options.rings = static_cast<int32_t>(FlagInt(argc, argv, "--rings=", 0));
+    options.service.shards =
+        static_cast<int32_t>(FlagInt(argc, argv, "--shards=", options.workers));
+    options.session_budget_bytes = FlagInt(argc, argv, "--budget-mb=", 256) << 20;
+    options.max_connections =
+        static_cast<int32_t>(FlagInt(argc, argv, "--max-connections=", 4096));
+    options.allow_worker_role = simkit::HasFlag(argc, argv, "--worker");
+    options.watchdog_timeout_ms =
+        FlagInt(argc, argv, "--watchdog-ms=", options.allow_worker_role ? 2000 : 0);
+    drain_ms = FlagInt(argc, argv, "--drain-ms=", 0);
+  } catch (const simkit::FlagError& e) {
+    std::fprintf(stderr, "hangdoctord: %s\n", e.what());
+    return 2;
+  }
 
   // Block the shutdown signals before any server thread exists, so every thread inherits
   // the mask and sigwait below is the one consumer.

@@ -4,34 +4,14 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/telemetry/bytes.h"
+
 namespace hangdoctor {
 
 namespace {
 
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>(static_cast<uint8_t>(value) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(static_cast<uint8_t>(value)));
-}
-
-bool GetVarint(const std::string& data, size_t* pos, uint64_t* value) {
-  *value = 0;
-  int shift = 0;
-  while (*pos < data.size()) {
-    auto byte = static_cast<uint8_t>(data[(*pos)++]);
-    *value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      return true;
-    }
-    shift += 7;
-    if (shift >= 64) {
-      return false;
-    }
-  }
-  return false;
-}
+using telemetry::GetVarint;
+using telemetry::PutVarint;
 
 // Validates one v2 log for muxing: well-formed, and its end marker is the final byte (the
 // demuxer regenerates the marker at the close frame, so trailing bytes would be lost).

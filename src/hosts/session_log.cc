@@ -4,23 +4,31 @@
 #include <cstring>
 #include <utility>
 
+#include "src/telemetry/bytes.h"
+
 namespace hangdoctor {
 
 namespace {
+
+using telemetry::PutDouble;
+using telemetry::PutSigned;
+using telemetry::PutString;
+using telemetry::PutVarint;
+
+void PutBool(std::string* out, bool value) { out->push_back(value ? '\1' : '\0'); }
 
 // Sessions with more declared actions than this are refused at parse: a fuzzed header must
 // not be able to make the replayed core allocate an unbounded action table.
 constexpr int64_t kMaxActionsInLog = 1 << 20;
 
-uint64_t ZigzagEncode(int64_t value) {
-  return (static_cast<uint64_t>(value) << 1) ^ static_cast<uint64_t>(value >> 63);
-}
+// The symbol table's per-frame flags byte.
+constexpr uint8_t kClosedLibraryFlag = 1;
+constexpr uint8_t kUiFlag = 2;
+constexpr uint8_t kSelfDevelopedFlag = 4;
 
-int64_t ZigzagDecode(uint64_t value) {
-  return static_cast<int64_t>(value >> 1) ^ -static_cast<int64_t>(value & 1);
-}
-
-// Sequential reader over a loaded log; all Get* methods fail sticky.
+// Sequential reader over a loaded log: the sticky-failure and "(at byte N)" message layer
+// over the shared byte codec. After the first failure every read returns zero and the first
+// error stands.
 class Parser {
  public:
   Parser(std::string_view data, std::string* error) : data_(data), error_(error) {}
@@ -46,56 +54,57 @@ class Parser {
 
   uint64_t GetVarint() {
     uint64_t value = 0;
-    int shift = 0;
-    while (ok_) {
-      uint8_t byte = GetByte();
-      value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) {
-        break;
-      }
-      shift += 7;
-      if (shift >= 64) {
-        Fail("varint too long");
-        break;
-      }
+    if (ok_ && !telemetry::GetVarint(data_, &pos_, &value)) {
+      FailVarint();
     }
     return value;
   }
 
-  int64_t GetSigned() { return ZigzagDecode(GetVarint()); }
+  int64_t GetSigned() {
+    int64_t value = 0;
+    if (ok_ && !telemetry::GetSigned(data_, &pos_, &value)) {
+      FailVarint();
+    }
+    return value;
+  }
 
   double GetDouble() {
-    if (!ok_ || data_.size() - pos_ < 8) {
+    double value = 0.0;
+    if (ok_ && !telemetry::GetDouble(data_, &pos_, &value)) {
       Fail("unexpected end of log");
-      return 0.0;
     }
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + static_cast<size_t>(i)]))
-              << (8 * i);
-    }
-    pos_ += 8;
-    double value;
-    std::memcpy(&value, &bits, sizeof(value));
     return value;
   }
 
   std::string GetString() {
-    uint64_t length = GetVarint();
-    // Compare against the remaining bytes, never `pos_ + length` — a fuzzed length near
-    // 2^64 would wrap that sum and pass the check.
-    if (!ok_ || length > data_.size() - pos_) {
-      Fail("unexpected end of log");
-      return "";
+    std::string_view value;
+    if (ok_ && !telemetry::GetString(data_, &pos_, &value)) {
+      // Either the length varint failed, or the length overruns the bytes after it.
+      uint64_t length = 0;
+      if (telemetry::GetVarint(data_, &pos_, &length)) {
+        Fail("unexpected end of log");
+      } else {
+        FailVarint();
+      }
     }
-    std::string value(data_.substr(pos_, length));
-    pos_ += length;
-    return value;
+    return std::string(value);
   }
 
   bool AtEnd() const { return pos_ >= data_.size(); }
 
  private:
+  // Reports a varint that failed at pos_ where a byte-at-a-time read stops: at the end of
+  // the log when it is truncated, just past its tenth byte when it overflows.
+  void FailVarint() {
+    if (telemetry::VarintTruncated(data_, pos_)) {
+      pos_ = data_.size();
+      Fail("unexpected end of log");
+    } else {
+      pos_ += telemetry::kMaxVarintBytes;
+      Fail("varint too long");
+    }
+  }
+
   std::string_view data_;
   std::string* error_;
   size_t pos_ = 0;
@@ -180,11 +189,12 @@ std::shared_ptr<telemetry::SymbolTable> ParseSymbolTable(Parser& parser) {
     frame.file = parser.GetString();
     frame.line = static_cast<int32_t>(parser.GetSigned());
     uint8_t flags = parser.GetByte();
-    frame.in_closed_library = (flags & 1) != 0;
+    frame.in_closed_library = (flags & kClosedLibraryFlag) != 0;
     if (!parser.ok()) {
       break;
     }
-    telemetry::FrameId id = symbols->Intern(std::move(frame), (flags & 2) != 0, (flags & 4) != 0);
+    telemetry::FrameId id = symbols->Intern(std::move(frame), (flags & kUiFlag) != 0,
+                                            (flags & kSelfDevelopedFlag) != 0);
     if (id != i) {
       parser.Fail("symbol table not in id order");
       break;
@@ -442,132 +452,95 @@ void SessionLogWriter::WriteBytes(const char* data, size_t size) {
   written_ += want;
 }
 
-void SessionLogWriter::PutByte(uint8_t byte) {
-  char c = static_cast<char>(byte);
-  WriteBytes(&c, 1);
+std::string* SessionLogWriter::BeginRecord(SessionRecordTag tag) {
+  record_.clear();
+  record_.push_back(static_cast<char>(tag));
+  return &record_;
 }
 
-void SessionLogWriter::PutVarint(uint64_t value) {
-  while (value >= 0x80) {
-    PutByte(static_cast<uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  PutByte(static_cast<uint8_t>(value));
-}
-
-void SessionLogWriter::PutSigned(int64_t value) { PutVarint(ZigzagEncode(value)); }
-
-void SessionLogWriter::PutDouble(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    PutByte(static_cast<uint8_t>(bits >> (8 * i)));
-  }
-}
-
-void SessionLogWriter::PutString(const std::string& value) {
-  PutVarint(value.size());
-  WriteBytes(value.data(), value.size());
-}
+void SessionLogWriter::WriteRecord() { WriteBytes(record_.data(), record_.size()); }
 
 void SessionLogWriter::OnSessionStart(const SessionInfo& info) {
-  WriteBytes(kSessionLogMagic, sizeof(kSessionLogMagic));
-  PutVarint(kSessionLogVersion);
-  PutString(info.app_package);
-  PutSigned(info.num_actions);
-  PutSigned(info.device_id);
+  std::string* out = &record_;
+  out->assign(kSessionLogMagic, sizeof(kSessionLogMagic));
+  PutVarint(out, kSessionLogVersion);
+  PutString(out, info.app_package);
+  PutSigned(out, info.num_actions);
+  PutSigned(out, info.device_id);
 
   // Full config, so replay reconstructs the exact detector.
-  PutVarint(config_.filter.conditions().size());
+  PutVarint(out, config_.filter.conditions().size());
   for (const FilterCondition& condition : config_.filter.conditions()) {
-    PutVarint(static_cast<uint64_t>(condition.event));
-    PutDouble(condition.threshold);
+    PutVarint(out, static_cast<uint64_t>(condition.event));
+    PutDouble(out, condition.threshold);
   }
-  PutByte(config_.main_only ? 1 : 0);
-  PutSigned(config_.hang_timeout);
-  PutSigned(config_.sample_interval);
-  PutSigned(config_.reset_after_normal);
-  PutSigned(config_.max_counter_retries);
-  PutSigned(config_.counter_retry_backoff);
-  PutDouble(config_.analyzer.api_occurrence_threshold);
-  PutDouble(config_.analyzer.caller_occurrence_threshold);
-  PutDouble(config_.analyzer.ui_majority);
-  PutSigned(config_.costs.perf_start);
-  PutSigned(config_.costs.perf_stop);
-  PutSigned(config_.costs.perf_read_per_event);
-  PutSigned(config_.costs.perf_session_bytes);
-  PutSigned(config_.costs.state_lookup);
-  PutSigned(config_.costs.trace_start);
-  PutSigned(config_.costs.trace_start_bytes);
-  PutSigned(config_.costs.stack_sample);
-  PutSigned(config_.costs.stack_sample_bytes);
-  PutSigned(config_.costs.utilization_sample);
-  PutSigned(config_.costs.utilization_sample_bytes);
-  PutSigned(config_.costs.response_probe);
-  PutSigned(config_.costs.async_record);
-  PutByte(config_.second_phase_only ? 1 : 0);
-  PutByte(config_.keep_traces ? 1 : 0);
+  PutBool(out, config_.main_only);
+  PutSigned(out, config_.hang_timeout);
+  PutSigned(out, config_.sample_interval);
+  PutSigned(out, config_.reset_after_normal);
+  PutSigned(out, config_.max_counter_retries);
+  PutSigned(out, config_.counter_retry_backoff);
+  PutDouble(out, config_.analyzer.api_occurrence_threshold);
+  PutDouble(out, config_.analyzer.caller_occurrence_threshold);
+  PutDouble(out, config_.analyzer.ui_majority);
+  PutSigned(out, config_.costs.perf_start);
+  PutSigned(out, config_.costs.perf_stop);
+  PutSigned(out, config_.costs.perf_read_per_event);
+  PutSigned(out, config_.costs.perf_session_bytes);
+  PutSigned(out, config_.costs.state_lookup);
+  PutSigned(out, config_.costs.trace_start);
+  PutSigned(out, config_.costs.trace_start_bytes);
+  PutSigned(out, config_.costs.stack_sample);
+  PutSigned(out, config_.costs.stack_sample_bytes);
+  PutSigned(out, config_.costs.utilization_sample);
+  PutSigned(out, config_.costs.utilization_sample_bytes);
+  PutSigned(out, config_.costs.response_probe);
+  PutSigned(out, config_.costs.async_record);
+  PutBool(out, config_.second_phase_only);
+  PutBool(out, config_.keep_traces);
 
-  // Symbol table: every frame in id order, with its host-side UI classification, so the
-  // replayed core resolves FrameIds exactly as the live one did.
-  const telemetry::SymbolTable& symbols = *info.symbols;
-  PutVarint(symbols.size());
-  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
-    const telemetry::StackFrame& frame = symbols.Frame(id);
-    PutString(frame.function);
-    PutString(frame.clazz);
-    PutString(frame.file);
-    PutSigned(frame.line);
-    uint8_t flags = 0;
-    if (frame.in_closed_library) {
-      flags |= 1;
-    }
-    if (symbols.IsUi(id)) {
-      flags |= 2;
-    }
-    if (symbols.IsSelfDeveloped(id)) {
-      flags |= 4;
-    }
-    PutByte(flags);
-  }
+  AppendSymbolTable(*info.symbols, out);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnDispatchStart(const DispatchStart& start) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kDispatchStart));
-  PutSigned(start.now);
-  PutSigned(start.execution_id);
-  PutSigned(start.action_uid);
-  PutSigned(start.event_index);
-  PutSigned(start.events_total);
+  std::string* out = BeginRecord(SessionRecordTag::kDispatchStart);
+  PutSigned(out, start.now);
+  PutSigned(out, start.execution_id);
+  PutSigned(out, start.action_uid);
+  PutSigned(out, start.event_index);
+  PutSigned(out, start.events_total);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnDispatchEnd(const DispatchEnd& end) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kDispatchEnd));
-  PutSigned(end.now);
-  PutSigned(end.execution_id);
-  PutSigned(end.event_index);
-  PutSigned(end.response);
-  PutByte(end.trace_stopped ? 1 : 0);
+  std::string* out = BeginRecord(SessionRecordTag::kDispatchEnd);
+  PutSigned(out, end.now);
+  PutSigned(out, end.execution_id);
+  PutSigned(out, end.event_index);
+  PutSigned(out, end.response);
+  PutBool(out, end.trace_stopped);
   if (end.trace_stopped) {
-    PutVarint(end.samples.size());
+    PutVarint(out, end.samples.size());
     for (const telemetry::StackTrace& sample : end.samples) {
-      PutSigned(sample.timestamp_ns);
-      PutVarint(sample.thread);
-      PutVarint(sample.frames.size());
+      PutSigned(out, sample.timestamp_ns);
+      PutVarint(out, sample.thread);
+      PutVarint(out, sample.frames.size());
       for (telemetry::FrameId frame : sample.frames) {
-        PutVarint(frame);
+        PutVarint(out, frame);
       }
     }
   }
+  WriteRecord();
 }
 
 void SessionLogWriter::OnActionQuiesce(const ActionQuiesce& quiesce) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kActionQuiesce));
-  PutSigned(quiesce.now);
-  PutSigned(quiesce.execution_id);
-  PutSigned(quiesce.action_uid);
-  PutSigned(quiesce.max_response);
-  PutByte(quiesce.counters_valid ? 1 : 0);
+  std::string* out = BeginRecord(SessionRecordTag::kActionQuiesce);
+  PutSigned(out, quiesce.now);
+  PutSigned(out, quiesce.execution_id);
+  PutSigned(out, quiesce.action_uid);
+  PutSigned(out, quiesce.max_response);
+  PutBool(out, quiesce.counters_valid);
   // Sparse nonzero entries; zeros reconstruct implicitly.
   uint64_t nonzero = 0;
   for (double value : quiesce.counter_diffs) {
@@ -575,61 +548,68 @@ void SessionLogWriter::OnActionQuiesce(const ActionQuiesce& quiesce) {
       ++nonzero;
     }
   }
-  PutVarint(nonzero);
+  PutVarint(out, nonzero);
   for (size_t index = 0; index < quiesce.counter_diffs.size(); ++index) {
     if (quiesce.counter_diffs[index] != 0.0) {
-      PutVarint(index);
-      PutDouble(quiesce.counter_diffs[index]);
+      PutVarint(out, index);
+      PutDouble(out, quiesce.counter_diffs[index]);
     }
   }
+  WriteRecord();
 }
 
 void SessionLogWriter::OnCounterFault(const CounterFault& fault) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kCounterFault));
-  PutSigned(fault.now);
-  PutSigned(fault.execution_id);
-  PutByte(fault.permanent ? 1 : 0);
+  std::string* out = BeginRecord(SessionRecordTag::kCounterFault);
+  PutSigned(out, fault.now);
+  PutSigned(out, fault.execution_id);
+  PutBool(out, fault.permanent);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnAsyncPost(const AsyncPost& post) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kAsyncPost));
-  PutSigned(post.now);
-  PutSigned(post.execution_id);
-  PutVarint(post.edge.value);
-  PutVarint(post.target);
-  PutVarint(post.post_frame);
-  PutSigned(post.delay);
+  std::string* out = BeginRecord(SessionRecordTag::kAsyncPost);
+  PutSigned(out, post.now);
+  PutSigned(out, post.execution_id);
+  PutVarint(out, post.edge.value);
+  PutVarint(out, post.target);
+  PutVarint(out, post.post_frame);
+  PutSigned(out, post.delay);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnAsyncRun(const AsyncRun& run) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kAsyncRun));
-  PutSigned(run.now);
-  PutSigned(run.execution_id);
-  PutVarint(run.edge.value);
-  PutVarint(run.thread);
-  PutByte(run.begin ? 1 : 0);
+  std::string* out = BeginRecord(SessionRecordTag::kAsyncRun);
+  PutSigned(out, run.now);
+  PutSigned(out, run.execution_id);
+  PutVarint(out, run.edge.value);
+  PutVarint(out, run.thread);
+  PutBool(out, run.begin);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnAsyncWaitStart(const AsyncWaitStart& wait) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kAsyncWaitStart));
-  PutSigned(wait.now);
-  PutSigned(wait.execution_id);
-  PutVarint(wait.edge.value);
-  PutVarint(wait.wait_frame);
+  std::string* out = BeginRecord(SessionRecordTag::kAsyncWaitStart);
+  PutSigned(out, wait.now);
+  PutSigned(out, wait.execution_id);
+  PutVarint(out, wait.edge.value);
+  PutVarint(out, wait.wait_frame);
+  WriteRecord();
 }
 
 void SessionLogWriter::OnAsyncWaitEnd(const AsyncWaitEnd& wait) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kAsyncWaitEnd));
-  PutSigned(wait.now);
-  PutSigned(wait.execution_id);
-  PutVarint(wait.edge.value);
-  PutSigned(wait.waited);
+  std::string* out = BeginRecord(SessionRecordTag::kAsyncWaitEnd);
+  PutSigned(out, wait.now);
+  PutSigned(out, wait.execution_id);
+  PutVarint(out, wait.edge.value);
+  PutSigned(out, wait.waited);
+  WriteRecord();
 }
 
 void SessionLogWriter::WriteTraceUsage(int64_t cpu, int64_t bytes) {
-  PutByte(static_cast<uint8_t>(SessionRecordTag::kTraceUsage));
-  PutSigned(cpu);
-  PutSigned(bytes);
+  std::string* out = BeginRecord(SessionRecordTag::kTraceUsage);
+  PutSigned(out, cpu);
+  PutSigned(out, bytes);
+  WriteRecord();
 }
 
 void SessionLogWriter::Finish() {
@@ -638,11 +618,38 @@ void SessionLogWriter::Finish() {
   }
   finished_ = true;
   if (out_.is_open()) {
-    PutByte(static_cast<uint8_t>(SessionRecordTag::kEnd));
+    BeginRecord(SessionRecordTag::kEnd);
+    WriteRecord();
     out_.close();
     if (!out_.good()) {
       ok_ = false;
     }
+  }
+}
+
+uint8_t SymbolFlags(const telemetry::SymbolTable& symbols, telemetry::FrameId id) {
+  uint8_t flags = 0;
+  if (symbols.Frame(id).in_closed_library) {
+    flags |= kClosedLibraryFlag;
+  }
+  if (symbols.IsUi(id)) {
+    flags |= kUiFlag;
+  }
+  if (symbols.IsSelfDeveloped(id)) {
+    flags |= kSelfDevelopedFlag;
+  }
+  return flags;
+}
+
+void AppendSymbolTable(const telemetry::SymbolTable& symbols, std::string* out) {
+  PutVarint(out, symbols.size());
+  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
+    const telemetry::StackFrame& frame = symbols.Frame(id);
+    PutString(out, frame.function);
+    PutString(out, frame.clazz);
+    PutString(out, frame.file);
+    PutSigned(out, frame.line);
+    out->push_back(static_cast<char>(SymbolFlags(symbols, id)));
   }
 }
 

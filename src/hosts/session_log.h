@@ -13,9 +13,9 @@
 //   footer  — optionally, the monitored trace's own resource usage (CPU + bytes), so the
 //             Section 4.5 overhead percentage is reproducible offline.
 //
-// Encoding: unsigned LEB128 varints, zigzag for signed integers, raw little-endian IEEE-754
-// for doubles, length-prefixed UTF-8 for strings. The byte-level layout is specified in
-// DESIGN.md ("Session log format").
+// Encoding: the shared byte codec (src/telemetry/bytes.h) — unsigned LEB128 varints, zigzag
+// for signed integers, raw little-endian IEEE-754 for doubles, length-prefixed UTF-8 for
+// strings. The byte-level layout is specified in DESIGN.md ("Session log format").
 //
 // Version history: v1 had no CounterFault records and no retry-policy config fields; v2
 // adds both, so a session recorded under injected telemetry faults replays the same
@@ -103,19 +103,27 @@ class SessionLogWriter : public TelemetrySink {
 
  private:
   void WriteBytes(const char* data, size_t size);
-  void PutByte(uint8_t byte);
-  void PutVarint(uint64_t value);
-  void PutSigned(int64_t value);
-  void PutDouble(double value);
-  void PutString(const std::string& value);
+  // Each record is encoded into record_ (reused, so steady-state recording allocates
+  // nothing) and written with one WriteBytes.
+  std::string* BeginRecord(SessionRecordTag tag);
+  void WriteRecord();
 
   std::ofstream out_;
+  std::string record_;
   HangDoctorConfig config_;
   bool finished_ = false;
   bool ok_ = true;
   int64_t written_ = 0;
   int64_t fail_after_ = -1;
 };
+
+// The symbol-table section of the header, the one encoder of it (the writer above and the
+// compact archive, compact_log.h, both use it): a varint frame count, then per frame in id
+// order its function, class and file strings, zigzag line, and SymbolFlags byte.
+void AppendSymbolTable(const telemetry::SymbolTable& symbols, std::string* out);
+
+// A frame's flags byte: bit 0 closed-library, bit 1 UI, bit 2 self-developed.
+uint8_t SymbolFlags(const telemetry::SymbolTable& symbols, telemetry::FrameId id);
 
 // One parsed SPI record. `end.samples` is not set directly (spans would dangle as the vector
 // grows); replay points it at `samples` when pushing.

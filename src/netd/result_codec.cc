@@ -1,5 +1,6 @@
 #include "src/netd/result_codec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -13,19 +14,8 @@ namespace {
 // encoding) fails on byte 0 instead of mis-parsing fields.
 constexpr uint8_t kResultCodecVersion = 1;
 
-void PutZig(std::string* out, int64_t value) {
-  PutVarint(out, (static_cast<uint64_t>(value) << 1) ^
-                     static_cast<uint64_t>(value >> 63));
-}
-
-bool GetZig(const std::string& data, size_t* pos, int64_t* value) {
-  uint64_t raw = 0;
-  if (!GetVarint(data, pos, &raw)) {
-    return false;
-  }
-  *value = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-  return true;
-}
+using telemetry::GetSigned;
+using telemetry::PutSigned;
 
 void PutBool(std::string* out, bool value) { out->push_back(value ? '\1' : '\0'); }
 
@@ -44,10 +34,10 @@ std::string EncodeSessionResult(const hangdoctor::SessionResult& result) {
   out.push_back(static_cast<char>(kResultCodecVersion));
   PutVarint(&out, result.id.value);
   PutString(&out, result.app_package);
-  PutZig(&out, result.device_id);
+  PutSigned(&out, result.device_id);
   PutBool(&out, result.stream_ok);
   PutString(&out, result.stream_error);
-  PutZig(&out, result.stack_samples);
+  PutSigned(&out, result.stack_samples);
 
   PutVarint(&out, result.discovered.size());
   for (const std::string& api : result.discovered) {
@@ -55,22 +45,22 @@ std::string EncodeSessionResult(const hangdoctor::SessionResult& result) {
   }
 
   const hangdoctor::DegradationStats& d = result.degradation;
-  PutZig(&out, d.counter_open_failures);
-  PutZig(&out, d.counter_retries);
-  PutZig(&out, d.invalid_counter_windows);
-  PutZig(&out, d.degraded_checks);
-  PutZig(&out, d.empty_trace_windows);
-  PutZig(&out, d.dropped_records);
+  PutSigned(&out, d.counter_open_failures);
+  PutSigned(&out, d.counter_retries);
+  PutSigned(&out, d.invalid_counter_windows);
+  PutSigned(&out, d.degraded_checks);
+  PutSigned(&out, d.empty_trace_windows);
+  PutSigned(&out, d.dropped_records);
   PutBool(&out, d.counters_unavailable);
 
-  PutZig(&out, result.overhead.cpu());
-  PutZig(&out, result.overhead.memory_bytes());
-  PutZig(&out, result.overhead.counter_retries());
-  PutZig(&out, result.overhead.async_records());
+  PutSigned(&out, result.overhead.cpu());
+  PutSigned(&out, result.overhead.memory_bytes());
+  PutSigned(&out, result.overhead.counter_retries());
+  PutSigned(&out, result.overhead.async_records());
 
-  PutZig(&out, result.kb.memo_hits);
-  PutZig(&out, result.kb.memo_misses);
-  PutZig(&out, result.kb.known_hits);
+  PutSigned(&out, result.kb.memo_hits);
+  PutSigned(&out, result.kb.memo_misses);
+  PutSigned(&out, result.kb.known_hits);
 
   std::vector<hangdoctor::BugReportEntry> entries = result.report.Entries();
   PutVarint(&out, entries.size());
@@ -78,17 +68,17 @@ std::string EncodeSessionResult(const hangdoctor::SessionResult& result) {
     PutString(&out, entry.app_package);
     PutString(&out, entry.api);
     PutString(&out, entry.file);
-    PutZig(&out, entry.line);
+    PutSigned(&out, entry.line);
     PutBool(&out, entry.self_developed);
     PutBool(&out, entry.degraded);
     PutString(&out, entry.wait_site);
-    PutZig(&out, entry.occurrences);
+    PutSigned(&out, entry.occurrences);
     PutVarint(&out, entry.devices.size());
     for (int32_t device : entry.devices) {
-      PutZig(&out, device);
+      PutSigned(&out, device);
     }
-    PutZig(&out, entry.total_hang);
-    PutZig(&out, entry.max_hang);
+    PutSigned(&out, entry.total_hang);
+    PutSigned(&out, entry.max_hang);
   }
   return out;
 }
@@ -105,8 +95,8 @@ bool DecodeSessionResult(const std::string& bytes, hangdoctor::SessionResult* re
   int64_t device_id = 0;
   int64_t stack_samples = 0;
   if (!GetVarint(bytes, &pos, &id) || !GetString(bytes, &pos, &out.app_package) ||
-      !GetZig(bytes, &pos, &device_id) || !GetBool(bytes, &pos, &out.stream_ok) ||
-      !GetString(bytes, &pos, &out.stream_error) || !GetZig(bytes, &pos, &stack_samples)) {
+      !GetSigned(bytes, &pos, &device_id) || !GetBool(bytes, &pos, &out.stream_ok) ||
+      !GetString(bytes, &pos, &out.stream_error) || !GetSigned(bytes, &pos, &stack_samples)) {
     *error = "result: malformed header";
     return false;
   }
@@ -130,34 +120,32 @@ bool DecodeSessionResult(const std::string& bytes, hangdoctor::SessionResult* re
   }
 
   hangdoctor::DegradationStats& d = out.degradation;
-  if (!GetZig(bytes, &pos, &d.counter_open_failures) ||
-      !GetZig(bytes, &pos, &d.counter_retries) ||
-      !GetZig(bytes, &pos, &d.invalid_counter_windows) ||
-      !GetZig(bytes, &pos, &d.degraded_checks) ||
-      !GetZig(bytes, &pos, &d.empty_trace_windows) ||
-      !GetZig(bytes, &pos, &d.dropped_records) ||
+  if (!GetSigned(bytes, &pos, &d.counter_open_failures) ||
+      !GetSigned(bytes, &pos, &d.counter_retries) ||
+      !GetSigned(bytes, &pos, &d.invalid_counter_windows) ||
+      !GetSigned(bytes, &pos, &d.degraded_checks) ||
+      !GetSigned(bytes, &pos, &d.empty_trace_windows) ||
+      !GetSigned(bytes, &pos, &d.dropped_records) ||
       !GetBool(bytes, &pos, &d.counters_unavailable)) {
     *error = "result: malformed degradation stats";
     return false;
   }
 
   int64_t cpu = 0, memory = 0, retries = 0, async_records = 0;
-  if (!GetZig(bytes, &pos, &cpu) || !GetZig(bytes, &pos, &memory) ||
-      !GetZig(bytes, &pos, &retries) || !GetZig(bytes, &pos, &async_records)) {
+  if (!GetSigned(bytes, &pos, &cpu) || !GetSigned(bytes, &pos, &memory) ||
+      !GetSigned(bytes, &pos, &retries) || !GetSigned(bytes, &pos, &async_records)) {
     *error = "result: malformed overhead";
     return false;
   }
   out.overhead.AddCpu(cpu);
   out.overhead.AddMemory(memory);
-  for (int64_t i = 0; i < retries; ++i) {
-    out.overhead.CountCounterRetry();
-  }
-  for (int64_t i = 0; i < async_records; ++i) {
-    out.overhead.CountAsyncRecord();
-  }
+  // One call per count, so a corrupt count cannot stall the decoder; a negative one adds
+  // nothing.
+  out.overhead.CountCounterRetry(std::max<int64_t>(retries, 0));
+  out.overhead.CountAsyncRecord(std::max<int64_t>(async_records, 0));
 
-  if (!GetZig(bytes, &pos, &out.kb.memo_hits) || !GetZig(bytes, &pos, &out.kb.memo_misses) ||
-      !GetZig(bytes, &pos, &out.kb.known_hits)) {
+  if (!GetSigned(bytes, &pos, &out.kb.memo_hits) || !GetSigned(bytes, &pos, &out.kb.memo_misses) ||
+      !GetSigned(bytes, &pos, &out.kb.known_hits)) {
     *error = "result: malformed kb stats";
     return false;
   }
@@ -172,11 +160,11 @@ bool DecodeSessionResult(const std::string& bytes, hangdoctor::SessionResult* re
     int64_t line = 0;
     uint64_t devices = 0;
     if (!GetString(bytes, &pos, &entry.app_package) || !GetString(bytes, &pos, &entry.api) ||
-        !GetString(bytes, &pos, &entry.file) || !GetZig(bytes, &pos, &line) ||
+        !GetString(bytes, &pos, &entry.file) || !GetSigned(bytes, &pos, &line) ||
         !GetBool(bytes, &pos, &entry.self_developed) ||
         !GetBool(bytes, &pos, &entry.degraded) ||
         !GetString(bytes, &pos, &entry.wait_site) ||
-        !GetZig(bytes, &pos, &entry.occurrences) ||
+        !GetSigned(bytes, &pos, &entry.occurrences) ||
         !GetVarint(bytes, &pos, &devices) || devices > bytes.size() - pos) {
       *error = "result: malformed report entry";
       return false;
@@ -184,13 +172,13 @@ bool DecodeSessionResult(const std::string& bytes, hangdoctor::SessionResult* re
     entry.line = static_cast<int32_t>(line);
     for (uint64_t j = 0; j < devices; ++j) {
       int64_t device = 0;
-      if (!GetZig(bytes, &pos, &device)) {
+      if (!GetSigned(bytes, &pos, &device)) {
         *error = "result: truncated device set";
         return false;
       }
       entry.devices.insert(static_cast<int32_t>(device));
     }
-    if (!GetZig(bytes, &pos, &entry.total_hang) || !GetZig(bytes, &pos, &entry.max_hang)) {
+    if (!GetSigned(bytes, &pos, &entry.total_hang) || !GetSigned(bytes, &pos, &entry.max_hang)) {
       *error = "result: truncated entry durations";
       return false;
     }

@@ -10,7 +10,7 @@
 // authoritative HDSL byte stream it routed (its migration tap), and no fleet-level fold
 // reads the log — shipping it would make every close O(session length) on the wire.
 //
-// Encoding: the HDSL primitive vocabulary (wire.h varints and length-prefixed strings),
+// Encoding: the HDSL byte codec (src/telemetry/bytes.h varints and length-prefixed strings),
 // with zigzag for the int64 duration/counter fields so the codec never depends on a field
 // staying non-negative. Decode is total: any truncation or trailing garbage fails with a
 // one-line reason and no partial mutation of the output.

@@ -24,7 +24,6 @@
 #include "src/netd/record_codec.h"
 #include "src/netd/result_codec.h"
 #include "src/netd/wire.h"
-#include "src/simkit/affinity.h"
 #include "src/telemetry/session.h"
 
 namespace netd {
@@ -723,9 +722,6 @@ struct NetServer::Impl {
   }
 
   void WorkerLoop(size_t index) {
-    if (opt.pin_workers) {
-      simkit::PinCurrentThreadToCore(static_cast<int>(self->service_->ingest_threads() + index));
-    }
     WorkerState& wk = *workers[index];
     epoll_event events[64];
     while (true) {

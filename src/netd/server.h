@@ -71,9 +71,6 @@ struct ServerOptions {
   int64_t session_overhead_bytes = 4096;
   // Per-frame size cap (wire.h FrameSplitter).
   size_t max_frame_bytes = 8u << 20;
-  // Best-effort affinity: pin epoll worker w to core rings + w (the shard workers follow
-  // service.pin_workers, which pins shard worker a to core a).
-  bool pin_workers = false;
   // Accept worker-role HELLOs (fleetd coordinator links): control frames and per-close
   // kSessionResult replies. Off by default so a plain daemon rejects a stray coordinator at
   // HELLO time instead of half-speaking the fleet protocol.

@@ -8,54 +8,6 @@ namespace {
 constexpr char kMagic[4] = {'H', 'D', 'S', 'L'};
 }  // namespace
 
-void PutVarint(std::string* out, uint64_t value) {
-  while (value >= 0x80) {
-    out->push_back(static_cast<char>(static_cast<uint8_t>(value) | 0x80));
-    value >>= 7;
-  }
-  out->push_back(static_cast<char>(static_cast<uint8_t>(value)));
-}
-
-bool GetVarint(std::string_view data, size_t* pos, uint64_t* value) {
-  *value = 0;
-  int shift = 0;
-  while (*pos < data.size()) {
-    auto byte = static_cast<uint8_t>(data[(*pos)++]);
-    *value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      return true;
-    }
-    shift += 7;
-    if (shift >= 64) {
-      return false;
-    }
-  }
-  return false;
-}
-
-void PutString(std::string* out, const std::string& value) {
-  PutVarint(out, value.size());
-  out->append(value);
-}
-
-bool GetString(std::string_view data, size_t* pos, std::string* value) {
-  uint64_t size = 0;
-  if (!GetVarint(data, pos, &size)) {
-    return false;
-  }
-  if (size > data.size() - *pos) {
-    return false;
-  }
-  value->assign(data.substr(*pos, size));
-  *pos += size;
-  return true;
-}
-
-void AppendFrame(std::string* out, const std::string& payload) {
-  PutVarint(out, payload.size());
-  out->append(payload);
-}
-
 std::string BuildHello(uint32_t version, HelloRole role) {
   std::string payload(kMagic, sizeof(kMagic));
   PutVarint(&payload, version);
@@ -335,24 +287,11 @@ bool FrameSplitter::Next(std::string_view* payload) {
   }
   size_t pos = consumed_;
   uint64_t length = 0;
-  // Decode the length varint by hand so an incomplete prefix is "wait for more bytes" but a
-  // runaway varint or oversized length is a hard (sticky) error.
-  int shift = 0;
-  bool complete = false;
-  while (pos < buffer_.size()) {
-    auto byte = static_cast<uint8_t>(buffer_[pos++]);
-    length |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      complete = true;
-      break;
+  if (!GetVarint(buffer_, &pos, &length)) {
+    if (telemetry::VarintTruncated(buffer_, pos)) {
+      return false;  // length prefix still arriving
     }
-    shift += 7;
-    if (shift >= 64) {
-      return Fail("frame length varint overflow");
-    }
-  }
-  if (!complete) {
-    return false;  // length prefix still arriving
+    return Fail("frame length varint overflow");
   }
   if (length == 0) {
     return Fail("zero-length frame");

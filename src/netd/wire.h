@@ -70,6 +70,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/telemetry/bytes.h"
+
 namespace netd {
 
 inline constexpr uint32_t kWireVersionMin = 3;
@@ -100,15 +102,15 @@ inline constexpr uint8_t kCtrlBase = 0x40;
 inline constexpr uint8_t kCtrlHeartbeat = 0x40;
 inline constexpr uint8_t kCtrlHandoff = 0x41;
 
-// Low-level encoders, shared by both ends (LEB128, length-prefixed strings — the HDSL
-// encoding, so a wire frame is bytes the container grammar already speaks).
-void PutVarint(std::string* out, uint64_t value);
-bool GetVarint(std::string_view data, size_t* pos, uint64_t* value);
-void PutString(std::string* out, const std::string& value);
-bool GetString(std::string_view data, size_t* pos, std::string* value);
+// The byte codec both ends share is the HDSL one (src/telemetry/bytes.h), so a wire frame is
+// bytes the container grammar already speaks.
+using telemetry::GetString;
+using telemetry::GetVarint;
+using telemetry::PutString;
+using telemetry::PutVarint;
 
-// Appends `varint payload.size()` + payload to `out`.
-void AppendFrame(std::string* out, const std::string& payload);
+// Appends `varint payload.size()` + payload to `out`: a frame is a length-prefixed string.
+inline void AppendFrame(std::string* out, std::string_view payload) { PutString(out, payload); }
 
 // HELLO payload ("HDSL" + varint version [+ varint role]). A kClient role is encoded as the
 // historical two-field payload, so a new client speaking to an old daemon is byte-identical

@@ -1,19 +1,20 @@
 #include "src/workload/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
 #include "src/hangdoctor/session_stream.h"
 #include "src/hosts/replay_host.h"
 #include "src/hosts/session_log.h"
+#include "src/simkit/flags.h"
 #include "src/simkit/rng.h"
 #include "src/simkit/thread_pool.h"
 
@@ -484,89 +485,50 @@ hangdoctor::HangBugReport FleetSummary::MergeReports(size_t begin, size_t end) c
   return merged;
 }
 
-namespace {
-
-std::string FlagValue(int argc, char** argv, const char* prefix) {
-  size_t length = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, length) == 0) {
-      return std::string(argv[i] + length);
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
 int32_t ResolveJobs(int argc, char** argv) {
-  std::string value = FlagValue(argc, argv, "--jobs=");
-  if (!value.empty()) {
-    int jobs = std::atoi(value.c_str());
-    if (jobs > 0) {
-      return jobs;
-    }
-  }
-  return simkit::ThreadPool::DefaultJobCount();
+  int64_t jobs = simkit::FlagInt(argc, argv, "--jobs=", 0);
+  return jobs > 0 ? static_cast<int32_t>(jobs) : simkit::ThreadPool::DefaultJobCount();
 }
 
 int32_t ResolveShards(int argc, char** argv) {
-  std::string value = FlagValue(argc, argv, "--shards=");
-  if (!value.empty()) {
-    int shards = std::atoi(value.c_str());
-    if (shards > 0) {
-      return shards;
-    }
-  }
-  return 0;
+  int64_t shards = simkit::FlagInt(argc, argv, "--shards=", 0);
+  return shards > 0 ? static_cast<int32_t>(shards) : 0;
 }
 
 int32_t ResolveThreads(int argc, char** argv) {
-  std::string value = FlagValue(argc, argv, "--threads=");
-  if (value.empty()) {
+  std::optional<std::string_view> value = simkit::FlagString(argc, argv, "--threads=");
+  if (!value) {
     return 0;
   }
-  int threads = std::atoi(value.c_str());
+  int64_t threads = simkit::ParseFlag<int64_t>("--threads=", *value);
   if (threads < 1) {
-    throw std::invalid_argument("--threads must be >= 1, got " + value);
+    throw std::invalid_argument("--threads must be >= 1, got " + std::string(*value));
   }
-  return threads;
+  return static_cast<int32_t>(threads);
 }
 
 int64_t ResolveKbEpoch(int argc, char** argv) {
-  std::string value = FlagValue(argc, argv, "--kb-epoch=");
-  if (value.empty()) {
-    return FleetOptions{}.kb_epoch_sessions;
-  }
-  int64_t epoch = std::atoll(value.c_str());
-  if (epoch < 0 || (epoch == 0 && value != "0")) {
-    throw std::invalid_argument("--kb-epoch must be >= 0, got " + value);
+  int64_t epoch = simkit::FlagInt(argc, argv, "--kb-epoch=", FleetOptions{}.kb_epoch_sessions);
+  if (epoch < 0) {
+    throw std::invalid_argument("--kb-epoch must be >= 0, got " + std::to_string(epoch));
   }
   return epoch;
 }
 
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string ResolveRecordDir(int argc, char** argv) {
-  return FlagValue(argc, argv, "--record=");
+  return std::string(simkit::FlagString(argc, argv, "--record=").value_or(""));
 }
 
 std::string ResolveReplayDir(int argc, char** argv) {
-  return FlagValue(argc, argv, "--replay=");
+  return std::string(simkit::FlagString(argc, argv, "--replay=").value_or(""));
 }
 
 faultsim::FaultProfile ResolveFaultProfile(int argc, char** argv) {
-  std::string value = FlagValue(argc, argv, "--faults=");
+  std::string_view value = simkit::FlagString(argc, argv, "--faults=").value_or("");
   if (value.empty()) {
     return faultsim::FaultProfile{};
   }
-  return faultsim::FaultProfile::Named(value);
+  return faultsim::FaultProfile::Named(std::string(value));
 }
 
 }  // namespace workload

@@ -161,6 +161,9 @@ FleetJobResult ReplayFleetJob(const std::string& path,
 FleetSummary ReplayFleet(std::span<const std::string> paths, const FleetOptions& options = {},
                          const hangdoctor::BlockingApiDatabase* known_db = nullptr);
 
+// CLI flag helpers (strict parsing, src/simkit/flags.h: a malformed number throws
+// simkit::FlagError, a std::invalid_argument naming the flag).
+//
 // Resolves the worker count for a CLI consumer: `--jobs=N` argv flag wins, then the
 // HANGDOCTOR_JOBS environment variable, then hardware_concurrency.
 int32_t ResolveJobs(int argc, char** argv);
@@ -175,9 +178,6 @@ int32_t ResolveThreads(int argc, char** argv);
 // `--kb-epoch=N` flag helper for --shared-kb consumers: the FleetOptions default (16) when
 // absent; throws std::invalid_argument for an explicit N < 0.
 int64_t ResolveKbEpoch(int argc, char** argv);
-
-// True when the bare `--flag` is present in argv (e.g. "--service").
-bool HasFlag(int argc, char** argv, const char* flag);
 
 // CLI flag helpers for record/replay: `--record=DIR` / `--replay=DIR`; empty when absent.
 std::string ResolveRecordDir(int argc, char** argv);

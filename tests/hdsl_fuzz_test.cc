@@ -4,8 +4,10 @@
 // Fuzz half: structure-aware mutations (src/faultsim/hdsl_mutator.h) of the committed
 // mini-corpus (tests/corpus/, integrity-pinned by MANIFEST.sha256). Every mutant either
 // parses — in which case replaying it must not crash — or is rejected with a sticky,
-// non-empty error. Run under ASan/UBSan in CI; "no crash" there means no overflow, no
-// uninitialized read, no unbounded allocation.
+// non-empty error. The HDSC archive reader and the fleetd result decoder get blind
+// byte-level mutants (bit flip, byte overwrite, truncation) under the same rule. Run under
+// ASan/UBSan in CI; "no crash" there means no overflow, no uninitialized read, no unbounded
+// allocation.
 //
 // Property half: randomly generated *valid* SPI streams (src/faultsim/stream_gen.h) must
 // drive only legal Figure 3 action-state transitions with monotone overhead accounting;
@@ -35,11 +37,13 @@
 #include "src/faultsim/stream_gen.h"
 #include "src/hangdoctor/detector_core.h"
 #include "src/hangdoctor/knowledge_base.h"
+#include "src/hosts/compact_log.h"
 #include "src/hosts/mux_log.h"
 #include "src/hosts/replay_host.h"
 #include "src/hosts/session_log.h"
 #include "src/netd/client.h"
 #include "src/netd/record_codec.h"
+#include "src/netd/result_codec.h"
 #include "src/netd/server.h"
 #include "src/netd/wire.h"
 #include "src/simkit/rng.h"
@@ -449,6 +453,107 @@ TEST(NetdWireFuzzTest, SeededWireMutantsParseOrStickyRejectNeverCrash) {
   if (iters >= 100) {
     EXPECT_EQ(by_family.size(), static_cast<size_t>(faultsim::kNumWireMutations));
   }
+}
+
+// One seeded byte-level mutant of `bytes`: a bit flip, a byte overwrite, or a truncation.
+// Blind to structure on purpose — the decoders below get no layout to aim mutations with.
+std::string MutateBytes(const std::string& bytes, simkit::Rng& rng) {
+  std::string mutant = bytes;
+  auto at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.UniformInt(0, 7)));
+      break;
+    case 1:
+      mutant[at] = static_cast<char>(rng.UniformInt(0, 255));
+      break;
+    default:
+      mutant.resize(at);
+      break;
+  }
+  return mutant;
+}
+
+TEST(ByteMutantFuzzTest, CompactArchiveMutantsExtractOrRejectNeverCrash) {
+  std::vector<hangdoctor::CompactInput> inputs;
+  for (const std::string& path : CorpusFiles()) {
+    inputs.push_back({std::filesystem::path(path).filename().string(), FileBytes(path)});
+  }
+  std::string archive, error;
+  ASSERT_TRUE(hangdoctor::CompactSessionLogs(inputs, &archive, nullptr, &error)) << error;
+
+  // The clean archive extracts to the inputs and re-compacts to the same bytes.
+  std::vector<hangdoctor::CompactInput> extracted;
+  ASSERT_TRUE(hangdoctor::ExtractCompactLog(archive, &extracted, &error)) << error;
+  ASSERT_EQ(extracted.size(), inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(extracted[i].name, inputs[i].name);
+    EXPECT_EQ(extracted[i].bytes, inputs[i].bytes) << inputs[i].name;
+  }
+  std::string recompacted;
+  ASSERT_TRUE(hangdoctor::CompactSessionLogs(extracted, &recompacted, nullptr, &error)) << error;
+  EXPECT_EQ(recompacted, archive);
+
+  const int64_t iters = std::max<int64_t>(FuzzIters() / 4, 200);
+  simkit::Rng rng(FuzzSeed(), /*stream=*/0x68647363ULL);
+  int64_t rejected = 0;
+  for (int64_t i = 0; i < iters; ++i) {
+    std::string mutant = MutateBytes(archive, rng);
+    std::vector<hangdoctor::CompactInput> logs;
+    error.clear();
+    if (hangdoctor::ExtractCompactLog(mutant, &logs, &error)) {
+      // An archive that extracts hands its logs to the session-log parser, which must in
+      // turn accept or reject them cleanly.
+      for (const hangdoctor::CompactInput& log : logs) {
+        hangdoctor::SessionLog parsed;
+        std::string parse_error;
+        if (!hangdoctor::LoadSessionLogBytes(log.bytes, &parsed, &parse_error)) {
+          EXPECT_FALSE(parse_error.empty()) << "iter " << i;
+        }
+      }
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "iter " << i;
+    }
+  }
+  EXPECT_GT(rejected, 0) << "mutations are too gentle to test the archive reader";
+}
+
+TEST(ByteMutantFuzzTest, SessionResultMutantsDecodeOrRejectNeverCrash) {
+  std::vector<hangdoctor::SessionResult> results;
+  std::string error;
+  ASSERT_TRUE(
+      hangdoctor::ReplayMultiplexedLog(FileBytes(MuxCorpusPath()), {}, &results, &error))
+      << error;
+  std::vector<std::string> encoded;
+  size_t entries = 0;
+  for (const hangdoctor::SessionResult& result : results) {
+    encoded.push_back(netd::EncodeSessionResult(result));
+    entries += result.report.Entries().size();
+    // The clean encoding decodes and re-encodes to the same bytes.
+    hangdoctor::SessionResult decoded;
+    ASSERT_TRUE(netd::DecodeSessionResult(encoded.back(), &decoded, &error)) << error;
+    EXPECT_EQ(netd::EncodeSessionResult(decoded), encoded.back());
+  }
+  ASSERT_FALSE(encoded.empty());
+  ASSERT_GT(entries, 0u) << "the corpus results carry no report entries to mutate";
+
+  const int64_t iters = std::max<int64_t>(FuzzIters() / 4, 200);
+  simkit::Rng rng(FuzzSeed(), /*stream=*/0x72736c74ULL);
+  int64_t rejected = 0;
+  for (int64_t i = 0; i < iters; ++i) {
+    const std::string& clean = encoded[static_cast<size_t>(i) % encoded.size()];
+    std::string mutant = MutateBytes(clean, rng);
+    hangdoctor::SessionResult decoded;
+    error.clear();
+    if (netd::DecodeSessionResult(mutant, &decoded, &error)) {
+      netd::EncodeSessionResult(decoded);  // a decoded result is a usable result
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "iter " << i;
+    }
+  }
+  EXPECT_GT(rejected, 0) << "mutations are too gentle to test the result decoder";
 }
 
 // Legal Figure 3 transitions under the default two-phase config (plus the degraded

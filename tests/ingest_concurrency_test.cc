@@ -1,5 +1,5 @@
 // The lock-free ingest pipeline, attacked from below and from above. From below: the simkit
-// concurrency primitives (MPMC ring, batch router, open-addressed map, affinity) against
+// concurrency primitives (MPMC ring, batch router, open-addressed map) against
 // reference models and multi-threaded stress — these run on the TSan CI leg, so every
 // atomic's ordering is machine-checked, not argued. From above: the DetectorService
 // determinism contract — pipelined ingest at any {threads, shards} produces results
@@ -41,7 +41,6 @@
 #include "src/netd/client.h"
 #include "src/netd/record_codec.h"
 #include "src/netd/server.h"
-#include "src/simkit/affinity.h"
 #include "src/simkit/batch_router.h"
 #include "src/simkit/mpmc_ring.h"
 #include "src/simkit/shard_map.h"
@@ -285,18 +284,6 @@ TEST(OpenHashMapTest, ChurnMatchesUnorderedMapModel) {
     ASSERT_EQ(value, it->second);
   });
   EXPECT_EQ(visited, model.size());
-}
-
-// ---------------------------------------------------------------------------
-// Affinity: best-effort pinning never fails hard.
-
-TEST(AffinityTest, PinCurrentThreadSmoke) {
-  EXPECT_GE(simkit::OnlineCoreCount(), 1);
-#if defined(__linux__)
-  EXPECT_TRUE(simkit::PinCurrentThreadToCore(0));
-  EXPECT_TRUE(simkit::PinCurrentThreadToCore(simkit::OnlineCoreCount() + 3));  // wraps
-  EXPECT_FALSE(simkit::PinCurrentThreadToCore(-1));
-#endif
 }
 
 // ---------------------------------------------------------------------------

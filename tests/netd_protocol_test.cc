@@ -136,6 +136,44 @@ TEST(NetdWireTest, FrameRoundTripIsByteIdentical) {
   EXPECT_TRUE(splitter.ok());
 }
 
+TEST(NetdWireTest, LengthPrefixFedByteByByteWaitsThenOverflowFailsSticky) {
+  // A three-byte length prefix arriving one byte at a time is "wait", never an error; the
+  // frame pops once its last payload byte lands.
+  const std::string payload(20000, 'p');
+  std::string stream;
+  netd::AppendFrame(&stream, payload);
+  ASSERT_EQ(stream.size(), payload.size() + 3);
+  netd::FrameSplitter splitter;
+  std::string got;
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(splitter.Feed(&stream[i], 1));
+    EXPECT_FALSE(splitter.Next(&got)) << "prefix byte " << i;
+    EXPECT_TRUE(splitter.ok()) << "prefix byte " << i;
+  }
+  ASSERT_TRUE(splitter.Feed(stream.data() + 3, payload.size() - 1));
+  EXPECT_FALSE(splitter.Next(&got));
+  ASSERT_TRUE(splitter.Feed(stream.data() + stream.size() - 1, 1));
+  ASSERT_TRUE(splitter.Next(&got));
+  EXPECT_EQ(got, payload);
+  EXPECT_TRUE(splitter.ok());
+
+  // Nine continuation bytes could still be a valid length; the tenth makes it an overflow,
+  // and the splitter stays failed whatever follows.
+  const char continuation = '\xff';
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(splitter.Feed(&continuation, 1));
+    EXPECT_FALSE(splitter.Next(&got));
+    EXPECT_TRUE(splitter.ok()) << "continuation byte " << i;
+  }
+  ASSERT_TRUE(splitter.Feed(&continuation, 1));
+  EXPECT_FALSE(splitter.Next(&got));
+  EXPECT_FALSE(splitter.ok());
+  EXPECT_EQ(splitter.error(), "frame length varint overflow");
+  EXPECT_FALSE(splitter.Feed(stream.data(), stream.size()));
+  EXPECT_FALSE(splitter.Next(&got));
+  EXPECT_EQ(splitter.error(), "frame length varint overflow");
+}
+
 TEST(NetdWireTest, ContainerSplitsLosslesslyIntoWireFrames) {
   std::vector<hangdoctor::SessionLogSlice> sessions = {
       {telemetry::SessionId{1}, DonorLogBytes()}, {telemetry::SessionId{2}, DonorLogBytes()}};

@@ -151,7 +151,7 @@ TEST(HangBugReportTest, RenderMaterializesInternedFrames) {
     trace.frames = {looper, decode};  // innermost last
   }
   hangdoctor::TraceAnalyzer analyzer;
-  hangdoctor::Diagnosis diagnosis = analyzer.Analyze(traces, symbols, "org.other.app");
+  hangdoctor::Diagnosis diagnosis = analyzer.Analyze(traces, symbols);
   ASSERT_TRUE(diagnosis.valid);
   EXPECT_FALSE(diagnosis.is_ui);
   EXPECT_FALSE(diagnosis.is_self_developed);

@@ -1,11 +1,16 @@
-// Unit tests for the simulation kit: RNG, event queue, simulation driver, statistics.
+// Unit tests for the simulation kit: RNG, event queue, simulation driver, statistics, and
+// command-line flags.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/simkit/event_queue.h"
+#include "src/simkit/flags.h"
 #include "src/simkit/logging.h"
 #include "src/simkit/rng.h"
 #include "src/simkit/simulation.h"
@@ -314,6 +319,39 @@ TEST(LoggingTest, LevelFiltering) {
   EXPECT_EQ(simkit::GetLogLevel(), simkit::LogLevel::kError);
   SIMKIT_LOG(simkit::LogLevel::kDebug) << "should not crash nor print";
   simkit::SetLogLevel(simkit::LogLevel::kWarning);
+}
+
+TEST(FlagsTest, StrictNumbersFallBackWhenAbsentAndNameTheFlagWhenMalformed) {
+  const char* args[] = {"bin",      "--x=12",   "--rate=0.25", "--bad=12abc",
+                        "--empty=", "--big=9223372036854775808", "--file=a",
+                        "--file=b", "--chaos"};
+  auto argv = const_cast<char**>(args);
+  const int argc = static_cast<int>(std::size(args));
+
+  EXPECT_EQ(simkit::FlagInt(argc, argv, "--x=", 7), 12);
+  EXPECT_EQ(simkit::FlagInt(argc, argv, "--missing=", 7), 7);
+  EXPECT_EQ(simkit::FlagDouble(argc, argv, "--rate=", 1.0), 0.25);
+  EXPECT_EQ(simkit::FlagDouble(argc, argv, "--missing=", 1.5), 1.5);
+  EXPECT_TRUE(simkit::HasFlag(argc, argv, "--chaos"));
+  EXPECT_FALSE(simkit::HasFlag(argc, argv, "--cha"));
+  EXPECT_EQ(simkit::FlagString(argc, argv, "--file=").value_or(""), "a");
+  EXPECT_EQ(simkit::FlagStrings(argc, argv, "--file="),
+            (std::vector<std::string_view>{"a", "b"}));
+  EXPECT_FALSE(simkit::FlagString(argc, argv, "--missing=").has_value());
+
+  auto error_of = [&](const char* prefix) -> std::string {
+    try {
+      simkit::FlagInt(argc, argv, prefix, 0);
+    } catch (const simkit::FlagError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of("--bad="), "--bad=12abc: not a number");
+  EXPECT_EQ(error_of("--empty="), "--empty=: not a number");
+  EXPECT_EQ(error_of("--big="), "--big=9223372036854775808: out of range");
+  EXPECT_THROW(simkit::FlagDouble(argc, argv, "--bad=", 0.0), simkit::FlagError);
+  EXPECT_THROW(simkit::ParseFlag<uint16_t>("--port=", "70000"), simkit::FlagError);
 }
 
 }  // namespace

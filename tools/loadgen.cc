@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -21,28 +19,9 @@
 
 #include "src/hosts/mux_log.h"
 #include "src/netd/loadgen.h"
+#include "src/simkit/flags.h"
 
 namespace {
-
-int64_t FlagValue(int argc, char** argv, const char* prefix, int64_t fallback) {
-  size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      return std::strtoll(argv[i] + len, nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-double FlagDouble(int argc, char** argv, const char* prefix, double fallback) {
-  size_t len = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, len) == 0) {
-      return std::strtod(argv[i] + len, nullptr);
-    }
-  }
-  return fallback;
-}
 
 bool ReadFile(const std::string& path, std::string* bytes) {
   std::ifstream in(path, std::ios::binary);
@@ -53,25 +32,22 @@ bool ReadFile(const std::string& path, std::string* bytes) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  auto port = static_cast<uint16_t>(FlagValue(argc, argv, "--port=", 0));
+int Run(int argc, char** argv) {
+  using simkit::FlagInt;
+  auto port = static_cast<uint16_t>(FlagInt(argc, argv, "--port=", 0));
   if (port == 0) {
     std::fprintf(stderr, "loadgen: --port=N is required\n");
     return 2;
   }
 
   std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--file=", 7) == 0) {
-      paths.emplace_back(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--dir=", 6) == 0) {
-      std::filesystem::path dir(argv[i] + 6);
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (entry.path().extension() == ".hdsl") {
-          paths.push_back(entry.path().string());
-        }
+  for (std::string_view file : simkit::FlagStrings(argc, argv, "--file=")) {
+    paths.emplace_back(file);
+  }
+  for (std::string_view dir : simkit::FlagStrings(argc, argv, "--dir=")) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".hdsl") {
+        paths.push_back(entry.path().string());
       }
     }
   }
@@ -90,7 +66,7 @@ int main(int argc, char** argv) {
   }
 
   auto want = static_cast<size_t>(
-      FlagValue(argc, argv, "--sessions=", static_cast<int64_t>(logs.size())));
+      FlagInt(argc, argv, "--sessions=", static_cast<int64_t>(logs.size())));
   std::vector<hangdoctor::SessionLogSlice> sessions;
   sessions.reserve(want);
   for (size_t i = 0; i < want; ++i) {
@@ -98,15 +74,11 @@ int main(int argc, char** argv) {
   }
 
   netd::LoadGenOptions options;
-  options.connections = static_cast<int32_t>(FlagValue(argc, argv, "--connections=", 1));
-  options.rate = FlagDouble(argc, argv, "--rate=", 0.0);
-  options.chunk = static_cast<size_t>(FlagValue(argc, argv, "--chunk=", 0));
-  options.seed = static_cast<uint64_t>(FlagValue(argc, argv, "--seed=", 1));
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chaos") == 0) {
-      options.chaos = true;
-    }
-  }
+  options.connections = static_cast<int32_t>(FlagInt(argc, argv, "--connections=", 1));
+  options.rate = simkit::FlagDouble(argc, argv, "--rate=", 0.0);
+  options.chunk = static_cast<size_t>(FlagInt(argc, argv, "--chunk=", 0));
+  options.seed = static_cast<uint64_t>(FlagInt(argc, argv, "--seed=", 1));
+  options.chaos = simkit::HasFlag(argc, argv, "--chaos");
 
   netd::LoadGenResult result = netd::RunLoadGen(port, sessions, options);
   size_t completed = 0, chaos_dropped = 0, failed = 0;
@@ -127,4 +99,15 @@ int main(int argc, char** argv) {
       static_cast<long long>(result.sessions_closed), static_cast<long long>(result.busy),
       static_cast<long long>(result.errors));
   return failed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return Run(argc, argv);
+  } catch (const simkit::FlagError& e) {
+    std::fprintf(stderr, "loadgen: %s\n", e.what());
+    return 2;
+  }
 }
