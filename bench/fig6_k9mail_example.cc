@@ -44,8 +44,7 @@ int main() {
                 simkit::ToMilliseconds(record.response),
                 hangdoctor::ActionStateName(record.state_before),
                 hangdoctor::VerdictName(record.verdict),
-                record.schecker_diffs[static_cast<size_t>(
-                    telemetry::PerfEventType::kContextSwitches)]);
+                record.SCheckerDiff(telemetry::PerfEventType::kContextSwitches));
     if (record.verdict == hangdoctor::Verdict::kDiagnosedBug && diagnosed == nullptr) {
       diagnosed = &record;
     }
@@ -77,11 +76,10 @@ int main() {
     std::printf("\n");
     ++shown;
   }
+  const telemetry::StackFrame& culprit = app->symbols().Frame(diagnosed->diagnosis.culprit);
   std::printf("\nDiagnosis: culprit %s.%s (%s:%d), occurrence factor %.0f%%%s\n",
-              diagnosed->diagnosis.culprit.clazz.c_str(),
-              diagnosed->diagnosis.culprit.function.c_str(),
-              diagnosed->diagnosis.culprit.file.c_str(), diagnosed->diagnosis.culprit.line,
-              100.0 * diagnosed->diagnosis.occurrence_factor,
+              culprit.clazz.c_str(), culprit.function.c_str(), culprit.file.c_str(),
+              culprit.line, 100.0 * diagnosed->diagnosis.occurrence_factor,
               diagnosed->diagnosis.is_ui ? " [UI]" : " [soft hang bug]");
   std::printf("paper: clean(HtmlSanitizer.java:25), occurrence factor 96%%, hang 1.3 s\n");
   return 0;

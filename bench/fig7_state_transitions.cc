@@ -44,8 +44,7 @@ int main() {
       continue;
     }
     const char* name = record.action_uid == folders ? "Folders" : "Inbox";
-    double page_diff =
-        record.schecker_diffs[static_cast<size_t>(telemetry::PerfEventType::kPageFaults)];
+    double page_diff = record.SCheckerDiff(telemetry::PerfEventType::kPageFaults);
     std::printf("  %-5ld %-8s %9.0f  %-13s %-17s %s\n",
                 static_cast<long>(record.execution_id), name,
                 simkit::ToMilliseconds(record.response),

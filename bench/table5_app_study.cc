@@ -15,12 +15,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/smoke.h"
@@ -95,6 +96,33 @@ int Run(int argc, char** argv) {
     }
   }
 
+  // Numeric flags parse strictly (simkit/flags.h), also before anything runs: a malformed
+  // value such as --fleet-scale=3x exits 2 naming the flag instead of running at scale 3.
+  auto int_flag = [&](std::string_view prefix, int32_t fallback) {
+    std::optional<std::string_view> value = simkit::FlagString(argc, argv, prefix);
+    return value ? simkit::ParseFlag<int32_t>(prefix, *value) : fallback;
+  };
+  // --fleet-scale=N multiplies the devices per study app: the same study at N× fleet size,
+  // e.g. to exercise --shared-kb epoch churn at scale. Table counts scale with it, so the
+  // default (1) is what the goldens pin.
+  const int32_t fleet_scale = int_flag("--fleet-scale=", 1);
+  // --workers=N and --migrate-at=K (percent of frames): the distributed-fleet run below.
+  const int32_t fleet_workers = int_flag("--workers=", 0);
+  const double migrate_at = simkit::FlagDouble(argc, argv, "--migrate-at=", -1.0);
+  if (fleet_scale < 1) {
+    std::fprintf(stderr, "--fleet-scale must be >= 1, got %d\n", fleet_scale);
+    return 2;
+  }
+  if (simkit::FlagString(argc, argv, "--workers=") && fleet_workers < 1) {
+    std::fprintf(stderr, "--workers must be >= 1, got %d\n", fleet_workers);
+    return 2;
+  }
+  if (simkit::FlagString(argc, argv, "--migrate-at=") &&
+      !(migrate_at >= 0.0 && migrate_at <= 100.0)) {
+    std::fprintf(stderr, "--migrate-at must be a percentage in [0, 100], got %g\n", migrate_at);
+    return 2;
+  }
+
   // Mutually-incompatible combinations fail up front, before any simulation runs. A flag
   // that the chosen mode would silently ignore is an error, not a no-op: --replay re-runs
   // detectors from recorded logs on the per-job path, so it cannot record, inject faults,
@@ -145,19 +173,6 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // --fleet-scale=N multiplies the devices per study app: the same study at N× fleet size,
-  // e.g. to exercise --shared-kb epoch churn at scale. Table counts scale with it, so the
-  // default (1) is what the goldens pin.
-  int32_t fleet_scale = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--fleet-scale=", 14) == 0) {
-      fleet_scale = std::atoi(argv[i] + 14);
-      if (fleet_scale < 1) {
-        std::fprintf(stderr, "--fleet-scale must be >= 1, got %s\n", argv[i] + 14);
-        return 2;
-      }
-    }
-  }
   const int32_t devices_per_app = bench::SmokeScaled(4, 1) * fleet_scale;
   const simkit::SimDuration session_length =
       bench::SmokeScaled(simkit::Seconds(420), simkit::Seconds(60));
@@ -399,27 +414,8 @@ int Run(int argc, char** argv) {
   // checked bit-for-bit against the in-process oracle. Opt-in, so the default output stays
   // byte-identical to the goldens.
   {
-    int32_t fleet_workers = 0;
-    double migrate_at = -1.0;
-    std::string fleet_fault_name;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-        fleet_workers = std::atoi(argv[i] + 10);
-        if (fleet_workers < 1) {
-          std::fprintf(stderr, "--workers must be >= 1, got %s\n", argv[i] + 10);
-          return 2;
-        }
-      } else if (std::strncmp(argv[i], "--migrate-at=", 13) == 0) {
-        migrate_at = std::atof(argv[i] + 13);
-        if (migrate_at < 0.0 || migrate_at > 100.0) {
-          std::fprintf(stderr, "--migrate-at must be a percentage in [0, 100], got %s\n",
-                       argv[i] + 13);
-          return 2;
-        }
-      } else if (std::strncmp(argv[i], "--fleet-faults=", 15) == 0) {
-        fleet_fault_name = argv[i] + 15;
-      }
-    }
+    const std::string fleet_fault_name(
+        simkit::FlagString(argc, argv, "--fleet-faults=").value_or(""));
     if (fleet_workers > 0) {
       workload::DistributedFleetOptions fleet_options;
       fleet_options.workers = fleet_workers;

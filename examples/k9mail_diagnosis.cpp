@@ -45,7 +45,7 @@ int main() {
     if (record.verdict != hangdoctor::Verdict::kDiagnosedBug || record.traces.empty()) {
       continue;
     }
-    if (record.diagnosis.culprit.function != "clean") {
+    if (app->symbols().Frame(record.diagnosis.culprit).function != "clean") {
       continue;
     }
     std::printf("\nA stack trace from the diagnosing hang (%zu collected, occurrence %.0f%%):\n",

@@ -14,7 +14,7 @@
 
 namespace hangdoctor {
 
-enum class ActionState {
+enum class ActionState : uint8_t {
   kUncategorized,
   kNormal,
   kSuspicious,

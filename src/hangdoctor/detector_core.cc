@@ -238,7 +238,11 @@ void DetectorCore::RunSChecker(const ActionQuiesce& quiesce, LiveExecution& live
                                ExecutionRecord& record) {
   (void)live;
   record.schecker_ran = true;
-  record.schecker_diffs = quiesce.counter_diffs;
+  std::vector<telemetry::PerfEventType> events = config_.filter.Events();
+  record.schecker_diffs.reserve(events.size());
+  for (telemetry::PerfEventType event : events) {
+    record.schecker_diffs.push_back({event, quiesce.counter_diffs[static_cast<size_t>(event)]});
+  }
   if (!quiesce.counters_valid || !SoftHangFilter::FiniteDiffs(quiesce.counter_diffs)) {
     // No usable counter window for this hang. With counters permanently unavailable the
     // S-Checker degrades to the response-time predicate alone — the hang already exceeded
@@ -258,7 +262,6 @@ void DetectorCore::RunSChecker(const ActionQuiesce& quiesce, LiveExecution& live
     }
     return;
   }
-  std::vector<telemetry::PerfEventType> events = config_.filter.Events();
   overhead_.AddCpu(config_.costs.perf_read_per_event *
                    static_cast<int64_t>(events.size() * (config_.main_only ? 1 : 2)));
   if (config_.filter.HasSymptoms(quiesce.counter_diffs)) {
@@ -336,14 +339,18 @@ void DetectorCore::RunDiagnoser(const ActionQuiesce& quiesce, LiveExecution& liv
   table_.Transition(quiesce.now, quiesce.action_uid, ActionState::kHangBug,
                     "Diagnoser: soft hang bug (path C)");
   simkit::SimDuration hang = std::max(live.longest_hang, quiesce.max_response);
-  local_report_.Record(info_.app_package, diagnosis, hang, info_.device_id, record.degraded);
+  const telemetry::SymbolTable& symbols = *info_.symbols;
+  local_report_.Record(info_.app_package, diagnosis, symbols, hang, info_.device_id,
+                       record.degraded);
   if (fleet_report_ != nullptr) {
-    fleet_report_->Record(info_.app_package, diagnosis, hang, info_.device_id, record.degraded);
+    fleet_report_->Record(info_.app_package, diagnosis, symbols, hang, info_.device_id,
+                          record.degraded);
   }
   if (!diagnosis.is_self_developed) {
     // Self-developed lengthy operations are reported only to the developer; real APIs feed
     // the offline detectors' database.
-    std::string api = diagnosis.culprit.clazz + "." + diagnosis.culprit.function;
+    const telemetry::StackFrame& culprit = symbols.Frame(diagnosis.culprit);
+    std::string api = culprit.clazz + "." + culprit.function;
     if (kb_.IsKnown(api)) {
       // The fleet already knew this API when the session opened: a re-confirmation the
       // shared knowledge base turns into zero new offline-scanner work.

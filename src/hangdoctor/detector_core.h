@@ -42,7 +42,7 @@
 
 namespace hangdoctor {
 
-enum class Verdict {
+enum class Verdict : uint8_t {
   kNotChecked,        // Normal-state action: no monitoring beyond the state lookup
   kNoHang,            // response never exceeded the timeout
   kFilteredUi,        // S-Checker: no symptoms -> Normal
@@ -55,25 +55,46 @@ enum class Verdict {
 
 const char* VerdictName(Verdict verdict);
 
+// One counter difference S-Checker read: the main−render delta of one filter event.
+struct SCheckerReading {
+  telemetry::PerfEventType event = telemetry::PerfEventType::kContextSwitches;
+  double diff = 0.0;
+};
+
+// One entry of the execution log. A daemon retains every record of every session until it
+// is harvested, so the record stays small: frames are ids into the session's SymbolTable
+// (Diagnosis), and only the filter's counter differences are kept, only when S-Checker ran.
 struct ExecutionRecord {
   int32_t action_uid = -1;
-  int64_t execution_id = 0;
-  simkit::SimDuration response = 0;
-  bool hang = false;
   ActionState state_before = ActionState::kUncategorized;
+  Verdict verdict = Verdict::kNotChecked;
+  bool hang = false;
   bool schecker_ran = false;
   bool diagnoser_ran = false;
   bool traced = false;
   // The check ran without usable counters (invalid read, or counters permanently gone and
   // S-Checker fell back to the timeout-only predicate).
   bool degraded = false;
-  Verdict verdict = Verdict::kNotChecked;
+  int64_t execution_id = 0;
+  simkit::SimDuration response = 0;
   Diagnosis diagnosis;
-  // Counter differences S-Checker read (filter events only; zeros elsewhere).
-  telemetry::CounterArray schecker_diffs{};
+  // Counter differences S-Checker read, one per filter event; empty unless it ran.
+  std::vector<SCheckerReading> schecker_diffs;
   // Stack traces the Diagnoser collected (kept only when config.keep_traces is set).
   std::vector<telemetry::StackTrace> traces;
+
+  // The difference S-Checker read for `event`; 0.0 for an event outside the filter or when
+  // S-Checker did not run.
+  double SCheckerDiff(telemetry::PerfEventType event) const {
+    for (const SCheckerReading& reading : schecker_diffs) {
+      if (reading.event == event) {
+        return reading.diff;
+      }
+    }
+    return 0.0;
+  }
 };
+static_assert(sizeof(ExecutionRecord) <= 112, "a daemon retains every execution record");
 
 struct HangDoctorConfig {
   SoftHangFilter filter = SoftHangFilter::Default();

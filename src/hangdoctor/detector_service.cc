@@ -203,6 +203,9 @@ SessionResult DetectorService::Harvest(telemetry::SessionId id,
     AbsorbIntoKb(id, result, core);
   }
   result.log = core.TakeLog();
+  result.log.shrink_to_fit();  // a retained log keeps no growth slack
+  result.symbols = std::shared_ptr<const telemetry::SymbolTable>(
+      std::shared_ptr<const telemetry::SymbolTable>(), core.session().symbols);
   return result;  // `slot` dies here: the session's arena is gone, only the result remains
 }
 

@@ -119,6 +119,11 @@ struct SessionResult {
   std::string app_package;
   int32_t device_id = 0;
   std::vector<ExecutionRecord> log;  // the core's execution log (moved out, not copied)
+  // The table the log's frame ids index, so a retained log can still be rendered. Harvest
+  // sets a non-owning alias of SessionInfo::symbols (valid as long as the caller keeps that
+  // table alive, as for the live session); a host that owns the table — hangdoctord, whose
+  // tables come from the SymbolTableCache — replaces it with an owning pointer.
+  std::shared_ptr<const telemetry::SymbolTable> symbols;
   HangBugReport report;              // the session's local Hang Bug Report
   OverheadMeter overhead;
   DegradationStats degradation;

@@ -5,24 +5,33 @@
 
 namespace hangdoctor {
 
-std::string HangBugReport::Key(const std::string& app_package, const Diagnosis& diagnosis) {
-  return app_package + "|" + diagnosis.culprit.clazz + "." + diagnosis.culprit.function + "|" +
-         diagnosis.culprit.file + ":" + std::to_string(diagnosis.culprit.line);
+namespace {
+
+// The identity key: app|clazz.function|file:line. Absorb rebuilds the same string from an
+// entry's own fields.
+std::string Key(const std::string& app_package, const std::string& api, const std::string& file,
+                int32_t line) {
+  return app_package + "|" + api + "|" + file + ":" + std::to_string(line);
 }
 
+}  // namespace
+
 void HangBugReport::Record(const std::string& app_package, const Diagnosis& diagnosis,
+                           const telemetry::SymbolTable& symbols,
                            simkit::SimDuration hang_duration, int32_t device_id, bool degraded) {
-  BugReportEntry& entry = entries_[Key(app_package, diagnosis)];
+  const telemetry::StackFrame& culprit = symbols.Frame(diagnosis.culprit);
+  std::string api = culprit.clazz + "." + culprit.function;
+  BugReportEntry& entry = entries_[Key(app_package, api, culprit.file, culprit.line)];
   if (entry.occurrences == 0) {
     entry.app_package = app_package;
-    entry.api = diagnosis.culprit.clazz + "." + diagnosis.culprit.function;
-    entry.file = diagnosis.culprit.file;
-    entry.line = diagnosis.culprit.line;
+    entry.api = std::move(api);
+    entry.file = culprit.file;
+    entry.line = culprit.line;
     entry.self_developed = diagnosis.is_self_developed;
     if (diagnosis.via_async_wait) {
-      entry.wait_site = diagnosis.wait_frame.clazz + "." + diagnosis.wait_frame.function + "@" +
-                        diagnosis.wait_frame.file + ":" +
-                        std::to_string(diagnosis.wait_frame.line);
+      const telemetry::StackFrame& wait = symbols.Frame(diagnosis.wait_frame);
+      entry.wait_site =
+          wait.clazz + "." + wait.function + "@" + wait.file + ":" + std::to_string(wait.line);
     }
   }
   entry.degraded = entry.degraded || degraded;
@@ -51,9 +60,7 @@ void HangBugReport::Merge(const HangBugReport& other) {
 }
 
 void HangBugReport::Absorb(const BugReportEntry& entry) {
-  std::string key =
-      entry.app_package + "|" + entry.api + "|" + entry.file + ":" + std::to_string(entry.line);
-  BugReportEntry& mine = entries_[key];
+  BugReportEntry& mine = entries_[Key(entry.app_package, entry.api, entry.file, entry.line)];
   if (mine.occurrences == 0) {
     mine = entry;
     return;

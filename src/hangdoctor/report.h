@@ -41,17 +41,20 @@ struct BugReportEntry {
 
 class HangBugReport {
  public:
-  // Records one diagnosed soft hang bug occurrence observed on `device_id`. `degraded` marks
-  // an occurrence diagnosed without counter vetting (see BugReportEntry::degraded).
+  // Records one diagnosed soft hang bug occurrence observed on `device_id`. `symbols` is the
+  // session's table, which resolves the diagnosis's frame ids; the entry keeps strings, so
+  // the report outlives the table. `degraded` marks an occurrence diagnosed without counter
+  // vetting (see BugReportEntry::degraded).
   void Record(const std::string& app_package, const Diagnosis& diagnosis,
-              simkit::SimDuration hang_duration, int32_t device_id, bool degraded = false);
+              const telemetry::SymbolTable& symbols, simkit::SimDuration hang_duration,
+              int32_t device_id, bool degraded = false);
 
   // Folds another device's (or fleet's) report into this one.
   void Merge(const HangBugReport& other);
 
   // Folds one exported entry back in — the wire-transport half of Merge(). The entry's
   // identity key is reconstructed from its own fields (api is exactly "clazz.function", so
-  // app|api|file:line is the same string Key() builds from a Diagnosis), which is what lets
+  // app|api|file:line is the same string Record() keys a diagnosis by), which is what lets
   // a worker daemon ship its per-session reports to a fleetd coordinator and the folded
   // result stay bit-identical to an in-process Merge.
   void Absorb(const BugReportEntry& entry);
@@ -68,8 +71,6 @@ class HangBugReport {
   std::string Render(int32_t total_devices) const;
 
  private:
-  static std::string Key(const std::string& app_package, const Diagnosis& diagnosis);
-
   std::map<std::string, BugReportEntry> entries_;
 };
 

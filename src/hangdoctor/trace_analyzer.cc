@@ -20,7 +20,7 @@ bool KeyLess(const telemetry::SymbolTable& symbols, telemetry::FrameId a, teleme
   return FrameKey(symbols.Frame(a)) < FrameKey(symbols.Frame(b));
 }
 
-constexpr telemetry::FrameId kNoFrame = UINT32_MAX;
+using telemetry::kNoFrame;
 
 }  // namespace
 
@@ -90,7 +90,7 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
       }
     }
     telemetry::FrameId chosen = top_ui != kNoFrame ? top_ui : top;
-    diagnosis.culprit = symbols.Frame(chosen);
+    diagnosis.culprit = chosen;
     diagnosis.occurrence_factor = static_cast<double>(innermost[chosen]) / total;
     diagnosis.is_ui = true;
     return diagnosis;
@@ -99,7 +99,7 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
   // Case 3: one API dominates.
   double top_occurrence = static_cast<double>(innermost[top]) / total;
   if (top_occurrence >= config_.api_occurrence_threshold) {
-    diagnosis.culprit = symbols.Frame(top);
+    diagnosis.culprit = top;
     diagnosis.occurrence_factor = top_occurrence;
     diagnosis.is_ui = symbols.IsUi(top);
     return diagnosis;
@@ -133,7 +133,7 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
     }
   }
   if (best != kNoFrame) {
-    diagnosis.culprit = symbols.Frame(best);
+    diagnosis.culprit = best;
     diagnosis.occurrence_factor = static_cast<double>(callers[best]) / total;
     diagnosis.is_ui = symbols.IsUi(best);
     diagnosis.is_self_developed = true;
@@ -141,7 +141,7 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
   }
 
   // Fall back to the most frequent innermost frame even below threshold.
-  diagnosis.culprit = symbols.Frame(top);
+  diagnosis.culprit = top;
   diagnosis.occurrence_factor = top_occurrence;
   diagnosis.is_ui = symbols.IsUi(top);
   return diagnosis;
@@ -165,13 +165,11 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
   if (!main_diag.valid) {
     return main_diag;
   }
-  bool culprit_is_wait = false;
-  for (telemetry::FrameId id : wait_frames) {
-    if (id < symbols.size() && symbols.Frame(id) == main_diag.culprit) {
-      culprit_is_wait = true;
-      break;
-    }
-  }
+  // Ids compare exactly: a SymbolTable never holds two ids for one frame (Intern dedups on
+  // the fields StackFrame::operator== compares, and a parsed table with a duplicate frame is
+  // rejected).
+  bool culprit_is_wait =
+      std::find(wait_frames.begin(), wait_frames.end(), main_diag.culprit) != wait_frames.end();
   if (!culprit_is_wait || async_traces.empty()) {
     return main_diag;
   }
@@ -185,13 +183,8 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
   // self-developed work on the main thread cannot fire here — the async culprit is a
   // dominant leaf either way. The host's provenance bit on the culprit frame substitutes,
   // keeping self-developed operations out of the blocking-API database on this path too.
-  if (!async_diag.is_self_developed) {
-    for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
-      if (symbols.IsSelfDeveloped(id) && symbols.Frame(id) == async_diag.culprit) {
-        async_diag.is_self_developed = true;
-        break;
-      }
-    }
+  if (symbols.IsSelfDeveloped(async_diag.culprit)) {
+    async_diag.is_self_developed = true;
   }
   return async_diag;
 }

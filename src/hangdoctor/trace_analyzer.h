@@ -13,8 +13,8 @@
 //     single callee would not fix the hang, so the whole caller is reported.
 //
 // Traces carry interned FrameIds, so the occurrence census is integer counting over dense
-// id-indexed arrays; the culprit's symbolic frame is materialized from the SymbolTable only
-// once the diagnosis is final.
+// id-indexed arrays, and the diagnosis names its culprit by id too: strings are built only
+// to break exact count ties and when a report is rendered.
 #ifndef SRC_HANGDOCTOR_TRACE_ANALYZER_H_
 #define SRC_HANGDOCTOR_TRACE_ANALYZER_H_
 
@@ -28,19 +28,23 @@
 
 namespace hangdoctor {
 
+// A diagnosis names frames by id in the session's SymbolTable, like the traces it came from;
+// HangBugReport::Record and the renderers resolve them to strings.
 struct Diagnosis {
-  bool valid = false;  // false when no usable samples were collected
-  telemetry::StackFrame culprit;
-  double occurrence_factor = 0.0;
-  bool is_ui = false;
-  bool is_self_developed = false;
-  size_t samples_used = 0;
+  // The culprit frame; meaningful only when `valid`.
+  telemetry::FrameId culprit = telemetry::kNoFrame;
   // Waiting-chain provenance (DESIGN.md section 3.8): set when the main-thread culprit was a
   // blocking wait and the hang was re-attributed to the async thread's stack. `culprit` is
   // then the async culprit; `wait_frame` keeps the main-thread wait site for the report.
+  telemetry::FrameId wait_frame = telemetry::kNoFrame;
+  double occurrence_factor = 0.0;
+  size_t samples_used = 0;
+  bool valid = false;  // false when no usable samples were collected
+  bool is_ui = false;
+  bool is_self_developed = false;
   bool via_async_wait = false;
-  telemetry::StackFrame wait_frame;
 };
+static_assert(sizeof(Diagnosis) <= 32, "Diagnosis is retained in every execution record");
 
 struct TraceAnalyzerConfig {
   // Minimum innermost-frame occurrence for a single API to be declared the culprit.

@@ -373,6 +373,10 @@ bool ReplayMultiplexedLog(const std::string& bytes, const ServiceOptions& option
 
   DetectorService service(options);
   *results = service.Consume(stream);
+  // The parsed logs die with this frame: each result takes its own owning table pointer.
+  for (SessionResult& result : *results) {
+    result.symbols = logs[index_of.at(result.id.value)].symbols;
+  }
   return true;
 }
 

@@ -75,6 +75,11 @@ class MuxStreamDecoder {
   const std::string& error() const { return error_; }
   bool saw_bye() const { return saw_bye_; }
   size_t open_sessions() const { return live_.size(); }
+  // The parsed prefix of open session `id`, or null when it is not open.
+  std::shared_ptr<hangdoctor::SessionLog> OpenLog(uint64_t id) const {
+    auto it = live_.find(id);
+    return it != live_.end() ? it->second : nullptr;
+  }
 
  private:
   bool Fail(const std::string& message);

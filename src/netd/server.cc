@@ -668,6 +668,7 @@ struct NetServer::Impl {
     for (const auto& [id, est] : conn->live) {
       NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
                                  hd::SpiPayload::Kind::kSessionClose);
+      rec->log = conn->decoder.OpenLog(id);  // like a close frame's: keeps the table alive
       rec->estimate = est;
       Push(wk, rec);
     }
@@ -833,6 +834,9 @@ struct NetServer::Impl {
                        BuildSessionResult(rec.id.value, EncodeSessionResult(done.result)));
           return;
         }
+        // The retained log's frame ids index the session's table: the outcome owns it, so
+        // it renders after the close record, the decoder and the server are gone.
+        done.result.symbols = rec.log != nullptr ? rec.log->symbols : nullptr;
         Retain(NetSessionOutcome{rec.id, false, {}, std::move(done.result)});
         return;
       }

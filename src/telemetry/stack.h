@@ -24,6 +24,9 @@ namespace telemetry {
 // in every run and under any fleet sharding.
 using FrameId = uint32_t;
 
+// No frame: what a FrameId field holds before (or without) a diagnosis assigning it.
+inline constexpr FrameId kNoFrame = UINT32_MAX;
+
 // A materialized (symbolic) frame: what reports and diagnoses show.
 struct StackFrame {
   std::string function;  // e.g. "clean"

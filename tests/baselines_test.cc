@@ -61,7 +61,7 @@ TEST_F(BaselinesTest, TimeoutDetectorTracesHangsAboveItsTimeout) {
   ASSERT_EQ(fast.outcomes().size(), 1u);
   EXPECT_TRUE(fast.outcomes()[0].hang);
   EXPECT_TRUE(fast.outcomes()[0].traced);
-  EXPECT_EQ(fast.outcomes()[0].diagnosis.culprit.function, "toJson");
+  EXPECT_EQ(app->symbols().Frame(fast.outcomes()[0].diagnosis.culprit).function, "toJson");
   // The ANR-style 5 s timeout misses the same hang entirely.
   ASSERT_EQ(slow.outcomes().size(), 1u);
   EXPECT_FALSE(slow.outcomes()[0].traced);

@@ -70,7 +70,7 @@ TEST_F(RuntimeTest, BugActionWalksPathC) {
   EXPECT_FALSE(doctor.log()[0].traced);  // phase 1 never collects traces
   EXPECT_EQ(doctor.log()[1].verdict, Verdict::kDiagnosedBug);
   EXPECT_TRUE(doctor.log()[1].traced);
-  EXPECT_EQ(doctor.log()[1].diagnosis.culprit.function, "toJson");
+  EXPECT_EQ(app->symbols().Frame(doctor.log()[1].diagnosis.culprit).function, "toJson");
   // HangBug actions keep being diagnosed on every subsequent hang.
   EXPECT_EQ(doctor.log()[2].verdict, Verdict::kDiagnosedBug);
   // The discovery reached the blocking-API database (toJson was unknown).

@@ -136,7 +136,7 @@ TEST(TraceAnalyzerTest, DominantApiIsCulprit) {
   traces.push_back(fix.Trace({kHandler, kInflate}));
   Diagnosis diagnosis = analyzer.Analyze(traces, fix.symbols);
   ASSERT_TRUE(diagnosis.valid);
-  EXPECT_EQ(diagnosis.culprit.function, "clean");
+  EXPECT_EQ(fix.symbols.Frame(diagnosis.culprit).function, "clean");
   EXPECT_NEAR(diagnosis.occurrence_factor, 0.9, 1e-9);
   EXPECT_FALSE(diagnosis.is_ui);
   EXPECT_FALSE(diagnosis.is_self_developed);
@@ -153,7 +153,7 @@ TEST(TraceAnalyzerTest, UiMajorityIsBenign) {
   Diagnosis diagnosis = analyzer.Analyze(traces, fix.symbols);
   ASSERT_TRUE(diagnosis.valid);
   EXPECT_TRUE(diagnosis.is_ui);
-  EXPECT_EQ(diagnosis.culprit.function, "inflate");
+  EXPECT_EQ(fix.symbols.Frame(diagnosis.culprit).function, "inflate");
 }
 
 TEST(TraceAnalyzerTest, SelfDevelopedCallerWhenNoApiDominates) {
@@ -169,7 +169,7 @@ TEST(TraceAnalyzerTest, SelfDevelopedCallerWhenNoApiDominates) {
   Diagnosis diagnosis = analyzer.Analyze(traces, fix.symbols);
   ASSERT_TRUE(diagnosis.valid);
   EXPECT_TRUE(diagnosis.is_self_developed);
-  EXPECT_EQ(diagnosis.culprit.function, "processAll");
+  EXPECT_EQ(fix.symbols.Frame(diagnosis.culprit).function, "processAll");
   EXPECT_FALSE(diagnosis.is_ui);
   EXPECT_NEAR(diagnosis.occurrence_factor, 1.0, 1e-9);
 }
@@ -197,16 +197,17 @@ TEST(TraceAnalyzerTest, IdleSamplesAreIgnoredNotCounted) {
 
 TEST(ReportTest, RecordsAndSorts) {
   hangdoctor::HangBugReport report;
+  AnalyzerFixture fix;
   Diagnosis a;
   a.valid = true;
-  a.culprit = kClean;
+  a.culprit = fix.symbols.Intern(kClean);
   Diagnosis b;
   b.valid = true;
-  b.culprit = kLoop;
+  b.culprit = fix.symbols.Intern(kLoop);
   b.is_self_developed = true;
-  report.Record("com.app", a, simkit::Milliseconds(500), /*device_id=*/0);
-  report.Record("com.app", a, simkit::Milliseconds(700), /*device_id=*/1);
-  report.Record("com.app", b, simkit::Milliseconds(200), /*device_id=*/0);
+  report.Record("com.app", a, fix.symbols, simkit::Milliseconds(500), /*device_id=*/0);
+  report.Record("com.app", a, fix.symbols, simkit::Milliseconds(700), /*device_id=*/1);
+  report.Record("com.app", b, fix.symbols, simkit::Milliseconds(200), /*device_id=*/0);
   ASSERT_EQ(report.NumBugs(), 2u);
   std::vector<hangdoctor::BugReportEntry> entries = report.SortedEntries();
   EXPECT_EQ(entries[0].api, "org.htmlcleaner.HtmlCleaner.clean");  // 2 devices first
@@ -221,12 +222,13 @@ TEST(ReportTest, RecordsAndSorts) {
 TEST(ReportTest, MergeCombinesDevices) {
   hangdoctor::HangBugReport left;
   hangdoctor::HangBugReport right;
+  AnalyzerFixture fix;
   Diagnosis d;
   d.valid = true;
-  d.culprit = kClean;
-  left.Record("com.app", d, simkit::Milliseconds(300), 0);
-  right.Record("com.app", d, simkit::Milliseconds(400), 1);
-  right.Record("com.other", d, simkit::Milliseconds(100), 1);
+  d.culprit = fix.symbols.Intern(kClean);
+  left.Record("com.app", d, fix.symbols, simkit::Milliseconds(300), 0);
+  right.Record("com.app", d, fix.symbols, simkit::Milliseconds(400), 1);
+  right.Record("com.other", d, fix.symbols, simkit::Milliseconds(100), 1);
   left.Merge(right);
   EXPECT_EQ(left.NumBugs(), 2u);
   std::vector<hangdoctor::BugReportEntry> entries = left.SortedEntries();

@@ -74,7 +74,7 @@ TEST(KbConcurrencyTest, SnapshotChurnStress) {
         memo.key.symbols_fingerprint = session % 13;
         memo.key.shape = {1, static_cast<uint32_t>(session % 5)};
         memo.diagnosis.valid = true;
-        memo.diagnosis.culprit.function = "api" + std::to_string(session % 11);
+        memo.diagnosis.culprit = static_cast<telemetry::FrameId>(session % 11);
         kb.AbsorbSession(telemetry::SessionId{session},
                          {"com.example.Api" + std::to_string(session % 11) + ".block"},
                          {memo}, {});

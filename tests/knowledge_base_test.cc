@@ -21,6 +21,12 @@ hangdoctor::BlockingApiDatabase SeedDb() {
   return seed;
 }
 
+// The frames the memo entries below name as culprits, interned once per test process.
+telemetry::SymbolTable& Culprits() {
+  static telemetry::SymbolTable* symbols = new telemetry::SymbolTable();
+  return *symbols;
+}
+
 hangdoctor::DiagnosisMemoEntry MemoEntry(const std::string& key_package,
                                          const std::string& culprit_function) {
   hangdoctor::DiagnosisMemoEntry entry;
@@ -28,8 +34,9 @@ hangdoctor::DiagnosisMemoEntry MemoEntry(const std::string& key_package,
   entry.key.symbols_fingerprint = 0x1234;
   entry.key.shape = {1, 7};
   entry.diagnosis.valid = true;
-  entry.diagnosis.culprit.function = culprit_function;
-  entry.diagnosis.culprit.clazz = "com.example.Worker";
+  entry.diagnosis.culprit =
+      Culprits().Intern({culprit_function, "com.example.Worker", "Worker.java", 1},
+                        /*is_ui=*/false);
   return entry;
 }
 
@@ -108,7 +115,7 @@ TEST(KnowledgeBaseTest, MergeOrderIsSessionThenDiscoveryOrderNotArrivalOrder) {
   hangdoctor::KnowledgeBase::Snapshot snap = kb.Acquire();
   const hangdoctor::Diagnosis* memo = snap.FindMemo(early.key);
   ASSERT_NE(memo, nullptr);
-  EXPECT_EQ(memo->culprit.function, "from_session_2");
+  EXPECT_EQ(Culprits().Frame(memo->culprit).function, "from_session_2");
 
   // Same race, arrival order flipped: identical winner.
   hangdoctor::KnowledgeBase flipped;
@@ -117,7 +124,7 @@ TEST(KnowledgeBaseTest, MergeOrderIsSessionThenDiscoveryOrderNotArrivalOrder) {
   ASSERT_TRUE(flipped.Publish());
   const hangdoctor::Diagnosis* flipped_memo = flipped.Acquire().FindMemo(early.key);
   ASSERT_NE(flipped_memo, nullptr);
-  EXPECT_EQ(flipped_memo->culprit.function, "from_session_2");
+  EXPECT_EQ(Culprits().Frame(flipped_memo->culprit).function, "from_session_2");
 }
 
 TEST(KnowledgeBaseTest, StatsAccumulateAcrossAbsorbAndPublish) {
@@ -152,6 +159,63 @@ void FillTable(telemetry::SymbolTable& table) {
     frame.line = 10 * i;
     table.Intern(frame, /*is_ui=*/false);
   }
+}
+
+// "clazz.function@file:line" of `id` in `symbols`.
+std::string Site(const telemetry::SymbolTable& symbols, telemetry::FrameId id) {
+  const telemetry::StackFrame& frame = symbols.Frame(id);
+  return frame.clazz + "." + frame.function + "@" + frame.file + ":" + std::to_string(frame.line);
+}
+
+TEST(KnowledgeBaseTest, MemoHitRendersTheSameCulpritAsAFreshAnalysis) {
+  // Memos hold frame ids, not strings. The key's fingerprint pins the table's (size,
+  // content hash), so a memo published from one session's table and hit from another,
+  // independently interned, table resolves to the same frames a fresh AnalyzeCausal over
+  // the second table names — culprit and wait site both.
+  auto intern_app = [](telemetry::SymbolTable& table) {
+    table.Intern({"onClick", "com.example.Main", "Main.java", 10}, /*is_ui=*/false);
+    table.Intern({"get", "java.util.concurrent.FutureTask", "Main.java", 12}, false);
+    table.Intern({"run", "com.example.Loader", "Loader.java", 30}, false, true);
+    table.Intern({"clean", "org.htmlcleaner.HtmlCleaner", "Loader.java", 31}, false);
+  };
+  telemetry::SymbolTable publisher;
+  telemetry::SymbolTable reader;
+  intern_app(publisher);
+  intern_app(reader);
+  std::vector<telemetry::StackTrace> traces;
+  for (int i = 0; i < 6; ++i) {
+    telemetry::StackTrace main_sample;
+    main_sample.frames = {0, 1};  // the main thread blocks in Future.get
+    traces.push_back(main_sample);
+    telemetry::StackTrace async_sample;
+    async_sample.thread = 1;
+    async_sample.frames = {2, 3};  // the worker runs HtmlCleaner.clean
+    traces.push_back(async_sample);
+  }
+  const std::vector<telemetry::FrameId> wait_frames = {1};
+  hangdoctor::TraceAnalyzer analyzer;
+  hangdoctor::TraceAnalyzerConfig config = analyzer.config();
+
+  hangdoctor::DiagnosisMemoEntry published;
+  published.key = hangdoctor::MakeDiagnosisMemoKey(traces, publisher, "com.example.app", config,
+                                                   wait_frames);
+  published.diagnosis = analyzer.AnalyzeCausal(traces, publisher, wait_frames);
+  hangdoctor::KnowledgeBase kb;
+  kb.AbsorbSession(telemetry::SessionId{1}, {}, {published}, {});
+  ASSERT_TRUE(kb.Publish());
+
+  const hangdoctor::Diagnosis* hit = kb.Acquire().FindMemo(hangdoctor::MakeDiagnosisMemoKey(
+      traces, reader, "com.example.app", config, wait_frames));
+  ASSERT_NE(hit, nullptr);
+  hangdoctor::Diagnosis fresh = analyzer.AnalyzeCausal(traces, reader, wait_frames);
+  ASSERT_TRUE(fresh.valid);
+  ASSERT_TRUE(fresh.via_async_wait);
+  EXPECT_EQ(Site(reader, hit->culprit), Site(reader, fresh.culprit));
+  EXPECT_EQ(Site(reader, hit->culprit), "org.htmlcleaner.HtmlCleaner.clean@Loader.java:31");
+  ASSERT_TRUE(hit->via_async_wait);
+  EXPECT_EQ(Site(reader, hit->wait_frame), Site(reader, fresh.wait_frame));
+  EXPECT_EQ(hit->is_self_developed, fresh.is_self_developed);
+  EXPECT_EQ(hit->occurrence_factor, fresh.occurrence_factor);
 }
 
 TEST(KnowledgeBaseTest, MemoKeyShapeFlatteningIsInjective) {

@@ -243,18 +243,20 @@ TEST(MuxLogTest, DemuxRejectsMalformedContainers) {
   EXPECT_FALSE(hangdoctor::DemuxSessionLog(stream + "x", &back, &error));
 }
 
-std::string FormatRecord(const hangdoctor::ExecutionRecord& record) {
+// `symbols` is the table the record's frame ids index.
+std::string FormatRecord(const hangdoctor::ExecutionRecord& record,
+                         const telemetry::SymbolTable& symbols) {
   std::ostringstream out;
   out << record.execution_id << " uid=" << record.action_uid << " resp=" << record.response
       << " hang=" << record.hang << " s1=" << record.schecker_ran
       << " s2=" << record.diagnoser_ran << " traced=" << record.traced
       << " verdict=" << hangdoctor::VerdictName(record.verdict);
   if (record.diagnosis.valid) {
-    out << " culprit=" << record.diagnosis.culprit.clazz << "."
-        << record.diagnosis.culprit.function << ":" << record.diagnosis.culprit.line;
+    const telemetry::StackFrame& culprit = symbols.Frame(record.diagnosis.culprit);
+    out << " culprit=" << culprit.clazz << "." << culprit.function << ":" << culprit.line;
   }
-  for (int64_t diff : record.schecker_diffs) {
-    out << " " << diff;
+  for (telemetry::PerfEventType event : telemetry::AllPerfEvents()) {
+    out << " " << static_cast<int64_t>(record.SCheckerDiff(event));
   }
   return out.str();
 }
@@ -310,7 +312,8 @@ TEST(MuxLogTest, MultiplexedReplayMatchesPerSessionReplayAtAnyShardCount) {
       EXPECT_EQ(result.stream_ok, true) << label;
       ASSERT_EQ(result.log.size(), core.log().size()) << label;
       for (size_t i = 0; i < result.log.size(); ++i) {
-        EXPECT_EQ(FormatRecord(result.log[i]), FormatRecord(core.log()[i]))
+        EXPECT_EQ(FormatRecord(result.log[i], *result.symbols),
+                  FormatRecord(core.log()[i], *core.session().symbols))
             << label << " record " << i;
       }
     }
@@ -409,7 +412,8 @@ TEST(MuxLogTest, AsyncSessionsMuxAndReplayAtAnyShardCount) {
       EXPECT_EQ(result.stream_ok, true) << label;
       ASSERT_EQ(result.log.size(), core.log().size()) << label;
       for (size_t i = 0; i < result.log.size(); ++i) {
-        EXPECT_EQ(FormatRecord(result.log[i]), FormatRecord(core.log()[i]))
+        EXPECT_EQ(FormatRecord(result.log[i], *result.symbols),
+                  FormatRecord(core.log()[i], *core.session().symbols))
             << label << " record " << i;
       }
     }

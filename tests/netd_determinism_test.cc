@@ -7,7 +7,8 @@
 // in-flight sessions while every session on a calm connection still matches the oracle
 // exactly: a torn neighbor never perturbs anyone else's report. Sessions whose symbol tables
 // are byte-identical share one parsed table across connections, and a neighbour whose table
-// differs by one bit still gets its own.
+// differs by one bit still gets its own. A retained outcome owns its table: its execution
+// log renders after the server is gone.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -277,24 +278,16 @@ TEST(NetdDeterminismTest, SharedSymbolTablesNeverLeakAcrossClients) {
     hangdoctor::SessionLog log;
     std::string error;
     ASSERT_TRUE(hangdoctor::LoadSessionLogBytes(fleet.logs[i], &log, &error)) << error;
-    const telemetry::SymbolTable& symbols = *log.symbols;
     hangdoctor::ReplaySession replay(std::move(log));
     replay.Run();
     for (const hangdoctor::ExecutionRecord& record : replay.core().log()) {
       if (record.verdict != hangdoctor::Verdict::kDiagnosedBug) {
         continue;
       }
-      for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
-        if (symbols.Frame(id) == record.diagnosis.culprit) {
-          std::string flipped = FlipUiBit(fleet.logs[i], id);
-          if (Replay(flipped).report != Replay(fleet.logs[i]).report) {
-            base = fleet.logs[i];
-            neighbour = std::move(flipped);
-          }
-          break;
-        }
-      }
-      if (!neighbour.empty()) {
+      std::string flipped = FlipUiBit(fleet.logs[i], record.diagnosis.culprit);
+      if (Replay(flipped).report != Replay(fleet.logs[i]).report) {
+        base = fleet.logs[i];
+        neighbour = std::move(flipped);
         break;
       }
     }
@@ -377,6 +370,158 @@ TEST(NetdDeterminismTest, SharedSymbolTablesNeverLeakAcrossClients) {
   }
   EXPECT_EQ(server.live_sessions(), 0u);
   EXPECT_EQ(server.live_session_bytes(), 0);
+}
+
+// Recorded sessions of the async study apps, whose diagnoses walk a waiting chain and so
+// carry a wait site.
+const std::vector<std::string>& AsyncLogs() {
+  static const std::vector<std::string>* logs = [] {
+    auto* out = new std::vector<std::string>();
+    std::string dir = TempDir();
+    std::vector<workload::FleetJob> jobs;
+    for (const droidsim::AppSpec* spec : SharedCatalog().async_apps()) {
+      workload::FleetJob job;
+      job.spec = spec;
+      job.profile = droidsim::LgV10();
+      job.seed = workload::FleetSeed(9400, jobs.size());
+      job.session = simkit::Seconds(30);
+      job.record_path = dir + "/async_" + std::to_string(jobs.size()) + ".hdsl";
+      jobs.push_back(job);
+    }
+    EXPECT_EQ(workload::RunFleet(jobs, {.jobs = 2, .service = false}).failed, 0u);
+    for (const auto& job : jobs) {
+      std::ifstream in(job.record_path, std::ios::binary);
+      out->emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    return out;
+  }();
+  return *logs;
+}
+
+// "clazz.function@file:line" of `id`.
+std::string Site(const telemetry::SymbolTable& symbols, telemetry::FrameId id) {
+  const telemetry::StackFrame& frame = symbols.Frame(id);
+  return frame.clazz + "." + frame.function + "@" + frame.file + ":" + std::to_string(frame.line);
+}
+
+// Every diagnosed record of `log`, rendered through `symbols`: culprit, then wait site.
+std::vector<std::string> RenderDiagnoses(const std::vector<hangdoctor::ExecutionRecord>& log,
+                                         const telemetry::SymbolTable& symbols) {
+  std::vector<std::string> lines;
+  for (const hangdoctor::ExecutionRecord& record : log) {
+    if (!record.diagnosis.valid) {
+      continue;
+    }
+    std::string line = std::to_string(record.execution_id) + " " +
+                       Site(symbols, record.diagnosis.culprit);
+    if (record.diagnosis.via_async_wait) {
+      line += " via " + Site(symbols, record.diagnosis.wait_frame);
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+// The same rendering from an uncached replay of the session's own bytes.
+std::vector<std::string> ReplayDiagnoses(const std::string& bytes) {
+  hangdoctor::SessionLog log;
+  std::string error;
+  EXPECT_TRUE(hangdoctor::LoadSessionLogBytes(bytes, &log, &error)) << error;
+  hangdoctor::ReplaySession replay(std::move(log));
+  replay.Run();
+  return RenderDiagnoses(replay.core().log(), *replay.core().session().symbols);
+}
+
+TEST(NetdDeterminismTest, RetainedOutcomesOwnTheirSymbolTables) {
+  // Part 1: the study fleet plus the async apps over loopback TCP. The server is stopped,
+  // harvested and destroyed before anything is rendered, so every table a log's frame ids
+  // index must be owned by the outcome itself.
+  const RecordedFleet& fleet = Fleet();
+  std::vector<hangdoctor::SessionLogSlice> sessions = fleet.sessions;
+  for (const std::string& bytes : AsyncLogs()) {
+    sessions.push_back({telemetry::SessionId{sessions.size() + 1}, bytes});
+  }
+  std::map<uint64_t, const std::string*> bytes_of;
+  for (const hangdoctor::SessionLogSlice& session : sessions) {
+    bytes_of[session.id.value] = &session.bytes;
+  }
+  std::vector<netd::NetSessionOutcome> outcomes;
+  {
+    netd::NetServer server(Topology(4));
+    netd::LoadGenOptions options;
+    options.connections = 8;
+    netd::LoadGenResult result = netd::RunLoadGen(server.port(), sessions, options);
+    EXPECT_EQ(result.errors, 0);
+    server.Stop();
+    outcomes = server.TakeResults();
+  }
+  ASSERT_EQ(outcomes.size(), sessions.size());
+  size_t diagnoses = 0;
+  size_t wait_sites = 0;
+  for (const netd::NetSessionOutcome& outcome : outcomes) {
+    const std::string label = "session " + std::to_string(outcome.id.value);
+    ASSERT_FALSE(outcome.aborted) << label << ": " << outcome.stream_error;
+    ASSERT_NE(outcome.result.symbols, nullptr) << label;
+    std::vector<std::string> rendered =
+        RenderDiagnoses(outcome.result.log, *outcome.result.symbols);
+    EXPECT_EQ(rendered, ReplayDiagnoses(*bytes_of.at(outcome.id.value))) << label;
+    diagnoses += rendered.size();
+    for (const std::string& line : rendered) {
+      wait_sites += line.find(" via ") != std::string::npos ? 1 : 0;
+    }
+  }
+  EXPECT_GT(diagnoses, 0u);
+  EXPECT_GT(wait_sites, 0u) << "no async diagnosis walked a waiting chain";
+
+  // Part 2: a retained, un-harvested outcome keeps its table in the daemon's cache. Session
+  // 1 runs to its close reply; only then does session 2 open with the same table, which it
+  // shares instead of parsing again.
+  const std::string& base = fleet.logs[0];
+  std::vector<std::string> first = SessionFrames({{telemetry::SessionId{1}, base}});
+  std::vector<std::string> second = SessionFrames({{telemetry::SessionId{2}, base}});
+  first.pop_back();  // kEnd: the connection goes on with session 2
+  netd::ServerOptions options;
+  options.listen = false;
+  options.workers = 1;
+  options.rings = 2;
+  options.service.shards = 4;
+  std::vector<netd::NetSessionOutcome> retained;
+  {
+    netd::NetServer server(options);
+    netd::NetClient client;
+    int sv[2] = {-1, -1};
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    server.AdoptConnection(sv[0]);
+    client.Adopt(sv[1]);
+    ASSERT_TRUE(client.SendHello(netd::kWireVersionMax));
+    netd::Reply reply;
+    ASSERT_TRUE(client.ReadReply(&reply));
+    ASSERT_EQ(reply.tag, netd::ReplyTag::kHelloOk);
+    for (const std::string& frame : first) {
+      ASSERT_TRUE(client.SendFrame(frame)) << client.error();
+    }
+    ASSERT_TRUE(client.ReadReply(&reply));
+    ASSERT_EQ(reply.tag, netd::ReplyTag::kSessionClosed);
+    ASSERT_EQ(reply.session_id, 1u);
+    for (const std::string& frame : second) {
+      ASSERT_TRUE(client.SendFrame(frame)) << client.error();
+    }
+    while (client.ReadReply(&reply)) {
+    }
+    server.Stop();
+    EXPECT_EQ(server.stats().symbol_tables_parsed.load(), 1);
+    EXPECT_EQ(server.stats().symbol_tables_shared.load(), 1);
+    retained = server.TakeResults();
+  }
+  ASSERT_EQ(retained.size(), 2u);
+  const std::vector<std::string> oracle = ReplayDiagnoses(base);
+  for (const netd::NetSessionOutcome& outcome : retained) {
+    ASSERT_FALSE(outcome.aborted) << outcome.stream_error;
+    ASSERT_NE(outcome.result.symbols, nullptr);
+    EXPECT_EQ(RenderDiagnoses(outcome.result.log, *outcome.result.symbols), oracle)
+        << "session " << outcome.id.value;
+  }
+  EXPECT_EQ(retained[0].result.symbols, retained[1].result.symbols);
 }
 
 }  // namespace

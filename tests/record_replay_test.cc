@@ -44,7 +44,9 @@ struct CoreSnapshot {
   int64_t stack_samples = 0;
 };
 
-std::string FormatRecord(const hangdoctor::ExecutionRecord& record) {
+// `symbols` is the table the record's frame ids index.
+std::string FormatRecord(const hangdoctor::ExecutionRecord& record,
+                         const telemetry::SymbolTable& symbols) {
   std::ostringstream out;
   out << record.execution_id << " uid=" << record.action_uid << " resp=" << record.response
       << " hang=" << record.hang << " before=" << static_cast<int>(record.state_before)
@@ -52,14 +54,14 @@ std::string FormatRecord(const hangdoctor::ExecutionRecord& record) {
       << " traced=" << record.traced << " verdict=" << hangdoctor::VerdictName(record.verdict)
       << " traces=" << record.traces.size();
   if (record.diagnosis.valid) {
-    out << " culprit=" << record.diagnosis.culprit.clazz << "."
-        << record.diagnosis.culprit.function << "@" << record.diagnosis.culprit.file << ":"
-        << record.diagnosis.culprit.line << " occ=" << record.diagnosis.occurrence_factor
+    const telemetry::StackFrame& culprit = symbols.Frame(record.diagnosis.culprit);
+    out << " culprit=" << culprit.clazz << "." << culprit.function << "@" << culprit.file << ":"
+        << culprit.line << " occ=" << record.diagnosis.occurrence_factor
         << " ui=" << record.diagnosis.is_ui << " self=" << record.diagnosis.is_self_developed
         << " n=" << record.diagnosis.samples_used;
   }
-  for (int64_t diff : record.schecker_diffs) {
-    out << " " << diff;
+  for (telemetry::PerfEventType event : telemetry::AllPerfEvents()) {
+    out << " " << static_cast<int64_t>(record.SCheckerDiff(event));
   }
   return out.str();
 }
@@ -67,7 +69,7 @@ std::string FormatRecord(const hangdoctor::ExecutionRecord& record) {
 CoreSnapshot Snapshot(const hangdoctor::DetectorCore& core, int32_t total_devices) {
   CoreSnapshot snap;
   for (const hangdoctor::ExecutionRecord& record : core.log()) {
-    snap.log_lines.push_back(FormatRecord(record));
+    snap.log_lines.push_back(FormatRecord(record, *core.session().symbols));
   }
   for (const hangdoctor::StateTransition& transition : core.actions().transitions()) {
     std::ostringstream out;

@@ -66,15 +66,13 @@ TEST(BlockingApiDatabaseTest, CopyCarriesPriorDiscoveries) {
   EXPECT_FALSE(copy.AddDiscovered("early.Find.call"));
 }
 
-hangdoctor::Diagnosis MakeDiagnosis(const std::string& clazz, const std::string& function,
-                                    const std::string& file, int32_t line,
-                                    bool self_developed = false) {
+// A diagnosis whose culprit frame is interned into `symbols`.
+hangdoctor::Diagnosis MakeDiagnosis(telemetry::SymbolTable& symbols, const std::string& clazz,
+                                    const std::string& function, const std::string& file,
+                                    int32_t line, bool self_developed = false) {
   hangdoctor::Diagnosis diagnosis;
   diagnosis.valid = true;
-  diagnosis.culprit.clazz = clazz;
-  diagnosis.culprit.function = function;
-  diagnosis.culprit.file = file;
-  diagnosis.culprit.line = line;
+  diagnosis.culprit = symbols.Intern({function, clazz, file, line}, /*is_ui=*/false);
   diagnosis.is_self_developed = self_developed;
   diagnosis.occurrence_factor = 1.0;
   diagnosis.samples_used = 5;
@@ -83,10 +81,11 @@ hangdoctor::Diagnosis MakeDiagnosis(const std::string& clazz, const std::string&
 
 TEST(HangBugReportTest, RecordAggregatesPerBug) {
   hangdoctor::HangBugReport report;
-  hangdoctor::Diagnosis bug = MakeDiagnosis("org.app.Db", "query", "Db.java", 42);
-  report.Record("org.app", bug, simkit::Milliseconds(200), /*device_id=*/0);
-  report.Record("org.app", bug, simkit::Milliseconds(400), /*device_id=*/1);
-  report.Record("org.app", bug, simkit::Milliseconds(300), /*device_id=*/1);
+  telemetry::SymbolTable symbols;
+  hangdoctor::Diagnosis bug = MakeDiagnosis(symbols, "org.app.Db", "query", "Db.java", 42);
+  report.Record("org.app", bug, symbols, simkit::Milliseconds(200), /*device_id=*/0);
+  report.Record("org.app", bug, symbols, simkit::Milliseconds(400), /*device_id=*/1);
+  report.Record("org.app", bug, symbols, simkit::Milliseconds(300), /*device_id=*/1);
   ASSERT_EQ(report.NumBugs(), 1u);
 
   const hangdoctor::BugReportEntry entry = report.SortedEntries()[0];
@@ -100,16 +99,17 @@ TEST(HangBugReportTest, RecordAggregatesPerBug) {
 }
 
 TEST(HangBugReportTest, MergeFoldsDevicesAndSortsByCoverage) {
-  hangdoctor::Diagnosis wide = MakeDiagnosis("a.Wide", "call", "Wide.java", 1);
-  hangdoctor::Diagnosis narrow = MakeDiagnosis("b.Narrow", "call", "Narrow.java", 2);
+  telemetry::SymbolTable symbols;
+  hangdoctor::Diagnosis wide = MakeDiagnosis(symbols, "a.Wide", "call", "Wide.java", 1);
+  hangdoctor::Diagnosis narrow = MakeDiagnosis(symbols, "b.Narrow", "call", "Narrow.java", 2);
 
   hangdoctor::HangBugReport device0;
-  device0.Record("org.app", wide, simkit::Milliseconds(150), 0);
-  device0.Record("org.app", narrow, simkit::Milliseconds(900), 0);
-  device0.Record("org.app", narrow, simkit::Milliseconds(900), 0);
+  device0.Record("org.app", wide, symbols, simkit::Milliseconds(150), 0);
+  device0.Record("org.app", narrow, symbols, simkit::Milliseconds(900), 0);
+  device0.Record("org.app", narrow, symbols, simkit::Milliseconds(900), 0);
 
   hangdoctor::HangBugReport device1;
-  device1.Record("org.app", wide, simkit::Milliseconds(250), 1);
+  device1.Record("org.app", wide, symbols, simkit::Milliseconds(250), 1);
 
   hangdoctor::HangBugReport fleet;
   fleet.Merge(device0);
@@ -128,8 +128,9 @@ TEST(HangBugReportTest, MergeFoldsDevicesAndSortsByCoverage) {
 
 TEST(HangBugReportTest, RenderMaterializesApiAndSite) {
   hangdoctor::HangBugReport report;
-  report.Record("org.app", MakeDiagnosis("org.app.Net", "fetch", "Net.java", 7),
-                simkit::Milliseconds(500), 0);
+  telemetry::SymbolTable symbols;
+  report.Record("org.app", MakeDiagnosis(symbols, "org.app.Net", "fetch", "Net.java", 7),
+                symbols, simkit::Milliseconds(500), 0);
   std::string rendered = report.Render(/*total_devices=*/4);
   EXPECT_NE(rendered.find("org.app.Net.fetch"), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("Net.java"), std::string::npos) << rendered;
@@ -155,10 +156,10 @@ TEST(HangBugReportTest, RenderMaterializesInternedFrames) {
   ASSERT_TRUE(diagnosis.valid);
   EXPECT_FALSE(diagnosis.is_ui);
   EXPECT_FALSE(diagnosis.is_self_developed);
-  EXPECT_EQ(diagnosis.culprit.clazz, "android.graphics.BitmapFactory");
+  EXPECT_EQ(symbols.Frame(diagnosis.culprit).clazz, "android.graphics.BitmapFactory");
 
   hangdoctor::HangBugReport report;
-  report.Record("org.other.app", diagnosis, simkit::Milliseconds(350), 2);
+  report.Record("org.other.app", diagnosis, symbols, simkit::Milliseconds(350), 2);
   std::string rendered = report.Render(/*total_devices=*/4);
   EXPECT_NE(rendered.find("android.graphics.BitmapFactory.decodeStream"), std::string::npos)
       << rendered;
