@@ -58,12 +58,11 @@ std::string Downloads(int64_t n) {
 int Run(int argc, char** argv) {
   // Every argument is validated up front: an unknown flag or a typo'd --app= name fails
   // loudly with the valid spellings instead of silently running the default study.
-  static const char* const kValueFlags[] = {"--fleet-scale=", "--faults=", "--record=",
-                                            "--replay=",      "--jobs=",   "--shards=",
-                                            "--threads=",     "--kb-epoch=", "--app=",
-                                            "--workers=",     "--migrate-at=",
-                                            "--fleet-faults="};
-  static const char* const kBareFlags[] = {"--shared-kb", "--service", "--async"};
+  static const char* const kValueFlags[] = {"--fleet-scale=", "--faults=",     "--record=",
+                                            "--replay=",      "--jobs=",       "--shards=",
+                                            "--kb-epoch=",    "--app=",        "--workers=",
+                                            "--migrate-at=",  "--fleet-faults="};
+  static const char* const kBareFlags[] = {"--shared-kb", "--async"};
   std::vector<std::string> app_filter;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -126,7 +125,7 @@ int Run(int argc, char** argv) {
   // Mutually-incompatible combinations fail up front, before any simulation runs. A flag
   // that the chosen mode would silently ignore is an error, not a no-op: --replay re-runs
   // detectors from recorded logs on the per-job path, so it cannot record, inject faults,
-  // or use the service-mode topology knobs; --kb-epoch only means something once
+  // or use the service's shards or knowledge base; --kb-epoch only means something once
   // --shared-kb exists to publish on that cadence.
   {
     auto has_value = [&](const char* prefix) {
@@ -144,15 +143,12 @@ int Run(int argc, char** argv) {
         {replaying && has_value("--faults="),
          "--faults does nothing under --replay: faults are injected at simulation time "
          "and are already baked into (or absent from) the recorded logs"},
-        {replaying && has_value("--threads="),
-         "--threads does nothing under --replay: replay re-runs detectors on the per-job "
-         "path, not the pipelined service ingest"},
+        {replaying && has_value("--shards="),
+         "--shards=N does nothing under --replay: replay re-runs detectors on the per-job "
+         "path, which has no service shards"},
         {replaying && simkit::HasFlag(argc, argv, "--shared-kb"),
          "--shared-kb does nothing under --replay: replay re-runs detectors on the "
          "per-job path, which has no fleet-wide knowledge base"},
-        {replaying && simkit::HasFlag(argc, argv, "--service"),
-         "--service does nothing under --replay: replay re-runs detectors on the per-job "
-         "path, not the session-multiplexed service"},
         {has_value("--kb-epoch=") && !simkit::HasFlag(argc, argv, "--shared-kb"),
          "--kb-epoch requires --shared-kb: the epoch cadence is the shared knowledge "
          "base's publish schedule"},
@@ -275,22 +271,11 @@ int Run(int argc, char** argv) {
     }
   }
 
-  // The fleet always runs through the session-multiplexed DetectorService (bit-identical to
-  // the per-job path at any shard count); --service --shards=N makes the topology explicit
-  // and prints it. The fault-free default output stays byte-identical to the goldens.
+  // The fleet always runs through the session-multiplexed DetectorService, bit-identical to
+  // the per-job path at any shard count (--shards=N).
   workload::FleetOptions options;
   options.jobs = workload::ResolveJobs(argc, argv);
   options.shards = workload::ResolveShards(argc, argv);
-  // --threads=N switches service ingest to the pipelined two-phase path (simulate + capture
-  // device-side, then stream every session through per-shard rings into N shard workers).
-  // Results — and the output below — stay bit-identical; only an extra topology line is
-  // printed, so the default output remains byte-identical to the goldens.
-  try {
-    options.threads = workload::ResolveThreads(argc, argv);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
   // --shared-kb pools every job's discoveries and diagnosis memos through one
   // epoch-published KnowledgeBase (--kb-epoch=N picks the publish cadence). The table below
   // is bit-identical either way — the KB is advisory — so only the summary block at the end
@@ -305,7 +290,6 @@ int Run(int argc, char** argv) {
       return 2;
     }
   }
-  const bool service_flag = simkit::HasFlag(argc, argv, "--service");
   auto fleet_start = std::chrono::steady_clock::now();
   workload::FleetSummary summary;
   if (!replay_dir.empty()) {
@@ -325,15 +309,6 @@ int Run(int argc, char** argv) {
               catalog.all_apps().size());
   std::printf("fleet phase: %zu jobs on %d worker(s) in %.2f s\n", jobs.size(),
               options.jobs, fleet_seconds);
-  if (service_flag) {
-    std::printf("service mode: one DetectorService, %d shard(s), %zu multiplexed sessions\n",
-                options.shards > 0 ? options.shards : options.jobs, jobs.size());
-  }
-  if (options.threads > 0) {
-    std::printf("pipelined ingest: %d shard worker(s), per-shard MPMC rings, two-phase "
-                "capture+ingest\n",
-                options.threads);
-  }
   if (fleet_scale > 1) {
     std::printf("fleet scale: %dx (%d devices per study app)\n", fleet_scale,
                 devices_per_app);

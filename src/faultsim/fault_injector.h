@@ -1,9 +1,11 @@
-// The fault-injection shim between a Telemetry Host and a DetectorCore. A host that would
-// push SPI records straight into (sink, core) routes them through a FaultInjector instead;
-// the injector consults its FaultPlan and delivers each record zero, one, or two times — and
-// possibly out of order — to BOTH the sink and the core, in lockstep. Because the sink sees
-// exactly the post-injection stream the core consumed, a recorded faulty session replays
-// bit-identically: faults are ordinary telemetry by the time they reach disk.
+// The fault-injection shim between a Telemetry Host and a DetectorCore, and the host's one
+// path into it: the live host pushes every SPI record through its FaultInjector. The
+// injector consults its FaultPlan and delivers each record zero, one, or two times — and
+// possibly out of order — to BOTH the sink and the core, in lockstep. A default (disabled)
+// plan delivers each record exactly once, in push order, sink first, with zero Rng draws.
+// Because the sink sees exactly the post-injection stream the core consumed, a recorded
+// faulty session replays bit-identically: faults are ordinary telemetry by the time they
+// reach disk.
 //
 // Injection points:
 //   PushStart          — DispatchStart is never perturbed (losing the record that opens an

@@ -25,8 +25,8 @@
 //    An idle worker parks on a futex-backed wake counter that producers bump once per
 //    pushed batch: no polling while idle, no sleep-granularity latency when work arrives.
 //    Directives cannot flow back through a ring, so the pipeline is for telemetry that is
-//    already recorded or streamed (mux-log replay, the fleet runner's capture-then-ingest
-//    mode, hangdoctord's wire ingest); a live co-simulated host keeps using synchronous push.
+//    already recorded or streamed (mux-log replay, hangdoctord's wire ingest); a live
+//    co-simulated host, such as the fleet runner's, keeps using synchronous push.
 //    A producer that answers for its records (hangdoctord) installs IngestHooks: session
 //    ends and refused records reach on_complete, each applied batch comes back through
 //    after_batch, so the producer is woken once per batch rather than once per record.

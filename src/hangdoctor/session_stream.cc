@@ -66,51 +66,6 @@ void SpiStreamRecorder::OnAsyncWaitEnd(const AsyncWaitEnd& wait) {
   records_.push_back(std::move(payload));
 }
 
-void TeeSink::OnSessionStart(const SessionInfo& info) {
-  if (first_ != nullptr) first_->OnSessionStart(info);
-  if (second_ != nullptr) second_->OnSessionStart(info);
-}
-
-void TeeSink::OnDispatchStart(const DispatchStart& start) {
-  if (first_ != nullptr) first_->OnDispatchStart(start);
-  if (second_ != nullptr) second_->OnDispatchStart(start);
-}
-
-void TeeSink::OnDispatchEnd(const DispatchEnd& end) {
-  if (first_ != nullptr) first_->OnDispatchEnd(end);
-  if (second_ != nullptr) second_->OnDispatchEnd(end);
-}
-
-void TeeSink::OnActionQuiesce(const ActionQuiesce& quiesce) {
-  if (first_ != nullptr) first_->OnActionQuiesce(quiesce);
-  if (second_ != nullptr) second_->OnActionQuiesce(quiesce);
-}
-
-void TeeSink::OnCounterFault(const CounterFault& fault) {
-  if (first_ != nullptr) first_->OnCounterFault(fault);
-  if (second_ != nullptr) second_->OnCounterFault(fault);
-}
-
-void TeeSink::OnAsyncPost(const AsyncPost& post) {
-  if (first_ != nullptr) first_->OnAsyncPost(post);
-  if (second_ != nullptr) second_->OnAsyncPost(post);
-}
-
-void TeeSink::OnAsyncRun(const AsyncRun& run) {
-  if (first_ != nullptr) first_->OnAsyncRun(run);
-  if (second_ != nullptr) second_->OnAsyncRun(run);
-}
-
-void TeeSink::OnAsyncWaitStart(const AsyncWaitStart& wait) {
-  if (first_ != nullptr) first_->OnAsyncWaitStart(wait);
-  if (second_ != nullptr) second_->OnAsyncWaitStart(wait);
-}
-
-void TeeSink::OnAsyncWaitEnd(const AsyncWaitEnd& wait) {
-  if (first_ != nullptr) first_->OnAsyncWaitEnd(wait);
-  if (second_ != nullptr) second_->OnAsyncWaitEnd(wait);
-}
-
 void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload) {
   switch (payload.kind) {
     case SpiPayload::Kind::kDispatchStart:

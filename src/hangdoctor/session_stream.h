@@ -86,7 +86,7 @@ void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload);
 // SpiPayloads, ready to be stamped with a SessionId and fed to a DetectorService. Because a
 // sink tap is passive and sits downstream of the fault injector, a core fed the captured
 // stream behaves bit-identically to the core that ran live — faults included — which is what
-// lets the fleet runner generate telemetry device-side and detect backend-side.
+// lets a benchmark or test capture one donor session and replay it as many.
 class SpiStreamRecorder final : public TelemetrySink {
  public:
   void OnSessionStart(const SessionInfo& info) override;
@@ -105,26 +105,6 @@ class SpiStreamRecorder final : public TelemetrySink {
  private:
   SessionInfo info_;
   std::vector<SpiPayload> records_;
-};
-
-// Fans one telemetry stream out to two sinks (first, then second) — e.g. an HDSL session-log
-// writer and an SpiStreamRecorder tapping the same run. Either may be null.
-class TeeSink final : public TelemetrySink {
- public:
-  TeeSink(TelemetrySink* first, TelemetrySink* second) : first_(first), second_(second) {}
-  void OnSessionStart(const SessionInfo& info) override;
-  void OnDispatchStart(const DispatchStart& start) override;
-  void OnDispatchEnd(const DispatchEnd& end) override;
-  void OnActionQuiesce(const ActionQuiesce& quiesce) override;
-  void OnCounterFault(const CounterFault& fault) override;
-  void OnAsyncPost(const AsyncPost& post) override;
-  void OnAsyncRun(const AsyncRun& run) override;
-  void OnAsyncWaitStart(const AsyncWaitStart& wait) override;
-  void OnAsyncWaitEnd(const AsyncWaitEnd& wait) override;
-
- private:
-  TelemetrySink* first_;
-  TelemetrySink* second_;
 };
 
 }  // namespace hangdoctor

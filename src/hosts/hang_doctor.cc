@@ -17,6 +17,14 @@ SessionInfo MakeSessionInfo(const droidsim::App& app, int32_t device_id) {
   return info;
 }
 
+std::unique_ptr<DetectorService::SessionHandle> OpenSession(DetectorService* service,
+                                                            telemetry::SessionId id,
+                                                            const SessionInfo& info,
+                                                            const HangDoctorConfig& config) {
+  service->Open(id, info, config);
+  return std::make_unique<DetectorService::SessionHandle>(service->Handle(id));
+}
+
 }  // namespace
 
 HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorConfig config,
@@ -26,13 +34,12 @@ HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorCon
       app_(app),
       rng_(phone->ForkRng(0x4844 + static_cast<uint64_t>(device_id)).NextU64(),
            /*stream=*/0x4841ULL),
-      sink_(sink),
       config_(std::move(config)),
       core_(std::make_unique<DetectorCore>(MakeSessionInfo(*app, device_id), config_, database,
                                            fleet_report)),
+      injector_(std::move(plan), core_.get(), sink),
       sampler_(&phone->sim(), &app->main_looper(), config_.sample_interval) {
-  backend_ = core_.get();
-  FinishSetup(std::move(plan), core_->session());
+  FinishSetup(sink, core_->session());
 }
 
 HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, const HangDoctorConfig& config,
@@ -42,20 +49,14 @@ HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, const HangDoc
       app_(app),
       rng_(phone->ForkRng(0x4844 + static_cast<uint64_t>(device_id)).NextU64(),
            /*stream=*/0x4841ULL),
-      sink_(sink),
       config_(config),
+      handle_(OpenSession(service, id, MakeSessionInfo(*app, device_id), config_)),
+      injector_(std::move(plan), handle_.get(), sink),
       sampler_(&phone->sim(), &app->main_looper(), config_.sample_interval) {
-  SessionInfo info = MakeSessionInfo(*app, device_id);
-  service->Open(id, info, config_);
-  handle_ = std::make_unique<DetectorService::SessionHandle>(service->Handle(id));
-  backend_ = handle_.get();
-  FinishSetup(std::move(plan), info);
+  FinishSetup(sink, MakeSessionInfo(*app, device_id));
 }
 
-void HangDoctor::FinishSetup(faultsim::FaultPlan plan, const SessionInfo& info) {
-  if (plan.enabled()) {
-    injector_ = std::make_unique<faultsim::FaultInjector>(std::move(plan), backend_, sink_);
-  }
+void HangDoctor::FinishSetup(TelemetrySink* sink, const SessionInfo& info) {
   // One sampler per async thread, tagged with its telemetry thread id; they stay parked
   // until a future wait overlaps an active main-thread collection.
   async_samplers_.reserve(app_->num_async_threads());
@@ -64,100 +65,13 @@ void HangDoctor::FinishSetup(faultsim::FaultPlan plan, const SessionInfo& info) 
         &phone_->sim(), &app_->async_looper(i), config_.sample_interval,
         static_cast<telemetry::ThreadId>(i + 1)));
   }
-  if (sink_ != nullptr) {
-    sink_->OnSessionStart(info);
+  if (sink != nullptr) {
+    sink->OnSessionStart(info);
   }
   app_->AddObserver(this);
 }
 
 HangDoctor::~HangDoctor() { app_->RemoveObserver(this); }
-
-MonitorDirectives HangDoctor::PushStart(const DispatchStart& start) {
-  if (injector_ != nullptr) {
-    return injector_->PushStart(start);
-  }
-  if (sink_ != nullptr) {
-    sink_->OnDispatchStart(start);
-  }
-  return backend_->OnDispatchStart(start);
-}
-
-void HangDoctor::PushEnd(const DispatchEnd& end) {
-  if (injector_ != nullptr) {
-    injector_->PushEnd(end);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnDispatchEnd(end);
-  }
-  backend_->OnDispatchEnd(end);
-}
-
-void HangDoctor::PushQuiesce(const ActionQuiesce& quiesce) {
-  if (injector_ != nullptr) {
-    injector_->PushQuiesce(quiesce);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnActionQuiesce(quiesce);
-  }
-  backend_->OnActionQuiesced(quiesce);
-}
-
-void HangDoctor::PushCounterFault(const CounterFault& fault) {
-  if (injector_ != nullptr) {
-    injector_->PushCounterFault(fault);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnCounterFault(fault);
-  }
-  backend_->OnCounterFault(fault);
-}
-
-void HangDoctor::PushAsyncPost(const AsyncPost& post) {
-  if (injector_ != nullptr) {
-    injector_->PushAsyncPost(post);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnAsyncPost(post);
-  }
-  backend_->OnAsyncPost(post);
-}
-
-void HangDoctor::PushAsyncRun(const AsyncRun& run) {
-  if (injector_ != nullptr) {
-    injector_->PushAsyncRun(run);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnAsyncRun(run);
-  }
-  backend_->OnAsyncRun(run);
-}
-
-void HangDoctor::PushAsyncWaitStart(const AsyncWaitStart& wait) {
-  if (injector_ != nullptr) {
-    injector_->PushAsyncWaitStart(wait);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnAsyncWaitStart(wait);
-  }
-  backend_->OnAsyncWaitStart(wait);
-}
-
-void HangDoctor::PushAsyncWaitEnd(const AsyncWaitEnd& wait) {
-  if (injector_ != nullptr) {
-    injector_->PushAsyncWaitEnd(wait);
-    return;
-  }
-  if (sink_ != nullptr) {
-    sink_->OnAsyncWaitEnd(wait);
-  }
-  backend_->OnAsyncWaitEnd(wait);
-}
 
 HangDoctor::HostExecution& HangDoctor::Live(const droidsim::ActionExecution& execution) {
   auto [it, inserted] = live_.try_emplace(execution.execution_id);
@@ -225,11 +139,9 @@ void HangDoctor::OnInputEventStart(droidsim::App& app,
   start.action_uid = execution.action_uid;
   start.event_index = event_index;
   start.events_total = static_cast<int32_t>(execution.events_total);
-  MonitorDirectives directives = PushStart(start);
+  MonitorDirectives directives = injector_.PushStart(start);
   if (directives.start_counters && live.session == nullptr) {
-    faultsim::FaultPlan::CounterOpen fate = injector_ != nullptr
-                                                ? injector_->NextCounterOpen()
-                                                : faultsim::FaultPlan::CounterOpen::kOk;
+    faultsim::FaultPlan::CounterOpen fate = injector_.NextCounterOpen();
     if (fate == faultsim::FaultPlan::CounterOpen::kOk) {
       StartCounters(live);
     } else {
@@ -239,7 +151,7 @@ void HangDoctor::OnInputEventStart(droidsim::App& app,
       fault.now = start.now;
       fault.execution_id = execution.execution_id;
       fault.permanent = fate == faultsim::FaultPlan::CounterOpen::kPermanentFailure;
-      PushCounterFault(fault);
+      injector_.PushCounterFault(fault);
     }
   }
   if (directives.arm_hang_check) {
@@ -278,13 +190,14 @@ void HangDoctor::OnInputEventEnd(droidsim::App& app, const droidsim::ActionExecu
         live.async_samples.clear();
         end.samples = merged;
       }
-      if (injector_ != nullptr) {
-        filtered = injector_->FilterSamples(end.samples);
+      // A disabled plan would only copy the window; skipping it keeps the zero-copy span.
+      if (injector_.plan().enabled()) {
+        filtered = injector_.FilterSamples(end.samples);
         end.samples = filtered;
       }
     }
   }
-  PushEnd(end);
+  injector_.PushEnd(end);
 }
 
 void HangDoctor::OnActionQuiesced(droidsim::App& app,
@@ -309,7 +222,7 @@ void HangDoctor::OnActionQuiesced(droidsim::App& app,
                            : session.ReadDifference(app_->main_tid(), app_->render_tid(), event);
         quiesce.counter_diffs[static_cast<size_t>(event)] = value;
       }
-      if (injector_ != nullptr && injector_->NextCounterReadInvalid()) {
+      if (injector_.NextCounterReadInvalid()) {
         // The read returned garbage: poison the first filter event with NaN. The core's
         // FiniteDiffs guard must treat the window as unusable (and the NaN round-trips
         // through the session log, so replay sees the identical poison).
@@ -321,7 +234,7 @@ void HangDoctor::OnActionQuiesced(droidsim::App& app,
       }
     }
   }
-  PushQuiesce(quiesce);
+  injector_.PushQuiesce(quiesce);
   if (it != live_.end()) {
     live_.erase(it);
   }
@@ -339,7 +252,7 @@ void HangDoctor::OnAsyncPost(droidsim::App& app, int64_t execution_id, uint64_t 
   post.target = thread;
   post.post_frame = post_frame;
   post.delay = delay;
-  PushAsyncPost(post);
+  injector_.PushAsyncPost(post);
 }
 
 void HangDoctor::OnAsyncRun(droidsim::App& app, int64_t execution_id, uint64_t edge,
@@ -351,7 +264,7 @@ void HangDoctor::OnAsyncRun(droidsim::App& app, int64_t execution_id, uint64_t e
   run.edge = telemetry::CausalEdgeId{edge};
   run.thread = thread;
   run.begin = begin;
-  PushAsyncRun(run);
+  injector_.PushAsyncRun(run);
   if (!begin) {
     edge_thread_.erase(edge);  // the task is done; its edge can never be waited on again
   }
@@ -365,7 +278,7 @@ void HangDoctor::OnAsyncWaitStart(droidsim::App& app, int64_t execution_id, uint
   wait.execution_id = execution_id;
   wait.edge = telemetry::CausalEdgeId{edge};
   wait.wait_frame = wait_frame;
-  PushAsyncWaitStart(wait);
+  injector_.PushAsyncWaitStart(wait);
   active_wait_edge_ = edge;
   active_wait_execution_ = execution_id;
   auto thread_it = edge_thread_.find(edge);
@@ -385,7 +298,7 @@ void HangDoctor::OnAsyncWaitEnd(droidsim::App& app, int64_t execution_id, uint64
   wait.execution_id = execution_id;
   wait.edge = telemetry::CausalEdgeId{edge};
   wait.waited = waited;
-  PushAsyncWaitEnd(wait);
+  injector_.PushAsyncWaitEnd(wait);
   if (active_wait_edge_ != edge) {
     return;
   }

@@ -13,17 +13,20 @@
 //    thread's stacks so the Diagnoser can walk the waiting chain,
 //  - at quiesce, the main−render counter differences are read back (only when the core was
 //    counting and the action hung) and pushed in with the quiesce event —
-// while every detection decision stays in the core. An optional TelemetrySink observes the
-// exact stream the core consumes, which is how session recording works (session_log.h).
+// while every detection decision stays in the core. Every record goes through the host's
+// FaultInjector (src/faultsim), which hands it to an optional TelemetrySink and then to the
+// core; under the default, disabled plan it forwards each record once, in push order, and
+// draws no randomness. The sink therefore observes the exact stream the core consumes, which
+// is how session recording works (session_log.h).
 //
 // This is the drop-in successor of the old monolithic hangdoctor::HangDoctor; constructor and
 // accessors are unchanged, so existing experiments only swap the include path.
 //
 // The host drives either a private DetectorCore (owned-core mode — every accessor below
 // works) or a DetectorService session it opened (service mode — detection state lives in the
-// service; the caller harvests it with DetectorService::Close after the run). Both modes
-// route SPI records through the same SpiBackend pointer, so the fault injector and the sink
-// tap sit in identical positions and recorded sessions replay bit-identically either way.
+// service; the caller harvests it with DetectorService::Close after the run). The injector
+// feeds either one through the SpiBackend interface, so recorded sessions replay
+// bit-identically either way.
 #ifndef SRC_HOSTS_HANG_DOCTOR_H_
 #define SRC_HOSTS_HANG_DOCTOR_H_
 
@@ -94,7 +97,6 @@ class HangDoctor : public droidsim::AppObserver {
   const BlockingApiDatabase& database() const { return core_->database(); }
   const HangDoctorConfig& config() const { return config_; }
   int64_t stack_samples_taken() const { return core_->stack_samples_taken(); }
-  bool service_mode() const { return core_ == nullptr; }
 
  private:
   // Substrate state for one in-flight action execution; detection state lives in the core.
@@ -111,27 +113,17 @@ class HangDoctor : public droidsim::AppObserver {
   void StartCounters(HostExecution& live);
   void StartWaitSampler(telemetry::ThreadId thread);
 
-  // SPI routing: through the fault injector when a plan is enabled, else straight to
-  // (sink, core) — sink first, so recording sees exactly what the core consumes.
-  MonitorDirectives PushStart(const DispatchStart& start);
-  void PushEnd(const DispatchEnd& end);
-  void PushQuiesce(const ActionQuiesce& quiesce);
-  void PushCounterFault(const CounterFault& fault);
-  void PushAsyncPost(const AsyncPost& post);
-  void PushAsyncRun(const AsyncRun& run);
-  void PushAsyncWaitStart(const AsyncWaitStart& wait);
-  void PushAsyncWaitEnd(const AsyncWaitEnd& wait);
-
-  void FinishSetup(faultsim::FaultPlan plan, const SessionInfo& info);
+  void FinishSetup(TelemetrySink* sink, const SessionInfo& info);
 
   droidsim::Phone* phone_;
   droidsim::App* app_;
   simkit::Rng rng_;
-  TelemetrySink* sink_;
   HangDoctorConfig config_;
   std::unique_ptr<DetectorCore> core_;                       // owned-core mode only
   std::unique_ptr<DetectorService::SessionHandle> handle_;   // service mode only
-  SpiBackend* backend_ = nullptr;  // the core or the handle; faults/sink sit in front of it
+  // Every SPI record goes through here to (sink, core or handle) — sink first, so recording
+  // sees exactly what the core consumes.
+  faultsim::FaultInjector injector_;
   droidsim::StackSampler sampler_;
   // One sampler per app async thread (handlers then executor pool; telemetry id = index+1).
   // A wait sampler runs only while the main thread is blocked on that thread's work AND the
@@ -144,7 +136,6 @@ class HangDoctor : public droidsim::AppObserver {
   uint64_t active_wait_edge_ = 0;
   int64_t active_wait_execution_ = 0;
   telemetry::ThreadId active_wait_thread_ = 0;
-  std::unique_ptr<faultsim::FaultInjector> injector_;
   std::unordered_map<int64_t, HostExecution> live_;
 };
 

@@ -1,17 +1,13 @@
 #include "src/workload/fleet.h"
 
-#include <algorithm>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
-#include "src/hangdoctor/session_stream.h"
 #include "src/hosts/replay_host.h"
 #include "src/hosts/session_log.h"
 #include "src/simkit/flags.h"
@@ -78,21 +74,9 @@ void FinishRecorder(hangdoctor::SessionLogWriter* recorder, const FleetJob& job,
   }
 }
 
-// Everything the two-phase fleet must keep alive between device-side simulation (phase A)
-// and backend ingest (phase B): the harness (its SymbolTable is referenced, not copied, by
-// every captured record) plus the captured post-injection stream and its open/close framing.
-struct CapturedJob {
-  std::unique_ptr<SingleAppHarness> harness;
-  hangdoctor::SpiStreamRecorder stream;
-  hangdoctor::SpiPayload open_payload;
-  hangdoctor::SpiPayload close_payload;
-};
+}  // namespace
 
-// RunFleetJob's body, optionally tapping the SPI stream into `capture` (the two-phase
-// fleet's phase A). The tap is passive and sits downstream of the fault injector, so a
-// captured run's own results — and its recording, when any — are bit-identical to an
-// untapped one.
-FleetJobResult RunFleetJobImpl(const FleetJob& job, CapturedJob* capture) {
+FleetJobResult RunFleetJob(const FleetJob& job) {
   FleetJobResult result;
   if (job.spec == nullptr) {
     throw std::invalid_argument("FleetJob.spec is null");
@@ -104,21 +88,10 @@ FleetJobResult RunFleetJobImpl(const FleetJob& job, CapturedJob* capture) {
   hangdoctor::BlockingApiDatabase database;
   database.SetBase(job.known_db);
   std::unique_ptr<hangdoctor::SessionLogWriter> recorder = MakeRecorder(job);
-  std::unique_ptr<SingleAppHarness> owned;
-  if (capture != nullptr) {
-    capture->harness = std::make_unique<SingleAppHarness>(job.profile, job.spec, job.seed);
-  } else {
-    owned = std::make_unique<SingleAppHarness>(job.profile, job.spec, job.seed);
-  }
-  SingleAppHarness& harness = capture != nullptr ? *capture->harness : *owned;
-  hangdoctor::TelemetrySink* sink = recorder.get();
-  std::unique_ptr<hangdoctor::TeeSink> tee;
-  if (capture != nullptr) {
-    tee = std::make_unique<hangdoctor::TeeSink>(recorder.get(), &capture->stream);
-    sink = tee.get();
-  }
+  SingleAppHarness harness(job.profile, job.spec, job.seed);
   hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(), job.doctor, &database,
-                                /*fleet_report=*/nullptr, job.device_id, sink, MakePlan(job));
+                                /*fleet_report=*/nullptr, job.device_id, recorder.get(),
+                                MakePlan(job));
   harness.RunUserSession(job.session, job.user);
 
   result.stats = ScoreHangDoctor(harness.truth(), doctor.log());
@@ -134,21 +107,38 @@ FleetJobResult RunFleetJobImpl(const FleetJob& job, CapturedJob* capture) {
   result.stream_error = doctor.core().stream().error();
   result.ok = true;
   FinishRecorder(recorder.get(), job, &result);
-  if (capture != nullptr) {
-    // Frame the captured stream for service ingest. The info (and its symbols pointer) come
-    // from the recorder's OnSessionStart; the harness above keeps the pointee alive.
-    capture->open_payload.kind = hangdoctor::SpiPayload::Kind::kSessionOpen;
-    capture->open_payload.info = capture->stream.info();
-    capture->open_payload.config = job.doctor;
-    capture->close_payload.kind = hangdoctor::SpiPayload::Kind::kSessionClose;
-  }
   return result;
 }
 
-}  // namespace
-
-FleetJobResult RunFleetJob(const FleetJob& job) {
-  return RunFleetJobImpl(job, /*capture=*/nullptr);
+FleetJobResult ReplayFleetJob(const std::string& path,
+                              const hangdoctor::BlockingApiDatabase* known_db) {
+  FleetJobResult result;
+  hangdoctor::BlockingApiDatabase database;
+  database.SetBase(known_db);
+  std::string error;
+  std::unique_ptr<hangdoctor::ReplaySession> session =
+      hangdoctor::ReplaySessionLog(path, &error, &database);
+  if (session == nullptr) {
+    throw std::runtime_error("replay of " + path + " failed: " + error);
+  }
+  const hangdoctor::DetectorCore& core = session->core();
+  // Identity as far as the log carries it (the harness seed is not recorded).
+  result.app_package = session->log().info.app_package;
+  result.device_id = session->log().info.device_id;
+  // Ground truth is not recorded, so TP/FP/FN scoring is unavailable offline; only the
+  // overhead percentage (recorded usage footer) is reproduced.
+  result.usage.cpu = session->log().usage_cpu;
+  result.usage.bytes = session->log().usage_bytes;
+  result.overhead_pct = session->OverheadPercent();
+  result.stats.overhead_pct = result.overhead_pct;
+  result.report = core.local_report();
+  result.discovered = database.discovered();
+  result.stack_samples = core.stack_samples_taken();
+  result.degradation = core.degradation();
+  result.stream_ok = core.stream().ok();
+  result.stream_error = core.stream().error();
+  result.ok = true;
+  return result;
 }
 
 namespace {
@@ -197,87 +187,44 @@ FleetJobResult RunServiceFleetJob(const FleetJob& job, hangdoctor::DetectorServi
   return result;
 }
 
-}  // namespace
-
-FleetJobResult ReplayFleetJob(const std::string& path,
-                              const hangdoctor::BlockingApiDatabase* known_db) {
-  FleetJobResult result;
-  hangdoctor::BlockingApiDatabase database;
-  database.SetBase(known_db);
-  std::string error;
-  std::unique_ptr<hangdoctor::ReplaySession> session =
-      hangdoctor::ReplaySessionLog(path, &error, &database);
-  if (session == nullptr) {
-    throw std::runtime_error("replay of " + path + " failed: " + error);
-  }
-  const hangdoctor::DetectorCore& core = session->core();
-  // Identity as far as the log carries it (the harness seed is not recorded).
-  result.app_package = session->log().info.app_package;
-  result.device_id = session->log().info.device_id;
-  // Ground truth is not recorded, so TP/FP/FN scoring is unavailable offline; only the
-  // overhead percentage (recorded usage footer) is reproduced.
-  result.usage.cpu = session->log().usage_cpu;
-  result.usage.bytes = session->log().usage_bytes;
-  result.overhead_pct = session->OverheadPercent();
-  result.stats.overhead_pct = result.overhead_pct;
-  result.report = core.local_report();
-  result.discovered = database.discovered();
-  result.stack_samples = core.stack_samples_taken();
-  result.degradation = core.degradation();
-  result.stream_ok = core.stream().ok();
-  result.stream_error = core.stream().error();
-  result.ok = true;
-  return result;
-}
-
-namespace {
-
-// Fan-out half of RunFleet/ReplayFleet: `run(i)` fills job i's slot across the pool.
-template <typename RunJob>
-void RunFleetJobs(FleetSummary* summary, size_t count, const FleetOptions& options,
-                  RunJob run) {
-  summary->jobs.resize(count);
-  simkit::ThreadPool pool(options.jobs);
-  for (size_t i = 0; i < count; ++i) {
-    FleetJobResult* slot = &summary->jobs[i];
-    pool.Submit([i, slot, &run]() {
-      // A throwing job fails only its own slot; the worker (and the other jobs) carry on.
-      try {
-        *slot = run(i);
-      } catch (const std::exception& e) {
-        slot->ok = false;
-        slot->error = e.what();
-      } catch (...) {
-        slot->ok = false;
-        slot->error = "unknown exception";
-      }
-    });
-  }
-  pool.Wait();
-}
-
-// Merge half: fold in job-index order. DetectionStats addition is commutative and
-// HangBugReport::Merge is keyed, but fixing the order makes bit-identical output trivially
-// true rather than a property to re-audit every time a field is added.
-void FoldFleetSummary(FleetSummary* summary) {
-  std::set<std::string> discovered;
-  for (const FleetJobResult& result : summary->jobs) {
-    if (!result.ok) {
-      ++summary->failed;
-      continue;
-    }
-    summary->merged_stats += result.stats;
-    summary->merged_report.Merge(result.report);
-    discovered.insert(result.discovered.begin(), result.discovered.end());
-  }
-  summary->discovered.assign(discovered.begin(), discovered.end());
-}
-
+// Runs `run(i)` for every job index across the pool, then folds the results in job-index
+// order. A throwing job fails only its own slot; the worker (and the other jobs) carry on.
+// DetectionStats addition is commutative and HangBugReport::Merge is keyed, but fixing the
+// fold order makes bit-identical output trivially true rather than a property to re-audit
+// every time a field is added.
 template <typename RunJob>
 FleetSummary RunFleetWith(size_t count, const FleetOptions& options, RunJob run) {
   FleetSummary summary;
-  RunFleetJobs(&summary, count, options, run);
-  FoldFleetSummary(&summary);
+  summary.jobs.resize(count);
+  {
+    simkit::ThreadPool pool(options.jobs);
+    for (size_t i = 0; i < count; ++i) {
+      FleetJobResult* slot = &summary.jobs[i];
+      pool.Submit([i, slot, &run]() {
+        try {
+          *slot = run(i);
+        } catch (const std::exception& e) {
+          slot->ok = false;
+          slot->error = e.what();
+        } catch (...) {
+          slot->ok = false;
+          slot->error = "unknown exception";
+        }
+      });
+    }
+    pool.Wait();
+  }
+  std::set<std::string> discovered;
+  for (const FleetJobResult& result : summary.jobs) {
+    if (!result.ok) {
+      ++summary.failed;
+      continue;
+    }
+    summary.merged_stats += result.stats;
+    summary.merged_report.Merge(result.report);
+    discovered.insert(result.discovered.begin(), result.discovered.end());
+  }
+  summary.discovered.assign(discovered.begin(), discovered.end());
   return summary;
 }
 
@@ -302,111 +249,9 @@ const hangdoctor::BlockingApiDatabase* UniformKnownDb(std::span<const FleetJob> 
   return known_db;
 }
 
-// Common service configuration for both service paths: one seed, or one knowledge base
-// carrying the seed plus the epoch schedule.
-hangdoctor::ServiceOptions MakeServiceOptions(std::span<const FleetJob> jobs,
-                                              const FleetOptions& options,
-                                              hangdoctor::KnowledgeBase* kb) {
-  hangdoctor::ServiceOptions service_options;
-  service_options.shards = ResolveServiceShards(options);
-  if (kb != nullptr) {
-    service_options.knowledge_base = kb;
-    service_options.kb_epoch_sessions = options.kb_epoch_sessions;
-  } else {
-    service_options.seed_db = UniformKnownDb(jobs);
-  }
-  return service_options;
-}
-
-// The two-phase fleet (FleetOptions::threads >= 1): simulate device-side while capturing
-// each session's post-injection SPI stream, then push every captured session through the
-// service's pipelined ingest and let the service-harvested results replace the per-job ones.
-// Per-session purity makes the replacement invisible — phase B recomputes exactly what phase
-// A's private cores concluded — which is the point: the *pipeline* is on the fleet path, and
-// any divergence is a determinism bug the equivalence tests catch.
-FleetSummary RunPipelinedFleet(std::span<const FleetJob> jobs, const FleetOptions& options,
-                               hangdoctor::KnowledgeBase* kb) {
-  FleetSummary summary;
-  std::vector<std::unique_ptr<CapturedJob>> captures(jobs.size());
-
-  // Phase A: device-side simulation with a passive stream tap per job.
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    captures[i] = std::make_unique<CapturedJob>();
-  }
-  RunFleetJobs(&summary, jobs.size(), options, [&jobs, &captures](size_t i) {
-    return RunFleetJobImpl(jobs[i], captures[i].get());
-  });
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!summary.jobs[i].ok) {
-      captures[i].reset();  // a failed job captured nothing worth ingesting
-    }
-  }
-
-  // Phase B: backend ingest. One producer per ingest thread (capped by the job count); job i
-  // belongs to producer i % producers, and every session's records are pushed in order by
-  // exactly one producer — the service's determinism contract.
-  hangdoctor::ServiceOptions service_options = MakeServiceOptions(jobs, options, kb);
-  service_options.threads = options.threads;
-  hangdoctor::DetectorService service(service_options);
-  size_t producers = std::min<size_t>(static_cast<size_t>(options.threads), jobs.size());
-  producers = std::max<size_t>(producers, 1);
-  {
-    std::vector<std::thread> pushers;
-    pushers.reserve(producers);
-    for (size_t p = 0; p < producers; ++p) {
-      pushers.emplace_back([p, producers, &jobs, &captures, &service]() {
-        for (size_t i = p; i < jobs.size(); i += producers) {
-          CapturedJob* capture = captures[i].get();
-          if (capture == nullptr) {
-            continue;
-          }
-          hangdoctor::DetectorService::Ingestor ingestor(&service);
-          telemetry::SessionId id{static_cast<uint64_t>(i)};
-          ingestor.Push({id, &capture->open_payload});
-          for (const hangdoctor::SpiPayload& payload : capture->stream.records()) {
-            ingestor.Push({id, &payload});
-          }
-          ingestor.Push({id, &capture->close_payload});
-        }  // the ingestor's destructor flushes its partial batches
-      });
-    }
-    for (std::thread& pusher : pushers) {
-      pusher.join();
-    }
-  }
-
-  // Harvest at the barrier; session id == job index, so results land back on their jobs.
-  for (hangdoctor::SessionResult& session : service.DrainClosed()) {
-    size_t i = static_cast<size_t>(session.id.value);
-    FleetJobResult& result = summary.jobs[i];
-    result.stats = ScoreHangDoctor(captures[i]->harness->truth(), session.log);
-    result.overhead_pct =
-        session.overhead.OverheadPercent(result.usage.cpu, result.usage.bytes);
-    result.stats.overhead_pct = result.overhead_pct;
-    result.report = std::move(session.report);
-    result.discovered = std::move(session.discovered);
-    result.stack_samples = session.stack_samples;
-    result.degradation = session.degradation;
-    result.stream_ok = session.stream_ok;
-    result.stream_error = std::move(session.stream_error);
-    result.kb = session.kb;
-  }
-  for (hangdoctor::IngestError& error : service.TakeIngestErrors()) {
-    FleetJobResult& result = summary.jobs[static_cast<size_t>(error.session.value)];
-    result.ok = false;
-    result.error = "service ingest: " + error.message;
-  }
-  FoldFleetSummary(&summary);
-  return summary;
-}
-
 }  // namespace
 
 FleetSummary RunFleet(std::span<const FleetJob> jobs, const FleetOptions& options) {
-  if (options.threads < 0) {
-    throw std::invalid_argument("FleetOptions.threads must be >= 0, got " +
-                                std::to_string(options.threads));
-  }
   if (options.kb_epoch_sessions < 0) {
     throw std::invalid_argument("FleetOptions.kb_epoch_sessions must be >= 0, got " +
                                 std::to_string(options.kb_epoch_sessions));
@@ -417,21 +262,23 @@ FleetSummary RunFleet(std::span<const FleetJob> jobs, const FleetOptions& option
     return RunFleetWith(jobs.size(), options,
                         [&jobs](size_t i) { return RunFleetJob(jobs[i]); });
   }
+  // One seed, or one knowledge base carrying the seed plus the epoch schedule.
+  hangdoctor::ServiceOptions service_options;
+  service_options.shards = ResolveServiceShards(options);
+  const hangdoctor::BlockingApiDatabase* seed = UniformKnownDb(jobs);
   std::unique_ptr<hangdoctor::KnowledgeBase> kb;
   if (options.shared_kb) {
-    const hangdoctor::BlockingApiDatabase* seed = UniformKnownDb(jobs);
     kb = std::make_unique<hangdoctor::KnowledgeBase>(
         seed != nullptr ? *seed : hangdoctor::BlockingApiDatabase{});
-  }
-  FleetSummary summary;
-  if (options.threads > 0) {
-    summary = RunPipelinedFleet(jobs, options, kb.get());
+    service_options.knowledge_base = kb.get();
+    service_options.kb_epoch_sessions = options.kb_epoch_sessions;
   } else {
-    hangdoctor::DetectorService service(MakeServiceOptions(jobs, options, kb.get()));
-    summary = RunFleetWith(jobs.size(), options, [&jobs, &service](size_t i) {
-      return RunServiceFleetJob(jobs[i], &service, static_cast<uint64_t>(i));
-    });
+    service_options.seed_db = seed;
   }
+  hangdoctor::DetectorService service(service_options);
+  FleetSummary summary = RunFleetWith(jobs.size(), options, [&jobs, &service](size_t i) {
+    return RunServiceFleetJob(jobs[i], &service, static_cast<uint64_t>(i));
+  });
   if (kb != nullptr) {
     // Final epoch: everything the last sessions confirmed becomes part of the published
     // state before the totals are read.
@@ -493,18 +340,6 @@ int32_t ResolveJobs(int argc, char** argv) {
 int32_t ResolveShards(int argc, char** argv) {
   int64_t shards = simkit::FlagInt(argc, argv, "--shards=", 0);
   return shards > 0 ? static_cast<int32_t>(shards) : 0;
-}
-
-int32_t ResolveThreads(int argc, char** argv) {
-  std::optional<std::string_view> value = simkit::FlagString(argc, argv, "--threads=");
-  if (!value) {
-    return 0;
-  }
-  int64_t threads = simkit::ParseFlag<int64_t>("--threads=", *value);
-  if (threads < 1) {
-    throw std::invalid_argument("--threads must be >= 1, got " + std::string(*value));
-  }
-  return static_cast<int32_t>(threads);
 }
 
 int64_t ResolveKbEpoch(int argc, char** argv) {

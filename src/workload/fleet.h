@@ -121,21 +121,11 @@ struct FleetOptions {
   // equivalence oracle for tests.
   bool service = true;
   int32_t shards = 0;
-  // Service ingest threads. 0 (the default) drives each session synchronously into the
-  // shared service from its pool worker. >= 1 switches service mode to the two-phase
-  // deployment shape the paper's backend actually has: phase A simulates every job
-  // device-side with a passive SPI stream tap (post-fault-injection, so faulty sessions
-  // capture bit-identically), phase B streams the captured sessions through the service's
-  // pipelined ingest — per-shard MPMC rings feeding `threads` dedicated shard workers — and
-  // the service-harvested results replace the per-job ones. Bit-identical to both other
-  // paths at any {threads, shards}. Negative throws std::invalid_argument. Ignored when
-  // `service` is false.
-  int32_t threads = 0;
   // Shared knowledge base (service mode only): every session reads epoch-published
   // snapshots of one hangdoctor::KnowledgeBase seeded from the jobs' common known_db and
   // publishes its confirmations back at epoch boundaries — the paper's reuse loop, fleet-
   // wide. Fleet output stays bit-identical to shared_kb = false (and to the per-job oracle)
-  // at any {threads, shards, kb_epoch_sessions}; only FleetSummary::kb / per-job kb stats
+  // at any {jobs, shards, kb_epoch_sessions}; only FleetSummary::kb / per-job kb stats
   // change. Ignored when `service` is false.
   bool shared_kb = false;
   // Epoch length for shared_kb: publish every N closed sessions (0 = only at ingest
@@ -143,7 +133,8 @@ struct FleetOptions {
   int64_t kb_epoch_sessions = 16;
 };
 
-// Runs one job synchronously on the calling thread (also the per-worker body of RunFleet).
+// Runs one job synchronously on the calling thread against a private DetectorCore (also the
+// per-worker body of RunFleet's per-job oracle, `service = false`).
 FleetJobResult RunFleetJob(const FleetJob& job);
 
 // Runs every job across the pool and merges. A throwing job yields !ok for that index and
@@ -170,10 +161,6 @@ int32_t ResolveJobs(int argc, char** argv);
 
 // `--shards=N` flag helper for service-mode consumers; 0 when absent (resolve to workers).
 int32_t ResolveShards(int argc, char** argv);
-
-// `--threads=N` flag helper for the service's pipelined-ingest axis: 0 when absent
-// (synchronous service ingest); throws std::invalid_argument for an explicit N < 1.
-int32_t ResolveThreads(int argc, char** argv);
 
 // `--kb-epoch=N` flag helper for --shared-kb consumers: the FleetOptions default (16) when
 // absent; throws std::invalid_argument for an explicit N < 0.

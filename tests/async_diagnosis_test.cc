@@ -2,9 +2,9 @@
 // hang that happens on a worker thread behind a future the main thread blocks on — the
 // diagnosis must name the async culprit frame, never the Future.get frame the main-thread
 // traces actually show, and keep the wait site as provenance. The verdicts must be
-// bit-identical across every deployment shape: worker counts, pipelined-ingest thread
-// counts, service shard counts, with and without the shared knowledge base, and under
-// record/replay.
+// bit-identical across every deployment shape: worker counts, service shard counts, with and
+// without the shared knowledge base, and under record/replay. The pipelined-ingest thread
+// axis runs over these apps' recorded logs in ingest_concurrency_test, on the sanitizer legs.
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
@@ -110,17 +110,13 @@ TEST(AsyncDiagnosisTest, VerdictsAreBitIdenticalAcrossJobsThreadsAndShards) {
       Fingerprint(workload::RunFleet(jobs, {.jobs = 1, .shards = 1}));
 
   for (int32_t workers : {1, 8}) {
-    for (int32_t threads : {1, 4}) {
-      for (int32_t shards : {1, 4, 7}) {
-        workload::FleetOptions options;
-        options.jobs = workers;
-        options.threads = threads;
-        options.shards = shards;
-        const std::string label = "jobs=" + std::to_string(workers) +
-                                  " threads=" + std::to_string(threads) +
-                                  " shards=" + std::to_string(shards);
-        EXPECT_EQ(Fingerprint(workload::RunFleet(jobs, options)), baseline) << label;
-      }
+    for (int32_t shards : {1, 4, 7}) {
+      workload::FleetOptions options;
+      options.jobs = workers;
+      options.shards = shards;
+      const std::string label =
+          "jobs=" + std::to_string(workers) + " shards=" + std::to_string(shards);
+      EXPECT_EQ(Fingerprint(workload::RunFleet(jobs, options)), baseline) << label;
     }
   }
 }
@@ -135,7 +131,6 @@ TEST(AsyncDiagnosisTest, SharedKnowledgeBaseDoesNotChangeVerdicts) {
   for (int64_t epoch : {int64_t{1}, int64_t{16}}) {
     workload::FleetOptions options;
     options.jobs = 8;
-    options.threads = 4;
     options.shards = 7;
     options.shared_kb = true;
     options.kb_epoch_sessions = epoch;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/faultsim/fault_injector.h"
 #include "src/faultsim/fault_plan.h"
 #include "src/hangdoctor/detector_core.h"
 #include "src/hangdoctor/stream_guard.h"
@@ -148,6 +150,119 @@ TEST(FaultPlanTest, PermanentCounterFailureIsSticky) {
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(plan.NextCounterOpen(), faultsim::FaultPlan::CounterOpen::kPermanentFailure);
   }
+}
+
+// Logs every record a FaultInjector hands on as "<who> <kind> <execution id>", where `who`
+// is "core" for the backend and "sink" for the recorder; the execution id names the push.
+class EventLog {
+ public:
+  void Add(const char* who, const char* kind, int64_t execution_id) {
+    events.push_back(std::string(who) + " " + kind + " " + std::to_string(execution_id));
+  }
+  std::vector<std::string> events;
+};
+
+class LoggingCore final : public hangdoctor::SpiBackend {
+ public:
+  explicit LoggingCore(EventLog* log) : log_(log) {}
+  hangdoctor::MonitorDirectives OnDispatchStart(const hangdoctor::DispatchStart& r) override {
+    log_->Add("core", "start", r.execution_id);
+    return {.start_counters = true, .arm_hang_check = true};
+  }
+  void OnDispatchEnd(const hangdoctor::DispatchEnd& r) override {
+    log_->Add("core", "end", r.execution_id);
+    end_samples = r.samples;
+  }
+  void OnActionQuiesced(const hangdoctor::ActionQuiesce& r) override {
+    log_->Add("core", "quiesce", r.execution_id);
+  }
+  void OnCounterFault(const hangdoctor::CounterFault& r) override {
+    log_->Add("core", "fault", r.execution_id);
+  }
+  void OnAsyncPost(const hangdoctor::AsyncPost& r) override {
+    log_->Add("core", "post", r.execution_id);
+  }
+  void OnAsyncRun(const hangdoctor::AsyncRun& r) override {
+    log_->Add("core", "run", r.execution_id);
+  }
+  void OnAsyncWaitStart(const hangdoctor::AsyncWaitStart& r) override {
+    log_->Add("core", "wait_start", r.execution_id);
+  }
+  void OnAsyncWaitEnd(const hangdoctor::AsyncWaitEnd& r) override {
+    log_->Add("core", "wait_end", r.execution_id);
+  }
+
+  std::span<const telemetry::StackTrace> end_samples;  // as the core received them
+
+ private:
+  EventLog* log_;
+};
+
+class LoggingSink final : public hangdoctor::TelemetrySink {
+ public:
+  explicit LoggingSink(EventLog* log) : log_(log) {}
+  void OnSessionStart(const hangdoctor::SessionInfo&) override {}
+  void OnDispatchStart(const hangdoctor::DispatchStart& r) override {
+    log_->Add("sink", "start", r.execution_id);
+  }
+  void OnDispatchEnd(const hangdoctor::DispatchEnd& r) override {
+    log_->Add("sink", "end", r.execution_id);
+  }
+  void OnActionQuiesce(const hangdoctor::ActionQuiesce& r) override {
+    log_->Add("sink", "quiesce", r.execution_id);
+  }
+  void OnCounterFault(const hangdoctor::CounterFault& r) override {
+    log_->Add("sink", "fault", r.execution_id);
+  }
+  void OnAsyncPost(const hangdoctor::AsyncPost& r) override {
+    log_->Add("sink", "post", r.execution_id);
+  }
+  void OnAsyncRun(const hangdoctor::AsyncRun& r) override {
+    log_->Add("sink", "run", r.execution_id);
+  }
+  void OnAsyncWaitStart(const hangdoctor::AsyncWaitStart& r) override {
+    log_->Add("sink", "wait_start", r.execution_id);
+  }
+  void OnAsyncWaitEnd(const hangdoctor::AsyncWaitEnd& r) override {
+    log_->Add("sink", "wait_end", r.execution_id);
+  }
+
+ private:
+  EventLog* log_;
+};
+
+// The live host pushes every record through its FaultInjector, so under the default plan the
+// injector must be a pure passthrough: each of the eight record kinds exactly once, in push
+// order, sink before core, directives back from the core, samples not copied.
+TEST(FaultInjectionTest, DefaultPlanForwardsEveryRecordKindOnceInPushOrder) {
+  EventLog log;
+  LoggingCore core(&log);
+  LoggingSink sink(&log);
+  faultsim::FaultInjector injector(faultsim::FaultPlan{}, &core, &sink);
+  ASSERT_FALSE(injector.plan().enabled());
+
+  const std::vector<telemetry::StackTrace> samples(3);
+  hangdoctor::MonitorDirectives directives = injector.PushStart({.execution_id = 1});
+  EXPECT_TRUE(directives.start_counters);
+  EXPECT_TRUE(directives.arm_hang_check);
+  injector.PushEnd({.execution_id = 2, .trace_stopped = true, .samples = samples});
+  injector.PushQuiesce({.execution_id = 3});
+  injector.PushCounterFault({.execution_id = 4});
+  injector.PushAsyncPost({.execution_id = 5, .edge = {}});
+  injector.PushAsyncRun({.execution_id = 6, .edge = {}});
+  injector.PushAsyncWaitStart({.execution_id = 7, .edge = {}});
+  injector.PushAsyncWaitEnd({.execution_id = 8, .edge = {}});
+
+  const std::vector<std::string> want = {
+      "sink start 1",      "core start 1",      "sink end 2",      "core end 2",
+      "sink quiesce 3",    "core quiesce 3",    "sink fault 4",    "core fault 4",
+      "sink post 5",       "core post 5",       "sink run 6",      "core run 6",
+      "sink wait_start 7", "core wait_start 7", "sink wait_end 8", "core wait_end 8"};
+  EXPECT_EQ(log.events, want);
+  EXPECT_EQ(core.end_samples.data(), samples.data());
+  EXPECT_EQ(core.end_samples.size(), samples.size());
+  EXPECT_EQ(injector.NextCounterOpen(), faultsim::FaultPlan::CounterOpen::kOk);
+  EXPECT_FALSE(injector.NextCounterReadInvalid());
 }
 
 TEST(FaultInjectionTest, NoFaultPlanIsByteIdenticalToPlanlessRun) {

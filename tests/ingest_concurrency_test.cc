@@ -3,8 +3,8 @@
 // reference models and multi-threaded stress — these run on the TSan CI leg, so every
 // atomic's ordering is machine-checked, not argued. From above: the DetectorService
 // determinism contract — pipelined ingest at any {threads, shards} produces results
-// bit-identical to the synchronous path and to the per-job fleet oracle, fault-injected
-// sessions included.
+// bit-identical to the synchronous path and, over recorded fleets, to the per-job fleet
+// oracle, fault-injected and async sessions included.
 #include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
@@ -47,6 +47,7 @@
 #include "src/workload/catalog.h"
 #include "src/workload/experiment.h"
 #include "src/workload/fleet.h"
+#include "tests/recorded_fleet.h"
 
 namespace {
 
@@ -303,10 +304,6 @@ TEST(IngestPipelineTest, OptionValidationThrows) {
       hangdoctor::DetectorService(hangdoctor::ServiceOptions{.shards = 1, .batch_size = 0}),
       std::invalid_argument);
 
-  workload::FleetOptions bad_fleet;
-  bad_fleet.threads = -1;
-  EXPECT_THROW(workload::RunFleet({}, bad_fleet), std::invalid_argument);
-
   // An Ingestor needs a pipeline to feed.
   hangdoctor::DetectorService sync_only(hangdoctor::ServiceOptions{2});
   EXPECT_EQ(sync_only.ingest_threads(), 0);
@@ -475,8 +472,9 @@ TEST(IngestPipelineTest, PipelinedConsumeMatchesSynchronousAtEveryTopology) {
   }
 }
 
-// The fleet-level contract, ISSUE acceptance shape: two-phase pipelined fleets are
-// bit-identical to the per-job oracle at every {threads, shards} pair.
+// The fleet-level contract: a fleet recorded on the per-job oracle and pushed through the
+// pipeline from `threads` producers is bit-identical to the oracle at every {threads, shards}
+// pair (recorded_fleet.h).
 std::vector<workload::FleetJob> SmallStudyFleet(
     const hangdoctor::BlockingApiDatabase* known_db, const faultsim::FaultProfile& faults) {
   const workload::Catalog& catalog = SharedCatalog();
@@ -498,72 +496,71 @@ std::vector<workload::FleetJob> SmallStudyFleet(
   return jobs;
 }
 
-void ExpectFleetsEqual(const workload::FleetSummary& oracle,
-                       const workload::FleetSummary& pipelined, const std::string& label) {
-  ASSERT_EQ(oracle.jobs.size(), pipelined.jobs.size()) << label;
-  EXPECT_EQ(oracle.failed, pipelined.failed) << label;
-  EXPECT_EQ(oracle.merged_report.Render(4), pipelined.merged_report.Render(4)) << label;
-  EXPECT_EQ(oracle.discovered, pipelined.discovered) << label;
-  EXPECT_EQ(oracle.merged_stats.true_positives, pipelined.merged_stats.true_positives)
-      << label;
-  EXPECT_EQ(oracle.merged_stats.false_positives, pipelined.merged_stats.false_positives)
-      << label;
-  EXPECT_EQ(oracle.merged_stats.false_negatives, pipelined.merged_stats.false_negatives)
-      << label;
-  for (size_t i = 0; i < oracle.jobs.size(); ++i) {
-    const std::string job_label = label + " job " + std::to_string(i);
-    EXPECT_EQ(oracle.jobs[i].Describe(), pipelined.jobs[i].Describe()) << job_label;
-    EXPECT_EQ(oracle.jobs[i].report.Render(4), pipelined.jobs[i].report.Render(4))
-        << job_label;
-    EXPECT_EQ(oracle.jobs[i].stack_samples, pipelined.jobs[i].stack_samples) << job_label;
-    EXPECT_DOUBLE_EQ(oracle.jobs[i].overhead_pct, pipelined.jobs[i].overhead_pct)
-        << job_label;
-  }
+std::string Topology(int32_t threads, int32_t shards) {
+  return "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards);
 }
 
 TEST(IngestPipelineTest, PipelinedFleetMatchesOracleAcrossTopologies) {
   hangdoctor::BlockingApiDatabase known_db = SharedCatalog().MakeKnownDatabase();
-  std::vector<workload::FleetJob> jobs = SmallStudyFleet(&known_db, {});
-
-  workload::FleetOptions oracle_options;
-  oracle_options.jobs = 2;
-  oracle_options.service = false;
-  workload::FleetSummary oracle = workload::RunFleet(jobs, oracle_options);
-  ASSERT_EQ(oracle.failed, 0u);
+  recorded_fleet::Fleet fleet =
+      recorded_fleet::RecordFleet(SmallStudyFleet(&known_db, {}), "topologies");
 
   for (int32_t threads : {1, 4, 8}) {
     for (int32_t shards : {1, 4, 7}) {
-      workload::FleetOptions options;
-      options.jobs = 2;
-      options.shards = shards;
-      options.threads = threads;
-      workload::FleetSummary pipelined = workload::RunFleet(jobs, options);
-      ExpectFleetsEqual(oracle, pipelined,
-                        "threads=" + std::to_string(threads) +
-                            " shards=" + std::to_string(shards));
+      hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
+                                         .seed_db = &known_db};
+      recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+                                          Topology(threads, shards));
     }
   }
 }
 
 TEST(IngestPipelineTest, PipelinedFleetMatchesOracleUnderFaultInjection) {
   hangdoctor::BlockingApiDatabase known_db = SharedCatalog().MakeKnownDatabase();
-  std::vector<workload::FleetJob> jobs =
-      SmallStudyFleet(&known_db, faultsim::FaultProfile::Named("chaos"));
+  // The recorder sits downstream of the fault injector, so the pipeline must reproduce the
+  // *faulty* sessions bit-identically — degradation counters and all.
+  recorded_fleet::Fleet fleet = recorded_fleet::RecordFleet(
+      SmallStudyFleet(&known_db, faultsim::FaultProfile::Named("chaos")), "chaos");
 
-  workload::FleetOptions oracle_options;
-  oracle_options.jobs = 2;
-  oracle_options.service = false;
-  workload::FleetSummary oracle = workload::RunFleet(jobs, oracle_options);
-
-  // The capture tap sits downstream of the fault injector, so the pipeline must reproduce
-  // the *faulty* sessions bit-identically — degradation counters and all.
   for (int32_t threads : {1, 4}) {
-    workload::FleetOptions options;
-    options.jobs = 2;
-    options.shards = 7;
-    options.threads = threads;
-    workload::FleetSummary pipelined = workload::RunFleet(jobs, options);
-    ExpectFleetsEqual(oracle, pipelined, "chaos threads=" + std::to_string(threads));
+    hangdoctor::ServiceOptions options{.shards = 7, .threads = threads, .seed_db = &known_db};
+    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+                                        "chaos " + Topology(threads, 7));
+  }
+}
+
+// The waiting-chain diagnoses of the async study apps (DESIGN.md section 3.8) through the
+// pipeline: one device per async app, recorded once, then pushed at every {threads, shards}
+// pair, and through the shared knowledge base at two epoch lengths.
+TEST(IngestPipelineTest, RecordedAsyncFleetMatchesOracleAcrossThreadsShardsAndEpochs) {
+  const workload::Catalog& catalog = SharedCatalog();
+  hangdoctor::BlockingApiDatabase known_db = catalog.MakeKnownDatabase();
+  std::vector<workload::FleetJob> jobs;
+  for (const droidsim::AppSpec* spec : catalog.async_apps()) {
+    workload::FleetJob job;
+    job.spec = spec;
+    job.profile = droidsim::LgV10();
+    job.seed = 5000 + static_cast<uint64_t>(spec->downloads % 97);
+    job.session = simkit::Seconds(60);
+    job.known_db = &known_db;
+    jobs.push_back(job);
+  }
+  recorded_fleet::Fleet fleet = recorded_fleet::RecordFleet(jobs, "async");
+
+  for (int32_t threads : {1, 4}) {
+    for (int32_t shards : {1, 4, 7}) {
+      hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
+                                         .seed_db = &known_db};
+      recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+                                          "async " + Topology(threads, shards));
+    }
+  }
+  for (int64_t epoch : {int64_t{1}, int64_t{16}}) {
+    hangdoctor::KnowledgeBase kb(known_db);
+    hangdoctor::ServiceOptions options{
+        .shards = 7, .threads = 4, .knowledge_base = &kb, .kb_epoch_sessions = epoch};
+    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+                                        "async shared_kb epoch=" + std::to_string(epoch));
   }
 }
 

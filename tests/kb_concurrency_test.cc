@@ -1,6 +1,7 @@
 // KnowledgeBase concurrency: snapshot churn under TSan (writers absorbing + publishing while
 // readers acquire and query — the RCU-style publication protocol must be race-free), and the
-// pipelined-fleet bit-identity matrix over {threads} x {shards} x {epoch length}.
+// bit-identity matrix of a recorded fleet pushed through the pipeline with a shared knowledge
+// base, over {threads} x {shards} x {epoch length} (recorded_fleet.h).
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -14,6 +15,7 @@
 #include "src/workload/catalog.h"
 #include "src/workload/experiment.h"
 #include "src/workload/fleet.h"
+#include "tests/recorded_fleet.h"
 
 namespace {
 
@@ -22,8 +24,8 @@ const workload::Catalog& SharedCatalog() {
   return *catalog;
 }
 
-// A smaller fleet than the integration suite's — the matrix below multiplies it by 11 and
-// TSan by ~10x again — but still covering half the study apps on four devices.
+// A smaller fleet than the integration suite's — the matrix below pushes it 11 times and
+// TSan slows that by ~10x — but still covering half the study apps on four devices.
 std::vector<workload::FleetJob> SmallFleet(const hangdoctor::BlockingApiDatabase* known_db) {
   const workload::Catalog& catalog = SharedCatalog();
   std::vector<workload::FleetJob> jobs;
@@ -38,20 +40,6 @@ std::vector<workload::FleetJob> SmallFleet(const hangdoctor::BlockingApiDatabase
     jobs.push_back(job);
   }
   return jobs;
-}
-
-void ExpectFleetEqual(const workload::FleetSummary& a, const workload::FleetSummary& b,
-                      const std::string& label) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size()) << label;
-  EXPECT_EQ(a.failed, b.failed) << label;
-  EXPECT_EQ(a.merged_report.Render(4), b.merged_report.Render(4)) << label;
-  EXPECT_EQ(a.discovered, b.discovered) << label;
-  for (size_t i = 0; i < a.jobs.size(); ++i) {
-    const std::string job_label = label + " job " + std::to_string(i);
-    EXPECT_EQ(a.jobs[i].report.Render(4), b.jobs[i].report.Render(4)) << job_label;
-    EXPECT_EQ(a.jobs[i].discovered, b.jobs[i].discovered) << job_label;
-    EXPECT_EQ(a.jobs[i].Describe(), b.jobs[i].Describe()) << job_label;
-  }
 }
 
 TEST(KbConcurrencyTest, SnapshotChurnStress) {
@@ -120,42 +108,31 @@ TEST(KbConcurrencyTest, SnapshotChurnStress) {
 }
 
 TEST(KbConcurrencyTest, PipelinedFleetBitIdenticalAcrossThreadsShardsAndEpochs) {
-  const workload::Catalog& catalog = SharedCatalog();
-  hangdoctor::BlockingApiDatabase known_db = catalog.MakeKnownDatabase();
-  std::vector<workload::FleetJob> jobs = SmallFleet(&known_db);
+  hangdoctor::BlockingApiDatabase known_db = SharedCatalog().MakeKnownDatabase();
+  recorded_fleet::Fleet fleet = recorded_fleet::RecordFleet(SmallFleet(&known_db), "kb");
 
-  workload::FleetOptions oracle_options;
-  oracle_options.jobs = 2;
-  oracle_options.service = false;
-  workload::FleetSummary oracle = workload::RunFleet(jobs, oracle_options);
-  ASSERT_EQ(oracle.failed, 0u);
-
+  // One knowledge base per run, pushed from `threads` producers; returns its totals after
+  // the final publish.
+  auto run = [&](int32_t threads, int32_t shards, int64_t epoch, const std::string& label) {
+    hangdoctor::KnowledgeBase kb(known_db);
+    hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
+                                       .knowledge_base = &kb, .kb_epoch_sessions = epoch};
+    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+                                        label);
+    kb.Publish();
+    return kb.TotalStats();
+  };
   for (int32_t threads : {1, 4, 8}) {
     for (int32_t shards : {1, 4, 7}) {
-      workload::FleetOptions options;
-      options.jobs = 2;
-      options.threads = threads;
-      options.shards = shards;
-      options.shared_kb = true;
-      options.kb_epoch_sessions = 16;
-      workload::FleetSummary kb_on = workload::RunFleet(jobs, options);
-      ExpectFleetEqual(oracle, kb_on,
-                       "threads=" + std::to_string(threads) +
-                           " shards=" + std::to_string(shards));
+      run(threads, shards, 16,
+          "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
     }
   }
   // Epoch-length axis at one {threads, shards} point: every-session publish and
   // barriers-only publish both stay on the oracle's bits.
   for (int64_t epoch : {int64_t{1}, int64_t{0}}) {
-    workload::FleetOptions options;
-    options.jobs = 2;
-    options.threads = 4;
-    options.shards = 4;
-    options.shared_kb = true;
-    options.kb_epoch_sessions = epoch;
-    workload::FleetSummary kb_on = workload::RunFleet(jobs, options);
-    ExpectFleetEqual(oracle, kb_on, "epoch=" + std::to_string(epoch));
-    EXPECT_EQ(kb_on.kb.sessions_absorbed, 8) << epoch;
+    hangdoctor::KnowledgeBase::Stats stats = run(4, 4, epoch, "epoch=" + std::to_string(epoch));
+    EXPECT_EQ(stats.sessions_absorbed, 8) << epoch;
   }
 }
 
