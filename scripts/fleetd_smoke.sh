@@ -91,6 +91,46 @@ boot_fleetd "$work/base_fleetd.log" "$base_worker_port"
 base_port=$boot_port
 base_fleetd_pid=$boot_pid
 echo "fleetd_smoke: baseline up (worker :$base_worker_port, fleetd :$base_port)"
+
+# A bad client costs only its own connection: after HELLO 4 it sends a kRecord frame for a
+# session it never opened (tag 02, id 01, size 03, then 3 body bytes). fleetd must answer
+# kError and must not route the frame: the worker would take it as a stream violation and
+# drop its coordinator link, and the baseline run below would then fail.
+python3 - "$base_port" <<'PY' || { echo "fleetd_smoke: bad client not refused with kError" >&2; exit 1; }
+import socket
+import sys
+
+def frame(payload):
+    return bytes([len(payload)]) + payload
+
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10)
+sock.sendall(frame(b"HDSL\x04") + frame(bytes.fromhex("020103630102")))
+buf, tags = b"", []
+try:
+    while len(tags) < 2:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        buf += chunk
+        while True:  # pop every complete reply frame: varint length, then the payload
+            size, shift, pos = 0, 0, 0
+            while pos < len(buf) and buf[pos] & 0x80:
+                size |= (buf[pos] & 0x7F) << shift
+                shift += 7
+                pos += 1
+            if pos >= len(buf):
+                break
+            size |= buf[pos] << shift
+            pos += 1
+            if len(buf) < pos + size:
+                break
+            tags.append(buf[pos])
+            buf = buf[pos + size:]
+except socket.timeout:
+    pass
+print("fleetd_smoke: bad client got reply tags", tags)
+sys.exit(0 if tags[:2] == [1, 4] else 1)  # kHelloOk, then kError
+PY
 "$build/tools/loadgen" --port="$base_port" --dir="$work/logs" --sessions=24 \
   --connections=4 > "$work/base_loadgen.log" 2>&1
 grep -q "24 closed, 0 busy, 0 errors" "$work/base_loadgen.log" || {

@@ -42,7 +42,7 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
       throw std::runtime_error("fleetd: worker " + std::to_string(w) +
                                " connect failed: " + link->client.error());
     }
-    if (!link->client.SendHello(options_.wire_version, netd::HelloRole::kWorker)) {
+    if (!link->client.SendHello(netd::kWireVersionMax, netd::HelloRole::kWorker)) {
       throw std::runtime_error("fleetd: worker " + std::to_string(w) +
                                " hello send failed: " + link->client.error());
     }

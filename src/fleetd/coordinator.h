@@ -15,6 +15,9 @@
 //             drained — the worker is gone — so replay reconstructs its sessions from the
 //             tap alone, including the bytes the dead link never wrote.
 //
+// Only decoded frames are routed (RouteFrame), and a handoff also ends each moved session in
+// the old owner's stream decoder, so a session may later return to that worker.
+//
 // Why the fold stays bit-identical: detection is per-session pure (a session's result is a
 // function of its own record stream only — detector_service.h's contract), and the tap holds
 // exactly the stream routed so far. A replayed session therefore produces the same
@@ -64,7 +67,6 @@ struct WorkerEndpoint {
 
 struct CoordinatorOptions {
   std::vector<WorkerEndpoint> workers;
-  uint32_t wire_version = netd::kWireVersionMax;
   int64_t lease_timeout_ms = 2000;
   // How long MigrateWorker waits for the old owner's kHandoffAck before treating the worker
   // as dead and recovering by replay instead.
@@ -112,6 +114,9 @@ class Coordinator {
   // The buffer is written once it reaches kLinkBatchBytes or at the next flush point. A dead
   // owner triggers failover inline: the frame still reaches a live worker (via tap replay),
   // so a false return means total outage — no live worker remains.
+  // Callers pass frames already decoded (fleetd's front end: a MuxStreamDecoder per client).
+  // Only the tag and id are checked here, and an invalid frame would end the owner's whole
+  // link — and, replayed from the tap, the failover target's.
   bool RouteFrame(uint64_t session, const std::string& frame, std::string* error);
 
   // Writes every live link's buffered frames now. A front end calls it once per batch of

@@ -3,6 +3,9 @@
 // and routes every client session's frames to the worker owning that session-id range —
 // the clients speak to fleetd exactly as they would to a single hangdoctord, while the
 // shard group behind it migrates, fences, and fails over (src/fleetd/coordinator.h).
+// fleetd validates at its edge: each client frame goes through the client's own
+// MuxStreamDecoder (src/hosts/mux_log.h) before it is routed, so a frame that breaks the
+// stream contract answers kError and closes that client, and never reaches a worker link.
 //
 // Usage:
 //   fleetd --worker-port=N [--worker-port=N ...] [--port=N] [--max-sessions=N]
@@ -74,6 +77,9 @@ struct ClientConn {
 
 struct FrontEnd {
   fleetd::Coordinator* coordinator = nullptr;
+  // Every client's decoder parses symbol tables through this one pool.
+  std::shared_ptr<hangdoctor::SymbolTableCache> symbol_tables =
+      std::make_shared<hangdoctor::SymbolTableCache>();
   std::mutex mu;
   std::unordered_map<uint64_t, std::shared_ptr<ClientConn>> session_conns;
 
@@ -109,6 +115,8 @@ struct FrontEnd {
 
 void ServeClient(FrontEnd* front, std::shared_ptr<ClientConn> conn) {
   netd::FrameSplitter splitter;
+  hangdoctor::MuxStreamDecoder decoder(front->symbol_tables);
+  hangdoctor::DecodedFrame decoded;  // reused for every frame
   bool hello_done = false;
   bool bye = false;
   std::string payload;
@@ -129,21 +137,19 @@ void ServeClient(FrontEnd* front, std::shared_ptr<ClientConn> conn) {
         hello_done = true;
         continue;
       }
-      auto tag = static_cast<hangdoctor::MuxFrameTag>(static_cast<uint8_t>(payload[0]));
-      if (tag == hangdoctor::MuxFrameTag::kEnd) {
+      if (!decoder.Decode(payload, &decoded)) {
+        conn->Send(netd::BuildError(decoder.error()));
+        goto done;
+      }
+      if (decoded.kind == hangdoctor::DecodedFrame::Kind::kBye) {
         bye = true;
         break;
       }
-      if (tag == hangdoctor::MuxFrameTag::kEpochPublish) {
+      if (decoded.kind == hangdoctor::DecodedFrame::Kind::kEpochPublish) {
         continue;  // no session bytes; the workers replay their own publish schedules
       }
-      uint64_t id = 0;
-      size_t pos = 1;
-      if (!netd::GetVarint(payload, &pos, &id)) {
-        conn->Send(netd::BuildError("malformed session frame"));
-        goto done;
-      }
-      if (tag == hangdoctor::MuxFrameTag::kOpenSession) {
+      uint64_t id = decoded.id.value;
+      if (decoded.kind == hangdoctor::DecodedFrame::Kind::kOpen) {
         if (!front->ClaimSession(id, conn)) {
           conn->Send(netd::BuildError("session id already owned by another connection"));
           goto done;

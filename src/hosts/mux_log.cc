@@ -101,69 +101,170 @@ bool ParseMuxFrames(const std::string& data, std::vector<Frame>* frames, std::st
   return false;
 }
 
-// Rebuilds per-session v2 byte strings from a parsed frame sequence, enforcing the
-// open-before-record / close-exactly-once protocol. Output order = open-frame order.
-bool AssembleSessions(const std::string& data, const std::vector<Frame>& frames,
-                      std::vector<SessionLogSlice>* sessions, std::string* error) {
-  struct State {
-    size_t index = 0;
-    bool closed = false;
-  };
-  std::unordered_map<uint64_t, State> states;
-  for (const Frame& frame : frames) {
-    switch (frame.tag) {
-      case MuxFrameTag::kOpenSession: {
-        auto [it, inserted] = states.try_emplace(frame.id.value);
-        if (!inserted) {
-          *error = "session " + std::to_string(frame.id.value) + " opened twice";
-          return false;
-        }
-        it->second.index = sessions->size();
-        sessions->push_back(
-            {frame.id, data.substr(frame.payload_offset, frame.payload_size)});
-        break;
-      }
-      case MuxFrameTag::kRecord: {
-        auto it = states.find(frame.id.value);
-        if (it == states.end() || it->second.closed) {
-          *error = "record for session " + std::to_string(frame.id.value) +
-                   " outside its open/close window";
-          return false;
-        }
-        (*sessions)[it->second.index].bytes.append(data, frame.payload_offset,
-                                                   frame.payload_size);
-        break;
-      }
-      case MuxFrameTag::kCloseSession: {
-        auto it = states.find(frame.id.value);
-        if (it == states.end() || it->second.closed) {
-          *error = "close for session " + std::to_string(frame.id.value) +
-                   " outside its open/close window";
-          return false;
-        }
-        it->second.closed = true;
-        // Regenerate the v2 end marker the mux stripped.
-        (*sessions)[it->second.index].bytes.push_back(
-            static_cast<char>(SessionRecordTag::kEnd));
-        break;
-      }
-      case MuxFrameTag::kEpochPublish:
-        break;  // no session bytes: a knowledge-base epoch boundary, replay-only
-      case MuxFrameTag::kEnd:
-        for (const auto& [id, state] : states) {
-          if (!state.closed) {
-            *error = "session " + std::to_string(id) + " never closed";
-            return false;
-          }
-        }
-        return true;
-    }
+// The one offline reader: ParseMuxFrames finds the frame boundaries and a decoder handles
+// each frame, so the container is held to exactly the rules a wire connection is. On top of
+// them the container rule: each session id opens once. `visit(frame, decoded, session)` sees
+// every decoded frame in stream order; `session` is the ordinal of the frame's session among
+// the opens (meaningful for kOpen, kRecord and kClose).
+template <typename Visit>
+bool DecodeMuxLog(const std::string& bytes, std::string* error, Visit&& visit) {
+  std::vector<Frame> frames;
+  if (!ParseMuxFrames(bytes, &frames, error)) {
+    return false;
   }
-  *error = "missing multiplexed log end marker";
-  return false;
+  MuxStreamDecoder decoder;
+  DecodedFrame decoded;
+  std::unordered_map<uint64_t, size_t> opened;  // session id -> open ordinal
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const Frame& frame = frames[i];
+    if (frame.tag == MuxFrameTag::kOpenSession &&
+        !opened.try_emplace(frame.id.value, opened.size()).second) {
+      *error = "session " + std::to_string(frame.id.value) + " opened twice";
+      return false;
+    }
+    size_t end = i + 1 < frames.size() ? frames[i + 1].frame_offset : bytes.size();
+    std::string_view payload(bytes.data() + frame.frame_offset, end - frame.frame_offset);
+    if (!decoder.Decode(payload, &decoded)) {
+      *error = decoder.error();
+      return false;
+    }
+    bool has_session = decoded.kind != DecodedFrame::Kind::kEpochPublish &&
+                       decoded.kind != DecodedFrame::Kind::kBye;
+    visit(frame, decoded, has_session ? opened.at(decoded.id.value) : 0);
+  }
+  return true;
 }
 
 }  // namespace
+
+bool MuxStreamDecoder::Fail(const std::string& message) {
+  if (ok_) {
+    ok_ = false;
+    error_ = message;
+  }
+  return false;
+}
+
+bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
+  if (!ok_) {
+    return false;
+  }
+  if (saw_bye_) {
+    return Fail("frame after container end");
+  }
+  if (payload.empty()) {
+    return Fail("empty container frame");
+  }
+  // Reset only what every frame sets: a reused frame keeps its buffers (and its 800-byte
+  // payload is not rebuilt from defaults per frame).
+  out->id = telemetry::SessionId{0};
+  out->open_bytes = 0;
+  out->skip = false;
+  out->record.session = out->id;
+  auto tag = static_cast<MuxFrameTag>(static_cast<uint8_t>(payload[0]));
+  size_t pos = 1;
+  uint64_t id = 0;
+  switch (tag) {
+    case MuxFrameTag::kOpenSession: {
+      uint64_t size = 0;
+      if (!GetVarint(payload, &pos, &id) || !GetVarint(payload, &pos, &size)) {
+        return Fail("malformed open frame");
+      }
+      if (size != payload.size() - pos) {
+        return Fail("open frame size mismatch");
+      }
+      if (live_.count(id) != 0) {
+        return Fail("duplicate open for session " + std::to_string(id));
+      }
+      auto log = std::make_shared<SessionLog>();
+      std::string error;
+      if (!ParseSessionLogPrefix(payload.substr(pos), *symbols_, log.get(), &error,
+                                 &out->shared_symbols)) {
+        return Fail("session " + std::to_string(id) + ": " + error);
+      }
+      live_[id] = log;
+      out->kind = DecodedFrame::Kind::kOpen;
+      out->id = telemetry::SessionId{id};
+      out->open_bytes = payload.size();
+      out->log = log;
+      out->record.session = out->id;
+      out->record.record.kind = SpiPayload::Kind::kSessionOpen;
+      out->record.record.info = log->info;
+      out->record.record.config = log->config;
+      return true;
+    }
+    case MuxFrameTag::kRecord: {
+      uint64_t size = 0;
+      if (!GetVarint(payload, &pos, &id) || !GetVarint(payload, &pos, &size)) {
+        return Fail("malformed record frame");
+      }
+      if (size != payload.size() - pos) {
+        return Fail("record frame size mismatch");
+      }
+      auto it = live_.find(id);
+      if (it == live_.end()) {
+        return Fail("record for unopened session " + std::to_string(id));
+      }
+      SessionRecord record;
+      std::string error;
+      if (!ParseSessionRecordBytes(payload.substr(pos), *it->second->symbols, &record,
+                                   &error)) {
+        return Fail("session " + std::to_string(id) + ": " + error);
+      }
+      out->kind = DecodedFrame::Kind::kRecord;
+      out->id = telemetry::SessionId{id};
+      out->log = it->second;
+      out->record.session = out->id;
+      if (!ToSpiPayload(std::move(record), &out->record.record)) {
+        // kTraceUsage overhead footer (the parser rejects bare end markers): structurally a
+        // record, but no SPI traffic to apply.
+        out->skip = true;
+      }
+      return true;
+    }
+    case MuxFrameTag::kCloseSession: {
+      if (!GetVarint(payload, &pos, &id) || pos != payload.size()) {
+        return Fail("malformed close frame");
+      }
+      auto it = live_.find(id);
+      if (it == live_.end()) {
+        return Fail("close for unopened session " + std::to_string(id));
+      }
+      out->kind = DecodedFrame::Kind::kClose;
+      out->id = telemetry::SessionId{id};
+      out->log = it->second;
+      out->record.session = out->id;
+      out->record.record.kind = SpiPayload::Kind::kSessionClose;
+      live_.erase(it);
+      return true;
+    }
+    case MuxFrameTag::kEpochPublish: {
+      uint64_t seq = 0;
+      if (!GetVarint(payload, &pos, &seq) || pos != payload.size()) {
+        return Fail("malformed epoch-publish frame");
+      }
+      out->kind = DecodedFrame::Kind::kEpochPublish;
+      out->log.reset();
+      return true;
+    }
+    case MuxFrameTag::kEnd: {
+      if (pos != payload.size()) {
+        return Fail("trailing bytes in end frame");
+      }
+      if (!live_.empty()) {
+        return Fail("container end with " + std::to_string(live_.size()) +
+                    " session(s) still open");
+      }
+      saw_bye_ = true;
+      out->kind = DecodedFrame::Kind::kBye;
+      out->log.reset();
+      return true;
+    }
+    default:
+      return Fail("unknown container frame tag " +
+                  std::to_string(static_cast<int>(payload[0])));
+  }
+}
 
 bool MuxFrameCount(const std::string& bytes, size_t* count, std::string* error) {
   SessionLogLayout layout;
@@ -280,102 +381,53 @@ bool ScanMuxLog(const std::string& bytes, SessionLogLayout* layout, std::string*
 
 bool DemuxSessionLog(const std::string& bytes, std::vector<SessionLogSlice>* sessions,
                      std::string* error) {
-  std::vector<Frame> frames;
-  if (!ParseMuxFrames(bytes, &frames, error)) {
-    return false;
-  }
   sessions->clear();
-  if (!AssembleSessions(bytes, frames, sessions, error)) {
-    return false;
-  }
-  // A corrupt container must fail here, not downstream: every reconstructed log re-parses.
-  for (const SessionLogSlice& session : *sessions) {
-    SessionLogLayout layout;
-    if (!ScanForMux(session.bytes, &layout, error)) {
-      *error = "demuxed session " + std::to_string(session.id.value) + " invalid: " + *error;
-      return false;
+  return DecodeMuxLog(bytes, error, [&](const Frame& frame, const DecodedFrame& decoded,
+                                        size_t session) {
+    switch (decoded.kind) {
+      case DecodedFrame::Kind::kOpen:
+        sessions->push_back(
+            {decoded.id, bytes.substr(frame.payload_offset, frame.payload_size)});
+        break;
+      case DecodedFrame::Kind::kRecord:
+        (*sessions)[session].bytes.append(bytes, frame.payload_offset, frame.payload_size);
+        break;
+      case DecodedFrame::Kind::kClose:
+        // Regenerate the v2 end marker the mux stripped.
+        (*sessions)[session].bytes.push_back(static_cast<char>(SessionRecordTag::kEnd));
+        break;
+      case DecodedFrame::Kind::kEpochPublish:  // no session bytes: replay-only
+      case DecodedFrame::Kind::kBye:
+        break;
     }
-  }
-  return true;
+  });
 }
 
 bool ReplayMultiplexedLog(const std::string& bytes, const ServiceOptions& options,
                           std::vector<SessionResult>* results, std::string* error) {
-  std::vector<Frame> frames;
-  if (!ParseMuxFrames(bytes, &frames, error)) {
-    return false;
-  }
-  std::vector<SessionLogSlice> sessions;
-  if (!AssembleSessions(bytes, frames, &sessions, error)) {
-    return false;
-  }
-
-  // Parse each reconstructed log; the parsed logs own the symbol tables every ServiceRecord
-  // of their session references, so they must outlive Consume below.
-  std::vector<SessionLog> logs(sessions.size());
-  std::unordered_map<uint64_t, size_t> index_of;
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    if (!LoadSessionLogBytes(sessions[i].bytes, &logs[i], error)) {
-      *error = "session " + std::to_string(sessions[i].id.value) + ": " + *error;
-      return false;
-    }
-    index_of[sessions[i].id.value] = i;
-  }
-
-  // Re-express the frame sequence as the interleaved SPI stream the service consumes live.
+  // The frame sequence as the interleaved SPI stream the service consumes live, plus each
+  // session's symbol table: the stream's records point into it, and its result owns it.
   std::vector<ServiceRecord> stream;
-  stream.reserve(frames.size());
-  std::vector<size_t> next_record(sessions.size(), 0);
-  for (const Frame& frame : frames) {
-    if (frame.tag == MuxFrameTag::kEnd) {
-      break;
+  std::unordered_map<uint64_t, std::shared_ptr<const telemetry::SymbolTable>> tables;
+  bool ok = DecodeMuxLog(bytes, error, [&](const Frame&, DecodedFrame& decoded, size_t) {
+    if (decoded.kind == DecodedFrame::Kind::kOpen) {
+      tables[decoded.id.value] = decoded.log->symbols;
+    } else if (decoded.kind == DecodedFrame::Kind::kEpochPublish) {
+      // A recorded epoch boundary replays as the service-wide publish record, so the replay
+      // sees the exact snapshot schedule the live run did.
+      decoded.record.record.kind = SpiPayload::Kind::kKbPublish;
+    } else if (decoded.kind == DecodedFrame::Kind::kBye || decoded.skip) {
+      return;  // the end, or an overhead footer: no SPI traffic
     }
-    if (frame.tag == MuxFrameTag::kEpochPublish) {
-      // Recorded epoch boundary: replay it as the service-wide publish record so the
-      // replayed run sees the exact snapshot schedule the live run did.
-      ServiceRecord publish;
-      publish.session = telemetry::SessionId{0};
-      publish.record.kind = SpiPayload::Kind::kKbPublish;
-      stream.push_back(std::move(publish));
-      continue;
-    }
-    size_t index = index_of.at(frame.id.value);
-    ServiceRecord out;
-    out.session = frame.id;
-    switch (frame.tag) {
-      case MuxFrameTag::kOpenSession:
-        out.record.kind = SpiPayload::Kind::kSessionOpen;
-        out.record.info = logs[index].info;
-        out.record.config = logs[index].config;
-        break;
-      case MuxFrameTag::kCloseSession:
-        out.record.kind = SpiPayload::Kind::kSessionClose;
-        break;
-      case MuxFrameTag::kRecord: {
-        auto tag = static_cast<SessionRecordTag>(
-            static_cast<uint8_t>(bytes[frame.payload_offset]));
-        if (tag == SessionRecordTag::kTraceUsage) {
-          continue;  // overhead footer: no SPI traffic to replay
-        }
-        // Each record is replayed exactly once, so its samples can move into the stream.
-        if (!ToSpiPayload(std::move(logs[index].records[next_record[index]++]), &out.record)) {
-          *error = "unexpected record tag in frame stream";
-          return false;
-        }
-        break;
-      }
-      case MuxFrameTag::kEnd:
-      case MuxFrameTag::kEpochPublish:  // both handled before the switch
-        break;
-    }
-    stream.push_back(std::move(out));
+    stream.push_back(std::move(decoded.record));
+  });
+  if (!ok) {
+    return false;
   }
-
   DetectorService service(options);
   *results = service.Consume(stream);
-  // The parsed logs die with this frame: each result takes its own owning table pointer.
   for (SessionResult& result : *results) {
-    result.symbols = logs[index_of.at(result.id.value)].symbols;
+    result.symbols = tables.at(result.id.value);
   }
   return true;
 }

@@ -1,7 +1,8 @@
 // HDSL v3: the multiplexed session log. One byte stream carrying many v2 session logs
 // (session_log.h) arbitrarily interleaved — the on-disk shape of what a DetectorService
-// ingests live. The container adds framing only; every payload byte is a byte of some v2
-// log, so mux → demux reproduces each input log byte-identically.
+// ingests live, and frame for frame what a wire client sends (src/netd/wire.h). The
+// container adds framing only; every payload byte is a byte of some v2 log, so mux → demux
+// reproduces each input log byte-identically.
 //
 // Framing (after the shared magic "HDSL" and varint version = 3), one frame per step:
 //   kOpenSession  = 1 : varint session_id, varint size, payload = the session's complete v2
@@ -21,23 +22,28 @@
 //                       SpiPayload::Kind::kKbPublish service record.
 //
 // A session's frames appear in its v2 order; frames of different sessions interleave freely.
-// ReplayMultiplexedLog turns the frame sequence into the equivalent interleaved SPI stream
-// (session_stream.h) and drives a DetectorService over it, so a recorded multiplexed run —
-// faults included, since faults are ordinary telemetry by the time they reach disk — replays
-// bit-identically at any shard count.
+//
+// One reader: MuxStreamDecoder is the only code that decides whether a frame is valid, and
+// Demux, Replay, every hangdoctord connection and fleetd's front end decode through it.
+// Offline, a container also opens each session id once (MuxSessionLogs writes them so); a
+// wire connection may reopen an id whose session has ended.
 #ifndef SRC_HOSTS_MUX_LOG_H_
 #define SRC_HOSTS_MUX_LOG_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/hangdoctor/detector_service.h"
+#include "src/hangdoctor/session_stream.h"
 #include "src/hosts/session_log.h"
 #include "src/telemetry/session.h"
-
 namespace hangdoctor {
 
 inline constexpr uint32_t kMuxLogVersion = 3;
@@ -74,10 +80,82 @@ bool MuxFrameCount(const std::string& bytes, size_t* count, std::string* error);
 bool MuxSessionLogs(std::span<const SessionLogSlice> sessions, std::span<const size_t> schedule,
                     std::string* out, std::string* error);
 
+// One decoded container frame.
+struct DecodedFrame {
+  enum class Kind : uint8_t {
+    kOpen,          // session open: log + record (kSessionOpen) are set
+    kRecord,        // one SPI record: record is set (skip == true for usage footers)
+    kClose,         // session close: record (kSessionClose) is set
+    kEpochPublish,  // recorded knowledge-base epoch boundary (no session)
+    kBye,           // container kEnd: the client is done
+  };
+  Kind kind = Kind::kBye;
+  telemetry::SessionId id{0};
+  // kOpen: bytes of the open payload — the admission estimate's variable part.
+  size_t open_bytes = 0;
+  // kOpen / kRecord / kClose: the session's parsed prefix (holds the symbol table).
+  std::shared_ptr<SessionLog> log;
+  // kOpen: the symbol table came from the cache, shared with a live session, not parsed.
+  bool shared_symbols = false;
+  ServiceRecord record;
+  // kRecord of a kTraceUsage footer: structurally valid, but carries no SPI traffic.
+  bool skip = false;
+};
+
+// The stream decoder: turns container frames (one tag byte + fields each, exactly a wire
+// frame's payload) into the ServiceRecords a DetectorService consumes. Sans-IO. It enforces
+// open-before-record, no double open, close exactly once, kEnd only with every session
+// closed and nothing after it, and parses every payload by the v2 grammar. Violations are
+// sticky: a broken stream is beyond repair, so a torn frame cannot corrupt a neighbour.
+//
+// Ownership: an open payload (a complete v4 log prefix) parses into a shared SessionLog that
+// every decoded frame of the session carries, so its symbol table outlives each record. The
+// table is parsed through a SymbolTableCache (session_log.h), private unless one is given;
+// hangdoctord and fleetd hand every connection's decoder the same one.
+class MuxStreamDecoder {
+ public:
+  // Parses open-frame symbol tables through a private cache.
+  MuxStreamDecoder() = default;
+  // Parses them through `symbols`, which may be shared with other decoders on any thread.
+  explicit MuxStreamDecoder(std::shared_ptr<SymbolTableCache> symbols)
+      : symbols_(std::move(symbols)) {}
+
+  // Decodes one container frame, parsing it in place. Returns false and goes sticky on any
+  // grammar or framing violation; `out` is meaningful only on success. `out` may be reused
+  // across calls: of its payload, only the members the decoded kind selects are rewritten.
+  bool Decode(std::string_view payload, DecodedFrame* out);
+
+  // Ends open session `id` without a close frame, so a later open of the id starts it
+  // afresh (the session left by a fleetd handoff). Returns its parsed prefix, or null when
+  // it was not open: records already decoded may still need its symbol table.
+  std::shared_ptr<SessionLog> EndSession(uint64_t id) {
+    std::shared_ptr<SessionLog> log = OpenLog(id);
+    live_.erase(id);
+    return log;
+  }
+
+  const std::string& error() const { return error_; }
+  bool saw_bye() const { return saw_bye_; }
+  // The parsed prefix of open session `id`, or null when it is not open.
+  std::shared_ptr<SessionLog> OpenLog(uint64_t id) const {
+    auto it = live_.find(id);
+    return it != live_.end() ? it->second : nullptr;
+  }
+
+ private:
+  bool Fail(const std::string& message);
+
+  std::shared_ptr<SymbolTableCache> symbols_ = std::make_shared<SymbolTableCache>();
+  std::unordered_map<uint64_t, std::shared_ptr<SessionLog>> live_;
+  bool saw_bye_ = false;
+  bool ok_ = true;
+  std::string error_;
+};
+
 // Demultiplexes a v3 stream back into the per-session v2 logs, byte-identical to what was
 // muxed, ordered by each session's open frame. Epoch-publish frames are ignored (they carry
-// no session bytes). Each reconstructed log is re-validated, so a corrupt container fails
-// here rather than downstream.
+// no session bytes). Every frame is decoded as it is read, so a corrupt container fails here
+// rather than downstream — and exactly when ReplayMultiplexedLog fails on it.
 bool DemuxSessionLog(const std::string& bytes, std::vector<SessionLogSlice>* sessions,
                      std::string* error);
 
@@ -90,7 +168,8 @@ bool ScanMuxLog(const std::string& bytes, SessionLogLayout* layout, std::string*
 // Replays a v3 stream through a DetectorService: each open frame opens a session, each
 // record frame pushes the decoded SPI record (usage footers carry no SPI traffic and are
 // skipped), each close frame harvests. `results` comes back in ascending-SessionId order and
-// is bit-identical to replaying each demuxed v2 log alone — at any options.shards.
+// is bit-identical to replaying each demuxed v2 log alone — at any options.shards. Accepts
+// and rejects exactly the containers DemuxSessionLog does.
 bool ReplayMultiplexedLog(const std::string& bytes, const ServiceOptions& options,
                           std::vector<SessionResult>* results, std::string* error);
 

@@ -40,9 +40,9 @@ void RunConnection(uint16_t port, const std::vector<hangdoctor::SessionLogSlice>
   simkit::Rng rng(options.seed, /*stream=*/index + 1);
   size_t cut_frame = 0;
   bool torn = false;
-  if (options.chaos && rng.Bernoulli(options.chaos_disconnect)) {
+  if (options.chaos && rng.Bernoulli(0.5)) {  // odds: LoadGenOptions::chaos
     outcome->chaos_disconnect = true;
-    torn = rng.Bernoulli(options.chaos_torn);
+    torn = rng.Bernoulli(0.5);
   }
 
   std::string container;
@@ -68,7 +68,7 @@ void RunConnection(uint16_t port, const std::vector<hangdoctor::SessionLogSlice>
     outcome->error = client.error();
     return;
   }
-  if (!client.SendHello(options.wire_version)) {
+  if (!client.SendHello(kWireVersionMax)) {
     outcome->error = client.error();
     return;
   }

@@ -22,18 +22,15 @@ namespace netd {
 
 struct LoadGenOptions {
   int32_t connections = 1;
-  uint32_t wire_version = 4;
   // Frames per second per connection; 0 = as fast as the socket accepts.
   double rate = 0.0;
   // Bytes per write syscall (slow-write shape); 0 = whole frames.
   size_t chunk = 0;
-  // Chaos: with probability `chaos_disconnect`, a connection drops mid-stream at a
-  // plan-chosen frame — torn mid-frame (probability `chaos_torn` of those) or cleanly
-  // between frames. Chaos never touches connections the plan spares, which is what lets the
-  // determinism battery demand bit-identity for every session on a calm connection.
+  // Chaos: each connection drops mid-stream with probability 1/2, at a plan-chosen frame —
+  // torn mid-frame (half of those) or cleanly between frames. Chaos never touches
+  // connections the plan spares, which is what lets the determinism battery demand
+  // bit-identity for every session on a calm connection.
   bool chaos = false;
-  double chaos_disconnect = 0.5;
-  double chaos_torn = 0.5;
   uint64_t seed = 1;
 };
 

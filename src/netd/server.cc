@@ -64,7 +64,7 @@ struct HandoffState {
 struct NetRecord : hd::SpiPayload {
   telemetry::SessionId id{0};
   std::shared_ptr<Connection> conn;
-  std::shared_ptr<hd::SessionLog> log;    // open/close: keeps the symbol table alive
+  std::shared_ptr<hd::SessionLog> log;    // open/close/handoff: keeps the table alive
   int64_t estimate = 0;                   // open/close/abort/handoff: the budget charge
   std::shared_ptr<HandoffState> handoff;  // kSessionHandoff
   std::string reason;                     // kSessionAbort
@@ -506,12 +506,21 @@ struct NetServer::Impl {
       // everything this connection already routed for that session. Sessions the connection
       // does not hold live (already closed, refused, never opened here) have nothing to
       // discard and do not travel.
-      std::vector<std::pair<uint64_t, int64_t>> orders;
+      std::vector<NetRecord*> orders;
       for (uint64_t id : sessions) {
+        // The session leaves this stream without a close frame: end it in the decoder too, or
+        // its return to this worker would be refused as a duplicate open. Like a close, the
+        // discard keeps the parsed prefix (the symbol table) alive until it lands.
+        std::shared_ptr<hd::SessionLog> log = conn->decoder.EndSession(id);
         conn->refused.erase(id);
         auto it = conn->live.find(id);
         if (it != conn->live.end()) {
-          orders.emplace_back(id, it->second);
+          NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
+                                     hd::SpiPayload::Kind::kSessionHandoff);
+          rec->log = std::move(log);
+          rec->estimate = it->second;
+          rec->handoff = handoff;
+          orders.push_back(rec);
           conn->live.erase(it);
         }
       }
@@ -522,11 +531,7 @@ struct NetServer::Impl {
       // `remaining` must cover every order before the first lands, or an early discard
       // could see remaining == 0 and ack a half-applied handoff.
       handoff->remaining.store(static_cast<int64_t>(orders.size()), std::memory_order_release);
-      for (const auto& [id, est] : orders) {
-        NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
-                                   hd::SpiPayload::Kind::kSessionHandoff);
-        rec->estimate = est;
-        rec->handoff = handoff;
+      for (NetRecord* rec : orders) {
         Push(wk, rec);
       }
       return;

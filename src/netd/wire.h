@@ -19,7 +19,10 @@
 //                  kCloseSession / kEpochPublish, and finally kEnd — the BYE. Invariant:
 //                  "HDSL" + varint version + the concatenated payloads of frames 1..N is a
 //                  byte-valid v3 container, which is what makes wire ingest replayable by
-//                  the same grammar the on-disk container uses.
+//                  the same grammar the on-disk container uses. Every receiver decodes
+//                  these frames with the container's own reader (MuxStreamDecoder,
+//                  src/hosts/mux_log.h): hangdoctord per connection, and fleetd per client
+//                  before it routes a frame to a worker link.
 //
 //   Worker-role connections may interleave control frames with container frames. A control
 //   frame's first payload byte is >= kCtrlBase (0x40) — disjoint from every mux-container
@@ -32,8 +35,10 @@
 //                  order: the worker quietly discards each named live session (no outcome is
 //                  recorded; the coordinator replays the session's HDSL prefix on its new
 //                  owner). The discards route through the session rings like records, so a
-//                  handoff lands strictly after every record routed before it. Answered with
-//                  kHandoffAck once every named session is gone, or kStaleEpoch.
+//                  handoff lands strictly after every record routed before it. Each named
+//                  session also ends in the link's stream decoder, so the coordinator may
+//                  later send it back with a fresh open. Answered with kHandoffAck once
+//                  every named session is gone, or kStaleEpoch.
 //
 // Server → client: one reply frame per event, payload = tag byte + fields:
 //   kHelloOk       varint version — HELLO accepted.

@@ -19,6 +19,11 @@ namespace workload {
 
 namespace {
 
+// Liveness clock: every 64 routed frames the driver checks the real elapsed time and, if
+// at least kPulseStepMs real milliseconds have passed since the last pulse, pulses the
+// coordinator with it.
+constexpr int64_t kPulseStepMs = 50;
+
 struct PlannedEvent {
   enum class Kind : uint8_t { kMigrate, kCrash, kHeartbeatLoss };
   Kind kind = Kind::kMigrate;
@@ -120,8 +125,8 @@ DistributedFleetResult RunDistributedFleetFromLogs(
   std::vector<fleetd::WorkerEndpoint> endpoints;
   for (int32_t w = 0; w < options.workers; ++w) {
     netd::ServerOptions server_options;
-    server_options.workers = options.server_workers;
-    server_options.rings = options.rings;
+    server_options.workers = 1;  // one epoll worker feeding two shard workers
+    server_options.rings = 2;
     server_options.service.shards = 4;
     server_options.service.seed_db = options.known_db;
     server_options.listen = false;
@@ -188,9 +193,9 @@ DistributedFleetResult RunDistributedFleetFromLogs(
             break;
         }
       }
-      if (options.pulse_every_frames > 0 && routed % options.pulse_every_frames == 0) {
+      if (routed % 64 == 0) {
         int64_t now_ms = elapsed_ms();
-        if (routed == 0 || now_ms - last_pulse_ms >= options.pulse_step_ms) {
+        if (routed == 0 || now_ms - last_pulse_ms >= kPulseStepMs) {
           last_pulse_ms = now_ms;
           coordinator.Pulse(now_ms);
         }
@@ -214,7 +219,7 @@ DistributedFleetResult RunDistributedFleetFromLogs(
   // A heartbeat-silent worker is fenced by lease expiry, which needs the clock to keep
   // beating (in real time) after routing ends — up to a full lease past the last pulse.
   if (!outage) {
-    int64_t deadline_ms = elapsed_ms() + options.lease_timeout_ms + 4 * options.pulse_step_ms;
+    int64_t deadline_ms = elapsed_ms() + options.lease_timeout_ms + 4 * kPulseStepMs;
     while (!lost_workers.empty() && elapsed_ms() < deadline_ms) {
       bool all_fenced = true;
       for (int32_t w : lost_workers) {
@@ -223,10 +228,10 @@ DistributedFleetResult RunDistributedFleetFromLogs(
       if (all_fenced) {
         break;
       }
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.pulse_step_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kPulseStepMs));
       coordinator.Pulse(elapsed_ms());
     }
-    coordinator.WaitForResults(options.result_timeout_ms);
+    coordinator.WaitForResults(/*timeout_ms=*/120000);
   }
 
   fleetd::FleetReport report = coordinator.Finish();

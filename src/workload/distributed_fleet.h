@@ -28,11 +28,9 @@
 namespace workload {
 
 struct DistributedFleetOptions {
-  // Worker daemons in the shard group (>= 1).
+  // Worker daemons in the shard group (>= 1), each with one epoll worker and two shard
+  // workers.
   int32_t workers = 2;
-  // Per-worker daemon shape (NetServer knobs): epoll workers and shard workers.
-  int32_t server_workers = 1;
-  int32_t rings = 2;
   // Drain-migrate the busiest live worker's sessions onto the next live worker once this
   // fraction of all frames has been routed. < 0 disables; ignored with a single worker.
   double migrate_at = -1.0;
@@ -43,17 +41,13 @@ struct DistributedFleetOptions {
   // the recorded jobs ran with (fleet.h known_db) for the bit-identity contract. Must
   // outlive the run. RunDistributedFleet wires this from the jobs automatically.
   const hangdoctor::BlockingApiDatabase* known_db = nullptr;
-  // Liveness clock: every `pulse_every_frames` routed frames the driver checks the real
-  // elapsed time and, if at least `pulse_step_ms` real milliseconds have passed since the
-  // last pulse, pulses the coordinator with it. Leases live `lease_timeout_ms` real ms —
-  // the window a worker has to ack a heartbeat before it is fenced. Heartbeat acks ride
-  // the same stream as session replies, so the timeout must dominate the worker's worst
-  // backpressure stall (a parked shard queue delays acks), not just the network round
-  // trip; frame-count-coupled virtual time would fence a healthy-but-busy worker.
+  // Leases live `lease_timeout_ms` real ms — the window a worker has to ack a heartbeat
+  // before it is fenced; the driver pulses the coordinator on the real clock
+  // (distributed_fleet.cc). Heartbeat acks ride the same stream as session replies, so the
+  // timeout must dominate the worker's worst backpressure stall (a parked shard queue delays
+  // acks), not just the network round trip; frame-count-coupled virtual time would fence a
+  // healthy-but-busy worker.
   int64_t lease_timeout_ms = 2000;
-  int64_t pulse_every_frames = 64;
-  int64_t pulse_step_ms = 50;
-  int64_t result_timeout_ms = 120000;
 };
 
 struct DistributedFleetResult {

@@ -7,13 +7,18 @@
 // axis runs over these apps' recorded logs in ingest_concurrency_test, on the sanitizer legs.
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/hangdoctor/detector_service.h"
 #include "src/hangdoctor/report.h"
+#include "src/hosts/mux_log.h"
 #include "src/workload/catalog.h"
 #include "src/workload/fleet.h"
 
@@ -56,6 +61,25 @@ std::string Fingerprint(const workload::FleetSummary& summary) {
     out << "discovered " << api << "\n";
   }
   for (const workload::FleetJobResult& result : summary.jobs) {
+    out << result.app_package << " samples=" << result.stack_samples << "\n";
+    out << result.report.Render(1);
+  }
+  return out.str();
+}
+
+// The same fingerprint over a service's results, session i + 1 standing for job i.
+std::string Fingerprint(const std::vector<hangdoctor::SessionResult>& results) {
+  std::ostringstream out;
+  out << "failed=0\n";
+  out << hangdoctor::MergeSessionReports(results).Render(1);
+  std::set<std::string> discovered;
+  for (const hangdoctor::SessionResult& result : results) {
+    discovered.insert(result.discovered.begin(), result.discovered.end());
+  }
+  for (const std::string& api : discovered) {
+    out << "discovered " << api << "\n";
+  }
+  for (const hangdoctor::SessionResult& result : results) {
     out << result.app_package << " samples=" << result.stack_samples << "\n";
     out << result.report.Render(1);
   }
@@ -156,12 +180,27 @@ TEST(AsyncDiagnosisTest, RecordedAsyncFleetReplaysBitIdentically) {
   for (const workload::FleetJob& job : recorded) {
     paths.push_back(job.record_path);
   }
+  EXPECT_EQ(Fingerprint(workload::ReplayFleet(paths, {.jobs = 2}, &known_db)), baseline)
+      << "per-log replay";
+
+  // The same logs multiplexed into one container and replayed through a DetectorService,
+  // where the shard count is a real axis. Session i + 1 is job i.
+  std::vector<hangdoctor::SessionLogSlice> slices;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    std::ifstream in(paths[i], std::ios::binary);
+    slices.push_back({telemetry::SessionId{i + 1},
+                      std::string(std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>())});
+  }
+  std::string container;
+  std::string error;
+  ASSERT_TRUE(hangdoctor::MuxSessionLogs(slices, {}, &container, &error)) << error;
   for (int32_t shards : {1, 4, 7}) {
-    workload::FleetOptions options;
-    options.jobs = 2;
-    options.shards = shards;
-    workload::FleetSummary replayed = workload::ReplayFleet(paths, options, &known_db);
-    EXPECT_EQ(Fingerprint(replayed), baseline) << "replay shards=" << shards;
+    std::vector<hangdoctor::SessionResult> results;
+    ASSERT_TRUE(hangdoctor::ReplayMultiplexedLog(
+        container, {.shards = shards, .seed_db = &known_db}, &results, &error))
+        << error;
+    EXPECT_EQ(Fingerprint(results), baseline) << "mux replay shards=" << shards;
   }
 }
 

@@ -929,6 +929,29 @@ TEST(CoordinatorBatchTest, HandoffLandsBehindFramesBufferedForTheOldOwner) {
   EXPECT_EQ(report.stats.failovers, 0);
 }
 
+TEST(CoordinatorBatchTest, RoundTripMigrationReturnsSessionsToTheirFirstWorker) {
+  fleetd::CoordinatorOptions options;
+  options.handoff_timeout_ms = 5000;  // a lost handoff shows up as a failover, not a hang
+  ShardGroup group(2, options);
+  fleetd::Coordinator& coordinator = *group.coordinator;
+  RouteRounds(group, 40, /*hold_closes=*/true);
+  std::string error;
+  ASSERT_TRUE(coordinator.MigrateWorker(0, 1, &error)) << error;
+  RouteRounds(group, 20, /*hold_closes=*/true);
+  // Worker 0's sessions come back to it, still live: each one's replayed open must start
+  // the session afresh in worker 0's decoder, not collide with the handed-off original.
+  ASSERT_TRUE(coordinator.MigrateWorker(1, 0, &error)) << error;
+  EXPECT_EQ(coordinator.OwnerOf(1), 0);
+  EXPECT_EQ(coordinator.stats().failovers, 0);
+
+  RouteRounds(group, SIZE_MAX, /*hold_closes=*/false);
+  ASSERT_TRUE(coordinator.WaitForResults(60'000));
+  fleetd::FleetReport report = coordinator.Finish();
+  ExpectFleetMatchesOracle(report, "round-trip migration");
+  EXPECT_EQ(report.stats.failovers, 0);
+  EXPECT_GT(report.stats.migrated, 0);
+}
+
 TEST(CoordinatorBatchTest, FlushDeliversARoutedCloseWithoutWaitForResults) {
   std::mutex mu;
   std::condition_variable cv;

@@ -355,7 +355,8 @@ TEST(HdslMuxFuzzTest, SeededMuxMutantsNeverCrashAndFailuresAreSticky) {
 
   // ScanMuxLog presents frame offsets exactly like session-log record offsets, so the structure-aware
   // mutator applies unchanged; every mutant must demux + replay, or be rejected with a
-  // non-empty error — never crash (the CI fuzz-smoke leg runs this under ASan/UBSan).
+  // non-empty error — never crash (the CI fuzz-smoke leg runs this under ASan/UBSan). Demux
+  // and replay read through one decoder, so they accept and reject exactly the same mutants.
   const int64_t iters = std::max<int64_t>(FuzzIters() / 4, 200);
   simkit::Rng rng(FuzzSeed(), /*stream=*/0x6d75786dULL);
   int64_t parsed = 0;
@@ -366,15 +367,21 @@ TEST(HdslMuxFuzzTest, SeededMuxMutantsNeverCrashAndFailuresAreSticky) {
                                                     layout.record_offsets, rng, &applied);
     std::vector<hangdoctor::SessionLogSlice> slices;
     error.clear();
-    if (hangdoctor::DemuxSessionLog(mutant, &slices, &error)) {
+    bool demuxed = hangdoctor::DemuxSessionLog(mutant, &slices, &error);
+    std::vector<hangdoctor::SessionResult> results;
+    std::string replay_error;
+    bool replayed = hangdoctor::ReplayMultiplexedLog(mutant, {}, &results, &replay_error);
+    EXPECT_EQ(replayed, demuxed) << "iter " << i << " family "
+                                 << faultsim::HdslMutationName(applied) << ": demux '" << error
+                                 << "', replay '" << replay_error << "'";
+    if (demuxed) {
       ++parsed;
-      std::vector<hangdoctor::SessionResult> results;
-      std::string replay_error;
-      hangdoctor::ReplayMultiplexedLog(mutant, {}, &results, &replay_error);
+      EXPECT_EQ(results.size(), slices.size()) << "iter " << i;
     } else {
       ++rejected;
       EXPECT_FALSE(error.empty()) << "iter " << i << " family "
                                   << faultsim::HdslMutationName(applied);
+      EXPECT_EQ(replay_error, error) << "iter " << i;
     }
   }
   EXPECT_EQ(parsed + rejected, iters);
