@@ -145,7 +145,8 @@ bool MuxStreamDecoder::Fail(const std::string& message) {
   return false;
 }
 
-bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
+bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
+                              SpiPayload* record) {
   if (!ok_) {
     return false;
   }
@@ -188,9 +189,9 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
       out->open_bytes = payload.size();
       out->log = log;
       out->record.session = out->id;
-      out->record.record.kind = SpiPayload::Kind::kSessionOpen;
-      out->record.record.info = log->info;
-      out->record.record.config = log->config;
+      record->kind = SpiPayload::Kind::kSessionOpen;
+      record->info = log->info;
+      record->config = log->config;
       return true;
     }
     case MuxFrameTag::kRecord: {
@@ -205,17 +206,18 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
       if (it == live_.end()) {
         return Fail("record for unopened session " + std::to_string(id));
       }
-      SessionRecord record;
       std::string error;
-      if (!ParseSessionRecordBytes(payload.substr(pos), *it->second->symbols, &record,
+      if (!ParseSessionRecordBytes(payload.substr(pos), *it->second->symbols, &parsed_,
                                    &error)) {
         return Fail("session " + std::to_string(id) + ": " + error);
       }
       out->kind = DecodedFrame::Kind::kRecord;
       out->id = telemetry::SessionId{id};
-      out->log = it->second;
+      if (out->log != it->second) {
+        out->log = it->second;  // a run of one session's records keeps its reference
+      }
       out->record.session = out->id;
-      if (!ToSpiPayload(std::move(record), &out->record.record)) {
+      if (!ToSpiPayload(std::move(parsed_), record)) {
         // kTraceUsage overhead footer (the parser rejects bare end markers): structurally a
         // record, but no SPI traffic to apply.
         out->skip = true;
@@ -234,7 +236,7 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out) {
       out->id = telemetry::SessionId{id};
       out->log = it->second;
       out->record.session = out->id;
-      out->record.record.kind = SpiPayload::Kind::kSessionClose;
+      record->kind = SpiPayload::Kind::kSessionClose;
       live_.erase(it);
       return true;
     }

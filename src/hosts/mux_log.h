@@ -123,7 +123,15 @@ class MuxStreamDecoder {
   // Decodes one container frame, parsing it in place. Returns false and goes sticky on any
   // grammar or framing violation; `out` is meaningful only on success. `out` may be reused
   // across calls: of its payload, only the members the decoded kind selects are rewritten.
-  bool Decode(std::string_view payload, DecodedFrame* out);
+  bool Decode(std::string_view payload, DecodedFrame* out) {
+    return Decode(payload, out, &out->record.record);
+  }
+
+  // The same, but an open's, a record's or a close's SPI payload goes to `*record` rather
+  // than to `out->record.record`: a caller that hands payloads on (hangdoctord's pooled ring
+  // records) gets each one written once, in place. As above, only the members the decoded
+  // kind selects are written; a usage footer (`out->skip`) leaves `*record` untouched.
+  bool Decode(std::string_view payload, DecodedFrame* out, SpiPayload* record);
 
   // Ends open session `id` without a close frame, so a later open of the id starts it
   // afresh (the session left by a fleetd handoff). Returns its parsed prefix, or null when
@@ -147,6 +155,7 @@ class MuxStreamDecoder {
 
   std::shared_ptr<SymbolTableCache> symbols_ = std::make_shared<SymbolTableCache>();
   std::unordered_map<uint64_t, std::shared_ptr<SessionLog>> live_;
+  SessionRecord parsed_;  // every record frame parses here, then moves its kind's member out
   bool saw_bye_ = false;
   bool ok_ = true;
   std::string error_;

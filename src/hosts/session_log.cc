@@ -284,6 +284,7 @@ bool ParseRecordBody(Parser& parser, const telemetry::SymbolTable& symbols,
       record->end.event_index = static_cast<int32_t>(parser.GetSigned());
       record->end.response = parser.GetSigned();
       record->end.trace_stopped = parser.GetByte() != 0;
+      record->samples.clear();  // a reused record may still hold an earlier record's samples
       if (record->end.trace_stopped) {
         uint64_t num_samples = parser.GetVarint();
         for (uint64_t s = 0; parser.ok() && s < num_samples; ++s) {
@@ -311,6 +312,7 @@ bool ParseRecordBody(Parser& parser, const telemetry::SymbolTable& symbols,
       record->quiesce.action_uid = static_cast<int32_t>(parser.GetSigned());
       record->quiesce.max_response = parser.GetSigned();
       record->quiesce.counters_valid = parser.GetByte() != 0;
+      record->quiesce.counter_diffs = {};  // only the listed pairs are set below
       uint64_t num_pairs = parser.GetVarint();
       for (uint64_t p = 0; parser.ok() && p < num_pairs; ++p) {
         uint64_t index = parser.GetVarint();

@@ -248,7 +248,8 @@ bool ParseSessionLogPrefix(std::string_view bytes, SymbolTableCache& cache, Sess
                            std::string* error, bool* shared = nullptr);
 
 // Parses exactly one record (tag byte + body; trailing bytes rejected) against `symbols`,
-// with the same FrameId range checks as the full parse. kTraceUsage parses into
+// with the same FrameId range checks as the full parse. `record` may be reused across calls:
+// every member the parsed tag selects is rewritten. kTraceUsage parses into
 // `record->usage_cpu` / `usage_bytes`; a bare end marker is rejected — mux/wire framing
 // regenerates end markers, they never travel as records.
 bool ParseSessionRecordBytes(std::string_view bytes, const telemetry::SymbolTable& symbols,

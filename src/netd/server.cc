@@ -59,19 +59,21 @@ struct HandoffState {
 
 // A decoded record on its way through the service's shard rings: the SPI payload the shard
 // worker applies, plus what it needs to answer for it. Records are pooled per epoll worker:
-// the epoll worker takes one per routed record, the shard worker hands it back after the
-// batch that carried it has been applied.
+// the decoder writes a frame's payload straight into one, the epoll worker routes it, and the
+// shard worker hands it back, spent, after the batch that carried it has been applied.
 struct NetRecord : hd::SpiPayload {
   telemetry::SessionId id{0};
-  std::shared_ptr<Connection> conn;
+  // Not owning: a connection outlives every record that names it (Impl::CloseConn).
+  Connection* conn = nullptr;
   std::shared_ptr<hd::SessionLog> log;    // open/close/handoff: keeps the table alive
   int64_t estimate = 0;                   // open/close/abort/handoff: the budget charge
   std::shared_ptr<HandoffState> handoff;  // kSessionHandoff
   std::string reason;                     // kSessionAbort
+  int32_t pool = 0;                       // the epoll worker whose pool owns the record
   NetRecord* next = nullptr;              // pool link
 };
 
-struct Connection {
+struct Connection : std::enable_shared_from_this<Connection> {
   int fd = -1;
   int worker = 0;
   FrameSplitter splitter;
@@ -94,6 +96,10 @@ struct Connection {
   bool peer_gone = false;  // EOF/reset: no further writes either
   bool closing = false;    // close once out is flushed and records have landed
   NetRecord* parked = nullptr;  // decoded, waiting for ring space (EPOLLIN off meanwhile)
+  bool reply_paused = false;    // out past kMaxUnsentReplyBytes (EPOLLIN off meanwhile)
+  // Records routed and not yet added to `pending` (Impl::Settle adds them once per read
+  // chunk, not once per record).
+  int64_t unsettled = 0;
 
   // Cross-thread state (shard workers touch these).
   std::mutex reply_mu;
@@ -101,7 +107,10 @@ struct Connection {
   std::string apply_error_msg;  // guarded by reply_mu
   std::atomic<bool> apply_error{false};
   std::atomic<bool> wake_queued{false};  // on its worker's ready list
-  std::atomic<int64_t> pending{0};       // records routed but not yet applied
+  // Settled records not yet applied. Shard workers subtract a batch's share in one step, so
+  // records applied before their epoll worker settled them drive it below zero for a while;
+  // with `unsettled` at zero, zero here means every routed record has been applied.
+  std::atomic<int64_t> pending{0};
   std::atomic<uint64_t> closed_count{0};
   std::atomic<bool> closed{false};  // fd gone: shard workers stop enqueueing replies
 
@@ -118,13 +127,22 @@ struct WorkerState {
   std::vector<int> inbox;                          // adopted fds (guarded by inbox_mu)
   std::vector<std::shared_ptr<Connection>> ready;  // shard-worker news (guarded by inbox_mu)
   std::unordered_map<int, std::shared_ptr<Connection>> conns;  // worker-thread only
+  // Worker-thread only: closed while records naming them were still in the rings, kept
+  // until those have been applied.
+  std::vector<std::shared_ptr<Connection>> closed;
   std::vector<std::shared_ptr<Connection>> parked;  // worker-thread only: awaiting ring space
+  // Worker-thread only: reply pause just ended; decode what they buffered meanwhile.
+  std::vector<std::shared_ptr<Connection>> resumed;
   std::atomic<bool> wants_space{false};
   std::unique_ptr<hd::DetectorService::Ingestor> ingestor;
+  // Worker-thread only, per shard: records routed and not yet added to Impl::inflight.
+  std::vector<int64_t> uncharged;
   // Record pool: `records` owns every record this worker ever allocated; `free_records` is
-  // the worker's own free list and `returned` the stack shard workers push spent records on.
+  // the worker's own free list and `returned` the stack shard workers splice spent records
+  // onto. `spare` is the record the next decoded frame is written into.
   std::vector<std::unique_ptr<NetRecord>> records;
   NetRecord* free_records = nullptr;
+  NetRecord* spare = nullptr;
   std::atomic<NetRecord*> returned{nullptr};
   bool drain_started = false;
 };
@@ -137,17 +155,23 @@ struct NetServer::Impl {
   std::shared_ptr<hd::SymbolTableCache> symbol_tables = std::make_shared<hd::SymbolTableCache>();
 
   std::vector<std::unique_ptr<WorkerState>> workers;
-  // Per service shard: records routed (Ingestor push) but not yet applied. A record is only
-  // routed while its shard is under opt.ring_capacity, which is what bounds records in
-  // flight per ring; control records (abort, handoff, drain closes) may overshoot.
+  // Per service shard: records routed (Ingestor push) but not yet applied. An epoll worker
+  // adds its routes in blocks of up to `batch` (its `uncharged` count), a shard worker
+  // subtracts each applied batch, so the count may dip below zero for a while. A session
+  // record is only routed while its shard's count plus the worker's own uncharged routes is
+  // under opt.ring_capacity, which bounds records in flight per ring to within one batch per
+  // other epoll worker; control records (abort, handoff, drain closes) may overshoot.
   std::unique_ptr<std::atomic<int64_t>[]> inflight;
   size_t shards = 1;
+  int64_t batch = 1;  // the service's batch size
 
   // Per-shard scratch of the shard worker applying that shard's batch (one at a time).
   struct BatchScratch {
-    std::vector<std::pair<std::shared_ptr<Connection>, int64_t>> touched;  // + records
+    std::vector<std::pair<Connection*, int64_t>> touched;  // + records
     std::vector<const Connection*> replied;
     std::vector<bool> signal;  // per epoll worker
+    // Per epoll worker: the batch's spent records, spliced onto its pool in one step.
+    std::vector<std::pair<NetRecord*, NetRecord*>> chains;  // head, tail
   };
   std::vector<BatchScratch> scratch;
 
@@ -176,8 +200,7 @@ struct NetServer::Impl {
 
   size_t ShardOf(telemetry::SessionId id) const { return telemetry::ShardOf(id, shards); }
 
-  NetRecord* NewRecord(WorkerState& wk, const std::shared_ptr<Connection>& conn,
-                       telemetry::SessionId id, hd::SpiPayload::Kind kind) {
+  NetRecord* PopRecord(WorkerState& wk) {
     if (wk.free_records == nullptr) {
       wk.free_records = wk.returned.exchange(nullptr, std::memory_order_acquire);
     }
@@ -185,36 +208,89 @@ struct NetServer::Impl {
     if (rec == nullptr) {
       wk.records.push_back(std::make_unique<NetRecord>());
       rec = wk.records.back().get();
+      rec->pool = wk.index;
     } else {
       wk.free_records = rec->next;
     }
-    rec->kind = kind;
-    rec->id = id;
-    rec->conn = conn;
-    rec->estimate = 0;
     return rec;
   }
 
-  // Hands a record to the worker's Ingestor, behind everything this connection routed
-  // before it; the end-of-round flush ships it.
-  void Push(WorkerState& wk, NetRecord* rec) {
-    inflight[ShardOf(rec->id)].fetch_add(1, std::memory_order_relaxed);
-    rec->conn->pending.fetch_add(1, std::memory_order_relaxed);
-    wk.ingestor->Push(hd::ServiceRecordRef{rec->id, rec, rec->conn.get()});
+  // Addresses a record whose payload is already written: a pooled one for a control record,
+  // the spare for a decoded frame.
+  static NetRecord* Stamp(NetRecord* rec, const std::shared_ptr<Connection>& conn,
+                          telemetry::SessionId id, int64_t estimate) {
+    rec->id = id;
+    rec->conn = conn.get();
+    rec->estimate = estimate;
+    return rec;
   }
+
+  NetRecord* NewRecord(WorkerState& wk, const std::shared_ptr<Connection>& conn,
+                       telemetry::SessionId id, hd::SpiPayload::Kind kind, int64_t estimate) {
+    NetRecord* rec = PopRecord(wk);
+    rec->kind = kind;
+    return Stamp(rec, conn, id, estimate);
+  }
+
+  // The decoded frame's record, which the caller routes: the next frame decodes into a
+  // fresh spare.
+  NetRecord* TakeSpare(WorkerState& wk, const std::shared_ptr<Connection>& conn,
+                       telemetry::SessionId id, int64_t estimate) {
+    return Stamp(std::exchange(wk.spare, nullptr), conn, id, estimate);
+  }
+
+  // Adds the worker's uncharged routes to `shard`'s in-flight count.
+  void Charge(WorkerState& wk, size_t shard) {
+    inflight[shard].fetch_add(std::exchange(wk.uncharged[shard], 0), std::memory_order_relaxed);
+  }
+
+  void ChargeAll(WorkerState& wk) {
+    for (size_t s = 0; s < shards; ++s) {
+      if (wk.uncharged[s] != 0) {
+        Charge(wk, s);
+      }
+    }
+  }
+
+  // Adds the connection's unsettled routes to its pending count. Returns true when every
+  // record it routed has been applied. The read-modify-write (or, with nothing to add, the
+  // load) is ordered with every batch's subtraction, so either this call sees the count
+  // reach zero or the shard worker whose batch brings it there does, and wakes this worker.
+  static bool Settle(Connection& conn) {
+    if (conn.unsettled == 0) {
+      return conn.pending.load(std::memory_order_acquire) == 0;
+    }
+    const int64_t add = std::exchange(conn.unsettled, 0);
+    return conn.pending.fetch_add(add, std::memory_order_acq_rel) + add == 0;
+  }
+
+  // Hands a record to the worker's Ingestor, behind everything this connection routed
+  // before it; the end-of-round flush ships it. Counted on this thread only: the shared
+  // counts are settled per chunk and charged per batch, not per record.
+  void Push(WorkerState& wk, NetRecord* rec, size_t shard) {
+    ++rec->conn->unsettled;
+    if (++wk.uncharged[shard] >= batch) {
+      Charge(wk, shard);
+    }
+    wk.ingestor->Push(hd::ServiceRecordRef{rec->id, rec, rec->conn});
+  }
+
+  void Push(WorkerState& wk, NetRecord* rec) { Push(wk, rec, ShardOf(rec->id)); }
 
   // Session records respect the per-ring cap: at the cap the record parks on its connection,
   // whose reads pause (TCP backpressure) until a shard worker frees ring space. A drain
   // waives the cap: it takes in only what already arrived, and must take all of it.
   void Route(WorkerState& wk, const std::shared_ptr<Connection>& conn, NetRecord* rec) {
+    const size_t shard = ShardOf(rec->id);
     if (!draining.load(std::memory_order_relaxed) &&
-        inflight[ShardOf(rec->id)].load(std::memory_order_relaxed) >= opt.ring_capacity) {
+        inflight[shard].load(std::memory_order_relaxed) + wk.uncharged[shard] >=
+            opt.ring_capacity) {
       self->stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
       conn->parked = rec;
       wk.parked.push_back(conn);
       return;
     }
-    Push(wk, rec);
+    Push(wk, rec, shard);
   }
 
   // Control records must land behind the parked record, so it goes first, cap or not.
@@ -228,9 +304,11 @@ struct NetServer::Impl {
     if (wk.parked.empty()) {
       return;
     }
-    // Register for a ring-space wake before rechecking: seq_cst pairs with AfterBatch's
+    // Charge everything first, so the recheck below and AfterBatch's test read one count.
+    // Then register for a ring-space wake before rechecking: seq_cst pairs with AfterBatch's
     // decrement-then-check, so either the shard worker sees the registration or the
     // recheck below sees the space.
+    ChargeAll(wk);
     wk.wants_space.store(true, std::memory_order_seq_cst);
     std::vector<std::shared_ptr<Connection>> parked;
     parked.swap(wk.parked);
@@ -259,7 +337,8 @@ struct NetServer::Impl {
     epoll_event ev{};
     ev.data.fd = conn->fd;
     ev.events = 0;
-    if (conn->reading && !conn->dead && conn->parked == nullptr && !conn->closing) {
+    if (conn->reading && !conn->dead && conn->parked == nullptr && !conn->reply_paused &&
+        !conn->closing) {
       ev.events |= EPOLLIN;
     }
     if (conn->want_write) {
@@ -268,12 +347,17 @@ struct NetServer::Impl {
     epoll_ctl(wk.epfd, EPOLL_CTL_MOD, conn->fd, &ev);
   }
 
+  // Records name their connection by plain pointer, so a connection closed with records
+  // still in the rings (a hard stop) is kept on its worker until they have been applied.
   void CloseConn(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
     if (conn->closed.exchange(true)) {
       return;
     }
     epoll_ctl(wk.epfd, EPOLL_CTL_DEL, conn->fd, nullptr);
     close(conn->fd);
+    if (!Settle(*conn)) {
+      wk.closed.push_back(conn);
+    }
     wk.conns.erase(conn->fd);
     self->live_connections_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -303,7 +387,23 @@ struct NetServer::Impl {
     }
     conn->out.erase(0, off);
     bool want = !conn->out.empty();
-    if (want != conn->want_write) {
+    // The reply cap: a peer that sends without reading stops being read once its unsent
+    // replies pass the cap, and resumes below half of it. A drain waives it.
+    bool pause = false;
+    bool resume = false;
+    if (conn->reply_paused) {
+      resume = conn->out.size() < kMaxUnsentReplyBytes / 2;
+    } else if (conn->out.size() > kMaxUnsentReplyBytes) {
+      pause = !draining.load(std::memory_order_relaxed);
+    }
+    if (pause) {
+      self->stats_.reply_pauses.fetch_add(1, std::memory_order_relaxed);
+      conn->reply_paused = true;
+    } else if (resume) {
+      conn->reply_paused = false;
+      wk.resumed.push_back(conn);
+    }
+    if (want != conn->want_write || pause || resume) {
       conn->want_write = want;
       UpdateEvents(wk, conn);
     }
@@ -320,8 +420,7 @@ struct NetServer::Impl {
     Unpark(wk, conn);
     for (const auto& [id, est] : conn->live) {
       NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
-                                 hd::SpiPayload::Kind::kSessionAbort);
-      rec->estimate = est;
+                                 hd::SpiPayload::Kind::kSessionAbort, est);
       rec->reason = reason;
       Push(wk, rec);
     }
@@ -357,12 +456,11 @@ struct NetServer::Impl {
     if (conn->closed.load()) {
       return;
     }
-    bool idle = conn->pending.load(std::memory_order_acquire) == 0 && conn->parked == nullptr;
-    if (!idle) {
+    if (!Settle(*conn) || conn->parked != nullptr) {
       return;
     }
-    // pending == 0 guarantees every shard-worker reply for this connection has been
-    // enqueued (replies are enqueued before the batch's pending decrement). Drain them into
+    // Idle guarantees every shard-worker reply for this connection has been enqueued
+    // (replies are enqueued before the batch's pending decrement). Drain them into
     // the write buffer NOW — the bye/close decision below must never outrun a
     // kSessionClosed still sitting in `replies`, or the peer loses replies already earned.
     TakeReplies(conn);
@@ -387,6 +485,7 @@ struct NetServer::Impl {
     }
   }
 
+  // The decoder wrote the frame's payload into wk.spare; a routed frame takes it.
   void HandleFrame(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
     DecodedFrame& dec = conn->frame;
     switch (dec.kind) {
@@ -398,6 +497,7 @@ struct NetServer::Impl {
         if (live_now + est > opt.session_budget_bytes) {
           self->stats_.sessions_refused.fetch_add(1, std::memory_order_relaxed);
           conn->refused.insert(dec.id.value);
+          wk.spare->info = {};  // no table pointer left behind in the pool
           SendReply(wk, conn,
                     BuildBusy(dec.id.value, static_cast<uint64_t>(live_now),
                               static_cast<uint64_t>(opt.session_budget_bytes)));
@@ -405,11 +505,8 @@ struct NetServer::Impl {
         }
         self->live_session_bytes_.fetch_add(est, std::memory_order_relaxed);
         conn->live[dec.id.value] = est;
-        NetRecord* rec = NewRecord(wk, conn, dec.id, hd::SpiPayload::Kind::kSessionOpen);
-        rec->info = std::move(dec.record.record.info);
-        rec->config = std::move(dec.record.record.config);
+        NetRecord* rec = TakeSpare(wk, conn, dec.id, est);
         rec->log = dec.log;
-        rec->estimate = est;
         Route(wk, conn, rec);
         return;
       }
@@ -417,9 +514,7 @@ struct NetServer::Impl {
         if (dec.skip || conn->refused.count(dec.id.value) != 0) {
           return;
         }
-        NetRecord* rec = NewRecord(wk, conn, dec.id, dec.record.record.kind);
-        static_cast<hd::SpiPayload&>(*rec) = std::move(dec.record.record);
-        Route(wk, conn, rec);
+        Route(wk, conn, TakeSpare(wk, conn, dec.id, 0));
         return;
       }
       case DecodedFrame::Kind::kClose: {
@@ -431,9 +526,8 @@ struct NetServer::Impl {
           est = it->second;
           conn->live.erase(it);
         }
-        NetRecord* rec = NewRecord(wk, conn, dec.id, hd::SpiPayload::Kind::kSessionClose);
+        NetRecord* rec = TakeSpare(wk, conn, dec.id, est);
         rec->log = dec.log;  // the decoder let go of it: the close keeps it until harvest
-        rec->estimate = est;
         Route(wk, conn, rec);
         return;
       }
@@ -516,9 +610,8 @@ struct NetServer::Impl {
         auto it = conn->live.find(id);
         if (it != conn->live.end()) {
           NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
-                                     hd::SpiPayload::Kind::kSessionHandoff);
+                                     hd::SpiPayload::Kind::kSessionHandoff, it->second);
           rec->log = std::move(log);
-          rec->estimate = it->second;
           rec->handoff = handoff;
           orders.push_back(rec);
           conn->live.erase(it);
@@ -544,7 +637,8 @@ struct NetServer::Impl {
   void ProcessFrames(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
     int64_t frames = 0;
     std::string_view payload;
-    while (conn->parked == nullptr && !conn->dead && !conn->closing && conn->reading) {
+    while (conn->parked == nullptr && !conn->reply_paused && !conn->dead && !conn->closing &&
+           conn->reading) {
       if (!conn->splitter.Next(&payload)) {
         if (!conn->splitter.ok()) {
           ProtocolError(wk, conn, conn->splitter.error());
@@ -578,7 +672,10 @@ struct NetServer::Impl {
         HandleControl(wk, conn, payload);
         continue;
       }
-      if (!conn->decoder.Decode(payload, &conn->frame)) {
+      if (wk.spare == nullptr) {
+        wk.spare = PopRecord(wk);
+      }
+      if (!conn->decoder.Decode(payload, &conn->frame, wk.spare)) {
         ProtocolError(wk, conn, conn->decoder.error());
         break;
       }
@@ -602,7 +699,8 @@ struct NetServer::Impl {
   }
 
   void HandleReadable(WorkerState& wk, const std::shared_ptr<Connection>& conn) {
-    if (conn->dead || conn->closing || !conn->reading || conn->parked != nullptr) {
+    if (conn->dead || conn->closing || !conn->reading || conn->parked != nullptr ||
+        conn->reply_paused) {
       return;
     }
     ssize_t n = ReadInto(conn, SIZE_MAX);
@@ -658,6 +756,7 @@ struct NetServer::Impl {
     if (conn->closed.load() || conn->closing) {
       return;
     }
+    conn->reply_paused = false;  // the drain takes in everything that already arrived
     if (!conn->dead && conn->reading && ReadArrived(wk, conn) && !conn->closing) {
       PeerGone(wk, conn);
       return;
@@ -672,9 +771,8 @@ struct NetServer::Impl {
     // harvested and reported before the connection goes away.
     for (const auto& [id, est] : conn->live) {
       NetRecord* rec = NewRecord(wk, conn, telemetry::SessionId{id},
-                                 hd::SpiPayload::Kind::kSessionClose);
+                                 hd::SpiPayload::Kind::kSessionClose, est);
       rec->log = conn->decoder.OpenLog(id);  // like a close frame's: keeps the table alive
-      rec->estimate = est;
       Push(wk, rec);
     }
     conn->live.clear();
@@ -727,6 +825,26 @@ struct NetServer::Impl {
     }
   }
 
+  // Connections whose reply pause ended: decode what they buffered meanwhile (their socket
+  // may hold nothing more, so EPOLLIN alone would not get to it).
+  void ResumeReading(WorkerState& wk) {
+    if (wk.resumed.empty()) {
+      return;
+    }
+    std::vector<std::shared_ptr<Connection>> resumed;
+    resumed.swap(wk.resumed);
+    for (const std::shared_ptr<Connection>& conn : resumed) {
+      if (!conn->closed.load() && !conn->reply_paused) {
+        ProcessFrames(wk, conn);
+        MaybeFinish(wk, conn);
+      }
+    }
+  }
+
+  void ReapClosed(WorkerState& wk) {
+    std::erase_if(wk.closed, [](const auto& conn) { return Settle(*conn); });
+  }
+
   void WorkerLoop(size_t index) {
     WorkerState& wk = *workers[index];
     epoll_event events[64];
@@ -757,9 +875,12 @@ struct NetServer::Impl {
           MaybeFinish(wk, conn);
         }
       }
+      ResumeReading(wk);
       RetryParked(wk);
       // End of the read batch: one ring push per shard for everything decoded this round.
+      ChargeAll(wk);
       wk.ingestor->Flush();
+      ReapClosed(wk);
       if (stopping.load()) {
         // Hard stop: abort what remains and leave.
         auto conns = wk.conns;
@@ -821,7 +942,7 @@ struct NetServer::Impl {
   // losing duplicate open (cross-connection) never feeds, harvests or discards the winner.
   void OnComplete(hd::IngestCompletion& done) {
     const NetRecord& rec = *static_cast<const NetRecord*>(done.ref.record);
-    Connection& conn = *rec.conn;
+    Connection& conn = *rec.conn;  // alive: its epoll worker keeps it until this record lands
     const size_t shard = ShardOf(rec.id);
     switch (done.kind) {
       case hd::IngestCompletion::Kind::kClosed: {
@@ -880,34 +1001,62 @@ struct NetServer::Impl {
     MarkApplyError(shard, conn, "session " + std::to_string(rec.id.value) + ": " + done.error);
   }
 
-  // Once per applied batch: hand the records back to their pools, settle each connection's
-  // pending count once, and wake each epoll worker at most once — only for connections
-  // that got a reply or an error, or whose pending count reached zero.
+  // Returns an applied record to the pool spent: it keeps no reference (a pooled open's
+  // table pointer would dangle) and no samples. Only the fields its kind set are reset.
+  static void Spend(NetRecord& rec) {
+    rec.conn = nullptr;
+    if (rec.log != nullptr) {
+      rec.log.reset();
+    }
+    if (rec.handoff != nullptr) {
+      rec.handoff.reset();
+    }
+    if (rec.samples.capacity() != 0) {
+      rec.samples = {};
+    }
+    if (rec.kind == hd::SpiPayload::Kind::kSessionOpen) {
+      rec.info = {};
+      rec.config = {};
+    }
+  }
+
+  // Once per applied batch: hand the records back to their pools (one splice per epoll
+  // worker), settle each connection's pending count once, and wake each epoll worker at most
+  // once — only for connections that got a reply or an error, or whose pending count
+  // reached zero.
   void AfterBatch(size_t shard, std::span<const hd::ServiceRecordRef> batch) {
     BatchScratch& sc = scratch[shard];
     for (const hd::ServiceRecordRef& ref : batch) {
       auto* rec = const_cast<NetRecord*>(static_cast<const NetRecord*>(ref.record));
-      if (sc.touched.empty() || sc.touched.back().first.get() != rec->conn.get()) {
+      if (sc.touched.empty() || sc.touched.back().first != rec->conn) {
         auto it = std::find_if(sc.touched.begin(), sc.touched.end(),
                                [&](const auto& entry) { return entry.first == rec->conn; });
         if (it == sc.touched.end()) {
-          sc.touched.emplace_back(std::move(rec->conn), 0);
+          sc.touched.emplace_back(rec->conn, 0);
         } else {
           std::iter_swap(it, sc.touched.end() - 1);
         }
       }
       ++sc.touched.back().second;
-      rec->conn.reset();
-      rec->log.reset();
-      rec->handoff.reset();
-      rec->samples = {};
-      // Back onto its epoll worker's pool.
-      std::atomic<NetRecord*>& pool =
-          workers[static_cast<size_t>(sc.touched.back().first->worker)]->returned;
-      rec->next = pool.load(std::memory_order_relaxed);
-      while (!pool.compare_exchange_weak(rec->next, rec, std::memory_order_release,
+      Spend(*rec);
+      auto& [head, tail] = sc.chains[static_cast<size_t>(rec->pool)];
+      rec->next = head;
+      head = rec;
+      if (tail == nullptr) {
+        tail = rec;
+      }
+    }
+    for (size_t w = 0; w < workers.size(); ++w) {
+      auto& [head, tail] = sc.chains[w];
+      if (head == nullptr) {
+        continue;
+      }
+      std::atomic<NetRecord*>& pool = workers[w]->returned;
+      tail->next = pool.load(std::memory_order_relaxed);
+      while (!pool.compare_exchange_weak(tail->next, head, std::memory_order_release,
                                          std::memory_order_relaxed)) {
       }
+      head = tail = nullptr;
     }
     self->stats_.records_applied.fetch_add(static_cast<int64_t>(batch.size()),
                                            std::memory_order_relaxed);
@@ -915,16 +1064,15 @@ struct NetServer::Impl {
         inflight[shard].fetch_sub(static_cast<int64_t>(batch.size()), std::memory_order_seq_cst) -
         static_cast<int64_t>(batch.size());
     for (auto& [conn, count] : sc.touched) {
+      // Take a reference before settling: from then on the epoll worker may let go of it.
+      std::shared_ptr<Connection> keep = conn->shared_from_this();
       int64_t left = conn->pending.fetch_sub(count, std::memory_order_acq_rel) - count;
-      bool replied = std::find(sc.replied.begin(), sc.replied.end(), conn.get()) !=
-                     sc.replied.end();
+      bool replied = std::find(sc.replied.begin(), sc.replied.end(), conn) != sc.replied.end();
       if ((left == 0 || replied) && !conn->wake_queued.exchange(true, std::memory_order_seq_cst)) {
         WorkerState& wk = *workers[static_cast<size_t>(conn->worker)];
-        {
-          std::lock_guard<std::mutex> lock(wk.inbox_mu);
-          wk.ready.push_back(conn);
-        }
         sc.signal[static_cast<size_t>(conn->worker)] = true;
+        std::lock_guard<std::mutex> lock(wk.inbox_mu);
+        wk.ready.push_back(std::move(keep));
       }
     }
     for (size_t w = 0; w < workers.size(); ++w) {
@@ -1065,6 +1213,7 @@ struct NetServer::Impl {
     }
     self->service_->WaitIngestIdle();
     for (auto& wk : workers) {
+      wk->closed.clear();  // every record has landed
       close(wk->epfd);
       close(wk->wake_fd);
     }
@@ -1113,15 +1262,18 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
     impl->AfterBatch(shard, batch);
   };
   impl_->shards = static_cast<size_t>(service.shards);
+  impl_->batch = service.batch_size;
   impl_->inflight = std::make_unique<std::atomic<int64_t>[]>(impl_->shards);
   impl_->scratch.resize(impl_->shards);
   for (Impl::BatchScratch& sc : impl_->scratch) {
     sc.signal.assign(static_cast<size_t>(opt.workers), false);
+    sc.chains.assign(static_cast<size_t>(opt.workers), {nullptr, nullptr});
   }
 
   for (int32_t w = 0; w < opt.workers; ++w) {
     auto wk = std::make_unique<WorkerState>();
     wk->index = w;
+    wk->uncharged.assign(impl_->shards, 0);
     wk->epfd = epoll_create1(EPOLL_CLOEXEC);
     wk->wake_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (wk->epfd < 0 || wk->wake_fd < 0) {

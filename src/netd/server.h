@@ -19,9 +19,22 @@
 //                   count is settled once, and its epoll worker is woken at most once —
 //                   only if the batch produced a reply or an error or emptied the count.
 //
-// Flow control: at most `ring_capacity` session records are in flight per shard ring. At
+// The hand-off: a decoded frame is written once, straight into a pooled ring record, and
+// routing it touches only that record. The epoll worker counts what it routes on its own
+// thread and publishes the counts in blocks: a connection's routed records join its
+// pending count once per read chunk, a shard's once per batch (64 records). A shard worker
+// subtracts a batch's share with one step per connection and returns the batch's spent
+// records with one splice per epoll worker. Records name their connection by plain
+// pointer; a connection outlives every record that names it: its epoll worker keeps it
+// until everything it routed has been applied, and a shard worker holds a reference to
+// each connection of a batch while it settles the batch.
+//
+// Flow control: at most `ring_capacity` session records are in flight per shard ring, to
+// within one batch per other epoll worker (whose latest block is not yet published). At
 // the cap the record parks on its connection with EPOLLIN off (TCP backpressure) until a
-// shard worker frees space; nothing is dropped.
+// shard worker frees space; nothing is dropped. Replies are capped the same way: once a
+// connection's unsent replies pass kMaxUnsentReplyBytes (a peer that sends and does not
+// read) its reads pause until they fall below half of it.
 //
 // Admission: live open-header bytes are budgeted. An open that would exceed
 // `session_budget_bytes` is refused with a structured kBusy reply; the session is never
@@ -36,6 +49,7 @@
 #define SRC_NETD_SERVER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,6 +61,11 @@
 
 namespace netd {
 
+// A connection's unsent reply bytes past which the daemon stops reading it, as for a parked
+// record; reading resumes below half of it. A worker-role link's kSessionResult replies are
+// the largest, so a coordinator that stops reading is paused within a few hundred sessions.
+inline constexpr size_t kMaxUnsentReplyBytes = size_t{128} << 10;
+
 struct ServerOptions {
   // Shared detector backend. `service.threads` must stay 0 (a nonzero value throws):
   // `rings` sets the pipeline's shard workers, and the server sizes the service's rings and
@@ -56,7 +75,8 @@ struct ServerOptions {
   int32_t workers = 1;
   // Ingest (shard worker) threads (>= 1); 0 resolves to `workers`.
   int32_t rings = 0;
-  // Session records in flight (routed, not yet applied) per shard ring, >= 1.
+  // Session records in flight (routed, not yet applied) per shard ring, >= 1; exceeded by at
+  // most one batch per other epoll worker.
   int32_t ring_capacity = 1024;
   // TCP listener. port 0 binds an ephemeral port (read it back via port()); listen = false
   // skips the listener entirely — connections arrive only via AdoptConnection (the
@@ -107,6 +127,8 @@ struct ServerStats {
   std::atomic<int64_t> sessions_aborted{0};
   std::atomic<int64_t> sessions_closed{0};
   std::atomic<int64_t> backpressure_pauses{0};
+  // Reads paused because a connection's unsent replies passed kMaxUnsentReplyBytes.
+  std::atomic<int64_t> reply_pauses{0};
   std::atomic<int64_t> protocol_errors{0};
   std::atomic<int64_t> records_applied{0};
   std::atomic<int64_t> heartbeats{0};

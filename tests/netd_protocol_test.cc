@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "src/netd/client.h"
 #include "src/netd/loadgen.h"
 #include "src/netd/record_codec.h"
+#include "src/netd/result_codec.h"
 #include "src/netd/server.h"
 #include "src/netd/wire.h"
 #include "src/workload/catalog.h"
@@ -50,40 +53,53 @@ std::string TempPath(const std::string& leaf) {
   return (dir / leaf).string();
 }
 
-// One small recorded study-app session, shared by every case: realistic header (full symbol
-// table), realistic record stream, and a report the oracle path can reproduce.
+// One recorded study-app session of `seconds`: realistic header (full symbol table),
+// realistic record stream, and a report the oracle path can reproduce.
+std::string* RecordDonor(int64_t seconds, const std::string& leaf) {
+  static const workload::Catalog catalog;
+  workload::FleetJob job;
+  job.spec = catalog.study_apps()[0];
+  job.profile = droidsim::LgV10();
+  job.seed = workload::FleetSeed(977, 0);
+  job.session = simkit::Seconds(seconds);
+  job.record_path = TempPath(leaf);
+  workload::FleetJobResult result = workload::RunFleetJob(job);
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_TRUE(result.record_ok) << result.record_error;
+  std::ifstream in(job.record_path, std::ios::binary);
+  auto* data = new std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  EXPECT_FALSE(data->empty());
+  return data;
+}
+
+// The small donor shared by most cases.
 const std::string& DonorLogBytes() {
-  static const std::string* bytes = [] {
-    static const workload::Catalog catalog;
-    workload::FleetJob job;
-    job.spec = catalog.study_apps()[0];
-    job.profile = droidsim::LgV10();
-    job.seed = workload::FleetSeed(977, 0);
-    job.session = simkit::Seconds(10);
-    job.record_path = TempPath("donor.hdsl");
-    workload::FleetJobResult result = workload::RunFleetJob(job);
-    EXPECT_TRUE(result.ok) << result.error;
-    EXPECT_TRUE(result.record_ok) << result.record_error;
-    std::ifstream in(job.record_path, std::ios::binary);
-    auto* data = new std::string(std::istreambuf_iterator<char>(in),
-                                 std::istreambuf_iterator<char>());
-    EXPECT_FALSE(data->empty());
-    return data;
-  }();
+  static const std::string* bytes = RecordDonor(10, "donor.hdsl");
   return *bytes;
 }
 
-// A v3 container holding `ids` copies of the donor log, split into wire frames.
-std::vector<std::string> WireFrames(const std::vector<uint64_t>& ids) {
+// A donor with a few hundred records, for cases that cut sessions to a record count.
+const std::string& LongDonorLogBytes() {
+  static const std::string* bytes = RecordDonor(120, "long_donor.hdsl");
+  return *bytes;
+}
+
+// A v3 container holding `ids` copies of `donor`, split into wire frames.
+std::vector<std::string> WireFrames(const std::vector<uint64_t>& ids, const std::string& donor) {
   std::vector<hangdoctor::SessionLogSlice> sessions;
   for (uint64_t id : ids) {
-    sessions.push_back({telemetry::SessionId{id}, DonorLogBytes()});
+    sessions.push_back({telemetry::SessionId{id}, donor});
   }
   std::string container, error;
   EXPECT_TRUE(hangdoctor::MuxSessionLogs(sessions, {}, &container, &error)) << error;
   std::vector<std::string> frames;
   EXPECT_TRUE(netd::ContainerToWireFrames(container, &frames, &error)) << error;
   return frames;
+}
+
+// A v3 container holding `ids` copies of the donor log, split into wire frames.
+std::vector<std::string> WireFrames(const std::vector<uint64_t>& ids) {
+  return WireFrames(ids, DonorLogBytes());
 }
 
 netd::ServerOptions SocketpairOptions() {
@@ -542,6 +558,237 @@ TEST(NetdProtocolTest, DrainAppliesWhatAConnectedPeerAlreadySent) {
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].aborted);
   EXPECT_EQ(server.live_session_bytes(), 0);
+}
+
+// One donor session `id` cut to its first `records` record frames, then closed: the open,
+// the records and the close, without the container's end frame.
+std::vector<std::string> TruncatedSessionFrames(uint64_t id, size_t records) {
+  std::vector<std::string> frames = WireFrames({id}, LongDonorLogBytes());
+  // open + records + close + end
+  if (frames.size() < records + 3) {
+    ADD_FAILURE() << "donor has " << frames.size() - 3 << " records, want " << records;
+    return {};
+  }
+  std::vector<std::string> out(frames.begin(), frames.begin() + 1 + records);
+  out.push_back(frames[frames.size() - 2]);
+  return out;
+}
+
+// Records name their connection by plain pointer, so a connection must outlive every record
+// it routed. Here a connection dies (the peer resets it, or it commits a protocol error)
+// while its records are still queued behind a wedged shard worker; once the wedge clears,
+// every session ends in exactly one outcome, and a calm neighbour's results are
+// byte-identical to a run without the fault (under ASan: with no use after free).
+struct WedgedKillRun {
+  std::vector<std::pair<uint64_t, std::string>> calm;  // id -> encoded result
+  std::vector<netd::NetSessionOutcome> victims;
+};
+
+enum class Kill { kNone, kPeerReset, kProtocolError };
+
+WedgedKillRun RunWedgedKill(Kill kill) {
+  auto wedged = std::make_shared<std::atomic<bool>>(true);
+  netd::ServerOptions options = SocketpairOptions();
+  options.before_apply = [wedged](uint64_t) {
+    while (wedged->load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  netd::NetServer server(options);
+  netd::NetClient calm = ConnectPair(server);
+  netd::NetClient victim = ConnectPair(server);
+  EXPECT_TRUE(calm.SendHello(4));
+  EXPECT_TRUE(victim.SendHello(4));
+
+  int64_t frames_sent = 2;  // the HELLOs
+  for (const std::string& frame : WireFrames({92, 93})) {
+    EXPECT_TRUE(calm.SendFrame(frame));
+    ++frames_sent;
+  }
+  if (kill != Kill::kNone) {
+    // Two open sessions with a few dozen records each, no close: all of it queues behind
+    // the wedge.
+    std::vector<std::string> frames = WireFrames({94, 95});
+    for (size_t i = 0; i < 60; ++i) {
+      EXPECT_TRUE(victim.SendFrame(frames[i]));
+      ++frames_sent;
+    }
+  }
+  // Every frame decoded and routed, none applied: the shard worker is parked on the first.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().frames_in.load() < frames_sent &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().frames_in.load(), frames_sent);
+  EXPECT_EQ(server.stats().records_applied.load(), 0);
+  if (kill == Kill::kPeerReset) {
+    // Closing a socket with unread replies (hello-ok) resets the daemon's end.
+    victim.Close();
+  } else if (kill == Kill::kProtocolError) {
+    EXPECT_TRUE(victim.SendFrame(WireFrames({96})[1]));  // a record for an unopened session
+    std::vector<Reply> replies;
+    while (replies.empty() || replies.back().tag != ReplyTag::kError) {
+      Reply reply;
+      if (!victim.ReadReply(&reply)) {
+        break;
+      }
+      replies.push_back(reply);
+    }
+    EXPECT_EQ(replies.back().tag, ReplyTag::kError);
+  }
+  if (kill == Kill::kNone) {
+    victim.Close();
+  } else {
+    // The error reply above shows the daemon saw the error; a reset has no reply to wait
+    // for, so give the daemon a moment to see it. Either way the aborts queue behind the
+    // wedge too.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  wedged->store(false);
+
+  std::vector<Reply> calm_replies;
+  ReadUntilEof(calm, &calm_replies);
+  EXPECT_TRUE(server.WaitIdle(30000));
+  server.Stop();
+  EXPECT_EQ(server.live_sessions(), 0u);
+  EXPECT_EQ(server.live_session_bytes(), 0);
+  EXPECT_EQ(calm_replies.back().tag, ReplyTag::kBye);
+  EXPECT_EQ(calm_replies.back().sessions_closed, 2u);
+
+  WedgedKillRun run;
+  for (netd::NetSessionOutcome& outcome : server.TakeResults()) {
+    if (outcome.id.value == 92 || outcome.id.value == 93) {
+      EXPECT_FALSE(outcome.aborted) << outcome.stream_error;
+      run.calm.emplace_back(outcome.id.value, netd::EncodeSessionResult(outcome.result));
+    } else {
+      run.victims.push_back(std::move(outcome));
+    }
+  }
+  std::sort(run.calm.begin(), run.calm.end());
+  return run;
+}
+
+TEST(NetdProtocolTest, ConnectionKilledWhileItsRecordsAreQueuedOutlivesThem) {
+  WedgedKillRun reference = RunWedgedKill(Kill::kNone);
+  ASSERT_EQ(reference.calm.size(), 2u);
+  EXPECT_TRUE(reference.victims.empty());
+  for (Kill kill : {Kill::kPeerReset, Kill::kProtocolError}) {
+    SCOPED_TRACE(kill == Kill::kPeerReset ? "peer reset" : "protocol error");
+    WedgedKillRun run = RunWedgedKill(kill);
+    EXPECT_EQ(run.calm, reference.calm);
+    // Each of the victim's sessions ends exactly once, aborted.
+    ASSERT_EQ(run.victims.size(), 2u);
+    std::sort(run.victims.begin(), run.victims.end(),
+              [](const auto& a, const auto& b) { return a.id.value < b.id.value; });
+    EXPECT_EQ(run.victims[0].id.value, 94u);
+    EXPECT_EQ(run.victims[1].id.value, 95u);
+    const char* why = kill == Kill::kPeerReset ? "closed mid-session" : "protocol error";
+    for (const netd::NetSessionOutcome& outcome : run.victims) {
+      EXPECT_TRUE(outcome.aborted);
+      EXPECT_NE(outcome.stream_error.find(why), std::string::npos) << outcome.stream_error;
+    }
+  }
+}
+
+// The daemon counts a connection's routed records per read chunk and its in-flight ring
+// records per batch of 64, not per record. Sessions whose record counts straddle those
+// blocks must still each get their kSessionClosed before the BYE that counts them, at ring
+// caps that never park, park at a batch, and park every record.
+TEST(NetdProtocolTest, PerBatchAccountingKeepsEveryCloseAheadOfBye) {
+  const std::vector<size_t> lengths = {63, 64, 65, 127, 128, 129};
+  // Every record, plus each session's open and close.
+  const size_t records = std::accumulate(lengths.begin(), lengths.end(), 2 * lengths.size());
+  for (int32_t ring_capacity : {1024, 64, 1}) {
+    SCOPED_TRACE("ring_capacity " + std::to_string(ring_capacity));
+    netd::ServerOptions options = SocketpairOptions();
+    options.ring_capacity = ring_capacity;
+    netd::NetServer server(options);
+    netd::NetClient client = ConnectPair(server);
+    ASSERT_TRUE(client.SendHello(4));
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      for (const std::string& frame : TruncatedSessionFrames(100 + i, lengths[i])) {
+        ASSERT_TRUE(client.SendFrame(frame));
+      }
+    }
+    ASSERT_TRUE(client.SendFrame(WireFrames({1}).back()));  // the container end: BYE
+    std::vector<Reply> replies;
+    ReadUntilEof(client, &replies);
+    ASSERT_EQ(replies.size(), lengths.size() + 2);  // hello-ok + closes + bye
+    EXPECT_EQ(replies.front().tag, ReplyTag::kHelloOk);
+    for (size_t i = 1; i + 1 < replies.size(); ++i) {
+      EXPECT_EQ(replies[i].tag, ReplyTag::kSessionClosed);
+    }
+    EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
+    EXPECT_EQ(replies.back().sessions_closed, lengths.size());
+    EXPECT_TRUE(server.WaitIdle(30000));
+    EXPECT_EQ(server.stats().records_applied.load(), static_cast<int64_t>(records));
+  }
+}
+
+// A client that streams sessions and never reads its replies must not grow the daemon's
+// memory without bound: past kMaxUnsentReplyBytes of unsent replies the daemon stops reading
+// it, and once it reads, everything completes.
+TEST(NetdProtocolTest, ReplyCapPausesAClientThatDoesNotReadUntilItDoes) {
+  netd::ServerOptions options = SocketpairOptions();
+  options.allow_worker_role = true;  // kSessionResult replies: the largest there are
+  netd::NetServer server(options);
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // Small socket buffers: the daemon's unsent replies pile up in the daemon, and the client's
+  // sends block soon after the daemon stops reading.
+  int sndbuf = 4096;
+  ASSERT_EQ(setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+  ASSERT_EQ(setsockopt(sv[1], SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
+  server.AdoptConnection(sv[0]);
+  netd::NetClient client;
+  client.Adopt(sv[1]);
+  // About 360 reply bytes per session: the cap is reached within a few hundred of them.
+  constexpr size_t kSessions = 500;
+  std::vector<std::string> frames;
+  for (uint64_t id = 1; id <= kSessions; ++id) {
+    std::vector<std::string> session = WireFrames({id});
+    frames.insert(frames.end(), session.begin(), session.end() - 1);
+  }
+  frames.push_back(WireFrames({1}).back());
+
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    EXPECT_TRUE(client.SendHello(4, netd::HelloRole::kWorker));
+    for (const std::string& frame : frames) {
+      if (!client.SendFrame(frame)) {
+        return;
+      }
+    }
+    sent.store(true);
+  });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stats().reply_pauses.load() == 0 && !sent.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Paused with the client's sends still blocked: the daemon stopped reading it.
+  EXPECT_EQ(server.stats().reply_pauses.load(), 1);
+  EXPECT_FALSE(sent.load());
+  EXPECT_LT(server.stats().sessions_closed.load(), static_cast<int64_t>(kSessions));
+
+  std::vector<Reply> replies;
+  ReadUntilEof(client, &replies);
+  sender.join();
+  EXPECT_TRUE(sent.load());
+  size_t closed = 0, results = 0;
+  for (const Reply& reply : replies) {
+    closed += reply.tag == ReplyTag::kSessionClosed ? 1 : 0;
+    results += reply.tag == ReplyTag::kSessionResult ? 1 : 0;
+  }
+  EXPECT_EQ(closed, kSessions);
+  EXPECT_EQ(results, kSessions);
+  ASSERT_FALSE(replies.empty());
+  EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
+  EXPECT_EQ(replies.back().sessions_closed, kSessions);
+  EXPECT_GE(server.stats().reply_pauses.load(), 1);
+  EXPECT_EQ(server.stats().sessions_aborted.load(), 0);
+  EXPECT_TRUE(server.WaitIdle(30000));
 }
 
 // ---------------------------------------------------------------------------
