@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 namespace hangdoctor {
 
@@ -22,32 +23,62 @@ bool KeyLess(const telemetry::SymbolTable& symbols, telemetry::FrameId a, teleme
 
 using telemetry::kNoFrame;
 
-}  // namespace
+// One census entry: a frame id and how often the usable samples hold it.
+struct Count {
+  telemetry::FrameId id;
+  int64_t count;
+};
 
-Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
-                                 const telemetry::SymbolTable& symbols) const {
+// The runs of sorted `ids` as (id, run length), in ascending id order.
+std::vector<Count> CountRuns(std::vector<telemetry::FrameId> ids) {
+  std::sort(ids.begin(), ids.end());
+  std::vector<Count> counts;
+  for (size_t i = 0; i < ids.size();) {
+    size_t end = i;
+    while (end < ids.size() && ids[end] == ids[i]) {
+      ++end;
+    }
+    counts.push_back({ids[i], static_cast<int64_t>(end - i)});
+    i = end;
+  }
+  return counts;
+}
+
+// The most frequent entry among those `eligible` accepts, ties to the smallest key; null
+// when none is eligible.
+template <typename Eligible>
+const Count* MostFrequent(const std::vector<Count>& counts,
+                          const telemetry::SymbolTable& symbols, Eligible eligible) {
+  const Count* top = nullptr;
+  for (const Count& entry : counts) {
+    if (!eligible(entry.id)) {
+      continue;
+    }
+    if (top == nullptr || entry.count > top->count ||
+        (entry.count == top->count && KeyLess(symbols, entry.id, top->id))) {
+      top = &entry;
+    }
+  }
+  return top;
+}
+
+// The decision procedure over the sampled traces. Candidates come in ascending id order, as
+// the old id-indexed scan visited them, and every exact tie falls to the smallest census
+// key, so each Diagnosis matches that scan's byte for byte.
+Diagnosis Diagnose(std::vector<const telemetry::StackTrace*> usable,
+                   const telemetry::SymbolTable& symbols, const TraceAnalyzerConfig& config) {
   // A dominant single API is reported as a (possibly new) blocking API even when its class
   // lives in the app's own package — runtime behaviour, not provenance, is what matters
   // (Section 2.2: blocking status comes from expert diagnosis of runtime data).
   Diagnosis diagnosis;
-  std::vector<const telemetry::StackTrace*> usable;
-  for (const telemetry::StackTrace& trace : traces) {
-    if (trace.frames.empty()) {
-      continue;
-    }
-    // A frame id outside the session's symbol table marks a corrupted sample (a fuzzed or
-    // torn log); such traces are excluded from the census rather than indexed blindly.
-    bool in_range = true;
-    for (telemetry::FrameId id : trace.frames) {
-      if (id >= symbols.size()) {
-        in_range = false;
-        break;
-      }
-    }
-    if (in_range) {
-      usable.push_back(&trace);
-    }
-  }
+  // A frame id outside the session's symbol table marks a corrupted sample (a fuzzed or torn
+  // log); such traces are excluded from the census rather than resolved blindly. Empty
+  // (idle) samples carry no frame.
+  std::erase_if(usable, [&symbols](const telemetry::StackTrace* trace) {
+    return trace->frames.empty() ||
+           std::any_of(trace->frames.begin(), trace->frames.end(),
+                       [&symbols](telemetry::FrameId id) { return id >= symbols.size(); });
+  });
   if (usable.empty()) {
     return diagnosis;
   }
@@ -55,96 +86,100 @@ Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
   diagnosis.samples_used = usable.size();
   double total = static_cast<double>(usable.size());
 
-  // Innermost-frame census: dense integer counting over frame ids.
-  std::vector<int64_t> innermost(symbols.size(), 0);
+  // Innermost-frame census.
+  std::vector<telemetry::FrameId> leaves;
+  leaves.reserve(usable.size());
   int64_t ui_innermost = 0;
   for (const telemetry::StackTrace* trace : usable) {
     telemetry::FrameId leaf = trace->frames.back();
-    ++innermost[leaf];
+    leaves.push_back(leaf);
     if (symbols.IsUi(leaf)) {
       ++ui_innermost;
     }
   }
-  telemetry::FrameId top = kNoFrame;
-  for (telemetry::FrameId id = 0; id < innermost.size(); ++id) {
-    if (innermost[id] == 0) {
-      continue;
-    }
-    if (top == kNoFrame || innermost[id] > innermost[top] ||
-        (innermost[id] == innermost[top] && KeyLess(symbols, id, top))) {
-      top = id;
-    }
-  }
+  const std::vector<Count> innermost = CountRuns(std::move(leaves));
+  const Count& top = *MostFrequent(innermost, symbols, [](telemetry::FrameId) { return true; });
 
   // Case 2: the samples are dominated by UI-class work.
-  if (static_cast<double>(ui_innermost) / total >= config_.ui_majority) {
+  if (static_cast<double>(ui_innermost) / total >= config.ui_majority) {
     // Report the most frequent innermost UI frame as the (benign) cause.
-    telemetry::FrameId top_ui = kNoFrame;
-    for (telemetry::FrameId id = 0; id < innermost.size(); ++id) {
-      if (innermost[id] == 0 || !symbols.IsUi(id)) {
-        continue;
-      }
-      if (top_ui == kNoFrame || innermost[id] > innermost[top_ui] ||
-          (innermost[id] == innermost[top_ui] && KeyLess(symbols, id, top_ui))) {
-        top_ui = id;
-      }
-    }
-    telemetry::FrameId chosen = top_ui != kNoFrame ? top_ui : top;
-    diagnosis.culprit = chosen;
-    diagnosis.occurrence_factor = static_cast<double>(innermost[chosen]) / total;
+    const Count* top_ui = MostFrequent(
+        innermost, symbols, [&symbols](telemetry::FrameId id) { return symbols.IsUi(id); });
+    const Count& chosen = top_ui != nullptr ? *top_ui : top;
+    diagnosis.culprit = chosen.id;
+    diagnosis.occurrence_factor = static_cast<double>(chosen.count) / total;
     diagnosis.is_ui = true;
     return diagnosis;
   }
 
   // Case 3: one API dominates.
-  double top_occurrence = static_cast<double>(innermost[top]) / total;
-  if (top_occurrence >= config_.api_occurrence_threshold) {
-    diagnosis.culprit = top;
+  double top_occurrence = static_cast<double>(top.count) / total;
+  if (top_occurrence >= config.api_occurrence_threshold) {
+    diagnosis.culprit = top.id;
     diagnosis.occurrence_factor = top_occurrence;
-    diagnosis.is_ui = symbols.IsUi(top);
+    diagnosis.is_ui = symbols.IsUi(top.id);
     return diagnosis;
   }
 
   // Case 4: many light callees — find the deepest caller frame common to most samples.
-  // Count occurrence (at any depth) per non-leaf frame, remembering its maximum depth.
-  std::vector<int64_t> callers(symbols.size(), 0);
-  std::vector<size_t> caller_depth(symbols.size(), 0);
+  // Count occurrence (at any depth) per non-leaf frame, remembering its maximum depth: sorted
+  // (id, depth) pairs put each id's occurrences in one run, its deepest last.
+  std::vector<std::pair<telemetry::FrameId, size_t>> callers;
   for (const telemetry::StackTrace* trace : usable) {
     for (size_t depth = 0; depth + 1 < trace->frames.size(); ++depth) {
-      telemetry::FrameId id = trace->frames[depth];
-      ++callers[id];
-      caller_depth[id] = std::max(caller_depth[id], depth);
+      callers.emplace_back(trace->frames[depth], depth);
     }
   }
+  std::sort(callers.begin(), callers.end());
   telemetry::FrameId best = kNoFrame;
-  for (telemetry::FrameId id = 0; id < callers.size(); ++id) {
-    if (callers[id] == 0) {
+  int64_t best_count = 0;
+  size_t best_depth = 0;
+  for (size_t i = 0; i < callers.size();) {
+    const telemetry::FrameId id = callers[i].first;
+    size_t end = i;
+    while (end < callers.size() && callers[end].first == id) {
+      ++end;
+    }
+    const auto count = static_cast<int64_t>(end - i);
+    const size_t depth = callers[end - 1].second;
+    i = end;
+    double occurrence = static_cast<double>(count) / total;
+    if (occurrence < config.caller_occurrence_threshold) {
       continue;
     }
-    double occurrence = static_cast<double>(callers[id]) / total;
-    if (occurrence < config_.caller_occurrence_threshold) {
-      continue;
-    }
-    if (best == kNoFrame || caller_depth[id] > caller_depth[best] ||
-        (caller_depth[id] == caller_depth[best] &&
-         (callers[id] > callers[best] ||
-          (callers[id] == callers[best] && KeyLess(symbols, id, best))))) {
+    if (best == kNoFrame || depth > best_depth ||
+        (depth == best_depth &&
+         (count > best_count || (count == best_count && KeyLess(symbols, id, best))))) {
       best = id;
+      best_count = count;
+      best_depth = depth;
     }
   }
   if (best != kNoFrame) {
     diagnosis.culprit = best;
-    diagnosis.occurrence_factor = static_cast<double>(callers[best]) / total;
+    diagnosis.occurrence_factor = static_cast<double>(best_count) / total;
     diagnosis.is_ui = symbols.IsUi(best);
     diagnosis.is_self_developed = true;
     return diagnosis;
   }
 
   // Fall back to the most frequent innermost frame even below threshold.
-  diagnosis.culprit = top;
+  diagnosis.culprit = top.id;
   diagnosis.occurrence_factor = top_occurrence;
-  diagnosis.is_ui = symbols.IsUi(top);
+  diagnosis.is_ui = symbols.IsUi(top.id);
   return diagnosis;
+}
+
+}  // namespace
+
+Diagnosis TraceAnalyzer::Analyze(std::span<const telemetry::StackTrace> traces,
+                                 const telemetry::SymbolTable& symbols) const {
+  std::vector<const telemetry::StackTrace*> pointers;
+  pointers.reserve(traces.size());
+  for (const telemetry::StackTrace& trace : traces) {
+    pointers.push_back(&trace);
+  }
+  return Diagnose(std::move(pointers), symbols, config_);
 }
 
 Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> traces,
@@ -154,14 +189,13 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
     return Analyze(traces, symbols);
   }
   // Partition by thread: the main thread's samples carry the symptom (the wait frame); any
-  // async thread's samples carry the cause. Diagnosis runs once per hang, so the copies here
-  // never touch the sampling hot path.
-  std::vector<telemetry::StackTrace> main_traces;
-  std::vector<telemetry::StackTrace> async_traces;
+  // async thread's samples carry the cause.
+  std::vector<const telemetry::StackTrace*> main_traces;
+  std::vector<const telemetry::StackTrace*> async_traces;
   for (const telemetry::StackTrace& trace : traces) {
-    (trace.thread == telemetry::kMainThread ? main_traces : async_traces).push_back(trace);
+    (trace.thread == telemetry::kMainThread ? main_traces : async_traces).push_back(&trace);
   }
-  Diagnosis main_diag = Analyze(main_traces, symbols);
+  Diagnosis main_diag = Diagnose(std::move(main_traces), symbols, config_);
   if (!main_diag.valid) {
     return main_diag;
   }
@@ -173,7 +207,7 @@ Diagnosis TraceAnalyzer::AnalyzeCausal(std::span<const telemetry::StackTrace> tr
   if (!culprit_is_wait || async_traces.empty()) {
     return main_diag;
   }
-  Diagnosis async_diag = Analyze(async_traces, symbols);
+  Diagnosis async_diag = Diagnose(std::move(async_traces), symbols, config_);
   if (!async_diag.valid) {
     return main_diag;  // async thread was idle/unsampled; the wait-site diagnosis stands
   }

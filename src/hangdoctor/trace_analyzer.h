@@ -12,9 +12,10 @@
 //     most samples — a self-developed lengthy operation (the heavy-loop shape). Moving any
 //     single callee would not fix the hang, so the whole caller is reported.
 //
-// Traces carry interned FrameIds, so the occurrence census is integer counting over dense
-// id-indexed arrays, and the diagnosis names its culprit by id too: strings are built only
-// to break exact count ties and when a report is rendered.
+// Traces carry interned FrameIds, so the occurrence census sorts the ids the usable samples
+// touch and counts runs: a hang costs in proportion to its samples, not to the app's symbol
+// table. The diagnosis names its culprit by id too: strings are built only to break exact
+// count ties and when a report is rendered.
 #ifndef SRC_HANGDOCTOR_TRACE_ANALYZER_H_
 #define SRC_HANGDOCTOR_TRACE_ANALYZER_H_
 

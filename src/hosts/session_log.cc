@@ -92,6 +92,10 @@ class Parser {
 
   bool AtEnd() const { return pos_ >= data_.size(); }
 
+  // Bytes not yet read. Every sample and every frame id takes at least one byte, so this
+  // caps a reserve against a declared count: a fuzzed count cannot request a huge buffer.
+  size_t remaining() const { return data_.size() - std::min(pos_, data_.size()); }
+
  private:
   // Reports a varint that failed at pos_ where a byte-at-a-time read stops: at the end of
   // the log when it is truncated, just past its tenth byte when it overflows.
@@ -287,15 +291,17 @@ bool ParseRecordBody(Parser& parser, const telemetry::SymbolTable& symbols,
       record->samples.clear();  // a reused record may still hold an earlier record's samples
       if (record->end.trace_stopped) {
         uint64_t num_samples = parser.GetVarint();
+        record->samples.reserve(std::min<uint64_t>(num_samples, parser.remaining()));
         for (uint64_t s = 0; parser.ok() && s < num_samples; ++s) {
           telemetry::StackTrace sample;
           sample.timestamp_ns = parser.GetSigned();
           sample.thread = static_cast<telemetry::ThreadId>(parser.GetVarint());
           uint64_t depth = parser.GetVarint();
+          sample.frames.reserve(std::min<uint64_t>(depth, parser.remaining()));
           for (uint64_t f = 0; parser.ok() && f < depth; ++f) {
             uint64_t frame_id = parser.GetVarint();
             // Unknown FrameIds must die here: the replayed core indexes the symbol table
-            // by id, and the analyzer's census arrays are sized to it.
+            // by id, and the Trace Analyzer names its culprit by id in that table.
             if (parser.ok() && frame_id >= symbols.size()) {
               return parser.Fail("frame id out of range: " + std::to_string(frame_id));
             }
@@ -677,18 +683,49 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
   return ParseSessionLog(bytes, &scratch, layout, error);
 }
 
+size_t SymbolTableCache::Hash(std::string_view section) {
+  // splitmix64's finalizer over (length, sampled words): a few dozen instructions whatever
+  // the section's size. Byte equality, not this hash, decides a match.
+  auto mix = [](uint64_t h) {
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 31);
+  };
+  uint64_t h = mix(section.size());
+  if (section.size() < sizeof(uint64_t)) {
+    uint64_t word = 0;
+    if (!section.empty()) {
+      std::memcpy(&word, section.data(), section.size());
+    }
+    return mix(h ^ word);
+  }
+  const size_t last = section.size() - sizeof(uint64_t);
+  for (size_t i = 0; i < kHashWords; ++i) {
+    uint64_t word;
+    std::memcpy(&word, section.data() + last * i / (kHashWords - 1), sizeof(word));
+    h = mix(h ^ word);
+  }
+  return h;
+}
+
 std::shared_ptr<const telemetry::SymbolTable> SymbolTableCache::Find(
     std::string_view section) const {
+  const Probe probe{section, Hash(section)};
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(section);
+  auto it = entries_.find(probe);
   return it == entries_.end() ? nullptr : it->second.lock();
 }
 
 std::shared_ptr<const telemetry::SymbolTable> SymbolTableCache::Insert(
     std::string_view section, std::shared_ptr<const telemetry::SymbolTable> table) {
+  const Probe probe{section, Hash(section)};
   std::lock_guard<std::mutex> lock(mu_);
   std::erase_if(entries_, [](const auto& entry) { return entry.second.expired(); });
-  auto it = entries_.try_emplace(std::string(section)).first;
+  auto it = entries_.find(probe);
+  if (it == entries_.end()) {
+    entries_.emplace(std::string(section), table);
+    return table;
+  }
   // A concurrent miss on the same bytes may have published first: share its table while it
   // is still alive.
   if (std::shared_ptr<const telemetry::SymbolTable> live = it->second.lock()) {

@@ -34,7 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -192,6 +191,12 @@ bool ScanSessionLog(const std::string& bytes, SessionLogLayout* layout, std::str
 //   - Byte equality. An entry is keyed on the section's exact bytes (`symtab_begin` to the
 //     end of an open prefix), and a lookup matches only a byte-equal key; a hash only picks
 //     the bucket, so a collision can never alias one client's table to another's.
+//   - A sampled hash. The bucket hash reads the section's length and a fixed number of
+//     words at evenly spaced offsets, so hashing a 300 KB section costs the same as hashing
+//     a 30-byte one, and the hash is computed before the mutex is taken. Sections that
+//     differ only in unsampled bytes share a bucket; a client can only fill a bucket with
+//     sections it keeps alive, and each extra probe is one memcmp that stops at the first
+//     differing byte.
 //   - Only clean parses. A table enters the pool only when its whole prefix parsed, with no
 //     trailing bytes.
 //   - Lifetime. The pool holds tables weakly: a table lives exactly as long as some
@@ -214,17 +219,31 @@ class SymbolTableCache {
   // Entries held, expired ones not yet pruned included.
   size_t size() const;
 
+  // The bucket hash of `section`: its length and kHashWords words at evenly spaced offsets.
+  static size_t Hash(std::string_view section);
+  static constexpr size_t kHashWords = 16;
+
  private:
+  // A lookup key whose hash was computed outside the mutex.
+  struct Probe {
+    std::string_view section;
+    size_t hash;
+  };
   struct SectionHash {
     using is_transparent = void;
-    size_t operator()(std::string_view section) const {
-      return std::hash<std::string_view>{}(section);
-    }
+    size_t operator()(const std::string& section) const { return Hash(section); }
+    size_t operator()(const Probe& probe) const { return probe.hash; }
+  };
+  struct SectionEqual {
+    using is_transparent = void;
+    bool operator()(const std::string& a, const std::string& b) const { return a == b; }
+    bool operator()(const Probe& a, const std::string& b) const { return a.section == b; }
+    bool operator()(const std::string& a, const Probe& b) const { return a == b.section; }
   };
 
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::weak_ptr<const telemetry::SymbolTable>, SectionHash,
-                     std::equal_to<>>
+                     SectionEqual>
       entries_;  // guarded by mu_
 };
 

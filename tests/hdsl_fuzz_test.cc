@@ -47,6 +47,7 @@
 #include "src/netd/server.h"
 #include "src/netd/wire.h"
 #include "src/simkit/rng.h"
+#include "src/telemetry/bytes.h"
 
 namespace {
 
@@ -195,6 +196,56 @@ TEST(HdslFuzzTest, TruncationAtEveryRecordBoundaryIsRejected) {
           << path << " cut at " << cut;
       EXPECT_FALSE(error.empty()) << path << " cut at " << cut;
     }
+  }
+}
+
+// A declared sample count or sample depth reserves at most what the remaining bytes could
+// hold, so a record that declares 2^40 of either is rejected at the end of its bytes and
+// never asks for terabytes: an uncapped reserve throws (or, under ASan, aborts) here.
+TEST(HdslFuzzTest, HugeDeclaredSampleCountsAreRejectedWithoutAHugeReserve) {
+  telemetry::SymbolTable symbols;
+  for (int i = 0; i < 4; ++i) {
+    symbols.Intern({"f", "C", "C.java", i + 1}, false);  // distinct by line
+  }
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  // kDispatchEnd with a trace: now, execution id, event index, response, trace_stopped.
+  auto dispatch_end_head = [] {
+    std::string bytes(1, static_cast<char>(hangdoctor::SessionRecordTag::kDispatchEnd));
+    for (int64_t field : {1000, 7, 0, 250}) {
+      telemetry::PutSigned(&bytes, field);
+    }
+    bytes.push_back('\1');
+    return bytes;
+  };
+  // A sample: timestamp, thread, declared depth, then `frames` in-range frame ids.
+  auto sample = [](uint64_t depth, int frames) {
+    std::string bytes;
+    telemetry::PutSigned(&bytes, 123);
+    telemetry::PutVarint(&bytes, 0);
+    telemetry::PutVarint(&bytes, depth);
+    for (int f = 0; f < frames; ++f) {
+      telemetry::PutVarint(&bytes, static_cast<uint64_t>(f));
+    }
+    return bytes;
+  };
+  std::string huge_count = dispatch_end_head();
+  telemetry::PutVarint(&huge_count, kHuge);
+  huge_count += sample(3, 3) + sample(3, 3);
+  std::string huge_depth = dispatch_end_head();
+  telemetry::PutVarint(&huge_depth, 1);
+  huge_depth += sample(kHuge, 3);
+
+  for (const auto& [name, bytes] :
+       {std::pair<const char*, std::string>{"2^40 samples", huge_count},
+        std::pair<const char*, std::string>{"sample depth 2^40", huge_depth}}) {
+    hangdoctor::SessionRecord record;
+    std::string error;
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed = hangdoctor::ParseSessionRecordBytes(bytes, symbols, &record, &error))
+        << name;
+    EXPECT_FALSE(parsed) << name;
+    EXPECT_EQ(error.rfind("unexpected end of log", 0), 0u) << name << ": " << error;
+    EXPECT_LE(record.samples.capacity(), bytes.size()) << name;
   }
 }
 

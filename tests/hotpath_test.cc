@@ -1,8 +1,9 @@
 // Hot-path regression suite for the zero-allocation work: the slab event queue is stressed
 // against a naive reference model, its memory is shown to be bounded by live events rather
 // than cancellation volume, symbol interning is shown to assign identical ids across
-// independent runs (the fleet-sharding determinism contract), and the steady-state sampling
-// path is shown to perform zero heap allocations.
+// independent runs (the fleet-sharding determinism contract), the steady-state sampling
+// path is shown to perform zero heap allocations, and a sampled record parses with one
+// allocation per sample.
 //
 // This suite lives in its own binary because it replaces the global operator new/delete with
 // counting versions; keeping that out of the other test binaries avoids any interference.
@@ -14,6 +15,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -24,11 +26,13 @@
 #include "src/droidsim/phone.h"
 #include "src/droidsim/stack_sampler.h"
 #include "src/droidsim/symbols.h"
+#include "src/hosts/session_log.h"
 #include "src/kernelsim/kernel.h"
 #include "src/kernelsim/uarch.h"
 #include "src/perfsim/counter_hub.h"
 #include "src/simkit/event_queue.h"
 #include "src/simkit/rng.h"
+#include "src/telemetry/bytes.h"
 #include "src/workload/catalog.h"
 
 namespace {
@@ -351,6 +355,43 @@ TEST_F(ZeroAllocationTest, WarmEventQueueCycleDoesNotAllocate) {
   int64_t after = AllocationCount();
   EXPECT_EQ(after - before, 0) << "warm schedule/cancel/pop cycles must not allocate";
   EXPECT_EQ(sink, 500);
+}
+
+// A kDispatchEnd of 25 samples of depth 35 (a deep app's hang) parsed into a warm, reused
+// SessionRecord: the sample vector is reserved once and each sample's frame vector once, so
+// the parse allocates one frame buffer per sample, never a regrowth.
+TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
+  constexpr int kSamples = 25;
+  constexpr int kDepth = 35;
+  telemetry::SymbolTable symbols;
+  for (int i = 0; i < kDepth; ++i) {
+    symbols.Intern({"f", "C", "C.java", i + 1}, false);  // distinct by line
+  }
+  std::string bytes(1, static_cast<char>(hangdoctor::SessionRecordTag::kDispatchEnd));
+  for (int64_t field : {1000, 7, 0, 250}) {  // now, execution id, event index, response
+    telemetry::PutSigned(&bytes, field);
+  }
+  bytes.push_back('\1');  // trace_stopped
+  telemetry::PutVarint(&bytes, kSamples);
+  for (int s = 0; s < kSamples; ++s) {
+    telemetry::PutSigned(&bytes, 100 + s);
+    telemetry::PutVarint(&bytes, 0);
+    telemetry::PutVarint(&bytes, kDepth);
+    for (int f = 0; f < kDepth; ++f) {
+      telemetry::PutVarint(&bytes, static_cast<uint64_t>(f));
+    }
+  }
+
+  hangdoctor::SessionRecord record;
+  std::string error;
+  ASSERT_TRUE(hangdoctor::ParseSessionRecordBytes(bytes, symbols, &record, &error)) << error;
+  int64_t before = AllocationCount();
+  bool parsed = hangdoctor::ParseSessionRecordBytes(bytes, symbols, &record, &error);
+  int64_t allocations = AllocationCount() - before;
+  ASSERT_TRUE(parsed) << error;
+  ASSERT_EQ(record.samples.size(), static_cast<size_t>(kSamples));
+  EXPECT_EQ(record.samples.back().frames.size(), static_cast<size_t>(kDepth));
+  EXPECT_LE(allocations, kSamples + 1);
 }
 
 }  // namespace

@@ -43,6 +43,7 @@
 #include "src/netd/server.h"
 #include "src/simkit/batch_router.h"
 #include "src/simkit/mpmc_ring.h"
+#include "src/simkit/rng.h"
 #include "src/simkit/shard_map.h"
 #include "src/workload/catalog.h"
 #include "src/workload/experiment.h"
@@ -1082,6 +1083,118 @@ TEST(SymbolTableCacheTest, OneByteDifferenceGetsItsOwnTable) {
   }
   // The clean table is untouched by its neighbours.
   ExpectSameTableContent(*warm->symbols, *UncachedParse(prefix).symbols, "clean");
+}
+
+// The bucket hash samples a few words of the section, so a 6,000-frame table and its
+// one-field neighbours nearly all land in one bucket: only the byte compare tells them
+// apart. The last few neighbours stay alive, so each lookup probes a crowded bucket.
+TEST(SymbolTableCacheTest, ByteCompareSeparatesSectionsTheHashCannot) {
+  std::vector<TableFrame> table = SyntheticTable(6000);
+  const std::string prefix = PrefixBytes(table);
+  const size_t symtab_begin = prefix.size() - SectionOf(prefix).size();
+  auto bucket_hash = [symtab_begin](const std::string& bytes) {
+    return hangdoctor::SymbolTableCache::Hash(std::string_view(bytes).substr(symtab_begin));
+  };
+  hangdoctor::SymbolTableCache cache;
+  auto original = CachedParse(cache, prefix);
+
+  // 200 distinct seeded frame positions, so every variant is a distinct table.
+  simkit::Rng rng(0x5EC7);
+  std::set<size_t> positions;
+  while (positions.size() < 200) {
+    positions.insert(static_cast<size_t>(rng.UniformInt(0, table.size() - 1)));
+  }
+  constexpr size_t kHeld = 8;  // older variants expire and are pruned as the test goes
+  std::deque<std::pair<std::string, std::shared_ptr<hangdoctor::SessionLog>>> held;
+  std::set<uint64_t> hashes{original->symbols->content_hash()};
+  int same_bucket = 0;
+  int v = 0;
+  for (const size_t k : positions) {
+    // One field per variant; each keeps the section's length, so only bytes differ.
+    const TableFrame saved = table[k];
+    std::string name;
+    switch (v++ % 4) {
+      case 0:
+        table[k].is_ui = !table[k].is_ui;
+        name = "ui bit";
+        break;
+      case 1:
+        table[k].is_self = !table[k].is_self;
+        name = "self-developed bit";
+        break;
+      case 2:
+        table[k].frame.function.back() = 'x';
+        name = "function name";
+        break;
+      default:
+        table[k].frame.line ^= 1;
+        name = "line";
+        break;
+    }
+    const std::string bytes = PrefixBytes(table);
+    table[k] = saved;
+    const std::string label = name + " of frame " + std::to_string(k);
+    ASSERT_EQ(bytes.size(), prefix.size()) << label;
+    same_bucket += bucket_hash(bytes) == bucket_hash(prefix);
+    bool shared = true;
+    auto log = CachedParse(cache, bytes, &shared);
+    EXPECT_FALSE(shared) << label;
+    EXPECT_NE(log->symbols.get(), original->symbols.get()) << label;
+    EXPECT_TRUE(hashes.insert(log->symbols->content_hash()).second) << label;
+    // Content equal to the uncached parse: by (size, content_hash) for every variant, and
+    // frame by frame for every 25th (the full walk is slow under the sanitizers).
+    const hangdoctor::SessionLog reference = UncachedParse(bytes);
+    EXPECT_EQ(log->symbols->size(), reference.symbols->size()) << label;
+    EXPECT_EQ(log->symbols->content_hash(), reference.symbols->content_hash()) << label;
+    if (v % 25 == 0) {
+      ExpectSameTableContent(*log->symbols, *reference.symbols, label);
+    }
+    held.emplace_back(bytes, std::move(log));
+    if (held.size() > kHeld) {
+      held.pop_front();
+    }
+  }
+  EXPECT_GE(same_bucket, 150) << "most variants must differ only in unsampled bytes";
+  for (const auto& [bytes, log] : held) {
+    bool shared = false;
+    EXPECT_EQ(CachedParse(cache, bytes, &shared)->symbols.get(), log->symbols.get());
+    EXPECT_TRUE(shared) << "a held variant shares its own table";
+  }
+  bool shared = false;
+  EXPECT_EQ(CachedParse(cache, prefix, &shared)->symbols.get(), original->symbols.get());
+  EXPECT_TRUE(shared) << "the original still shares among its neighbours";
+  ExpectSameTableContent(*original->symbols, *UncachedParse(prefix).symbols, "original");
+}
+
+// Sections shorter than the words the hash samples: an empty table (one count byte, less
+// than a word) and a one-frame table (its sampled words overlap) share and separate exactly
+// like long ones.
+TEST(SymbolTableCacheTest, SectionsShorterThanTheSampleStride) {
+  hangdoctor::SymbolTableCache cache;
+  std::vector<std::shared_ptr<hangdoctor::SessionLog>> held;
+  const std::vector<TableFrame> one = SyntheticTable(1);
+  std::vector<TableFrame> one_flipped = one;
+  one_flipped[0].is_ui = !one_flipped[0].is_ui;
+  const std::vector<std::string> prefixes = {PrefixBytes(SyntheticTable(0)), PrefixBytes(one),
+                                             PrefixBytes(one_flipped)};
+  EXPECT_EQ(SectionOf(prefixes[0]).size(), 1u);
+  EXPECT_LT(SectionOf(prefixes[1]).size(),
+            sizeof(uint64_t) * hangdoctor::SymbolTableCache::kHashWords);
+  for (const std::string& prefix : prefixes) {
+    bool shared = true;
+    held.push_back(CachedParse(cache, prefix, &shared));
+    EXPECT_FALSE(shared);
+    ExpectSameTableContent(*held.back()->symbols, *UncachedParse(prefix).symbols, "short");
+  }
+  EXPECT_EQ(held[0]->symbols->size(), 0u);
+  EXPECT_EQ(held[1]->symbols->size(), 1u);
+  EXPECT_NE(held[1]->symbols.get(), held[2]->symbols.get());
+  for (size_t i = 0; i < prefixes.size(); ++i) {
+    bool shared = false;
+    EXPECT_EQ(CachedParse(cache, prefixes[i], &shared)->symbols.get(), held[i]->symbols.get());
+    EXPECT_TRUE(shared) << i;
+  }
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 TEST(SymbolTableCacheTest, EntryExpiresWithItsLastSessionLog) {

@@ -1,14 +1,20 @@
 // Property-based tests: parameterized sweeps over seeds and configurations asserting the
 // system's invariants rather than specific values.
+#include <algorithm>
 #include <map>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/baselines/timeout_detector.h"
+#include "src/hangdoctor/trace_analyzer.h"
 #include "src/hosts/hang_doctor.h"
 #include "src/workload/catalog.h"
 #include "src/workload/experiment.h"
 #include "src/workload/training.h"
+#include "src/simkit/rng.h"
 #include "src/workload/user_model.h"
 
 namespace {
@@ -227,5 +233,286 @@ TEST_P(ResponseSanityTest, EveryExecutionQuiescesWithNonNegativeResponse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(StudyApps, ResponseSanityTest, ::testing::Range(0, 16));
+
+// ---------- Property: the sparse Trace Analyzer census equals the dense one ----------
+
+// The dense-array census the Trace Analyzer used before it counted only the frame ids its
+// samples touch, kept verbatim as the reference: arrays of symbols.size() entries, scanned
+// in id order. `key_ties` counts exact count ties whose key order disagrees with id order,
+// so the sweep can show it exercised the tie-break that matters.
+struct DenseReference {
+  hangdoctor::TraceAnalyzerConfig config;
+  int64_t key_ties = 0;
+
+  static std::string FrameKey(const telemetry::StackFrame& frame) {
+    return frame.clazz + "." + frame.function + "@" + frame.file + ":" +
+           std::to_string(frame.line);
+  }
+
+  bool KeyLess(const telemetry::SymbolTable& symbols, telemetry::FrameId a,
+               telemetry::FrameId b) {
+    bool less = FrameKey(symbols.Frame(a)) < FrameKey(symbols.Frame(b));
+    key_ties += less ? 1 : 0;  // a is the larger id: a key win here overrides id order
+    return less;
+  }
+
+  hangdoctor::Diagnosis Analyze(std::span<const telemetry::StackTrace> traces,
+                                const telemetry::SymbolTable& symbols) {
+    using telemetry::kNoFrame;
+    hangdoctor::Diagnosis diagnosis;
+    std::vector<const telemetry::StackTrace*> usable;
+    for (const telemetry::StackTrace& trace : traces) {
+      if (trace.frames.empty()) {
+        continue;
+      }
+      bool in_range = true;
+      for (telemetry::FrameId id : trace.frames) {
+        if (id >= symbols.size()) {
+          in_range = false;
+          break;
+        }
+      }
+      if (in_range) {
+        usable.push_back(&trace);
+      }
+    }
+    if (usable.empty()) {
+      return diagnosis;
+    }
+    diagnosis.valid = true;
+    diagnosis.samples_used = usable.size();
+    double total = static_cast<double>(usable.size());
+
+    std::vector<int64_t> innermost(symbols.size(), 0);
+    int64_t ui_innermost = 0;
+    for (const telemetry::StackTrace* trace : usable) {
+      telemetry::FrameId leaf = trace->frames.back();
+      ++innermost[leaf];
+      if (symbols.IsUi(leaf)) {
+        ++ui_innermost;
+      }
+    }
+    telemetry::FrameId top = kNoFrame;
+    for (telemetry::FrameId id = 0; id < innermost.size(); ++id) {
+      if (innermost[id] == 0) {
+        continue;
+      }
+      if (top == kNoFrame || innermost[id] > innermost[top] ||
+          (innermost[id] == innermost[top] && KeyLess(symbols, id, top))) {
+        top = id;
+      }
+    }
+
+    if (static_cast<double>(ui_innermost) / total >= config.ui_majority) {
+      telemetry::FrameId top_ui = kNoFrame;
+      for (telemetry::FrameId id = 0; id < innermost.size(); ++id) {
+        if (innermost[id] == 0 || !symbols.IsUi(id)) {
+          continue;
+        }
+        if (top_ui == kNoFrame || innermost[id] > innermost[top_ui] ||
+            (innermost[id] == innermost[top_ui] && KeyLess(symbols, id, top_ui))) {
+          top_ui = id;
+        }
+      }
+      telemetry::FrameId chosen = top_ui != kNoFrame ? top_ui : top;
+      diagnosis.culprit = chosen;
+      diagnosis.occurrence_factor = static_cast<double>(innermost[chosen]) / total;
+      diagnosis.is_ui = true;
+      return diagnosis;
+    }
+
+    double top_occurrence = static_cast<double>(innermost[top]) / total;
+    if (top_occurrence >= config.api_occurrence_threshold) {
+      diagnosis.culprit = top;
+      diagnosis.occurrence_factor = top_occurrence;
+      diagnosis.is_ui = symbols.IsUi(top);
+      return diagnosis;
+    }
+
+    std::vector<int64_t> callers(symbols.size(), 0);
+    std::vector<size_t> caller_depth(symbols.size(), 0);
+    for (const telemetry::StackTrace* trace : usable) {
+      for (size_t depth = 0; depth + 1 < trace->frames.size(); ++depth) {
+        telemetry::FrameId id = trace->frames[depth];
+        ++callers[id];
+        caller_depth[id] = std::max(caller_depth[id], depth);
+      }
+    }
+    telemetry::FrameId best = kNoFrame;
+    for (telemetry::FrameId id = 0; id < callers.size(); ++id) {
+      if (callers[id] == 0) {
+        continue;
+      }
+      double occurrence = static_cast<double>(callers[id]) / total;
+      if (occurrence < config.caller_occurrence_threshold) {
+        continue;
+      }
+      if (best == kNoFrame || caller_depth[id] > caller_depth[best] ||
+          (caller_depth[id] == caller_depth[best] &&
+           (callers[id] > callers[best] ||
+            (callers[id] == callers[best] && KeyLess(symbols, id, best))))) {
+        best = id;
+      }
+    }
+    if (best != kNoFrame) {
+      diagnosis.culprit = best;
+      diagnosis.occurrence_factor = static_cast<double>(callers[best]) / total;
+      diagnosis.is_ui = symbols.IsUi(best);
+      diagnosis.is_self_developed = true;
+      return diagnosis;
+    }
+
+    diagnosis.culprit = top;
+    diagnosis.occurrence_factor = top_occurrence;
+    diagnosis.is_ui = symbols.IsUi(top);
+    return diagnosis;
+  }
+
+  hangdoctor::Diagnosis AnalyzeCausal(std::span<const telemetry::StackTrace> traces,
+                                      const telemetry::SymbolTable& symbols,
+                                      std::span<const telemetry::FrameId> wait_frames) {
+    if (wait_frames.empty()) {
+      return Analyze(traces, symbols);
+    }
+    std::vector<telemetry::StackTrace> main_traces;
+    std::vector<telemetry::StackTrace> async_traces;
+    for (const telemetry::StackTrace& trace : traces) {
+      (trace.thread == telemetry::kMainThread ? main_traces : async_traces).push_back(trace);
+    }
+    hangdoctor::Diagnosis main_diag = Analyze(main_traces, symbols);
+    if (!main_diag.valid) {
+      return main_diag;
+    }
+    bool culprit_is_wait = std::find(wait_frames.begin(), wait_frames.end(),
+                                     main_diag.culprit) != wait_frames.end();
+    if (!culprit_is_wait || async_traces.empty()) {
+      return main_diag;
+    }
+    hangdoctor::Diagnosis async_diag = Analyze(async_traces, symbols);
+    if (!async_diag.valid) {
+      return main_diag;
+    }
+    async_diag.via_async_wait = true;
+    async_diag.wait_frame = main_diag.culprit;
+    if (symbols.IsSelfDeveloped(async_diag.culprit)) {
+      async_diag.is_self_developed = true;
+    }
+    return async_diag;
+  }
+};
+
+void ExpectSameDiagnosis(const hangdoctor::Diagnosis& got, const hangdoctor::Diagnosis& want,
+                         uint64_t seed) {
+  EXPECT_EQ(got.culprit, want.culprit) << "seed " << seed;
+  EXPECT_EQ(got.wait_frame, want.wait_frame) << "seed " << seed;
+  EXPECT_EQ(got.occurrence_factor, want.occurrence_factor) << "seed " << seed;
+  EXPECT_EQ(got.samples_used, want.samples_used) << "seed " << seed;
+  EXPECT_EQ(got.valid, want.valid) << "seed " << seed;
+  EXPECT_EQ(got.is_ui, want.is_ui) << "seed " << seed;
+  EXPECT_EQ(got.is_self_developed, want.is_self_developed) << "seed " << seed;
+  EXPECT_EQ(got.via_async_wait, want.via_async_wait) << "seed " << seed;
+}
+
+// A small table whose census keys sort in an order unrelated to id order (random class
+// names), so exact count ties are decided by the key, not by which id came first.
+void FillRandomTable(simkit::Rng& rng, size_t frames, telemetry::SymbolTable& symbols) {
+  for (size_t i = 0; i < frames; ++i) {
+    telemetry::StackFrame frame;
+    frame.function = "m" + std::to_string(i);
+    frame.clazz = std::string(1, static_cast<char>('a' + rng.UniformInt(0, 25))) + ".C";
+    frame.file = "C.java";
+    frame.line = static_cast<int32_t>(rng.UniformInt(1, 99));
+    symbols.Intern(frame, rng.Bernoulli(0.3), rng.Bernoulli(0.3));
+  }
+}
+
+// Seeded traces in one of three shapes: uniform ids; UI-heavy leaves; or a shared root with
+// one of two callers at equal depth above a light leaf (the case-4 shape). Some samples are
+// empty, some carry an out-of-range id, some come from an async thread.
+std::vector<telemetry::StackTrace> RandomTraces(simkit::Rng& rng,
+                                                const telemetry::SymbolTable& symbols) {
+  const auto size = static_cast<int64_t>(symbols.size());
+  auto any_id = [&] { return static_cast<telemetry::FrameId>(rng.UniformInt(0, size - 1)); };
+  std::vector<telemetry::FrameId> ui_ids;
+  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
+    if (symbols.IsUi(id)) {
+      ui_ids.push_back(id);
+    }
+  }
+  const int64_t shape = rng.UniformInt(0, 2);
+  std::vector<telemetry::StackTrace> traces(static_cast<size_t>(rng.UniformInt(0, 30)));
+  for (telemetry::StackTrace& trace : traces) {
+    trace.thread = rng.Bernoulli(0.25) ? 3 : telemetry::kMainThread;
+    if (rng.Bernoulli(0.08)) {
+      continue;  // idle sample
+    }
+    if (shape == 2) {
+      trace.frames = {0, static_cast<telemetry::FrameId>(1 + rng.UniformInt(0, 1) % (size - 1)),
+                      any_id()};
+    } else {
+      const int64_t depth = rng.UniformInt(1, 6);
+      for (int64_t d = 0; d < depth; ++d) {
+        trace.frames.push_back(any_id());
+      }
+      if (shape == 1 && !ui_ids.empty() && rng.Bernoulli(0.8)) {
+        trace.frames.back() =
+            ui_ids[static_cast<size_t>(rng.UniformInt(0, ui_ids.size() - 1))];
+      }
+    }
+    if (rng.Bernoulli(0.04)) {
+      trace.frames[static_cast<size_t>(rng.UniformInt(0, trace.frames.size() - 1))] =
+          static_cast<telemetry::FrameId>(size + rng.UniformInt(0, 3));
+    }
+  }
+  return traces;
+}
+
+TEST(TraceAnalyzerCensusTest, SparseCensusEqualsTheDenseReference) {
+  const double api_thresholds[] = {0.3, hangdoctor::kApiOccurrenceThreshold, 0.9};
+  const double caller_thresholds[] = {0.2, hangdoctor::kCallerOccurrenceThreshold, 0.9};
+  const double ui_majorities[] = {0.4, hangdoctor::kUiMajorityThreshold};
+  int64_t key_ties = 0;
+  std::map<std::string, int> outcomes;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    simkit::Rng rng(seed);
+    hangdoctor::TraceAnalyzerConfig config;
+    config.api_occurrence_threshold = api_thresholds[rng.UniformInt(0, 2)];
+    config.caller_occurrence_threshold = caller_thresholds[rng.UniformInt(0, 2)];
+    config.ui_majority = ui_majorities[rng.UniformInt(0, 1)];
+    telemetry::SymbolTable symbols;
+    FillRandomTable(rng, static_cast<size_t>(rng.UniformInt(2, 12)), symbols);
+    const std::vector<telemetry::StackTrace> traces = RandomTraces(rng, symbols);
+    std::vector<telemetry::FrameId> wait_frames;
+    for (int64_t n = rng.UniformInt(0, 2); n > 0; --n) {
+      wait_frames.push_back(
+          static_cast<telemetry::FrameId>(rng.UniformInt(0, symbols.size() - 1)));
+    }
+
+    const hangdoctor::TraceAnalyzer analyzer(config);
+    DenseReference reference{config};
+    ExpectSameDiagnosis(analyzer.Analyze(traces, symbols), reference.Analyze(traces, symbols),
+                        seed);
+    const hangdoctor::Diagnosis causal = analyzer.AnalyzeCausal(traces, symbols, wait_frames);
+    ExpectSameDiagnosis(causal, reference.AnalyzeCausal(traces, symbols, wait_frames), seed);
+    key_ties += reference.key_ties;
+
+    if (!causal.valid) {
+      ++outcomes["invalid"];
+    } else if (causal.via_async_wait) {
+      ++outcomes["async"];
+    } else if (causal.is_self_developed) {
+      ++outcomes["caller"];
+    } else if (causal.is_ui) {
+      ++outcomes["ui"];
+    } else {
+      ++outcomes["api"];
+    }
+  }
+  // The sweep must reach every branch and every kind of tie it claims to check.
+  EXPECT_GT(key_ties, 0);
+  for (const char* outcome : {"invalid", "async", "caller", "ui", "api"}) {
+    EXPECT_GT(outcomes[outcome], 0) << outcome;
+  }
+}
 
 }  // namespace
