@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <optional>
 #include <set>
@@ -58,41 +57,14 @@ std::string Downloads(int64_t n) {
 int Run(int argc, char** argv) {
   // Every argument is validated up front: an unknown flag or a typo'd --app= name fails
   // loudly with the valid spellings instead of silently running the default study.
-  static const char* const kValueFlags[] = {"--fleet-scale=", "--faults=",     "--record=",
-                                            "--replay=",      "--jobs=",       "--shards=",
-                                            "--kb-epoch=",    "--app=",        "--workers=",
-                                            "--migrate-at=",  "--fleet-faults="};
-  static const char* const kBareFlags[] = {"--shared-kb", "--async"};
+  simkit::CheckKnownFlags(argc, argv,
+                          {"--fleet-scale=", "--faults=", "--record=", "--replay=", "--jobs=",
+                           "--shards=", "--kb-epoch=", "--app=", "--workers=", "--migrate-at=",
+                           "--fleet-faults="},
+                          {"--shared-kb", "--async"});
   std::vector<std::string> app_filter;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    bool known = false;
-    for (const char* flag : kBareFlags) {
-      if (std::strcmp(arg, flag) == 0) {
-        known = true;
-        break;
-      }
-    }
-    for (const char* flag : kValueFlags) {
-      if (std::strncmp(arg, flag, std::strlen(flag)) == 0) {
-        known = true;
-        if (std::strcmp(flag, "--app=") == 0) {
-          app_filter.emplace_back(arg + std::strlen(flag));
-        }
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown flag %s; valid flags:", arg);
-      for (const char* flag : kBareFlags) {
-        std::fprintf(stderr, " %s", flag);
-      }
-      for (const char* flag : kValueFlags) {
-        std::fprintf(stderr, " %sN", flag);
-      }
-      std::fprintf(stderr, "\n");
-      return 2;
-    }
+  for (std::string_view name : simkit::FlagStrings(argc, argv, "--app=")) {
+    app_filter.emplace_back(name);
   }
 
   // Numeric flags parse strictly (simkit/flags.h), also before anything runs: a malformed

@@ -7,8 +7,8 @@
 // routes for a live session is framed once and retained, as wire bytes, in that session's
 // replay prefix (freed the moment the session's result lands). Moving a session is then
 //   drain     MoveRanges (epoch bump) -> kCtrlHandoff to the old owner, behind every frame
-//             still buffered for it -> await kHandoffAck (the discard rides the worker's
-//             session rings, so it lands strictly after every routed record) -> append each
+//             still buffered for it -> await kHandoffAck (the worker applies the discard
+//             in link order, so it lands strictly after every routed record) -> append each
 //             prefix to the new owner's buffer -> resume routing.
 //   failover  Fence the dead worker (epoch bump), drop its unwritten buffer, and replay the
 //             prefixes of its unfinished sessions on the lowest live worker. Nothing is

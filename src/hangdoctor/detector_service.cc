@@ -156,12 +156,14 @@ DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry:
     std::lock_guard<simkit::SpinLock> lock(shard.lock);
     // Copy the arena pointer out under the lock: the map slot itself may move on rehash, the
     // SessionSlot never does. Safe to use unlocked because a session has one producer — no
-    // other thread can close it while its producer is still pushing.
-    if (std::unique_ptr<SessionSlot>* found = shard.live.Find(id)) {
+    // other thread can close it while its producer is still pushing. The source is checked
+    // under the lock too: another source's record may race the owner's close.
+    std::unique_ptr<SessionSlot>* found = shard.live.Find(id);
+    if (found != nullptr && (*found)->source == source) {
       slot = found->get();
     }
   }
-  if (slot == nullptr || slot->source != source) {
+  if (slot == nullptr) {
     ThrowNotOpen(id, source);
   }
   return slot;
@@ -314,7 +316,8 @@ void DetectorService::EnqueueBatch(size_t shard_index, IngestBatch&& batch) {
   }
 }
 
-void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
+std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
+  Shard& shard = ShardFor(ref.session);
   IngestCompletion::Kind ended;
   std::unique_ptr<SessionSlot> removed;
   try {
@@ -324,7 +327,7 @@ void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
         std::unique_ptr<SessionSlot> slot = BuildSlot(payload.info, payload.config);
         slot->source = ref.source;
         InsertSlot(shard, ref.session, std::move(slot));
-        return;
+        return std::nullopt;
       }
       case SpiPayload::Kind::kKbPublish:
         // A replayed epoch boundary. Publish() is internally serialized, so concurrent
@@ -333,7 +336,7 @@ void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
         if (options_.knowledge_base != nullptr) {
           options_.knowledge_base->Publish();
         }
-        return;
+        return std::nullopt;
       case SpiPayload::Kind::kSessionClose:
         ended = IngestCompletion::Kind::kClosed;
         break;
@@ -345,26 +348,24 @@ void DetectorService::ApplyRecord(Shard& shard, ServiceRecordRef ref) {
         break;
       default:
         PushSpiPayload(*FindSlot(shard, ref.session, ref.source)->core, payload);
-        return;
+        return std::nullopt;
     }
     removed = RemoveSlot(shard, ref.session, ref.source);
   } catch (const std::exception& e) {
-    // The pipeline cannot throw into its producer; report and keep applying. One bad
-    // session must not poison the other sessions sharing its shard.
-    IngestCompletion failed;
-    failed.ref = ref;
-    failed.error = e.what();
-    Complete(shard, failed);
-    return;
+    // Reported, not thrown: one bad session must not poison the other sessions sharing its
+    // shard, and a shard worker has no caller to throw to.
+    std::optional<IngestCompletion> failed(std::in_place);
+    failed->ref = ref;
+    failed->error = e.what();
+    return failed;
   }
-  IngestCompletion done;
-  done.kind = ended;
-  done.ref = ref;
+  std::optional<IngestCompletion> done(std::in_place);
+  done->kind = ended;
+  done->ref = ref;
   if (ended == IngestCompletion::Kind::kClosed) {
-    done.result = Harvest(ref.session, std::move(removed));
+    done->result = Harvest(ref.session, std::move(removed));
   }
-  removed.reset();  // an aborted or handed-off session's arena goes unharvested
-  Complete(shard, done);
+  return done;  // an aborted or handed-off session's arena dies here, unharvested
 }
 
 void DetectorService::Complete(Shard& shard, IngestCompletion& completion) {
@@ -405,12 +406,11 @@ void DetectorService::WorkerLoop(size_t worker_index) {
           if (hooks_.before_apply) {
             hooks_.before_apply(ref);
           }
-          ApplyRecord(shard, ref);
+          if (std::optional<IngestCompletion> done = Apply(ref)) {
+            Complete(shard, *done);
+          }
         }
         self.busy.store(false, std::memory_order_relaxed);
-        if (hooks_.after_batch) {
-          hooks_.after_batch(s, batch.refs);
-        }
         // Release pairs with the barrier's acquire: it publishes `closed`, `errors` and
         // everything the hooks did along with the count.
         shard.processed.fetch_add(1, std::memory_order_release);
@@ -486,7 +486,9 @@ std::vector<SessionResult> DetectorService::Consume(std::span<const ServiceRecor
   if (workers_.empty()) {
     // Without workers the caller's thread applies each record exactly as a worker would.
     for (const ServiceRecord& record : stream) {
-      ApplyRecord(ShardFor(record.session), {record.session, &record.record});
+      if (std::optional<IngestCompletion> done = Apply({record.session, &record.record})) {
+        Complete(ShardFor(record.session), *done);
+      }
     }
   } else {
     Ingestor ingestor(this);  // flushes as it goes out of scope

@@ -25,11 +25,13 @@
 //    An idle worker parks on a futex-backed wake counter that producers bump once per
 //    pushed batch: no polling while idle, no sleep-granularity latency when work arrives.
 //    Directives cannot flow back through a ring, so the pipeline is for telemetry that is
-//    already recorded or streamed (mux-log replay, hangdoctord's wire ingest); a live
-//    co-simulated host, such as the fleet runner's, keeps using synchronous push.
-//    A producer that answers for its records (hangdoctord) installs IngestHooks: session
-//    ends and refused records reach on_complete, each applied batch comes back through
-//    after_batch, so the producer is woken once per batch rather than once per record.
+//    already recorded (mux-log replay, in-process producers); a live co-simulated host,
+//    such as the fleet runner's, keeps using synchronous push. A producer that answers for
+//    its records installs IngestHooks: session ends and refused records reach on_complete.
+//
+//  - In-place apply (Apply): the caller's thread applies one record exactly as a shard
+//    worker would and gets the session's completion back. hangdoctord's epoll workers apply
+//    every record they decode this way, on the thread that read its bytes.
 //
 // Concurrency and determinism contract:
 //  - Each session's records are pushed in session order by one producer (the natural shape:
@@ -61,6 +63,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -142,8 +145,8 @@ struct IngestError {
   std::string message;
 };
 
-// How a pipelined record ended its session, or why it could not be applied. Reported to
-// IngestHooks::on_complete on the worker that owns the session's shard.
+// How a record ended its session, or why it could not be applied. Returned by Apply, and
+// reported to IngestHooks::on_complete on the worker that owns the session's shard.
 struct IngestCompletion {
   enum class Kind : uint8_t {
     kClosed,     // a kSessionClose harvested the session into `result`
@@ -166,9 +169,6 @@ struct IngestHooks {
   // apply. When set, closed results and errors come here instead of being kept for
   // DrainClosed / TakeIngestErrors.
   std::function<void(IngestCompletion&)> on_complete;
-  // After every record of a batch has been applied: from here on the pipeline no longer
-  // references the batch's payloads.
-  std::function<void(size_t shard, std::span<const ServiceRecordRef> batch)> after_batch;
 };
 
 class DetectorService {
@@ -269,6 +269,15 @@ class DetectorService {
   // Drops a session without harvesting (client error path: the producer died mid-stream).
   void Discard(telemetry::SessionId id);
 
+  // Applies one record on the calling thread, as a shard worker applies it: an open, a
+  // record, a close, an abort or a handoff, with the same `source` ownership check. Returns
+  // the session's completion when the record ended it (closed, aborted, handed off) or
+  // could not be applied (kError; nothing is thrown), and nothing otherwise. Hooks are not
+  // called. Calls for distinct sessions may run concurrently: the shard spin lock guards
+  // every map probe. One session's records must come from one thread, in order, and a
+  // session applied here is never also pushed through the pipeline.
+  std::optional<IngestCompletion> Apply(ServiceRecordRef ref);
+
   // The sessions currently live, ascending. Callers must quiesce their producers first
   // (the snapshot is not a barrier).
   std::vector<telemetry::SessionId> LiveSessionIds() const;
@@ -368,7 +377,6 @@ class DetectorService {
 
   // Pipeline internals.
   void EnqueueBatch(size_t shard_index, IngestBatch&& batch);
-  void ApplyRecord(Shard& shard, ServiceRecordRef ref);
   void Complete(Shard& shard, IngestCompletion& completion);
   // Barrier, then moves every shard's `pending` items out, shards in index order.
   template <typename T>

@@ -39,8 +39,8 @@ struct SpiPayload {
     kAsyncRun = 8,
     kAsyncWaitStart = 9,
     kAsyncWaitEnd = 10,
-    // Pipeline control records: drop the session without harvesting it. They travel the
-    // session's ring like any record, so each lands after every record pushed before it.
+    // Control records: drop the session without harvesting it. They follow the session's
+    // records like any record, so each lands after every record pushed before it.
     // kSessionAbort ends a torn session (its producer died mid-stream); kSessionHandoff
     // ends one that is being replayed on another owner.
     kSessionAbort = 11,
@@ -67,10 +67,10 @@ using ServiceRecord = telemetry::SessionStamped<SpiPayload>;
 // A non-owning view of one stream element — what travels through the ingest pipeline's
 // rings: 24 bytes, so N sessions replaying one shared donor stream cost N refs, not N copies.
 // The payload must stay alive until the record is applied (the service's ingest barrier, or
-// the pipeline's after_batch hook). `source` names the producer-side owner (hangdoctord: the
-// connection): a pipelined session belongs to the source of its open, and a record, close,
-// abort or handoff from another source is refused, so a losing duplicate open can never
-// feed, harvest or discard the winner's session. Null for single-source producers.
+// the return of DetectorService::Apply). `source` names the producer-side owner
+// (hangdoctord: the connection): a session belongs to the source of its open, and a record,
+// close, abort or handoff from another source is refused, so a losing duplicate open can
+// never feed, harvest or discard the winner's session. Null for single-source producers.
 struct ServiceRecordRef {
   telemetry::SessionId session;
   const SpiPayload* record = nullptr;

@@ -4,17 +4,23 @@
 // in-flight session, print the merged fleet Hang Bug Report, exit 0.
 //
 // Usage:
-//   hangdoctord [--port=N] [--workers=N] [--rings=N] [--shards=N] [--budget-mb=N]
+//   hangdoctord [--port=N] [--workers=N] [--shards=N] [--budget-mb=N]
 //               [--max-connections=N] [--worker] [--watchdog-ms=N] [--drain-ms=N]
 //
 // --port=0 (default) binds an ephemeral port; the banner line "listening on port N" names
-// it, which is how scripts/netd_smoke.sh and the loadgen find the daemon. A malformed
-// numeric value (--port=abc) exits with status 2.
+// it, which is how scripts/netd_smoke.sh and the loadgen find the daemon. An unknown flag
+// or a malformed numeric value (--port=abc) exits with status 2.
+//
+// --workers=N epoll threads each read, decode and apply their connections' records: one
+// connection's sessions apply on one thread, so more connections (or more worker daemons
+// under fleetd) are how ingest scales out. --shards=N spreads the session map's locks.
 //
 // --worker runs the daemon as a fleetd shard-group member: worker-role HELLOs are accepted
 // (coordinator control frames + per-close kSessionResult replies) and the self-watchdog is
-// armed (default 2000 ms; tune with --watchdog-ms) so a wedged shard worker forfeits the
-// lease and the coordinator migrates this worker's sessions. --drain-ms bounds the shutdown
+// armed (default 2000 ms; tune with --watchdog-ms). A record that wedges an epoll worker
+// past it forfeits the lease: heartbeats on links the other epoll workers serve report it,
+// and links the wedged worker serves stop answering until the coordinator's lease expires;
+// either way the coordinator migrates this worker's sessions. --drain-ms bounds the shutdown
 // drain: a drain that cannot finish inside the deadline reports the undrained session ids
 // (the coordinator recovers them by HDSL replay) instead of hanging the exit.
 #include <algorithm>
@@ -34,9 +40,12 @@ int main(int argc, char** argv) {
   netd::ServerOptions options;
   int64_t drain_ms = 0;
   try {
+    simkit::CheckKnownFlags(argc, argv,
+                            {"--port=", "--workers=", "--shards=", "--budget-mb=",
+                             "--max-connections=", "--watchdog-ms=", "--drain-ms="},
+                            {"--worker"});
     options.port = static_cast<uint16_t>(FlagInt(argc, argv, "--port=", 0));
     options.workers = static_cast<int32_t>(FlagInt(argc, argv, "--workers=", 2));
-    options.rings = static_cast<int32_t>(FlagInt(argc, argv, "--rings=", 0));
     options.service.shards =
         static_cast<int32_t>(FlagInt(argc, argv, "--shards=", options.workers));
     options.session_budget_bytes = FlagInt(argc, argv, "--budget-mb=", 256) << 20;
@@ -61,9 +70,8 @@ int main(int argc, char** argv) {
 
   try {
     netd::NetServer server(options);
-    std::printf("hangdoctord listening on port %u (%d workers, %d rings, %d shards%s)\n",
-                server.port(), options.workers, server.service().ingest_threads(),
-                server.service().shards(),
+    std::printf("hangdoctord listening on port %u (%d workers, %d shards%s)\n",
+                server.port(), options.workers, server.service().shards(),
                 options.allow_worker_role ? ", worker mode" : "");
     std::fflush(stdout);
 
@@ -81,7 +89,7 @@ int main(int argc, char** argv) {
         }
         std::printf("\n");
         std::fflush(stdout);
-        // A wedged shard worker cannot be joined; the coordinator replays the undrained
+        // A wedged epoll worker cannot be joined; the coordinator replays the undrained
         // sessions elsewhere. Exit without running the blocking destructor.
         std::_Exit(2);
       }

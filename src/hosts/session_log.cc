@@ -288,15 +288,22 @@ bool ParseRecordBody(Parser& parser, const telemetry::SymbolTable& symbols,
       record->end.event_index = static_cast<int32_t>(parser.GetSigned());
       record->end.response = parser.GetSigned();
       record->end.trace_stopped = parser.GetByte() != 0;
-      record->samples.clear();  // a reused record may still hold an earlier record's samples
+      // A reused record keeps its earlier samples' elements and their frame capacity: they
+      // are overwritten one at a time and the rest truncated, so a warm parse allocates
+      // nothing. Every reserve is capped by the bytes left.
+      size_t parsed = 0;
       if (record->end.trace_stopped) {
         uint64_t num_samples = parser.GetVarint();
         record->samples.reserve(std::min<uint64_t>(num_samples, parser.remaining()));
-        for (uint64_t s = 0; parser.ok() && s < num_samples; ++s) {
-          telemetry::StackTrace sample;
+        for (; parser.ok() && parsed < num_samples; ++parsed) {
+          if (parsed == record->samples.size()) {
+            record->samples.emplace_back();
+          }
+          telemetry::StackTrace& sample = record->samples[parsed];
           sample.timestamp_ns = parser.GetSigned();
           sample.thread = static_cast<telemetry::ThreadId>(parser.GetVarint());
           uint64_t depth = parser.GetVarint();
+          sample.frames.clear();
           sample.frames.reserve(std::min<uint64_t>(depth, parser.remaining()));
           for (uint64_t f = 0; parser.ok() && f < depth; ++f) {
             uint64_t frame_id = parser.GetVarint();
@@ -307,9 +314,9 @@ bool ParseRecordBody(Parser& parser, const telemetry::SymbolTable& symbols,
             }
             sample.frames.push_back(static_cast<telemetry::FrameId>(frame_id));
           }
-          record->samples.push_back(std::move(sample));
         }
       }
+      record->samples.resize(parsed);
       break;
     }
     case SessionRecordTag::kActionQuiesce: {
@@ -775,7 +782,9 @@ bool ToSpiPayload(SessionRecord&& record, SpiPayload* payload) {
       return true;
     case SessionRecordTag::kDispatchEnd:
       payload->end = record.end;
-      payload->samples = std::move(record.samples);
+      // Swapped, not moved: the record gets the payload's old sample buffers back, so a
+      // decoder that reuses both parses the next sampled record without allocating.
+      payload->samples.swap(record.samples);
       payload->kind = SpiPayload::Kind::kDispatchEnd;
       return true;
     case SessionRecordTag::kActionQuiesce:

@@ -1,40 +1,42 @@
 // hangdoctord's network core: an epoll server that ingests HDSL wire streams from thousands
 // of connections into one shared DetectorService.
 //
-// One ingest pipeline (DESIGN.md section 3.9), the DetectorService's own:
+// One thread per connection (DESIGN.md section 3.9): the epoll worker that reads a
+// connection's bytes also decodes, applies and answers for every record in them.
 //
-//   acceptor → epoll worker + Ingestor → shard rings → shard worker → completion
-//            → batched reply wake → epoll worker writes
+//   acceptor → epoll worker: read → FrameSplitter → MuxStreamDecoder
+//                            → DetectorService::Apply → reply appended
+//                            → one send per read chunk
 //
 //   acceptor        hands accepted fds to epoll workers round-robin (kBusy + close past
 //                   max_connections).
 //   epoll workers   `workers` threads, each owning whole connections: reads, FrameSplitter,
-//                   HELLO, in-place MuxStreamDecoder, admission, and every reply's write.
-//                   Decoded records go into the worker's Ingestor, flushed once per epoll
-//                   round: one ring push per shard per round, not per record.
-//   shard workers   the service's `rings` threads. A session's records travel one ring in
-//                   stream order and are applied by one worker, which is what keeps wire
-//                   ingest bit-identical to the per-job oracle at any topology. Completions
-//                   become replies or outcomes; after each batch a connection's pending
-//                   count is settled once, and its epoll worker is woken at most once —
-//                   only if the batch produced a reply or an error or emptied the count.
+//                   HELLO, MuxStreamDecoder into the connection's one reused DecodedFrame,
+//                   admission, and DetectorService::Apply on the decoded payload, in place.
+//                   A session belongs to the connection that opened it, so its records
+//                   apply on one thread in stream order, which keeps wire ingest
+//                   bit-identical to the per-job oracle at any topology. A record's
+//                   completion (close, abort, handoff, error) is answered right there: the
+//                   budget is released, kSessionClosed (plus kSessionResult on worker links)
+//                   is appended to the connection's replies, the outcome is retained. The
+//                   replies one read chunk produced leave in one send.
 //
-// The hand-off: a decoded frame is written once, straight into a pooled ring record, and
-// routing it touches only that record. The epoll worker counts what it routes on its own
-// thread and publishes the counts in blocks: a connection's routed records join its
-// pending count once per read chunk, a shard's once per batch (64 records). A shard worker
-// subtracts a batch's share with one step per connection and returns the batch's spent
-// records with one splice per epoll worker. Records name their connection by plain
-// pointer; a connection outlives every record that names it: its epoll worker keeps it
-// until everything it routed has been applied, and a shard worker holds a reference to
-// each connection of a batch while it settles the batch.
+// Two epoll workers may apply to the same service shard at once: the shard's spin lock
+// guards every session-map probe, and each session's detector state is touched by its one
+// connection's thread only. Scale-out comes from more connections and epoll workers, or from
+// more worker daemons under fleetd: one connection's sessions apply on one thread.
 //
-// Flow control: at most `ring_capacity` session records are in flight per shard ring, to
-// within one batch per other epoll worker (whose latest block is not yet published). At
-// the cap the record parks on its connection with EPOLLIN off (TCP backpressure) until a
-// shard worker frees space; nothing is dropped. Replies are capped the same way: once a
+// Flow control is TCP's: a worker does not read while it applies, so a peer that sends
+// faster than its records apply fills its socket and blocks. Replies are capped: once a
 // connection's unsent replies pass kMaxUnsentReplyBytes (a peer that sends and does not
 // read) its reads pause until they fall below half of it.
+//
+// Watchdog: each epoll worker publishes single-writer progress/busy counters, and the
+// watchdog thread flags a worker busy on one record past `watchdog_timeout_ms`. A wedged
+// apply holds its epoll worker: the links that worker serves stop answering (heartbeats
+// included), so a coordinator fences them by lease expiry, while heartbeats on links served
+// by the other epoll workers carry applier_stuck / lease_failed. A wedge stalls only the
+// connections of its own epoll worker.
 //
 // Admission: live open-header bytes are budgeted. An open that would exceed
 // `session_budget_bytes` is refused with a structured kBusy reply; the session is never
@@ -42,9 +44,9 @@
 //
 // Drain: BeginDrain() stops accepting, takes in only what each peer had already sent (so a
 // peer that hung up before the drain is seen as gone and its torn sessions abort), then
-// stops reading, force-closes every in-flight session through the rings (harvesting their
-// results — "flush in-flight sessions"), flushes replies, and closes. SIGTERM in
-// hangdoctord maps to exactly this.
+// stops reading, force-closes every in-flight session in place (harvesting their results —
+// "flush in-flight sessions"), flushes replies, and closes. SIGTERM in hangdoctord maps to
+// exactly this.
 #ifndef SRC_NETD_SERVER_H_
 #define SRC_NETD_SERVER_H_
 
@@ -61,23 +63,21 @@
 
 namespace netd {
 
-// A connection's unsent reply bytes past which the daemon stops reading it, as for a parked
-// record; reading resumes below half of it. A worker-role link's kSessionResult replies are
+// A connection's unsent reply bytes past which the daemon stops reading it; reading resumes
+// below half of it. A worker-role link's kSessionResult replies are
 // the largest, so a coordinator that stops reading is paused within a few hundred sessions.
 inline constexpr size_t kMaxUnsentReplyBytes = size_t{128} << 10;
 
 struct ServerOptions {
-  // Shared detector backend. `service.threads` must stay 0 (a nonzero value throws):
-  // `rings` sets the pipeline's shard workers, and the server sizes the service's rings and
-  // batches itself. `service.shards` is raised to `rings` when smaller.
+  // Shared detector backend. `service.threads` must stay 0 (a nonzero value throws): the
+  // epoll workers apply every record themselves. `service.shards` (>= 1) only spreads the
+  // session map's spin locks.
   hangdoctor::ServiceOptions service;
-  // Epoll worker threads (>= 1).
+  // Epoll worker threads (>= 1): each reads, decodes and applies its connections' records.
   int32_t workers = 1;
-  // Ingest (shard worker) threads (>= 1); 0 resolves to `workers`.
+  // Ignored: records no longer cross to shard workers. Kept only because the ladder
+  // benchmark still sets it; its next change deletes it.
   int32_t rings = 0;
-  // Session records in flight (routed, not yet applied) per shard ring, >= 1; exceeded by at
-  // most one batch per other epoll worker.
-  int32_t ring_capacity = 1024;
   // TCP listener. port 0 binds an ephemeral port (read it back via port()); listen = false
   // skips the listener entirely — connections arrive only via AdoptConnection (the
   // socketpair test shape).
@@ -95,14 +95,14 @@ struct ServerOptions {
   // kSessionResult replies. Off by default so a plain daemon rejects a stray coordinator at
   // HELLO time instead of half-speaking the fleet protocol.
   bool allow_worker_role = false;
-  // Self-watchdog (LCI hang_detector idiom): a thread that flags any shard worker stuck
+  // Self-watchdog (LCI hang_detector idiom): a thread that flags any epoll worker stuck
   // longer than this on a single record, surfaces it in heartbeat health, and force-fails
-  // the lease so the coordinator migrates this worker's sessions. 0 = no watchdog thread.
+  // the lease so the coordinator migrates this daemon's sessions. 0 = no watchdog thread.
   int64_t watchdog_timeout_ms = 0;
   // Watchdog sampling period.
   int64_t watchdog_poll_ms = 20;
-  // Test hook: invoked on the shard worker with the session id immediately before each
-  // record is applied. Lets tests wedge a shard worker deterministically (watchdog +
+  // Test hook: invoked on the epoll worker with the session id immediately before each
+  // record is applied. Lets tests wedge an epoll worker deterministically (watchdog +
   // bounded-Stop coverage) without sleeping on real hangs. Must be set before construction.
   std::function<void(uint64_t)> before_apply;
 };
@@ -126,6 +126,8 @@ struct ServerStats {
   std::atomic<int64_t> sessions_refused{0};
   std::atomic<int64_t> sessions_aborted{0};
   std::atomic<int64_t> sessions_closed{0};
+  // Always 0: TCP backpressure is a worker not reading while it applies, and nothing
+  // parks. Kept only because the ladder benchmark reads it; its next change deletes it.
   std::atomic<int64_t> backpressure_pauses{0};
   // Reads paused because a connection's unsent replies passed kMaxUnsentReplyBytes.
   std::atomic<int64_t> reply_pauses{0};
@@ -160,7 +162,7 @@ class NetServer {
   void BeginDrain();
 
   // BeginDrain + join everything. Idempotent; the destructor calls it. The drain wait is
-  // generous (10 s) but the joins are unconditional — a wedged shard worker makes this block;
+  // generous (10 s) but the joins are unconditional — a wedged epoll worker makes this block;
   // use the deadline overload when shutdown must be bounded.
   void Stop();
 
@@ -169,7 +171,7 @@ class NetServer {
   // session ids still live in the service — the undrained sessions a coordinator must
   // recover by HDSL replay elsewhere — WITHOUT joining, leaving the machinery intact: the
   // server stays drainable, and a later Stop()/destructor finishes shutdown once the wedge
-  // clears (a stuck shard worker cannot be force-killed; it can only be disowned).
+  // clears (a stuck epoll worker cannot be force-killed; it can only be disowned).
   std::vector<uint64_t> Stop(int64_t drain_timeout_ms);
 
   // Outcomes of every session that closed (or aborted) so far, except clean closes on
@@ -178,7 +180,7 @@ class NetServer {
   // callers quiesce first (WaitIdle or Stop).
   std::vector<NetSessionOutcome> TakeResults();
 
-  // Blocks until no connection is live and every routed record has been applied, or
+  // Blocks until no connection is live (so every record read has been applied), or
   // `timeout_ms` elapses. Returns true on quiescence.
   bool WaitIdle(int64_t timeout_ms);
 
@@ -188,9 +190,9 @@ class NetServer {
   const ServerStats& stats() const { return stats_; }
   hangdoctor::DetectorService& service() { return *service_; }
 
-  // Self-watchdog health (heartbeat fields). applier_stuck tracks the current shard-worker
+  // Self-watchdog health (heartbeat fields). applier_stuck tracks the current epoll-worker
   // wedge and clears when it makes progress again; lease_failed is sticky — once a wedge
-  // crossed the timeout, this worker's lease is forfeit and its sessions migrate.
+  // crossed the timeout, this daemon's lease is forfeit and its sessions migrate.
   bool applier_stuck() const;
   bool lease_failed() const;
   // Newest coordinator fencing epoch seen on any control frame.
@@ -198,8 +200,8 @@ class NetServer {
 
  private:
   struct Impl;
-  // Declared before impl_ so it is destroyed after it: the epoll workers' Ingestors in
-  // impl_ must never outlive the service they feed.
+  // Declared before impl_ so it is destroyed after it: the service outlives every
+  // connection whose sessions it holds.
   std::unique_ptr<hangdoctor::DetectorService> service_;
   std::unique_ptr<Impl> impl_;
   std::atomic<int64_t> live_connections_{0};

@@ -34,8 +34,8 @@
 //   kCtrlHandoff   varint epoch, varint count, count x varint session_id — migrate-away
 //                  order: the worker quietly discards each named live session (no outcome is
 //                  recorded; the coordinator replays the session's HDSL prefix on its new
-//                  owner). The discards route through the session rings like records, so a
-//                  handoff lands strictly after every record routed before it. Each named
+//                  owner). The discards apply in stream order like records, so a handoff
+//                  lands strictly after every record the link sent before it. Each named
 //                  session also ends in the link's stream decoder, so the coordinator may
 //                  later send it back with a fresh open. Answered with kHandoffAck once
 //                  every named session is gone, or kStaleEpoch.
@@ -55,7 +55,8 @@
 // Server → worker-role client only:
 //   kHeartbeatAck  varint epoch, varint live_sessions, varint records_applied, byte
 //                  applier_stuck, byte lease_failed — structured health. applier_stuck is
-//                  the self-watchdog verdict (a shard worker wedged > timeout on one record);
+//                  the self-watchdog verdict (an epoll worker wedged > timeout on one
+//                  record: a link that worker serves answers nothing meanwhile);
 //                  lease_failed is sticky and tells the coordinator to migrate everything
 //                  this worker holds.
 //   kStaleEpoch    varint lease_epoch — the control frame carried an epoch older than the

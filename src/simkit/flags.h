@@ -10,6 +10,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -81,6 +82,34 @@ inline bool HasFlag(int argc, char** argv, std::string_view flag) {
     }
   }
   return false;
+}
+
+// Throws FlagError naming the first argument that is neither one of `bare` exactly nor
+// starts with one of `valued` (each spelled with its `=`), with the valid spellings: a
+// typo'd or retired flag fails loudly instead of being silently ignored.
+inline void CheckKnownFlags(int argc, char** argv,
+                            std::initializer_list<std::string_view> valued,
+                            std::initializer_list<std::string_view> bare) {
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg(argv[i]);
+    bool known = false;
+    for (std::string_view flag : bare) {
+      known = known || arg == flag;
+    }
+    for (std::string_view flag : valued) {
+      known = known || arg.starts_with(flag);
+    }
+    if (!known) {
+      std::string message = "unknown flag " + std::string(arg) + "; valid flags:";
+      for (std::string_view flag : bare) {
+        message += " " + std::string(flag);
+      }
+      for (std::string_view flag : valued) {
+        message += " " + std::string(flag) + "N";
+      }
+      throw FlagError(message);
+    }
+  }
 }
 
 }  // namespace simkit

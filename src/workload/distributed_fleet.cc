@@ -125,8 +125,7 @@ DistributedFleetResult RunDistributedFleetFromLogs(
   std::vector<fleetd::WorkerEndpoint> endpoints;
   for (int32_t w = 0; w < options.workers; ++w) {
     netd::ServerOptions server_options;
-    server_options.workers = 1;  // one epoll worker feeding two shard workers
-    server_options.rings = 2;
+    server_options.workers = 1;  // one coordinator link: one epoll worker applies it
     server_options.service.shards = 4;
     server_options.service.seed_db = options.known_db;
     server_options.listen = false;

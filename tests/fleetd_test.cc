@@ -439,7 +439,6 @@ std::vector<std::string> SessionFrames(size_t session_index) {
 netd::ServerOptions WorkerOptions() {
   netd::ServerOptions options;
   options.workers = 1;
-  options.rings = 2;
   options.service.shards = 4;
   options.listen = false;
   options.allow_worker_role = true;
@@ -617,6 +616,7 @@ TEST(WorkerServerTest, WatchdogFlagsWedgedApplierAndBoundedStopReturnsUndrained)
   std::atomic<bool> release{false};
   std::atomic<int> session2_applies{0};
   netd::ServerOptions options = WorkerOptions();
+  options.workers = 2;  // the wedge holds one epoll worker; the other answers heartbeats
   options.watchdog_timeout_ms = 50;
   options.watchdog_poll_ms = 10;
   // Wedge on session 2's SECOND apply (its first record): the open must land first so the
@@ -636,7 +636,10 @@ TEST(WorkerServerTest, WatchdogFlagsWedgedApplierAndBoundedStopReturnsUndrained)
     std::atomic<bool>* flag;
     ~ReleaseOnExit() { flag->store(true); }
   } release_guard{&release};
+  // Round-robin adoption: the session link lands on the first epoll worker, the health link
+  // on the second.
   netd::NetClient client = WorkerLink(&server);
+  netd::NetClient health = WorkerLink(&server);
 
   // Session 1 travels cleanly first (so its replies cannot queue behind the wedge)...
   for (const std::string& frame : SessionFrames(0)) {
@@ -651,9 +654,9 @@ TEST(WorkerServerTest, WatchdogFlagsWedgedApplierAndBoundedStopReturnsUndrained)
   }
   ASSERT_TRUE(saw_closed && saw_result) << client.error();
 
-  // ...then session 2's first apply wedges its applier on the latch. Only a handful of
-  // frames travel: the wedged ring drains nothing, so flooding the whole session would
-  // fill it, park the connection, and block this thread's sends forever.
+  // ...then session 2's first record wedges its epoll worker on the latch. Only a handful of
+  // frames travel: the wedged worker reads nothing more, so flooding the whole session would
+  // fill the socket and block this thread's sends forever.
   std::vector<std::string> frames = SessionFrames(1);
   for (size_t i = 0; i < std::min<size_t>(frames.size() - 1, 8); ++i) {
     ASSERT_TRUE(client.SendFrame(frames[i])) << client.error();
@@ -668,9 +671,10 @@ TEST(WorkerServerTest, WatchdogFlagsWedgedApplierAndBoundedStopReturnsUndrained)
   EXPECT_TRUE(server.lease_failed()) << "a wedge past the timeout forfeits the lease";
   EXPECT_GE(server.stats().watchdog_trips.load(), 1);
 
-  // The wedge is visible on the wire: heartbeat health carries both flags.
-  ASSERT_TRUE(client.SendFrame(netd::BuildHeartbeat(1)));
-  ASSERT_TRUE(client.ReadReply(&reply)) << client.error();
+  // The wedge is visible on the wire: heartbeat health carries both flags on a link the
+  // other epoll worker serves (the wedged one's links answer nothing until it resumes).
+  ASSERT_TRUE(health.SendFrame(netd::BuildHeartbeat(1)));
+  ASSERT_TRUE(health.ReadReply(&reply)) << health.error();
   ASSERT_EQ(reply.tag, netd::ReplyTag::kHeartbeatAck);
   EXPECT_TRUE(reply.applier_stuck);
   EXPECT_TRUE(reply.lease_failed);

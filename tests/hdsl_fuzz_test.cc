@@ -471,7 +471,6 @@ TEST(NetdWireFuzzTest, SeededWireMutantsParseOrStickyRejectNeverCrash) {
   netd::ServerOptions options;
   options.listen = false;
   options.workers = 1;
-  options.rings = 1;
   options.service.shards = 2;
   netd::NetServer server(options);
 

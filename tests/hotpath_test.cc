@@ -2,20 +2,26 @@
 // against a naive reference model, its memory is shown to be bounded by live events rather
 // than cancellation volume, symbol interning is shown to assign identical ids across
 // independent runs (the fleet-sharding determinism contract), the steady-state sampling
-// path is shown to perform zero heap allocations, and a sampled record parses with one
-// allocation per sample.
+// path is shown to perform zero heap allocations, and a warm sampled record parses (bare, or
+// as a container frame through the stream decoder) with no allocation.
 //
 // This suite lives in its own binary because it replaces the global operator new/delete with
 // counting versions; keeping that out of the other test binaries avoids any interference.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <new>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +32,7 @@
 #include "src/droidsim/phone.h"
 #include "src/droidsim/stack_sampler.h"
 #include "src/droidsim/symbols.h"
+#include "src/hosts/mux_log.h"
 #include "src/hosts/session_log.h"
 #include "src/kernelsim/kernel.h"
 #include "src/kernelsim/uarch.h"
@@ -357,16 +364,23 @@ TEST_F(ZeroAllocationTest, WarmEventQueueCycleDoesNotAllocate) {
   EXPECT_EQ(sink, 500);
 }
 
-// A kDispatchEnd of 25 samples of depth 35 (a deep app's hang) parsed into a warm, reused
-// SessionRecord: the sample vector is reserved once and each sample's frame vector once, so
-// the parse allocates one frame buffer per sample, never a regrowth.
-TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
-  constexpr int kSamples = 25;
-  constexpr int kDepth = 35;
-  telemetry::SymbolTable symbols;
-  for (int i = 0; i < kDepth; ++i) {
-    symbols.Intern({"f", "C", "C.java", i + 1}, false);  // distinct by line
-  }
+// A kDispatchEnd of 25 samples of depth 35 (a deep app's hang), and a table its frame ids
+// index.
+constexpr int kSamples = 25;
+constexpr int kDepth = 35;
+
+const telemetry::SymbolTable& DeepTable() {
+  static const telemetry::SymbolTable* table = [] {
+    auto* symbols = new telemetry::SymbolTable();
+    for (int i = 0; i < kDepth; ++i) {
+      symbols->Intern({"f", "C", "C.java", i + 1}, false);  // distinct by line
+    }
+    return symbols;
+  }();
+  return *table;
+}
+
+std::string SampledDispatchEnd() {
   std::string bytes(1, static_cast<char>(hangdoctor::SessionRecordTag::kDispatchEnd));
   for (int64_t field : {1000, 7, 0, 250}) {  // now, execution id, event index, response
     telemetry::PutSigned(&bytes, field);
@@ -381,7 +395,14 @@ TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
       telemetry::PutVarint(&bytes, static_cast<uint64_t>(f));
     }
   }
+  return bytes;
+}
 
+// Parsed into a warm, reused SessionRecord, the record reuses the samples it already holds
+// and their frame buffers: no allocation at all.
+TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
+  const telemetry::SymbolTable& symbols = DeepTable();
+  const std::string bytes = SampledDispatchEnd();
   hangdoctor::SessionRecord record;
   std::string error;
   ASSERT_TRUE(hangdoctor::ParseSessionRecordBytes(bytes, symbols, &record, &error)) << error;
@@ -391,7 +412,57 @@ TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
   ASSERT_TRUE(parsed) << error;
   ASSERT_EQ(record.samples.size(), static_cast<size_t>(kSamples));
   EXPECT_EQ(record.samples.back().frames.size(), static_cast<size_t>(kDepth));
-  EXPECT_LE(allocations, kSamples + 1);
+  EXPECT_EQ(allocations, 0);
+}
+
+// The daemon's decode: the same record as a v3 container frame, decoded by a
+// MuxStreamDecoder into one reused DecodedFrame. The decoder swaps sample buffers with the
+// frame's payload, so from the third decode on (both buffers warm) it allocates nothing.
+TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
+  const telemetry::SymbolTable& symbols = DeepTable();
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("hd_hotpath_" + std::to_string(getpid()) + ".hdsl");
+  {
+    hangdoctor::SessionLogWriter writer(path.string(), hangdoctor::HangDoctorConfig{});
+    writer.OnSessionStart({"com.example.deep", 1, 0, &symbols});
+    writer.Finish();
+    ASSERT_TRUE(writer.ok());
+  }
+  std::string log;
+  {
+    std::ifstream in(path, std::ios::binary);
+    log.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove(path);
+  hangdoctor::SessionLogLayout layout;
+  std::string error;
+  ASSERT_TRUE(hangdoctor::ScanSessionLog(log, &layout, &error)) << error;
+  // Open: tag, id, size, the log's header. Record: tag, id, size, the record's bytes.
+  auto frame = [](hangdoctor::MuxFrameTag tag, std::string_view body) {
+    std::string out(1, static_cast<char>(tag));
+    telemetry::PutVarint(&out, 1);
+    telemetry::PutVarint(&out, body.size());
+    out.append(body);
+    return out;
+  };
+  const std::string open = frame(hangdoctor::MuxFrameTag::kOpenSession,
+                                 std::string_view(log).substr(0, layout.header_end));
+  const std::string record = frame(hangdoctor::MuxFrameTag::kRecord, SampledDispatchEnd());
+
+  hangdoctor::MuxStreamDecoder decoder;
+  hangdoctor::DecodedFrame decoded;
+  ASSERT_TRUE(decoder.Decode(open, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(record, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(record, &decoded)) << decoder.error();
+  int64_t before = AllocationCount();
+  bool ok = decoder.Decode(record, &decoded);
+  int64_t allocations = AllocationCount() - before;
+  ASSERT_TRUE(ok) << decoder.error();
+  ASSERT_EQ(decoded.kind, hangdoctor::DecodedFrame::Kind::kRecord);
+  ASSERT_EQ(decoded.record.record.kind, hangdoctor::SpiPayload::Kind::kDispatchEnd);
+  ASSERT_EQ(decoded.record.record.samples.size(), static_cast<size_t>(kSamples));
+  EXPECT_EQ(decoded.record.record.samples.back().frames.size(), static_cast<size_t>(kDepth));
+  EXPECT_EQ(allocations, 0);
 }
 
 }  // namespace

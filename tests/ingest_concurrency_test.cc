@@ -5,7 +5,6 @@
 // determinism contract — pipelined ingest at any {threads, shards} produces results
 // bit-identical to the synchronous path and, over recorded fleets, to the per-job fleet
 // oracle, fault-injected and async sessions included.
-#include <sys/socket.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -21,8 +20,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -38,9 +37,6 @@
 #include "src/hosts/hang_doctor.h"
 #include "src/hosts/mux_log.h"
 #include "src/hosts/session_log.h"
-#include "src/netd/client.h"
-#include "src/netd/record_codec.h"
-#include "src/netd/server.h"
 #include "src/simkit/batch_router.h"
 #include "src/simkit/mpmc_ring.h"
 #include "src/simkit/rng.h"
@@ -567,7 +563,7 @@ TEST(IngestPipelineTest, RecordedAsyncFleetMatchesOracleAcrossThreadsShardsAndEp
 
 // ---------------------------------------------------------------------------
 // Pipeline hooks: the completion callback, control records, source ownership, the parked
-// idle wait and the watchdog counters — the surface hangdoctord's ingest is built on.
+// idle wait and the watchdog counters; and the same apply routine called in place.
 
 // Everything the hooks observed, in order, under one lock.
 struct HookLog {
@@ -799,6 +795,46 @@ TEST(IngestHooksTest, CrossSourceDuplicateOpenNeverTouchesTheWinnersSession) {
   ExpectSessionResultsEqual(expected, {log.closed[id.value]}, "winner");
 }
 
+// DetectorService::Apply on the caller's thread: nothing comes back until a record ends its
+// session, the close returns the same result the synchronous stream yields, and a record
+// from a source that did not open the session is refused without touching it.
+TEST(IngestHooksTest, InPlaceApplyReturnsEachSessionsCompletion) {
+  const DonorStream& donor = Donor();
+  const hangdoctor::SpiPayload open = DonorOpen();
+  const hangdoctor::SpiPayload close =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose);
+  const hangdoctor::SpiPayload abort =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort);
+  const int owner = 1;
+  const int stranger = 2;
+  const telemetry::SessionId kept{7};
+  const telemetry::SessionId dropped{8};
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{2});
+  EXPECT_FALSE(service.Apply({kept, &open, &owner}));
+  EXPECT_FALSE(service.Apply({dropped, &open, &owner}));
+  for (const hangdoctor::SpiPayload& record : donor.records) {
+    EXPECT_FALSE(service.Apply({kept, &record, &owner}));
+  }
+  std::optional<hangdoctor::IngestCompletion> refused = service.Apply({kept, &close, &stranger});
+  ASSERT_TRUE(refused);
+  EXPECT_EQ(refused->kind, hangdoctor::IngestCompletion::Kind::kError);
+  EXPECT_EQ(refused->ref.source, &stranger);
+
+  std::optional<hangdoctor::IngestCompletion> aborted = service.Apply({dropped, &abort, &owner});
+  ASSERT_TRUE(aborted);
+  EXPECT_EQ(aborted->kind, hangdoctor::IngestCompletion::Kind::kAborted);
+  std::optional<hangdoctor::IngestCompletion> closed = service.Apply({kept, &close, &owner});
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->kind, hangdoctor::IngestCompletion::Kind::kClosed);
+  EXPECT_EQ(service.live_sessions(), 0u);
+
+  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
+  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
+  ASSERT_EQ(expected.size(), 1u);
+  expected[0].id = kept;
+  ExpectSessionResultsEqual(expected, {closed->result}, "in place");
+}
+
 double ProcessCpuMs() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -811,11 +847,11 @@ double ProcessCpuMs() {
 TEST(IngestHooksTest, ParkedWorkerIsWokenByTheNextBatchWithoutATimedNap) {
   std::mutex mu;
   std::condition_variable applied_cv;
-  int64_t batches = 0;
+  int64_t applied = 0;
   hangdoctor::IngestHooks hooks;
-  hooks.after_batch = [&](size_t, std::span<const hangdoctor::ServiceRecordRef>) {
+  hooks.before_apply = [&](const hangdoctor::ServiceRecordRef&) {
     std::lock_guard<std::mutex> lock(mu);
-    ++batches;
+    ++applied;
     applied_cv.notify_all();
   };
   hangdoctor::ServiceOptions options;
@@ -837,48 +873,25 @@ TEST(IngestHooksTest, ParkedWorkerIsWokenByTheNextBatchWithoutATimedNap) {
     }
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(applied_cv.wait_for(lock, std::chrono::seconds(30),
-                                    [&] { return batches == round; }))
+                                    [&] { return applied == round; }))
         << "round " << round << ": the parked worker was never woken";
     lock.unlock();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park again
   }
 }
 
-// hangdoctord's self-watchdog reads the shard workers' counters from the service: a worker
-// wedged inside ServerOptions::before_apply stays busy with its progress frozen, and
-// resumes once released.
+// A shard worker's watchdog counters: a worker wedged inside IngestHooks::before_apply stays
+// busy with its progress frozen, and resumes once released.
 TEST(IngestHooksTest, WorkerWedgedByBeforeApplyShowsFrozenProgress) {
-  // One recorded session, as the wire carries it.
-  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
-                                    ("hd_ingest_hooks_" + std::to_string(getpid()));
-  std::filesystem::create_directories(dir);
-  workload::FleetJob job;
-  job.spec = SharedCatalog().FindApp("K9-Mail");
-  job.profile = droidsim::LgV10();
-  job.seed = workload::FleetSeed(31, 0);
-  job.session = simkit::Seconds(10);
-  job.record_path = (dir / "session.hdsl").string();
-  ASSERT_TRUE(workload::RunFleetJob(job).record_ok);
-  std::string bytes;
-  {
-    std::ifstream in(job.record_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  std::filesystem::remove_all(dir);
-  std::string container, error;
-  std::vector<hangdoctor::SessionLogSlice> slices{{telemetry::SessionId{5}, bytes}};
-  ASSERT_TRUE(hangdoctor::MuxSessionLogs(slices, {}, &container, &error)) << error;
-  std::vector<std::string> frames;
-  ASSERT_TRUE(netd::ContainerToWireFrames(container, &frames, &error)) << error;
-
+  const DonorStream& donor = Donor();
+  const hangdoctor::SpiPayload open = DonorOpen();
+  const hangdoctor::SpiPayload close =
+      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose);
   std::atomic<bool> wedged{false};
   std::atomic<bool> release{false};
   std::atomic<int> applies{0};
-  netd::ServerOptions options;
-  options.listen = false;
-  options.workers = 1;
-  options.rings = 1;
-  options.before_apply = [&](uint64_t) {
+  hangdoctor::IngestHooks hooks;
+  hooks.before_apply = [&](const hangdoctor::ServiceRecordRef&) {
     if (applies.fetch_add(1) == 3) {  // the session's third record
       wedged.store(true);
       while (!release.load()) {
@@ -886,48 +899,45 @@ TEST(IngestHooksTest, WorkerWedgedByBeforeApplyShowsFrozenProgress) {
       }
     }
   };
-  netd::NetServer server(options);
+  hangdoctor::ServiceOptions options;
+  options.threads = 1;
+  hangdoctor::DetectorService service(options, std::move(hooks));
+  // A failed ASSERT below must still release the wedge before the service's destructor
+  // joins its worker.
   struct ReleaseOnExit {
     std::atomic<bool>* flag;
     ~ReleaseOnExit() { flag->store(true); }
   } release_guard{&release};
-  int sv[2] = {-1, -1};
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  server.AdoptConnection(sv[0]);
-  netd::NetClient client;
-  client.Adopt(sv[1]);
-  ASSERT_TRUE(client.SendHello(netd::kWireVersionMax));
-  for (const std::string& frame : frames) {
-    ASSERT_TRUE(client.SendFrame(frame)) << client.error();
+  const telemetry::SessionId id{5};
+  {
+    hangdoctor::DetectorService::Ingestor ingestor(&service);
+    ingestor.Push({id, &open});
+    for (const hangdoctor::SpiPayload& record : donor.records) {
+      ingestor.Push({id, &record});
+    }
+    ingestor.Push({id, &close});
   }
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ASSERT_TRUE(wedged.load());
-  ASSERT_EQ(server.service().ingest_threads(), 1);
-  hangdoctor::DetectorService::WorkerHealth first = server.service().worker_health(0);
+  ASSERT_EQ(service.ingest_threads(), 1);
+  hangdoctor::DetectorService::WorkerHealth first = service.worker_health(0);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  hangdoctor::DetectorService::WorkerHealth second = server.service().worker_health(0);
+  hangdoctor::DetectorService::WorkerHealth second = service.worker_health(0);
   EXPECT_TRUE(first.busy);
   EXPECT_TRUE(second.busy);
   EXPECT_EQ(first.progress, second.progress) << "a wedged worker's progress must freeze";
   EXPECT_EQ(second.progress, 4u) << "the open and three records taken; the third wedged";
 
   release.store(true);
-  std::vector<netd::Reply> replies;
-  netd::Reply reply;
-  while (client.ReadReply(&reply)) {
-    replies.push_back(reply);
-  }
-  ASSERT_FALSE(replies.empty());
-  EXPECT_EQ(replies.back().tag, netd::ReplyTag::kBye);
-  hangdoctor::DetectorService::WorkerHealth after = server.service().worker_health(0);
+  std::vector<hangdoctor::SessionResult> closed = service.DrainClosed();
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].id, id);
+  hangdoctor::DetectorService::WorkerHealth after = service.worker_health(0);
   EXPECT_GT(after.progress, second.progress);
-  server.Stop();
-  std::vector<netd::NetSessionOutcome> outcomes = server.TakeResults();
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].aborted);
+  EXPECT_FALSE(after.busy);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,13 @@
 // once, replayed through a live hangdoctord NetServer by the loadgen over every
 // {connections} x {workers} topology, and each session's harvested report must be
 // bit-identical (Render string equality) to the RunFleet per-job oracle — the same contract
-// service_test enforces in-process, extended across real sockets, framing, epoll workers,
-// rings, and appliers. With chaos on, the plan-chosen disconnected connections abort their
-// in-flight sessions while every session on a calm connection still matches the oracle
-// exactly: a torn neighbor never perturbs anyone else's report. Sessions whose symbol tables
-// are byte-identical share one parsed table across connections, and a neighbour whose table
-// differs by one bit still gets its own. A retained outcome owns its table: its execution
-// log renders after the server is gone.
+// service_test enforces in-process, extended across real sockets, framing, and epoll
+// workers applying in place to shared shards. With chaos on, the plan-chosen disconnected
+// connections abort their in-flight sessions while every session on a calm connection still
+// matches the oracle exactly: a torn neighbor never perturbs anyone else's report. Sessions
+// whose symbol tables are byte-identical share one parsed table across connections, and a
+// neighbour whose table differs by one bit still gets its own. A retained outcome owns its
+// table: its execution log renders after the server is gone.
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -97,7 +97,6 @@ const RecordedFleet& Fleet() {
 netd::ServerOptions Topology(int32_t workers) {
   netd::ServerOptions options;
   options.workers = workers;
-  options.rings = workers;
   options.service.shards = 4;
   return options;
 }
@@ -311,7 +310,6 @@ TEST(NetdDeterminismTest, SharedSymbolTablesNeverLeakAcrossClients) {
   netd::ServerOptions options;
   options.listen = false;
   options.workers = 2;  // round-robin adoption: A and B land on different epoll workers
-  options.rings = 2;
   options.service.shards = 4;
   netd::NetServer server(options);
   std::vector<netd::NetClient> clients(2);
@@ -483,7 +481,6 @@ TEST(NetdDeterminismTest, RetainedOutcomesOwnTheirSymbolTables) {
   netd::ServerOptions options;
   options.listen = false;
   options.workers = 1;
-  options.rings = 2;
   options.service.shards = 4;
   std::vector<netd::NetSessionOutcome> retained;
   {

@@ -1,11 +1,12 @@
 // hangdoctord wire-protocol conformance battery (DESIGN.md section 3.9), over in-process
 // socketpairs so the whole stack — FrameSplitter, HELLO negotiation, MuxStreamDecoder,
-// admission control, backpressure, drain — runs under the sanitizer legs with no real
+// admission control, the reply cap, drain — runs under the sanitizer legs with no real
 // network. Each case is a protocol clause: version negotiation (v3 + v4 accepted, others
 // rejected), frame round-trip byte-identity, 1-byte drip and fully-coalesced reads,
 // oversized-length and truncated-frame rejection with a sticky per-connection error,
 // structured BUSY admission replies, and graceful-drain report flush. One case forks a
 // listening daemon out of file descriptors: its acceptor must back off, not spin.
+#include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -21,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -106,7 +108,6 @@ netd::ServerOptions SocketpairOptions() {
   netd::ServerOptions options;
   options.listen = false;
   options.workers = 1;
-  options.rings = 1;
   options.service.shards = 2;
   return options;
 }
@@ -444,29 +445,6 @@ TEST(NetdProtocolTest, DuplicateSessionAcrossConnectionsIsRejected) {
   EXPECT_EQ(first_replies.back().tag, ReplyTag::kBye);
 }
 
-TEST(NetdProtocolTest, BackpressureOnTinyRingStillAppliesEverythingInOrder) {
-  netd::ServerOptions options = SocketpairOptions();
-  options.ring_capacity = 1;  // rounds up to the ring's minimum; maximal pushback
-  netd::NetServer server(options);
-  netd::NetClient client = ConnectPair(server);
-  ASSERT_TRUE(client.SendHello(4));
-  for (const std::string& frame : WireFrames({61, 62, 63, 64})) {
-    ASSERT_TRUE(client.SendFrame(frame));
-  }
-  std::vector<Reply> replies;
-  ReadUntilEof(client, &replies);
-  ASSERT_EQ(replies.size(), 6u);  // hello-ok + 4 closes + bye
-  EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
-  EXPECT_EQ(replies.back().sessions_closed, 4u);
-  server.Stop();
-  auto outcomes = server.TakeResults();
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (const auto& outcome : outcomes) {
-    EXPECT_FALSE(outcome.aborted);
-    EXPECT_TRUE(outcome.result.stream_ok);
-  }
-}
-
 TEST(NetdProtocolTest, GracefulDrainFlushesInFlightSessionReports) {
   netd::NetServer server(SocketpairOptions());
   netd::NetClient client = ConnectPair(server);
@@ -574,58 +552,49 @@ std::vector<std::string> TruncatedSessionFrames(uint64_t id, size_t records) {
   return out;
 }
 
-// Records name their connection by plain pointer, so a connection must outlive every record
-// it routed. Here a connection dies (the peer resets it, or it commits a protocol error)
-// while its records are still queued behind a wedged shard worker; once the wedge clears,
-// every session ends in exactly one outcome, and a calm neighbour's results are
-// byte-identical to a run without the fault (under ASan: with no use after free).
-struct WedgedKillRun {
+// A connection dies mid-session (its peer resets it, or it commits a protocol error) while a
+// calm neighbour on the same epoll worker is mid-stream: every session ends in exactly one
+// outcome, the victim's aborted, and the neighbour's results are byte-identical to a run
+// without the fault (under ASan: with no use after free).
+struct KillRun {
   std::vector<std::pair<uint64_t, std::string>> calm;  // id -> encoded result
   std::vector<netd::NetSessionOutcome> victims;
 };
 
 enum class Kill { kNone, kPeerReset, kProtocolError };
 
-WedgedKillRun RunWedgedKill(Kill kill) {
-  auto wedged = std::make_shared<std::atomic<bool>>(true);
-  netd::ServerOptions options = SocketpairOptions();
-  options.before_apply = [wedged](uint64_t) {
-    while (wedged->load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
-  netd::NetServer server(options);
+KillRun RunKill(Kill kill) {
+  netd::NetServer server(SocketpairOptions());
   netd::NetClient calm = ConnectPair(server);
   netd::NetClient victim = ConnectPair(server);
   EXPECT_TRUE(calm.SendHello(4));
   EXPECT_TRUE(victim.SendHello(4));
 
+  // The calm sessions' first half: both open, neither closed.
+  const std::vector<std::string> calm_frames = WireFrames({92, 93});
+  const size_t half = calm_frames.size() / 2;
   int64_t frames_sent = 2;  // the HELLOs
-  for (const std::string& frame : WireFrames({92, 93})) {
-    EXPECT_TRUE(calm.SendFrame(frame));
+  for (size_t i = 0; i < half; ++i) {
+    EXPECT_TRUE(calm.SendFrame(calm_frames[i]));
     ++frames_sent;
   }
   if (kill != Kill::kNone) {
-    // Two open sessions with a few dozen records each, no close: all of it queues behind
-    // the wedge.
+    // Two open sessions with a few dozen records each, no close.
     std::vector<std::string> frames = WireFrames({94, 95});
     for (size_t i = 0; i < 60; ++i) {
       EXPECT_TRUE(victim.SendFrame(frames[i]));
       ++frames_sent;
     }
   }
-  // Every frame decoded and routed, none applied: the shard worker is parked on the first.
+  // Every frame so far read and applied: all of both connections' sessions are live.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (server.stats().frames_in.load() < frames_sent &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(server.stats().frames_in.load(), frames_sent);
-  EXPECT_EQ(server.stats().records_applied.load(), 0);
-  if (kill == Kill::kPeerReset) {
-    // Closing a socket with unread replies (hello-ok) resets the daemon's end.
-    victim.Close();
-  } else if (kill == Kill::kProtocolError) {
+  EXPECT_EQ(server.live_sessions(), kill == Kill::kNone ? 2u : 4u);
+  if (kill == Kill::kProtocolError) {
     EXPECT_TRUE(victim.SendFrame(WireFrames({96})[1]));  // a record for an unopened session
     std::vector<Reply> replies;
     while (replies.empty() || replies.back().tag != ReplyTag::kError) {
@@ -637,15 +606,11 @@ WedgedKillRun RunWedgedKill(Kill kill) {
     }
     EXPECT_EQ(replies.back().tag, ReplyTag::kError);
   }
-  if (kill == Kill::kNone) {
-    victim.Close();
-  } else {
-    // The error reply above shows the daemon saw the error; a reset has no reply to wait
-    // for, so give the daemon a moment to see it. Either way the aborts queue behind the
-    // wedge too.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Closing a socket with unread replies (hello-ok) resets the daemon's end.
+  victim.Close();
+  for (size_t i = half; i < calm_frames.size(); ++i) {
+    EXPECT_TRUE(calm.SendFrame(calm_frames[i]));
   }
-  wedged->store(false);
 
   std::vector<Reply> calm_replies;
   ReadUntilEof(calm, &calm_replies);
@@ -656,7 +621,7 @@ WedgedKillRun RunWedgedKill(Kill kill) {
   EXPECT_EQ(calm_replies.back().tag, ReplyTag::kBye);
   EXPECT_EQ(calm_replies.back().sessions_closed, 2u);
 
-  WedgedKillRun run;
+  KillRun run;
   for (netd::NetSessionOutcome& outcome : server.TakeResults()) {
     if (outcome.id.value == 92 || outcome.id.value == 93) {
       EXPECT_FALSE(outcome.aborted) << outcome.stream_error;
@@ -669,13 +634,13 @@ WedgedKillRun RunWedgedKill(Kill kill) {
   return run;
 }
 
-TEST(NetdProtocolTest, ConnectionKilledWhileItsRecordsAreQueuedOutlivesThem) {
-  WedgedKillRun reference = RunWedgedKill(Kill::kNone);
+TEST(NetdProtocolTest, ConnectionKilledMidSessionAbortsOnlyItsOwnSessions) {
+  KillRun reference = RunKill(Kill::kNone);
   ASSERT_EQ(reference.calm.size(), 2u);
   EXPECT_TRUE(reference.victims.empty());
   for (Kill kill : {Kill::kPeerReset, Kill::kProtocolError}) {
     SCOPED_TRACE(kill == Kill::kPeerReset ? "peer reset" : "protocol error");
-    WedgedKillRun run = RunWedgedKill(kill);
+    KillRun run = RunKill(kill);
     EXPECT_EQ(run.calm, reference.calm);
     // Each of the victim's sessions ends exactly once, aborted.
     ASSERT_EQ(run.victims.size(), 2u);
@@ -691,39 +656,127 @@ TEST(NetdProtocolTest, ConnectionKilledWhileItsRecordsAreQueuedOutlivesThem) {
   }
 }
 
-// The daemon counts a connection's routed records per read chunk and its in-flight ring
-// records per batch of 64, not per record. Sessions whose record counts straddle those
-// blocks must still each get their kSessionClosed before the BYE that counts them, at ring
-// caps that never park, park at a batch, and park every record.
-TEST(NetdProtocolTest, PerBatchAccountingKeepsEveryCloseAheadOfBye) {
+// Replies are queued as records apply and sent once per read chunk. Sessions whose record
+// counts straddle the 64-record boundaries must still each get their kSessionClosed before
+// the BYE that counts them.
+TEST(NetdProtocolTest, EveryCloseArrivesAheadOfByeAtAnySessionLength) {
   const std::vector<size_t> lengths = {63, 64, 65, 127, 128, 129};
   // Every record, plus each session's open and close.
   const size_t records = std::accumulate(lengths.begin(), lengths.end(), 2 * lengths.size());
-  for (int32_t ring_capacity : {1024, 64, 1}) {
-    SCOPED_TRACE("ring_capacity " + std::to_string(ring_capacity));
-    netd::ServerOptions options = SocketpairOptions();
-    options.ring_capacity = ring_capacity;
-    netd::NetServer server(options);
-    netd::NetClient client = ConnectPair(server);
-    ASSERT_TRUE(client.SendHello(4));
-    for (size_t i = 0; i < lengths.size(); ++i) {
-      for (const std::string& frame : TruncatedSessionFrames(100 + i, lengths[i])) {
-        ASSERT_TRUE(client.SendFrame(frame));
+  netd::NetServer server(SocketpairOptions());
+  netd::NetClient client = ConnectPair(server);
+  ASSERT_TRUE(client.SendHello(4));
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    for (const std::string& frame : TruncatedSessionFrames(100 + i, lengths[i])) {
+      ASSERT_TRUE(client.SendFrame(frame));
+    }
+  }
+  ASSERT_TRUE(client.SendFrame(WireFrames({1}).back()));  // the container end: BYE
+  std::vector<Reply> replies;
+  ReadUntilEof(client, &replies);
+  ASSERT_EQ(replies.size(), lengths.size() + 2);  // hello-ok + closes + bye
+  EXPECT_EQ(replies.front().tag, ReplyTag::kHelloOk);
+  for (size_t i = 1; i + 1 < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].tag, ReplyTag::kSessionClosed);
+  }
+  EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
+  EXPECT_EQ(replies.back().sessions_closed, lengths.size());
+  EXPECT_TRUE(server.WaitIdle(30000));
+  EXPECT_EQ(server.stats().records_applied.load(), static_cast<int64_t>(records));
+}
+
+// Replies until the BYE, giving up at `deadline` rather than blocking past it.
+bool ReadUntilByeBefore(netd::NetClient& client, std::chrono::steady_clock::time_point deadline,
+                        std::vector<Reply>* replies) {
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (!client.DrainReplies(replies)) {
+      return false;
+    }
+    if (!replies->empty() && replies->back().tag == ReplyTag::kBye) {
+      return true;
+    }
+    pollfd pfd{client.fd(), POLLIN, 0};
+    poll(&pfd, 1, 10);
+  }
+  return false;
+}
+
+// Session id -> encoded result of a run where connection A (sessions 111, 112) and connection
+// B (121, 122) sit on different epoll workers and share the service's one shard. With
+// `wedge`, A's first apply wedges its epoll worker: B must still close both sessions and get
+// its BYE meanwhile, and A completes once released.
+std::map<uint64_t, std::string> RunWedgeOnOneWorker(bool wedge) {
+  auto release = std::make_shared<std::atomic<bool>>(!wedge);
+  auto wedged = std::make_shared<std::atomic<bool>>(false);
+  netd::ServerOptions options = SocketpairOptions();
+  options.workers = 2;  // round-robin adoption: A on the first, B on the second
+  options.service.shards = 1;
+  options.before_apply = [release, wedged](uint64_t id) {
+    if (id == 111 && !release->load()) {
+      wedged->store(true);
+      while (!release->load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     }
-    ASSERT_TRUE(client.SendFrame(WireFrames({1}).back()));  // the container end: BYE
-    std::vector<Reply> replies;
-    ReadUntilEof(client, &replies);
-    ASSERT_EQ(replies.size(), lengths.size() + 2);  // hello-ok + closes + bye
-    EXPECT_EQ(replies.front().tag, ReplyTag::kHelloOk);
-    for (size_t i = 1; i + 1 < replies.size(); ++i) {
-      EXPECT_EQ(replies[i].tag, ReplyTag::kSessionClosed);
+  };
+  std::map<uint64_t, std::string> results;
+  {
+    netd::NetServer server(options);
+    // A failed expectation below must still release the wedge before the server's
+    // destructor joins the wedged worker.
+    struct ReleaseOnExit {
+      std::shared_ptr<std::atomic<bool>> flag;
+      ~ReleaseOnExit() { flag->store(true); }
+    } release_guard{release};
+    netd::NetClient a = ConnectPair(server);
+    netd::NetClient b = ConnectPair(server);
+    EXPECT_TRUE(a.SendHello(4));
+    for (const std::string& frame : WireFrames({111, 112})) {
+      EXPECT_TRUE(a.SendFrame(frame));
     }
-    EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
-    EXPECT_EQ(replies.back().sessions_closed, lengths.size());
+    if (wedge) {
+      auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!wedged->load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_TRUE(wedged->load());
+    }
+    EXPECT_TRUE(b.SendHello(4));
+    for (const std::string& frame : WireFrames({121, 122})) {
+      EXPECT_TRUE(b.SendFrame(frame));
+    }
+    std::vector<Reply> b_replies;
+    EXPECT_TRUE(ReadUntilByeBefore(
+        b, std::chrono::steady_clock::now() + std::chrono::seconds(20), &b_replies))
+        << "the other epoll worker's connection stalled behind the wedge";
+    EXPECT_EQ(release->load(), !wedge) << "B finished while A's worker was still wedged";
+    if (!b_replies.empty()) {
+      EXPECT_EQ(b_replies.back().tag, ReplyTag::kBye);
+      EXPECT_EQ(b_replies.back().sessions_closed, 2u);
+    }
+    release->store(true);
+    std::vector<Reply> a_replies;
+    ReadUntilEof(a, &a_replies);
+    EXPECT_FALSE(a_replies.empty());
+    if (!a_replies.empty()) {
+      EXPECT_EQ(a_replies.back().tag, ReplyTag::kBye);
+      EXPECT_EQ(a_replies.back().sessions_closed, 2u);
+    }
     EXPECT_TRUE(server.WaitIdle(30000));
-    EXPECT_EQ(server.stats().records_applied.load(), static_cast<int64_t>(records));
+    server.Stop();
+    for (netd::NetSessionOutcome& outcome : server.TakeResults()) {
+      EXPECT_FALSE(outcome.aborted) << outcome.stream_error;
+      results[outcome.id.value] = netd::EncodeSessionResult(outcome.result);
+    }
   }
+  return results;
+}
+
+TEST(NetdProtocolTest, WedgedApplyStallsOnlyItsOwnEpollWorker) {
+  std::map<uint64_t, std::string> reference = RunWedgeOnOneWorker(false);
+  ASSERT_EQ(reference.size(), 4u);
+  std::map<uint64_t, std::string> wedged = RunWedgeOnOneWorker(true);
+  EXPECT_EQ(wedged, reference);
 }
 
 // A client that streams sessions and never reads its replies must not grow the daemon's
@@ -865,7 +918,6 @@ bool WriteFull(int fd, const void* data, size_t size) {
   {
     netd::ServerOptions options;
     options.workers = 1;
-    options.rings = 1;
     options.service.shards = 1;
     netd::NetServer server(options);
     std::vector<int> filler;
