@@ -10,12 +10,12 @@
 // sessions (each level closes its sessions and the next level's RSS does not accumulate
 // the total ever processed).
 //
-// Second axis (the pipelined-ingest sweep): the same donor stream fans into the service
-// through per-shard MPMC rings at threads ∈ {1, 2, 4} — `threads` producers feeding
-// `threads` shard workers — measuring how ingest throughput scales with cores. Sessions are
-// streamed as 16-byte record refs into one shared donor payload set, so the sweep measures
-// routing + detection, not payload copying. Emits machine-readable BENCH_service.json with
-// both the capacity levels and the threads axis.
+// Second axis (the threads sweep): the same donor stream is applied in place from
+// threads ∈ {1, 2, 4} producer threads over disjoint sessions that share the service's
+// shards — the shape of hangdoctord's epoll workers — measuring how ingest throughput scales
+// with cores. Sessions are pushed as record refs into one shared donor payload set, so the
+// sweep measures lookup + detection, not payload copying. Emits machine-readable
+// BENCH_service.json with both the capacity levels and the threads axis.
 //
 // Fourth axis (`--net`, opt-in): the same ingest through the full hangdoctord network
 // stack — an in-process epoll NetServer on a loopback port, driven by the loadgen over a
@@ -154,17 +154,16 @@ struct SweepResult {
   double speedup = 1.0;  // vs the sweep's first (threads=1) entry
 };
 
-// Pipelined ingest at `threads` workers: `threads` producer threads each own an Ingestor and
-// stream their share of `sessions` complete sessions (open, donor records, close) as refs
-// into one shared payload set. All sessions drain at the barrier; throughput is wall-clock
-// from first push to the drained harvest.
+// In-place apply from `threads` producers: each producer thread owns an Ingestor and applies
+// its share of `sessions` complete sessions (open, donor records, close) as refs into one
+// shared payload set, on its own thread; the sessions share the service's shards.
+// Throughput is wall-clock from the first push to the drained harvest.
 SweepResult RunSweep(int32_t threads, int32_t shards, size_t sessions,
                      const hangdoctor::SpiPayload& open_payload,
                      const hangdoctor::SpiPayload& close_payload,
                      const std::vector<hangdoctor::SpiPayload>& records) {
   hangdoctor::ServiceOptions options;
   options.shards = shards;
-  options.threads = threads;
   hangdoctor::DetectorService service(options);
   size_t producers = std::min<size_t>(static_cast<size_t>(threads), sessions);
   producers = std::max<size_t>(producers, 1);
@@ -185,7 +184,7 @@ SweepResult RunSweep(int32_t threads, int32_t shards, size_t sessions,
           }
           ingestor.Push({id, &close_payload});
         }
-      });  // the ingestor's destructor flushes its partial batches
+      });
     }
     for (std::thread& pusher : pushers) {
       pusher.join();
@@ -420,7 +419,7 @@ int main(int argc, char** argv) {
               "machine's %u threads\n",
               top.concurrent, sessions_per_thread, threads);
 
-  // Threads axis: same donor stream through the pipelined ingest at 1/2/4 shard workers.
+  // Threads axis: same donor stream applied in place from 1/2/4 producer threads.
   // Fixed shard count (8, comfortably above the largest thread count) so the sweep varies
   // exactly one knob; session count is sized to run a few seconds per point.
   const std::vector<int32_t> threads_axis = {1, 2, 4};
@@ -433,7 +432,7 @@ int main(int argc, char** argv) {
   hangdoctor::SpiPayload close_payload;
   close_payload.kind = hangdoctor::SpiPayload::Kind::kSessionClose;
 
-  std::printf("\npipelined ingest sweep: %zu sessions, %d shards, per-shard MPMC rings\n",
+  std::printf("\nin-place apply sweep: %zu sessions, %d shards, t producer threads\n",
               sweep_sessions, sweep_shards);
   std::vector<SweepResult> sweep;
   for (int32_t t : threads_axis) {

@@ -1,11 +1,6 @@
 #include "src/hangdoctor/detector_service.h"
 
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -16,18 +11,6 @@ void ValidateOptions(const ServiceOptions& options) {
   if (options.shards < 1) {
     throw std::invalid_argument("ServiceOptions: shards must be >= 1, got " +
                                 std::to_string(options.shards));
-  }
-  if (options.threads < 0) {
-    throw std::invalid_argument("ServiceOptions: threads must be >= 0, got " +
-                                std::to_string(options.threads));
-  }
-  if (options.ring_capacity < 1) {
-    throw std::invalid_argument("ServiceOptions: ring_capacity must be >= 1, got " +
-                                std::to_string(options.ring_capacity));
-  }
-  if (options.batch_size < 1) {
-    throw std::invalid_argument("ServiceOptions: batch_size must be >= 1, got " +
-                                std::to_string(options.batch_size));
   }
   if (options.kb_epoch_sessions < 0) {
     throw std::invalid_argument("ServiceOptions: kb_epoch_sessions must be >= 0, got " +
@@ -40,18 +23,6 @@ void ValidateOptions(const ServiceOptions& options) {
   }
 }
 
-// One futex wait on `word` while it holds `expected`. Unlike std::atomic::wait it returns
-// on any wake, so a wake meant to make the caller re-check other state is never slept through.
-void FutexWait(std::atomic<uint32_t>& word, uint32_t expected) {
-  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAIT_PRIVATE, expected,
-          nullptr, nullptr, 0);
-}
-
-void FutexWake(std::atomic<uint32_t>& word) {
-  syscall(SYS_futex, reinterpret_cast<uint32_t*>(&word), FUTEX_WAKE_PRIVATE, 1, nullptr,
-          nullptr, 0);
-}
-
 void SortById(std::vector<SessionResult>& results) {
   std::sort(results.begin(), results.end(),
             [](const SessionResult& a, const SessionResult& b) { return a.id < b.id; });
@@ -59,11 +30,7 @@ void SortById(std::vector<SessionResult>& results) {
 
 }  // namespace
 
-DetectorService::DetectorService(const ServiceOptions& options)
-    : DetectorService(options, IngestHooks{}) {}
-
-DetectorService::DetectorService(const ServiceOptions& options, IngestHooks hooks)
-    : options_(options), hooks_(std::move(hooks)) {
+DetectorService::DetectorService(const ServiceOptions& options) : options_(options) {
   ValidateOptions(options);
   if (options.knowledge_base != nullptr) {
     seed_view_ = &options.knowledge_base->seed();
@@ -75,41 +42,12 @@ DetectorService::DetectorService(const ServiceOptions& options, IngestHooks hook
   }
   shards_.reserve(static_cast<size_t>(options.shards));
   for (int32_t i = 0; i < options.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    if (options.threads > 0) {
-      shard->ring = std::make_unique<simkit::MpmcRing<IngestBatch>>(
-          static_cast<size_t>(options.ring_capacity));
-    }
-    shards_.push_back(std::move(shard));
-  }
-  if (options.threads > 0) {
-    worker_state_ = std::make_unique<Worker[]>(static_cast<size_t>(options.threads));
-    workers_.reserve(static_cast<size_t>(options.threads));
-    for (int32_t w = 0; w < options.threads; ++w) {
-      workers_.emplace_back([this, w] { WorkerLoop(static_cast<size_t>(w)); });
-    }
-  }
-}
-
-DetectorService::~DetectorService() {
-  if (!workers_.empty()) {
-    // Graceful drain: workers observe stop_ only after emptying their rings and catching
-    // processed up to enqueued, so every batch routed before destruction is applied. Any
-    // results or errors not drained by the caller die with the shards — harvesting them
-    // here would hand them to nobody.
-    stop_.store(true, std::memory_order_seq_cst);
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      worker_state_[w].wake.fetch_add(1, std::memory_order_seq_cst);
-      FutexWake(worker_state_[w].wake);
-    }
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Arena lifecycle (shared by the synchronous path and the shard workers).
+// Arena lifecycle (shared by both ingestion surfaces).
 
 std::unique_ptr<DetectorService::SessionSlot> DetectorService::BuildSlot(
     const SessionInfo& info, const HangDoctorConfig& config) {
@@ -280,41 +218,7 @@ void DetectorService::Discard(telemetry::SessionId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined ingest.
-
-DetectorService::Ingestor::Ingestor(DetectorService* service)
-    : router_(
-          static_cast<size_t>(service->shards()),
-          static_cast<size_t>(service->options_.batch_size),
-          [shards = service->shards_.size()](const ServiceRecordRef& ref) {
-            return telemetry::ShardOf(ref.session, shards);
-          },
-          [service](size_t shard_index, std::vector<ServiceRecordRef>&& refs) {
-            service->EnqueueBatch(shard_index, IngestBatch{std::move(refs)});
-          }) {
-  if (service->workers_.empty()) {
-    throw std::logic_error("DetectorService::Ingestor requires ServiceOptions.threads >= 1");
-  }
-}
-
-void DetectorService::EnqueueBatch(size_t shard_index, IngestBatch&& batch) {
-  Shard& shard = *shards_[shard_index];
-  // Count before pushing: the barrier must never observe processed == enqueued while a
-  // counted batch is still outside the ring, and a pushed-but-uncounted batch would let the
-  // barrier pass with work in flight.
-  shard.enqueued.fetch_add(1, std::memory_order_relaxed);
-  shard.ring->Push(std::move(batch));  // blocks on a full ring: bounded backpressure
-  // One wake per batch, bumped after the push is published, so a worker that read the old
-  // count before scanning its rings sees it move and does not sleep. Only the producer that
-  // claims the parked flag pays the futex call — a woken worker may wait for a core, and the
-  // others must not pay a syscall meanwhile (seq_cst pairs with the worker's park).
-  Worker& worker = worker_state_[shard_index % workers_.size()];
-  worker.wake.fetch_add(1, std::memory_order_seq_cst);
-  if (worker.parked.load(std::memory_order_seq_cst) &&
-      worker.parked.exchange(false, std::memory_order_seq_cst)) {
-    FutexWake(worker.wake);
-  }
-}
+// In-place apply.
 
 std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
   Shard& shard = ShardFor(ref.session);
@@ -331,8 +235,8 @@ std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
       }
       case SpiPayload::Kind::kKbPublish:
         // A replayed epoch boundary. Publish() is internally serialized, so concurrent
-        // workers replaying interleaved schedules stay safe (the exact snapshot sequence is
-        // reproduced when the stream is consumed synchronously, as the replayer documents).
+        // producers replaying interleaved schedules stay safe (the exact snapshot sequence is
+        // reproduced when one thread consumes the stream, as the replayer documents).
         if (options_.knowledge_base != nullptr) {
           options_.knowledge_base->Publish();
         }
@@ -352,8 +256,8 @@ std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
     }
     removed = RemoveSlot(shard, ref.session, ref.source);
   } catch (const std::exception& e) {
-    // Reported, not thrown: one bad session must not poison the other sessions sharing its
-    // shard, and a shard worker has no caller to throw to.
+    // Reported, not thrown: one bad session must not poison the other sessions its
+    // producer (a daemon connection, a replayed stream) is still feeding.
     std::optional<IngestCompletion> failed(std::in_place);
     failed->ref = ref;
     failed->error = e.what();
@@ -368,133 +272,38 @@ std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
   return done;  // an aborted or handed-off session's arena dies here, unharvested
 }
 
-void DetectorService::Complete(Shard& shard, IngestCompletion& completion) {
-  if (hooks_.on_complete) {
-    hooks_.on_complete(completion);
-  } else if (completion.kind == IngestCompletion::Kind::kClosed) {
-    shard.closed.push_back(std::move(completion.result));
-  } else if (completion.kind == IngestCompletion::Kind::kError) {
-    shard.errors.push_back(IngestError{completion.ref.session, std::move(completion.error)});
-  }
-}
-
-void DetectorService::WorkerLoop(size_t worker_index) {
-  // options_.threads, not workers_.size(): the first workers start while the constructor is
-  // still appending to workers_.
-  const size_t stride = static_cast<size_t>(options_.threads);
-  Worker& self = worker_state_[worker_index];
-  IngestBatch batch;
-  for (;;) {
-    // Read the wake count before scanning. A batch published after this load bumps the
-    // count, so the wait below returns at once; a batch published before it is found by the
-    // scan. A pop that fails on a claimed-but-unpublished ticket is covered the same way:
-    // its producer bumps the count once it publishes.
-    const uint32_t seen = self.wake.load(std::memory_order_seq_cst);
-    bool did_work = false;
-    // Shard s is owned by worker s % threads: every shard has exactly one consumer, so
-    // per-shard session state needs no locking beyond the map-probe spin lock it already
-    // shares with the synchronous path.
-    for (size_t s = worker_index; s < shards_.size(); s += stride) {
-      Shard& shard = *shards_[s];
-      while (shard.ring->TryPop(batch)) {
-        did_work = true;
-        self.busy.store(true, std::memory_order_relaxed);
-        for (const ServiceRecordRef& ref : batch.refs) {
-          // Single writer: a plain store, no locked read-modify-write per record.
-          self.progress.store(self.progress.load(std::memory_order_relaxed) + 1,
-                              std::memory_order_relaxed);
-          if (hooks_.before_apply) {
-            hooks_.before_apply(ref);
-          }
-          if (std::optional<IngestCompletion> done = Apply(ref)) {
-            Complete(shard, *done);
-          }
-        }
-        self.busy.store(false, std::memory_order_relaxed);
-        // Release pairs with the barrier's acquire: it publishes `closed`, `errors` and
-        // everything the hooks did along with the count.
-        shard.processed.fetch_add(1, std::memory_order_release);
-      }
-    }
-    if (did_work) {
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) {
-      // Drain before exiting: a batch pushed before the destructor's store may have landed
-      // after this round's scan, so leave only once every counted batch is applied.
-      bool drained = true;
-      for (size_t s = worker_index; s < shards_.size(); s += stride) {
-        const Shard& shard = *shards_[s];
-        drained = drained && shard.processed.load(std::memory_order_relaxed) >=
-                                 shard.enqueued.load(std::memory_order_acquire);
-      }
-      if (drained) {
-        return;
-      }
-      continue;
-    }
-    // One futex wait per park, then back to the scan: a wake whose producer cleared
-    // `parked` is never slept through, because each park sets the flag afresh.
-    self.parked.store(true, std::memory_order_seq_cst);
-    FutexWait(self.wake, seen);
-  }
-}
-
-void DetectorService::WaitIngestIdle() {
-  if (workers_.empty()) {
+void DetectorService::ApplyAndKeep(ServiceRecordRef ref) {
+  std::optional<IngestCompletion> done = Apply(ref);
+  if (!done || done->kind == IngestCompletion::Kind::kAborted ||
+      done->kind == IngestCompletion::Kind::kHandedOff) {
     return;
   }
-  for (const auto& shard : shards_) {
-    // enqueued is monotone and the caller has quiesced all producers, so one converged read
-    // per shard suffices. The acquire on processed publishes the worker's writes (closed,
-    // errors, session arenas) to this thread.
-    int64_t target = shard->enqueued.load(std::memory_order_relaxed);
-    while (shard->processed.load(std::memory_order_acquire) < target) {
-      std::this_thread::yield();
-    }
+  std::lock_guard<std::mutex> lock(kept_mu_);
+  if (done->kind == IngestCompletion::Kind::kClosed) {
+    closed_.push_back(std::move(done->result));
+  } else {
+    errors_.push_back(IngestError{ref.session, std::move(done->error)});
   }
-  // The barrier is an epoch boundary: everything absorbed by the drained sessions becomes
-  // visible to sessions opened after it. A no-op when nothing is pending.
-  if (options_.knowledge_base != nullptr) {
-    options_.knowledge_base->Publish();
-  }
-}
-
-template <typename T>
-std::vector<T> DetectorService::TakeAll(std::vector<T> Shard::*pending) {
-  WaitIngestIdle();
-  std::vector<T> all;
-  for (const auto& shard : shards_) {
-    std::vector<T>& items = (*shard).*pending;
-    std::move(items.begin(), items.end(), std::back_inserter(all));
-    items.clear();
-  }
-  return all;
 }
 
 std::vector<SessionResult> DetectorService::DrainClosed() {
-  std::vector<SessionResult> results = TakeAll(&Shard::closed);
+  std::vector<SessionResult> results;
+  {
+    std::lock_guard<std::mutex> lock(kept_mu_);
+    results.swap(closed_);
+  }
   SortById(results);
   return results;
 }
 
 std::vector<IngestError> DetectorService::TakeIngestErrors() {
-  return TakeAll(&Shard::errors);
+  std::lock_guard<std::mutex> lock(kept_mu_);
+  return std::exchange(errors_, {});
 }
 
 std::vector<SessionResult> DetectorService::Consume(std::span<const ServiceRecord> stream) {
-  if (workers_.empty()) {
-    // Without workers the caller's thread applies each record exactly as a worker would.
-    for (const ServiceRecord& record : stream) {
-      if (std::optional<IngestCompletion> done = Apply({record.session, &record.record})) {
-        Complete(ShardFor(record.session), *done);
-      }
-    }
-  } else {
-    Ingestor ingestor(this);  // flushes as it goes out of scope
-    for (const ServiceRecord& record : stream) {
-      ingestor.Push(record);
-    }
+  for (const ServiceRecord& record : stream) {
+    ApplyAndKeep({record.session, &record.record});
   }
   std::vector<SessionResult> results = DrainClosed();
   std::vector<IngestError> errors = TakeIngestErrors();
@@ -502,12 +311,6 @@ std::vector<SessionResult> DetectorService::Consume(std::span<const ServiceRecor
     throw std::invalid_argument(errors.front().message);
   }
   return results;
-}
-
-DetectorService::WorkerHealth DetectorService::worker_health(int32_t worker) const {
-  const Worker& state = worker_state_[static_cast<size_t>(worker)];
-  return {state.progress.load(std::memory_order_relaxed),
-          state.busy.load(std::memory_order_relaxed)};
 }
 
 size_t DetectorService::live_sessions() const {

@@ -1,56 +1,42 @@
 // The session-multiplexed detector service: one process, thousands of concurrent sessions,
-// ingesting from as many threads as the machine has cores.
+// fed from as many threads as the machine has cores.
 //
 // The paper's deployment is fleet-scale — many users' devices each streaming S-Checker /
 // Diagnoser telemetry that merges into one Hang Bug Report. A DetectorService is the backend
 // end of that pipe: it owns many live DetectorCores keyed by telemetry::SessionId, consumes
 // interleaved record streams (every SPI record carries a session tag — see session_stream.h),
-// and routes each record to the per-session core via deterministic shard assignment
+// and finds each record's per-session core through a sharded map
 // (shard = ShardOf(session_id, shards) = hash(id) % shards).
 //
-// Two ingestion surfaces share one shard table:
+// Two ingestion surfaces share that map, and both run on the caller's thread:
 //
 //  - Synchronous push (SessionHandle / the per-record entry points): a live host drives its
-//    session record-by-record and receives MonitorDirectives back inline. Many producer
-//    threads may push disjoint sessions concurrently; the only shared state is the shard's
-//    session map, guarded by a spin lock held for the probe alone — the core call itself runs
-//    lock-free, because a session has exactly one producer.
+//    session record-by-record and receives MonitorDirectives back inline.
 //
-//  - Pipelined ingest (threads >= 1 in ServiceOptions): per-shard bounded MPMC ring buffers
-//    feed dedicated shard-worker threads. Producers own a DetectorService::Ingestor each,
-//    which batches record refs by shard (one ring push per batch, not per record — see
-//    simkit::BatchRouter) and blocks on a full ring (bounded backpressure, never unbounded
-//    queuing). Every shard is drained by exactly one worker, so the worker applies records —
-//    including session open/close — to its shards' arenas with no per-session locking at all.
-//    An idle worker parks on a futex-backed wake counter that producers bump once per
-//    pushed batch: no polling while idle, no sleep-granularity latency when work arrives.
-//    Directives cannot flow back through a ring, so the pipeline is for telemetry that is
-//    already recorded (mux-log replay, in-process producers); a live co-simulated host,
-//    such as the fleet runner's, keeps using synchronous push. A producer that answers for
-//    its records installs IngestHooks: session ends and refused records reach on_complete.
-//
-//  - In-place apply (Apply): the caller's thread applies one record exactly as a shard
-//    worker would and gets the session's completion back. hangdoctord's epoll workers apply
-//    every record they decode this way, on the thread that read its bytes.
+//  - In-place apply (Apply, and Ingestor / Consume on top of it): a producer hands over one
+//    recorded SPI record — an open, a telemetry record, a close, an abort or a handoff —
+//    and the service applies it before returning. hangdoctord's epoll workers apply every
+//    record they decode this way, on the thread that read its bytes; mux replay and the
+//    fleet runner do it on the caller's thread.
 //
 // Concurrency and determinism contract:
-//  - Each session's records are pushed in session order by one producer (the natural shape:
-//    a device's telemetry arrives in order). A session is driven either synchronously or
-//    through the pipeline, never both.
+//  - Many threads may drive disjoint sessions at once, through either surface. Each
+//    session's records come from one thread, in session order (the natural shape: a
+//    device's telemetry arrives in order), and a session is driven through one surface only.
+//  - The only shared state on the record path is the shard's session map, guarded by a spin
+//    lock held for the probe alone; the core call itself runs unlocked, because a session has
+//    exactly one producer. Sessions of different producers share shards freely.
 //  - Detection is per-session pure: a session's result depends only on its own (info, config,
-//    stream), never on shard placement, worker interleaving, ring batch boundaries, or which
-//    other sessions are live. All records of a session land on one shard's ring in push
-//    order (MPMC rings preserve per-producer FIFO) and are applied by that shard's single
-//    worker in that order — so per-session results are bit-identical at any {threads, shards}
-//    pair, and merged outputs folded in ascending-SessionId order (MergeSessionReports,
-//    DrainClosed) are too.
-//  - Memory is bounded by *live* sessions plus the bounded rings: Close() harvests a compact
-//    SessionResult and destroys the per-session arena (core, action table, private
-//    blocking-API database) immediately; rings reject/block when full instead of queuing
-//    without bound.
-//  - Destruction drains gracefully: in-flight batches are flushed (applied) deterministically
-//    before the workers join; producers must be quiesced first (no Ingestor may outlive the
-//    service).
+//    stream), never on shard placement, thread interleaving, or which other sessions are
+//    live — so per-session results are bit-identical at any shard count and any number of
+//    producer threads, and merged outputs folded in ascending-SessionId order
+//    (MergeSessionReports, DrainClosed) are too.
+//  - Memory is bounded by *live* sessions: a close harvests a compact SessionResult and
+//    destroys the per-session arena (core, action table, private blocking-API database)
+//    immediately.
+//  - Ingestor and Consume keep what they cannot hand back — closed results and records that
+//    could not be applied — in one mutex-guarded list for the whole service. It is touched
+//    once per session end or refused record, never once per applied record.
 //
 // Hosts attach through a SessionHandle, which implements SpiBackend — so the droidsim
 // adapter and the fault injector drive a service session with exactly the code that drives a
@@ -61,12 +47,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/hangdoctor/blocking_api_db.h"
@@ -76,8 +61,6 @@
 #include "src/hangdoctor/report.h"
 #include "src/hangdoctor/session_stream.h"
 #include "src/hangdoctor/stream_guard.h"
-#include "src/simkit/batch_router.h"
-#include "src/simkit/mpmc_ring.h"
 #include "src/simkit/shard_map.h"
 #include "src/simkit/spinlock.h"
 #include "src/telemetry/session.h"
@@ -85,20 +68,13 @@
 namespace hangdoctor {
 
 struct ServiceOptions {
-  // Shard count; must be >= 1 (std::invalid_argument otherwise). More shards reduce
-  // contention when many producers feed disjoint sessions and set the pipeline's parallelism
-  // ceiling; results are bit-identical at any value.
+  // Shard count; must be >= 1 (std::invalid_argument otherwise). More shards spread the
+  // session map's spin locks when many producers feed disjoint sessions; results are
+  // bit-identical at any value.
   int32_t shards = 1;
-  // Dedicated shard-worker threads for pipelined ingest. 0 (the default) spawns none —
-  // synchronous push only. >= 1 spawns workers (shard s is owned by worker s % threads) and
-  // enables Ingestor/Ingest/DrainClosed. Negative throws std::invalid_argument.
+  // Ignored: every record is applied on its producer's thread. Kept only because the ladder
+  // benchmark sets it; its next change deletes it.
   int32_t threads = 0;
-  // Per-shard ring capacity in *batches* (rounded up to a power of two). With the default
-  // batch size this bounds queued-but-unapplied telemetry per shard; producers block when a
-  // ring is full.
-  int32_t ring_capacity = 256;
-  // Records per routed batch: the amortization factor for the hash + ring-dispatch cost.
-  int32_t batch_size = 256;
   // Seed blocking-API catalog shared by every session. Copied once at construction (no
   // caller-lifetime footgun); per-session databases overlay the copy instead of duplicating
   // the std::set per session — bit-equivalent, O(1) per open. Mutually exclusive with
@@ -106,12 +82,12 @@ struct ServiceOptions {
   const BlockingApiDatabase* seed_db = nullptr;
   // Fleet-shared knowledge base (knowledge_base.h). When set, every session opens with the
   // current published snapshot (one atomic load), overlays the KB's seed, and feeds its
-  // confirmations/diagnosis memos back at close; WaitIngestIdle() publishes as an epoch
-  // boundary. Must outlive the service. Verdicts and results stay bit-identical to running
-  // without it.
+  // confirmations/diagnosis memos back at close. Epochs end at kKbPublish records, every
+  // `kb_epoch_sessions` closes, and the caller's own KnowledgeBase::Publish(). Must outlive
+  // the service. Verdicts and results stay bit-identical to running without it.
   KnowledgeBase* knowledge_base = nullptr;
   // Automatic epoch length: publish the knowledge base every N closed sessions (0 = only at
-  // barriers and explicit kKbPublish records). Ignored without `knowledge_base`.
+  // kKbPublish records and the caller's publishes). Ignored without `knowledge_base`.
   int64_t kb_epoch_sessions = 0;
 };
 
@@ -137,16 +113,14 @@ struct SessionResult {
   KbSessionStats kb;                    // knowledge-base savings (zeros without a KB)
 };
 
-// A record the pipeline could not apply (open of a duplicate id, record for a session that
-// was never opened, malformed info). The pipeline cannot throw into its producer, so errors
-// are collected per shard and surfaced at the barrier.
+// A record an Ingestor could not apply (open of a duplicate id, record for a session that
+// was never opened, malformed info), kept in push order until TakeIngestErrors.
 struct IngestError {
   telemetry::SessionId session;
   std::string message;
 };
 
-// How a record ended its session, or why it could not be applied. Returned by Apply, and
-// reported to IngestHooks::on_complete on the worker that owns the session's shard.
+// How a record ended its session, or why it could not be applied. Returned by Apply.
 struct IngestCompletion {
   enum class Kind : uint8_t {
     kClosed,     // a kSessionClose harvested the session into `result`
@@ -156,26 +130,13 @@ struct IngestCompletion {
   };
   Kind kind = Kind::kError;
   ServiceRecordRef ref;
-  SessionResult result;  // kClosed; the hook may move it out
+  SessionResult result;  // kClosed; the caller may move it out
   std::string error;     // kError
-};
-
-// Shard-worker callbacks for a pipeline producer that answers for its records. Each runs on
-// the worker that owns the record's shard; any may be left empty.
-struct IngestHooks {
-  // Immediately before each record is applied.
-  std::function<void(const ServiceRecordRef&)> before_apply;
-  // Once per session end (close, abort, handoff) and once per record the pipeline could not
-  // apply. When set, closed results and errors come here instead of being kept for
-  // DrainClosed / TakeIngestErrors.
-  std::function<void(IngestCompletion&)> on_complete;
 };
 
 class DetectorService {
  public:
   explicit DetectorService(const ServiceOptions& options = {});
-  DetectorService(const ServiceOptions& options, IngestHooks hooks);
-  ~DetectorService();
   DetectorService(const DetectorService&) = delete;
   DetectorService& operator=(const DetectorService&) = delete;
 
@@ -210,25 +171,19 @@ class DetectorService {
     telemetry::SessionId id_;
   };
 
-  // One producer thread's batching front-end to the pipeline (threads >= 1 only; the
-  // constructor throws std::logic_error on a service without workers). Push order per
-  // session is preserved end-to-end. The payloads behind pushed refs must stay alive until
-  // WaitIngestIdle()/DrainClosed() returns; an Ingestor must be flushed (or destroyed)
-  // before the barrier and must not outlive the service.
+  // One producer thread's front end to in-place apply: Push applies the record on the calling
+  // thread before it returns, and keeps its session's closed result, or its error, for
+  // DrainClosed / TakeIngestErrors. Flush has nothing to do.
   class Ingestor {
    public:
-    explicit Ingestor(DetectorService* service);
-    Ingestor(const Ingestor&) = delete;
-    Ingestor& operator=(const Ingestor&) = delete;
-    ~Ingestor() { router_.Flush(); }
+    explicit Ingestor(DetectorService* service) : service_(service) {}
 
-    void Push(ServiceRecordRef ref) { router_.Push(ref); }
-    void Push(const ServiceRecord& record) { router_.Push({record.session, &record.record}); }
-    // Hands every partial batch to the rings (blocking on full rings).
-    void Flush() { router_.Flush(); }
+    void Push(ServiceRecordRef ref) { service_->ApplyAndKeep(ref); }
+    void Push(const ServiceRecord& record) { Push({record.session, &record.record}); }
+    void Flush() {}
 
    private:
-    simkit::BatchRouter<ServiceRecordRef> router_;
+    DetectorService* service_;
   };
 
   // Opens a session: allocates its arena (an overlay database over the service seed — or
@@ -269,13 +224,12 @@ class DetectorService {
   // Drops a session without harvesting (client error path: the producer died mid-stream).
   void Discard(telemetry::SessionId id);
 
-  // Applies one record on the calling thread, as a shard worker applies it: an open, a
-  // record, a close, an abort or a handoff, with the same `source` ownership check. Returns
-  // the session's completion when the record ended it (closed, aborted, handed off) or
-  // could not be applied (kError; nothing is thrown), and nothing otherwise. Hooks are not
-  // called. Calls for distinct sessions may run concurrently: the shard spin lock guards
-  // every map probe. One session's records must come from one thread, in order, and a
-  // session applied here is never also pushed through the pipeline.
+  // Applies one record on the calling thread: an open, a record, a close, an abort or a
+  // handoff. A session belongs to the `source` of its open, and a record from another source
+  // is refused. Returns the session's completion when the record ended it (closed, aborted,
+  // handed off) or could not be applied (kError; nothing is thrown), and nothing otherwise.
+  // Calls for distinct sessions may run concurrently: the shard spin lock guards every map
+  // probe. One session's records must come from one thread, in order.
   std::optional<IngestCompletion> Apply(ServiceRecordRef ref);
 
   // The sessions currently live, ascending. Callers must quiesce their producers first
@@ -284,40 +238,24 @@ class DetectorService {
 
   SessionHandle Handle(telemetry::SessionId id) { return SessionHandle(this, id); }
 
-  // Batch entry: consumes one interleaved stream in order — open/record/close framing per
-  // session_stream.h — and returns the results of every session closed by the stream, in
-  // ascending-SessionId order. Opened sessions seed from the service-wide seed_db /
-  // knowledge base, like Open(). Without workers the calling thread applies the records,
-  // with workers the pipeline does; either way the first record that could not be applied
-  // is thrown as std::invalid_argument once the whole stream has been applied.
+  // Batch entry: applies one interleaved stream in order on the calling thread —
+  // open/record/close framing per session_stream.h — and returns the results of every session
+  // closed by the stream, in ascending-SessionId order. Opened sessions seed from the
+  // service-wide seed_db / knowledge base, like Open(). Once the whole stream is applied, the
+  // first record that could not be applied is thrown as std::invalid_argument.
   std::vector<SessionResult> Consume(std::span<const ServiceRecord> stream);
 
-  // Pipeline barrier: blocks until every batch routed so far has been applied by the shard
-  // workers. Callers must have flushed (and stopped) their Ingestors first. No-op without
-  // workers. When a knowledge base is attached, the barrier is an epoch boundary: pending
-  // discoveries publish before it returns.
-  void WaitIngestIdle();
-
-  // Barrier + harvest: the results of every session closed through the pipeline since the
-  // last drain, in ascending-SessionId order.
+  // The results of every session an Ingestor closed since the last drain, in
+  // ascending-SessionId order. Callers must quiesce their producers first.
   std::vector<SessionResult> DrainClosed();
 
-  // Barrier + the records the pipeline could not apply since the last take (stream order
-  // within a shard; shards concatenated in index order).
+  // The records Ingestors could not apply since the last take, in the order they were
+  // refused.
   std::vector<IngestError> TakeIngestErrors();
 
   size_t live_sessions() const;
   int64_t sessions_opened() const { return opened_.load(std::memory_order_relaxed); }
   int32_t shards() const { return static_cast<int32_t>(shards_.size()); }
-  int32_t ingest_threads() const { return static_cast<int32_t>(workers_.size()); }
-
-  // A shard worker's watchdog view: `progress` counts the records it has taken up, `busy`
-  // is held while it applies a batch. Busy with progress frozen means one record wedged it.
-  struct WorkerHealth {
-    uint64_t progress = 0;
-    bool busy = false;
-  };
-  WorkerHealth worker_health(int32_t worker) const;
 
  private:
   // One session's arena: everything that exists only while the session is live. `database`
@@ -325,38 +263,15 @@ class DetectorService {
   struct SessionSlot {
     BlockingApiDatabase database;
     std::unique_ptr<DetectorCore> core;
-    const void* source = nullptr;  // the ServiceRecordRef::source of the pipelined open
-  };
-
-  // One routed unit: up to batch_size record refs.
-  struct IngestBatch {
-    std::vector<ServiceRecordRef> refs;
+    const void* source = nullptr;  // the ServiceRecordRef::source of the applied open
   };
 
   struct Shard {
-    // Guards `live` probes (and only the probes) on the synchronous path; a pipeline worker
-    // takes it too, so synchronous sessions and pipelined sessions can share a shard.
+    // Guards `live` probes, and only the probes; the core calls run unlocked.
     simkit::SpinLock lock;
     simkit::OpenHashMap<telemetry::SessionId, std::unique_ptr<SessionSlot>,
                         telemetry::SessionIdHasher>
         live;
-    // Pipeline state. `enqueued` is bumped by producers as they push to the ring;
-    // `processed` by the owning worker after applying a batch (release) — the barrier
-    // acquires it, which also publishes `closed`/`errors` to the draining thread.
-    std::unique_ptr<simkit::MpmcRing<IngestBatch>> ring;
-    std::atomic<int64_t> enqueued{0};
-    std::atomic<int64_t> processed{0};
-    std::vector<SessionResult> closed;  // worker-written; read only after the barrier
-    std::vector<IngestError> errors;    // worker-written; read only after the barrier
-  };
-
-  // One shard worker's shared counters: watchdog health, and the wake counter it parks on.
-  // Cache-line aligned so neighbouring workers do not false-share.
-  struct alignas(64) Worker {
-    std::atomic<uint64_t> progress{0};
-    std::atomic<bool> busy{false};
-    std::atomic<uint32_t> wake{0};  // bumped by producers after every pushed batch
-    std::atomic<bool> parked{false};
   };
 
   Shard& ShardFor(telemetry::SessionId id) {
@@ -375,13 +290,8 @@ class DetectorService {
                                           const void* source = nullptr);
   SessionResult Harvest(telemetry::SessionId id, std::unique_ptr<SessionSlot> slot);
 
-  // Pipeline internals.
-  void EnqueueBatch(size_t shard_index, IngestBatch&& batch);
-  void Complete(Shard& shard, IngestCompletion& completion);
-  // Barrier, then moves every shard's `pending` items out, shards in index order.
-  template <typename T>
-  std::vector<T> TakeAll(std::vector<T> Shard::*pending);
-  void WorkerLoop(size_t worker_index);
+  // Apply, keeping a closed result or an error for DrainClosed / TakeIngestErrors.
+  void ApplyAndKeep(ServiceRecordRef ref);
   // Session-close side of the KB protocol: absorb + count toward the automatic epoch.
   void AbsorbIntoKb(telemetry::SessionId id, SessionResult& result, DetectorCore& core);
 
@@ -390,10 +300,9 @@ class DetectorService {
   BlockingApiDatabase own_seed_;
   const BlockingApiDatabase* seed_view_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
-  IngestHooks hooks_;
-  std::unique_ptr<Worker[]> worker_state_;  // one per thread in workers_
-  std::vector<std::thread> workers_;
-  std::atomic<bool> stop_{false};
+  std::mutex kept_mu_;  // guards closed_ and errors_
+  std::vector<SessionResult> closed_;
+  std::vector<IngestError> errors_;
   std::atomic<int64_t> opened_{0};
   std::atomic<int64_t> live_{0};
   std::atomic<int64_t> kb_closed_{0};

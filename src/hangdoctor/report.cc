@@ -41,26 +41,8 @@ void HangBugReport::Record(const std::string& app_package, const Diagnosis& diag
   entry.max_hang = std::max(entry.max_hang, hang_duration);
 }
 
-void HangBugReport::Merge(const HangBugReport& other) {
-  for (const auto& [key, entry] : other.entries_) {
-    BugReportEntry& mine = entries_[key];
-    if (mine.occurrences == 0) {
-      mine = entry;
-      continue;
-    }
-    mine.degraded = mine.degraded || entry.degraded;
-    if (mine.wait_site.empty()) {
-      mine.wait_site = entry.wait_site;
-    }
-    mine.occurrences += entry.occurrences;
-    mine.devices.insert(entry.devices.begin(), entry.devices.end());
-    mine.total_hang += entry.total_hang;
-    mine.max_hang = std::max(mine.max_hang, entry.max_hang);
-  }
-}
-
-void HangBugReport::Absorb(const BugReportEntry& entry) {
-  BugReportEntry& mine = entries_[Key(entry.app_package, entry.api, entry.file, entry.line)];
+void HangBugReport::Fold(const std::string& key, const BugReportEntry& entry) {
+  BugReportEntry& mine = entries_[key];
   if (mine.occurrences == 0) {
     mine = entry;
     return;
@@ -75,6 +57,16 @@ void HangBugReport::Absorb(const BugReportEntry& entry) {
   mine.max_hang = std::max(mine.max_hang, entry.max_hang);
 }
 
+void HangBugReport::Merge(const HangBugReport& other) {
+  for (const auto& [key, entry] : other.entries_) {
+    Fold(key, entry);
+  }
+}
+
+void HangBugReport::Absorb(const BugReportEntry& entry) {
+  Fold(Key(entry.app_package, entry.api, entry.file, entry.line), entry);
+}
+
 std::vector<BugReportEntry> HangBugReport::Entries() const {
   std::vector<BugReportEntry> entries;
   entries.reserve(entries_.size());
@@ -85,11 +77,7 @@ std::vector<BugReportEntry> HangBugReport::Entries() const {
 }
 
 std::vector<BugReportEntry> HangBugReport::SortedEntries() const {
-  std::vector<BugReportEntry> sorted;
-  sorted.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    sorted.push_back(entry);
-  }
+  std::vector<BugReportEntry> sorted = Entries();
   std::sort(sorted.begin(), sorted.end(), [](const BugReportEntry& a, const BugReportEntry& b) {
     if (a.devices.size() != b.devices.size()) {
       return a.devices.size() > b.devices.size();

@@ -71,6 +71,10 @@ class HangBugReport {
   std::string Render(int32_t total_devices) const;
 
  private:
+  // Folds `entry` into entries_ under its identity key, the one body Merge and Absorb share.
+  // The first-folded wait_site wins.
+  void Fold(const std::string& key, const BugReportEntry& entry);
+
   std::map<std::string, BugReportEntry> entries_;
 };
 

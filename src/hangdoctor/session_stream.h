@@ -64,10 +64,9 @@ struct SpiPayload {
 // One element of the interleaved stream: an SPI payload stamped with its session.
 using ServiceRecord = telemetry::SessionStamped<SpiPayload>;
 
-// A non-owning view of one stream element — what travels through the ingest pipeline's
-// rings: 24 bytes, so N sessions replaying one shared donor stream cost N refs, not N copies.
-// The payload must stay alive until the record is applied (the service's ingest barrier, or
-// the return of DetectorService::Apply). `source` names the producer-side owner
+// A non-owning view of one stream element — what DetectorService::Apply takes: 24 bytes, so
+// N sessions replaying one shared donor stream cost N refs, not N copies. The payload must
+// stay alive until Apply returns. `source` names the producer-side owner
 // (hangdoctord: the connection): a session belongs to the source of its open, and a record,
 // close, abort or handoff from another source is refused, so a losing duplicate open can
 // never feed, harvest or discard the winner's session. Null for single-source producers.

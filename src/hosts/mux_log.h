@@ -128,10 +128,10 @@ class MuxStreamDecoder {
   }
 
   // The same, but an open's, a record's or a close's SPI payload goes to `*record` rather
-  // than to `out->record.record`: a caller that hands payloads on (a pipeline producer whose
-  // payloads must outlive the push) gets each one written once, in place. As above, only the
-  // members the decoded kind selects are written; a usage footer (`out->skip`) leaves
-  // `*record` untouched.
+  // than to `out->record.record`: a caller that keeps payloads past the next decode (a
+  // producer that collects a stream before applying it) gets each one written once, in
+  // place. As above, only the members the decoded kind selects are written; a usage footer
+  // (`out->skip`) leaves `*record` untouched.
   bool Decode(std::string_view payload, DecodedFrame* out, SpiPayload* record);
 
   // Ends open session `id` without a close frame, so a later open of the id starts it

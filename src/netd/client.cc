@@ -105,22 +105,29 @@ bool NetClient::SendRaw(const std::string& bytes, size_t chunk) {
   return WriteAll(bytes.data(), bytes.size(), chunk);
 }
 
-bool NetClient::FillBuffer(bool blocking) {
+bool NetClient::FillBuffer() {
   char buf[16 * 1024];
-  ssize_t n = recv(fd_, buf, sizeof(buf), blocking ? 0 : MSG_DONTWAIT);
-  if (n > 0) {
-    splitter_.Feed(buf, static_cast<size_t>(n));
-    return true;
-  }
-  if (n == 0) {
-    error_ = "connection closed";
+  for (;;) {
+    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+    if (n > 0) {
+      splitter_.Feed(buf, static_cast<size_t>(n));
+      return true;
+    }
+    if (n == 0) {
+      error_ = "connection closed";
+      return false;
+    }
+    if (errno == EINTR) {
+      continue;
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      // A blocking recv reports EAGAIN only when SO_RCVTIMEO expired with nothing to read.
+      error_ = "recv: timed out";
+    } else {
+      error_ = "recv: " + std::string(std::strerror(errno));
+    }
     return false;
   }
-  if (errno == EAGAIN || errno == EWOULDBLOCK) {
-    return !blocking ? false : FillBuffer(true);
-  }
-  error_ = "recv: " + std::string(std::strerror(errno));
-  return false;
 }
 
 bool NetClient::ReadReply(Reply* reply) {
@@ -130,7 +137,7 @@ bool NetClient::ReadReply(Reply* reply) {
       error_ = "reply stream: " + splitter_.error();
       return false;
     }
-    if (fd_ < 0 || !FillBuffer(true)) {
+    if (fd_ < 0 || !FillBuffer()) {
       return false;
     }
   }

@@ -47,7 +47,8 @@ class NetClient {
   // Writes raw bytes with no framing (protocol-violation tests).
   bool SendRaw(const std::string& bytes, size_t chunk = 0);
 
-  // Blocks until one complete reply frame arrives and decodes it. False on EOF/parse error.
+  // Blocks until one complete reply frame arrives and decodes it. False on EOF, on a parse
+  // error, and when the socket's SO_RCVTIMEO expires first (error() says "recv: timed out").
   bool ReadReply(Reply* reply);
 
   // Non-blocking sweep: decodes every reply currently queued in the socket.
@@ -59,7 +60,8 @@ class NetClient {
 
  private:
   bool WriteAll(const char* data, size_t size, size_t chunk);
-  bool FillBuffer(bool blocking);
+  // One blocking recv into the splitter, retried on EINTR.
+  bool FillBuffer();
 
   int fd_ = -1;
   std::string error_;

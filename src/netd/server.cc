@@ -823,10 +823,6 @@ NetServer::NetServer(const ServerOptions& options) : impl_(new Impl) {
   if (options.workers < 1) {
     throw std::invalid_argument("NetServer: workers must be >= 1");
   }
-  if (options.service.threads != 0) {
-    throw std::invalid_argument(
-        "NetServer: service.threads must be 0 (the epoll workers apply every record)");
-  }
   if (options.watchdog_timeout_ms > 0 && options.watchdog_poll_ms < 1) {
     throw std::invalid_argument("NetServer: watchdog_poll_ms must be >= 1");
   }

@@ -69,9 +69,8 @@ namespace netd {
 inline constexpr size_t kMaxUnsentReplyBytes = size_t{128} << 10;
 
 struct ServerOptions {
-  // Shared detector backend. `service.threads` must stay 0 (a nonzero value throws): the
-  // epoll workers apply every record themselves. `service.shards` (>= 1) only spreads the
-  // session map's spin locks.
+  // Shared detector backend: the epoll workers apply every record into it in place.
+  // `service.shards` (>= 1) only spreads the session map's spin locks.
   hangdoctor::ServiceOptions service;
   // Epoll worker threads (>= 1): each reads, decodes and applies its connections' records.
   int32_t workers = 1;

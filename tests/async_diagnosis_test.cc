@@ -3,8 +3,9 @@
 // diagnosis must name the async culprit frame, never the Future.get frame the main-thread
 // traces actually show, and keep the wait site as provenance. The verdicts must be
 // bit-identical across every deployment shape: worker counts, service shard counts, with and
-// without the shared knowledge base, and under record/replay. The pipelined-ingest thread
-// axis runs over these apps' recorded logs in ingest_concurrency_test, on the sanitizer legs.
+// without the shared knowledge base, and under record/replay. The producer-threads axis of
+// in-place apply runs over these apps' recorded logs in ingest_concurrency_test, on the
+// sanitizer legs.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>

@@ -1,17 +1,16 @@
-// The lock-free ingest pipeline, attacked from below and from above. From below: the simkit
-// concurrency primitives (MPMC ring, batch router, open-addressed map) against
-// reference models and multi-threaded stress — these run on the TSan CI leg, so every
-// atomic's ordering is machine-checked, not argued. From above: the DetectorService
-// determinism contract — pipelined ingest at any {threads, shards} produces results
-// bit-identical to the synchronous path and, over recorded fleets, to the per-job fleet
-// oracle, fault-injected and async sessions included.
-#include <time.h>
+// DetectorService's in-place apply from many threads — the race surface of hangdoctord's
+// epoll workers, which apply disjoint sessions into one shared service. From below: the
+// open-addressed session map against a reference model. From above: the determinism
+// contract — t producer threads, each applying its own sessions through Apply or an
+// Ingestor while the sessions share shards, produce results bit-identical to one thread
+// consuming the stream and, over recorded fleets, to the per-job fleet oracle, fault-injected
+// and async sessions included; completions, source ownership and the error order of Consume.
+// These run on the TSan CI leg, so every shared access is machine-checked, not argued.
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
@@ -37,8 +36,6 @@
 #include "src/hosts/hang_doctor.h"
 #include "src/hosts/mux_log.h"
 #include "src/hosts/session_log.h"
-#include "src/simkit/batch_router.h"
-#include "src/simkit/mpmc_ring.h"
 #include "src/simkit/rng.h"
 #include "src/simkit/shard_map.h"
 #include "src/workload/catalog.h"
@@ -47,187 +44,6 @@
 #include "tests/recorded_fleet.h"
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// MpmcRing: single-threaded semantics against a deque model.
-
-TEST(MpmcRingTest, SingleThreadMatchesDequeModel) {
-  simkit::MpmcRing<int> ring(8);
-  std::deque<int> model;
-  // Deterministic push/pop pattern exercising wraparound several times over.
-  uint64_t state = 0x9E3779B97F4A7C15ULL;
-  for (int step = 0; step < 10000; ++step) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    if ((state >> 33) % 3 != 0) {  // push-biased so the ring fills and wraps
-      int value = step;
-      if (ring.TryPush(value)) {
-        model.push_back(step);
-      } else {
-        EXPECT_EQ(model.size(), ring.capacity());  // rejects exactly when full
-      }
-    } else {
-      int out = -1;
-      if (ring.TryPop(out)) {
-        ASSERT_FALSE(model.empty());
-        EXPECT_EQ(out, model.front());
-        model.pop_front();
-      } else {
-        EXPECT_TRUE(model.empty());  // rejects exactly when empty
-      }
-    }
-  }
-  int out = -1;
-  while (ring.TryPop(out)) {
-    ASSERT_FALSE(model.empty());
-    EXPECT_EQ(out, model.front());
-    model.pop_front();
-  }
-  EXPECT_TRUE(model.empty());
-}
-
-TEST(MpmcRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(simkit::MpmcRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(simkit::MpmcRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(simkit::MpmcRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(simkit::MpmcRing<int>(100).capacity(), 128u);
-  EXPECT_EQ(simkit::MpmcRing<int>(1024).capacity(), 1024u);
-}
-
-// MPMC stress: 4 producers push tagged items, 2 consumers drain. Every item arrives exactly
-// once, and within each consumer's observed stream, any one producer's items appear in
-// push order (the per-producer FIFO guarantee the service's determinism contract rests on).
-TEST(MpmcRingTest, ConcurrentProducersAndConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 2;
-  constexpr uint64_t kPerProducer = 5000;
-  simkit::MpmcRing<uint64_t> ring(64);
-  std::atomic<int> producers_left{kProducers};
-  std::vector<std::vector<uint64_t>> consumed(kConsumers);
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([p, &ring]() {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        ring.Push((static_cast<uint64_t>(p) << 32) | i);  // tag: producer in the high half
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([c, &ring, &producers_left, &consumed]() {
-      uint64_t value = 0;
-      for (;;) {
-        if (ring.TryPop(value)) {
-          consumed[c].push_back(value);
-        } else if (producers_left.load(std::memory_order_acquire) == 0) {
-          if (!ring.TryPop(value)) {
-            return;  // producers done and the ring drained twice: nothing left
-          }
-          consumed[c].push_back(value);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) {
-    threads[static_cast<size_t>(p)].join();
-    producers_left.fetch_sub(1, std::memory_order_release);
-  }
-  for (size_t t = kProducers; t < threads.size(); ++t) {
-    threads[t].join();
-  }
-
-  // Exactly-once delivery: the union of both consumers is every tagged item, no dups.
-  std::map<uint64_t, int> seen;
-  for (const std::vector<uint64_t>& stream : consumed) {
-    for (uint64_t value : stream) {
-      ++seen[value];
-    }
-  }
-  ASSERT_EQ(seen.size(), kProducers * kPerProducer);
-  for (const auto& [value, count] : seen) {
-    ASSERT_EQ(count, 1) << "item " << value << " delivered " << count << " times";
-  }
-  // Per-producer FIFO within each consumer's stream.
-  for (int c = 0; c < kConsumers; ++c) {
-    std::vector<uint64_t> last(kProducers, 0);
-    std::vector<bool> any(kProducers, false);
-    for (uint64_t value : consumed[c]) {
-      int p = static_cast<int>(value >> 32);
-      uint64_t i = value & 0xFFFFFFFFULL;
-      if (any[p]) {
-        ASSERT_GT(i, last[p]) << "producer " << p << " reordered at consumer " << c;
-      }
-      last[p] = i;
-      any[p] = true;
-    }
-  }
-}
-
-// Blocking Push provides backpressure, not loss: a tiny ring forces the producer to wait for
-// the consumer, and everything still arrives in order (SPSC => total order).
-TEST(MpmcRingTest, BlockingPushBackpressuresOnTinyRing) {
-  simkit::MpmcRing<int> ring(4);
-  constexpr int kItems = 20000;
-  std::thread producer([&ring]() {
-    for (int i = 0; i < kItems; ++i) {
-      ring.Push(i);
-    }
-  });
-  std::vector<int> received;
-  received.reserve(kItems);
-  while (received.size() < kItems) {
-    int value = -1;
-    if (ring.TryPop(value)) {
-      received.push_back(value);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(received[static_cast<size_t>(i)], i);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// BatchRouter: batching amortization without reordering.
-
-TEST(BatchRouterTest, RoutesInOrderAndDispatchesFullBatches) {
-  std::vector<std::vector<std::vector<int>>> sunk(3);  // [shard][batch][item]
-  simkit::BatchRouter<int> router(
-      3, 4, [](const int& item) { return static_cast<size_t>(item % 3); },
-      [&sunk](size_t shard, std::vector<int>&& batch) {
-        EXPECT_LE(batch.size(), 4u);
-        sunk[shard].push_back(std::move(batch));
-      });
-  for (int i = 0; i < 50; ++i) {
-    router.Push(i);
-  }
-  // 17 items hit shards 0 and 1 (4 full batches dispatched, 1 item pending each); shard 2
-  // has 16 (all dispatched, nothing pending).
-  EXPECT_EQ(sunk[0].size(), 4u);
-  EXPECT_EQ(sunk[1].size(), 4u);
-  EXPECT_EQ(sunk[2].size(), 4u);
-  router.Flush();
-  EXPECT_EQ(sunk[0].size(), 5u);
-  EXPECT_EQ(sunk[1].size(), 5u);
-  EXPECT_EQ(sunk[2].size(), 4u);
-  // Per-shard order: concatenated batches replay the push order of that shard's items.
-  for (int shard = 0; shard < 3; ++shard) {
-    std::vector<int> flat;
-    for (const std::vector<int>& batch : sunk[static_cast<size_t>(shard)]) {
-      flat.insert(flat.end(), batch.begin(), batch.end());
-    }
-    int expected = shard;
-    for (int item : flat) {
-      EXPECT_EQ(item, expected);
-      expected += 3;
-    }
-  }
-  router.Flush();  // nothing pending: no empty batches are sunk
-  EXPECT_EQ(sunk[0].size(), 5u);
-}
 
 // ---------------------------------------------------------------------------
 // OpenHashMap: insert/find/erase churn against the standard map.
@@ -285,52 +101,32 @@ TEST(OpenHashMapTest, ChurnMatchesUnorderedMapModel) {
 }
 
 // ---------------------------------------------------------------------------
-// DetectorService pipeline: options validation, error surfacing, graceful drain.
+// DetectorService basics: options validation, error surfacing, destruction.
 
 TEST(IngestPipelineTest, OptionValidationThrows) {
   EXPECT_THROW(hangdoctor::DetectorService(hangdoctor::ServiceOptions{0}),
                std::invalid_argument);
   EXPECT_THROW(hangdoctor::DetectorService(hangdoctor::ServiceOptions{-3}),
                std::invalid_argument);
-  EXPECT_THROW(hangdoctor::DetectorService(hangdoctor::ServiceOptions{1, -1}),
-               std::invalid_argument);
-  EXPECT_THROW(hangdoctor::DetectorService(
-                   hangdoctor::ServiceOptions{.shards = 1, .ring_capacity = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      hangdoctor::DetectorService(hangdoctor::ServiceOptions{.shards = 1, .batch_size = 0}),
-      std::invalid_argument);
-
-  // An Ingestor needs a pipeline to feed.
-  hangdoctor::DetectorService sync_only(hangdoctor::ServiceOptions{2});
-  EXPECT_EQ(sync_only.ingest_threads(), 0);
-  EXPECT_THROW(hangdoctor::DetectorService::Ingestor{&sync_only}, std::logic_error);
 }
 
 TEST(IngestPipelineTest, UnroutableRecordSurfacesAsIngestError) {
-  hangdoctor::ServiceOptions options;
-  options.shards = 3;
-  options.threads = 2;
-  hangdoctor::DetectorService service(options);
-  EXPECT_EQ(service.ingest_threads(), 2);
-
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{3});
   hangdoctor::SpiPayload orphan;
   orphan.kind = hangdoctor::SpiPayload::Kind::kDispatchStart;
   orphan.start.execution_id = 1;
-  {
-    hangdoctor::DetectorService::Ingestor ingestor(&service);
-    ingestor.Push({telemetry::SessionId{77}, &orphan});
-  }
+  hangdoctor::DetectorService::Ingestor ingestor(&service);
+  ingestor.Push({telemetry::SessionId{77}, &orphan});
   std::vector<hangdoctor::IngestError> errors = service.TakeIngestErrors();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].session.value, 77u);
   EXPECT_NE(errors[0].message.find("not open"), std::string::npos) << errors[0].message;
-  // The error was consumed; the pipeline is clean again.
+  // The error was consumed; the service is clean again.
   EXPECT_TRUE(service.TakeIngestErrors().empty());
   EXPECT_EQ(service.live_sessions(), 0u);
 }
 
-TEST(IngestPipelineTest, DestructionDrainsInFlightBatches) {
+TEST(IngestPipelineTest, DestructionFreesLiveSessions) {
   telemetry::SymbolTable symbols;
   hangdoctor::SessionInfo info;
   info.app_package = "com.example.drain";
@@ -340,27 +136,20 @@ TEST(IngestPipelineTest, DestructionDrainsInFlightBatches) {
   open_payload.kind = hangdoctor::SpiPayload::Kind::kSessionOpen;
   open_payload.info = info;
 
-  hangdoctor::ServiceOptions options;
-  options.shards = 5;
-  options.threads = 2;
-  options.batch_size = 8;
-  hangdoctor::DetectorService service(options);
-  {
-    hangdoctor::DetectorService::Ingestor ingestor(&service);
-    for (uint64_t s = 0; s < 200; ++s) {
-      ingestor.Push({telemetry::SessionId{s}, &open_payload});
-    }
+  // The service dies with every session still live: its destructor must free each arena
+  // (LeakSanitizer-checked on the ASan leg).
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{5});
+  hangdoctor::DetectorService::Ingestor ingestor(&service);
+  for (uint64_t s = 0; s < 200; ++s) {
+    ingestor.Push({telemetry::SessionId{s}, &open_payload});
   }
-  // No barrier: the service is destroyed with batches potentially still in its rings. The
-  // destructor's drain must apply them all before the workers join (sanitizer-checked), and
-  // since every record is an open, a full drain is observable right before destruction.
-  service.WaitIngestIdle();
+  EXPECT_TRUE(service.TakeIngestErrors().empty());
   EXPECT_EQ(service.sessions_opened(), 200);
   EXPECT_EQ(service.live_sessions(), 200u);
 }
 
 // ---------------------------------------------------------------------------
-// Determinism from above: pipelined ingest ≡ synchronous ingest ≡ per-job oracle.
+// Determinism from above: t producer threads ≡ one thread ≡ per-job oracle.
 
 const workload::Catalog& SharedCatalog() {
   static const workload::Catalog* catalog = new workload::Catalog();
@@ -443,6 +232,33 @@ void ExpectSessionResultsEqual(const std::vector<hangdoctor::SessionResult>& a,
   }
 }
 
+// Applies `stream` from `producers` threads, each owning an Ingestor and pushing, in stream
+// order, the records of the sessions whose id % producers is its index. Sessions of every
+// producer share the service's shards. Returns the drained results; a refused record fails
+// the test.
+std::vector<hangdoctor::SessionResult> ApplyFromProducers(
+    hangdoctor::DetectorService& service, const std::vector<hangdoctor::ServiceRecord>& stream,
+    size_t producers) {
+  std::vector<std::thread> threads;
+  for (size_t p = 0; p < producers; ++p) {
+    threads.emplace_back([&, p] {
+      hangdoctor::DetectorService::Ingestor ingestor(&service);
+      for (const hangdoctor::ServiceRecord& record : stream) {
+        if (record.session.value % producers == p) {
+          ingestor.Push(record);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (const hangdoctor::IngestError& error : service.TakeIngestErrors()) {
+    ADD_FAILURE() << "session " << error.session.value << ": " << error.message;
+  }
+  return service.DrainClosed();
+}
+
 TEST(IngestPipelineTest, PipelinedConsumeMatchesSynchronousAtEveryTopology) {
   constexpr size_t kSessions = 12;
   std::vector<hangdoctor::ServiceRecord> stream = InterleavedStream(kSessions);
@@ -453,13 +269,8 @@ TEST(IngestPipelineTest, PipelinedConsumeMatchesSynchronousAtEveryTopology) {
 
   for (int32_t threads : {1, 4, 8}) {
     for (int32_t shards : {1, 4, 7}) {
-      hangdoctor::ServiceOptions options;
-      options.shards = shards;
-      options.threads = threads;
-      options.ring_capacity = 4;  // tiny rings so backpressure is exercised, not just possible
-      options.batch_size = 16;
-      hangdoctor::DetectorService service(options);
-      std::vector<hangdoctor::SessionResult> got = service.Consume(stream);
+      hangdoctor::DetectorService service(hangdoctor::ServiceOptions{shards});
+      std::vector<hangdoctor::SessionResult> got = ApplyFromProducers(service, stream, threads);
       ExpectSessionResultsEqual(
           expected, got,
           "threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
@@ -469,9 +280,30 @@ TEST(IngestPipelineTest, PipelinedConsumeMatchesSynchronousAtEveryTopology) {
   }
 }
 
-// The fleet-level contract: a fleet recorded on the per-job oracle and pushed through the
-// pipeline from `threads` producers is bit-identical to the oracle at every {threads, shards}
-// pair (recorded_fleet.h).
+// Consume applies the whole stream, then throws the first record it could not apply — first
+// in stream order, whichever shards the refused sessions hash to.
+TEST(IngestPipelineTest, ConsumeThrowsTheFirstRefusedRecordInStreamOrder) {
+  const telemetry::SessionId first{1};
+  const telemetry::SessionId second{2};
+  // Session 1 hashes to a higher shard than session 2, so a per-shard error list joined in
+  // shard order would report session 2 first.
+  ASSERT_GT(telemetry::ShardOf(first, 2), telemetry::ShardOf(second, 2));
+  hangdoctor::SpiPayload close;
+  close.kind = hangdoctor::SpiPayload::Kind::kSessionClose;
+  const std::vector<hangdoctor::ServiceRecord> stream = {{first, close}, {second, close}};
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{2});
+  try {
+    service.Consume(stream);
+    ADD_FAILURE() << "a close of an unopened session must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "DetectorService: session 1 is not open");
+  }
+  EXPECT_TRUE(service.TakeIngestErrors().empty()) << "Consume takes the errors it throws";
+}
+
+// The fleet-level contract: a fleet recorded on the per-job oracle and applied from `threads`
+// producers is bit-identical to the oracle at every {threads, shards} pair
+// (recorded_fleet.h).
 std::vector<workload::FleetJob> SmallStudyFleet(
     const hangdoctor::BlockingApiDatabase* known_db, const faultsim::FaultProfile& faults) {
   const workload::Catalog& catalog = SharedCatalog();
@@ -504,30 +336,31 @@ TEST(IngestPipelineTest, PipelinedFleetMatchesOracleAcrossTopologies) {
 
   for (int32_t threads : {1, 4, 8}) {
     for (int32_t shards : {1, 4, 7}) {
-      hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
-                                         .seed_db = &known_db};
-      recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
-                                          Topology(threads, shards));
+      hangdoctor::ServiceOptions options{.shards = shards, .seed_db = &known_db};
+      std::vector<hangdoctor::SessionResult> results =
+          recorded_fleet::IngestFleet(fleet, options, threads);
+      recorded_fleet::ExpectMatchesOracle(fleet, results, Topology(threads, shards));
     }
   }
 }
 
 TEST(IngestPipelineTest, PipelinedFleetMatchesOracleUnderFaultInjection) {
   hangdoctor::BlockingApiDatabase known_db = SharedCatalog().MakeKnownDatabase();
-  // The recorder sits downstream of the fault injector, so the pipeline must reproduce the
+  // The recorder sits downstream of the fault injector, so the service must reproduce the
   // *faulty* sessions bit-identically — degradation counters and all.
   recorded_fleet::Fleet fleet = recorded_fleet::RecordFleet(
       SmallStudyFleet(&known_db, faultsim::FaultProfile::Named("chaos")), "chaos");
 
   for (int32_t threads : {1, 4}) {
-    hangdoctor::ServiceOptions options{.shards = 7, .threads = threads, .seed_db = &known_db};
-    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
-                                        "chaos " + Topology(threads, 7));
+    hangdoctor::ServiceOptions options{.shards = 7, .seed_db = &known_db};
+    std::vector<hangdoctor::SessionResult> results =
+        recorded_fleet::IngestFleet(fleet, options, threads);
+    recorded_fleet::ExpectMatchesOracle(fleet, results, "chaos " + Topology(threads, 7));
   }
 }
 
-// The waiting-chain diagnoses of the async study apps (DESIGN.md section 3.8) through the
-// pipeline: one device per async app, recorded once, then pushed at every {threads, shards}
+// The waiting-chain diagnoses of the async study apps (DESIGN.md section 3.8) applied in
+// place: one device per async app, recorded once, then applied at every {threads, shards}
 // pair, and through the shared knowledge base at two epoch lengths.
 TEST(IngestPipelineTest, RecordedAsyncFleetMatchesOracleAcrossThreadsShardsAndEpochs) {
   const workload::Catalog& catalog = SharedCatalog();
@@ -546,59 +379,23 @@ TEST(IngestPipelineTest, RecordedAsyncFleetMatchesOracleAcrossThreadsShardsAndEp
 
   for (int32_t threads : {1, 4}) {
     for (int32_t shards : {1, 4, 7}) {
-      hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
-                                         .seed_db = &known_db};
-      recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
-                                          "async " + Topology(threads, shards));
+      hangdoctor::ServiceOptions options{.shards = shards, .seed_db = &known_db};
+      std::vector<hangdoctor::SessionResult> results =
+          recorded_fleet::IngestFleet(fleet, options, threads);
+      recorded_fleet::ExpectMatchesOracle(fleet, results, "async " + Topology(threads, shards));
     }
   }
   for (int64_t epoch : {int64_t{1}, int64_t{16}}) {
     hangdoctor::KnowledgeBase kb(known_db);
     hangdoctor::ServiceOptions options{
-        .shards = 7, .threads = 4, .knowledge_base = &kb, .kb_epoch_sessions = epoch};
-    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
+        .shards = 7, .knowledge_base = &kb, .kb_epoch_sessions = epoch};
+    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options, 4),
                                         "async shared_kb epoch=" + std::to_string(epoch));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline hooks: the completion callback, control records, source ownership, the parked
-// idle wait and the watchdog counters; and the same apply routine called in place.
-
-// Everything the hooks observed, in order, under one lock.
-struct HookLog {
-  std::mutex mu;
-  // Per session: the payloads applied, in order, and the threads that applied them.
-  std::map<uint64_t, std::vector<const hangdoctor::SpiPayload*>> applied;
-  std::map<uint64_t, std::set<std::thread::id>> apply_threads;
-  // Per session: the completions (kind + thread).
-  std::map<uint64_t, std::vector<std::pair<hangdoctor::IngestCompletion::Kind, std::thread::id>>>
-      completions;
-  std::map<uint64_t, hangdoctor::SessionResult> closed;
-  std::vector<std::pair<uint64_t, const void*>> errors;  // session, source
-
-  hangdoctor::IngestHooks Hooks() {
-    hangdoctor::IngestHooks hooks;
-    hooks.before_apply = [this](const hangdoctor::ServiceRecordRef& ref) {
-      std::lock_guard<std::mutex> lock(mu);
-      applied[ref.session.value].push_back(ref.record);
-      apply_threads[ref.session.value].insert(std::this_thread::get_id());
-    };
-    hooks.on_complete = [this](hangdoctor::IngestCompletion& done) {
-      std::lock_guard<std::mutex> lock(mu);
-      const uint64_t id = done.ref.session.value;
-      if (done.kind == hangdoctor::IngestCompletion::Kind::kError) {
-        errors.emplace_back(id, done.ref.source);
-        return;
-      }
-      completions[id].emplace_back(done.kind, std::this_thread::get_id());
-      if (done.kind == hangdoctor::IngestCompletion::Kind::kClosed) {
-        closed[id] = std::move(done.result);
-      }
-    };
-    return hooks;
-  }
-};
+// In-place apply from several threads: completions, control records and source ownership.
 
 hangdoctor::SpiPayload ControlPayload(hangdoctor::SpiPayload::Kind kind) {
   hangdoctor::SpiPayload payload;
@@ -613,69 +410,89 @@ hangdoctor::SpiPayload DonorOpen() {
   return open;
 }
 
-// Sessions end three ways: id % 3 == 0 closes, 1 aborts, 2 is handed off. Each session's
-// records are round-robined with every other session's, then its end record follows.
-TEST(IngestHooksTest, CompletionRunsOncePerSessionOnTheOwningWorker) {
+// The one closed session the donor stream yields, on one thread, as session `id`.
+hangdoctor::SessionResult DonorReference(telemetry::SessionId id) {
+  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
+  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
+  EXPECT_EQ(expected.size(), 1u);
+  expected[0].id = id;
+  return std::move(expected[0]);
+}
+
+// Sessions end three ways: id % 3 == 0 closes, 1 aborts, 2 is handed off. Two producer
+// threads own alternate sessions and round-robin their records, so both threads end
+// sessions of every kind on shards they share.
+TEST(InPlaceApplyTest, CompletionRunsOncePerSessionOnItsProducerThread) {
   constexpr uint64_t kSessions = 18;
+  constexpr uint64_t kProducers = 2;
   const DonorStream& donor = Donor();
   const hangdoctor::SpiPayload open = DonorOpen();
   const hangdoctor::SpiPayload ends[3] = {
       ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose),
       ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort),
       ControlPayload(hangdoctor::SpiPayload::Kind::kSessionHandoff)};
-  HookLog log;
-  hangdoctor::ServiceOptions options;
-  options.shards = 5;
-  options.threads = 3;
-  options.ring_capacity = 2;
-  options.batch_size = 7;
-  hangdoctor::DetectorService service(options, log.Hooks());
-  {
-    hangdoctor::DetectorService::Ingestor ingestor(&service);
-    for (uint64_t s = 0; s < kSessions; ++s) {
-      ingestor.Push({telemetry::SessionId{s}, &open});
-    }
-    for (const hangdoctor::SpiPayload& record : donor.records) {
-      for (uint64_t s = 0; s < kSessions; ++s) {
-        ingestor.Push({telemetry::SessionId{s}, &record});
+  // Per session, written only by its producer thread: every completion Apply returned, and
+  // the closed result.
+  std::vector<std::vector<hangdoctor::IngestCompletion::Kind>> completions(kSessions);
+  std::vector<std::thread::id> completed_on(kSessions);
+  std::vector<hangdoctor::SessionResult> closed(kSessions);
+  std::vector<std::thread::id> producer_ids(kProducers);
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{5});
+  std::vector<std::thread> producers;
+  for (uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      producer_ids[p] = std::this_thread::get_id();
+      auto apply = [&](uint64_t s, const hangdoctor::SpiPayload& payload) {
+        std::optional<hangdoctor::IngestCompletion> done =
+            service.Apply({telemetry::SessionId{s}, &payload});
+        if (done) {
+          completions[s].push_back(done->kind);
+          completed_on[s] = std::this_thread::get_id();
+          if (done->kind == hangdoctor::IngestCompletion::Kind::kClosed) {
+            closed[s] = std::move(done->result);
+          }
+        }
+      };
+      for (uint64_t s = p; s < kSessions; s += kProducers) {
+        apply(s, open);
       }
-    }
-    for (uint64_t s = 0; s < kSessions; ++s) {
-      ingestor.Push({telemetry::SessionId{s}, &ends[s % 3]});
-    }
+      for (const hangdoctor::SpiPayload& record : donor.records) {
+        for (uint64_t s = p; s < kSessions; s += kProducers) {
+          apply(s, record);
+        }
+      }
+      for (uint64_t s = p; s < kSessions; s += kProducers) {
+        apply(s, ends[s % 3]);
+      }
+    });
   }
-  service.WaitIngestIdle();
-  EXPECT_TRUE(service.DrainClosed().empty()) << "closed results go to the hook";
-  EXPECT_TRUE(service.TakeIngestErrors().empty());
+  for (std::thread& producer : producers) {
+    producer.join();
+  }
   EXPECT_EQ(service.live_sessions(), 0u);
+  EXPECT_TRUE(service.DrainClosed().empty()) << "Apply hands every result back to its caller";
 
-  // The synchronous reference for the closed sessions.
-  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
-  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
-  ASSERT_EQ(expected.size(), 1u);
-
-  std::lock_guard<std::mutex> lock(log.mu);
-  EXPECT_TRUE(log.errors.empty());
-  ASSERT_EQ(log.completions.size(), kSessions);
+  hangdoctor::SessionResult expected = DonorReference({});
   const hangdoctor::IngestCompletion::Kind kinds[3] = {
       hangdoctor::IngestCompletion::Kind::kClosed, hangdoctor::IngestCompletion::Kind::kAborted,
       hangdoctor::IngestCompletion::Kind::kHandedOff};
   for (uint64_t s = 0; s < kSessions; ++s) {
     const std::string label = "session " + std::to_string(s);
-    ASSERT_EQ(log.completions[s].size(), 1u) << label;
-    EXPECT_EQ(log.completions[s][0].first, kinds[s % 3]) << label;
-    // Every record of the session, its end included, ran on one thread, and the completion
-    // ran on that same thread: the worker that owns the session's shard.
-    ASSERT_EQ(log.apply_threads[s].size(), 1u) << label;
-    EXPECT_EQ(log.completions[s][0].second, *log.apply_threads[s].begin()) << label;
+    // Exactly one completion — no error, no second end — on the session's own producer.
+    ASSERT_EQ(completions[s].size(), 1u) << label;
+    EXPECT_EQ(completions[s][0], kinds[s % 3]) << label;
+    EXPECT_EQ(completed_on[s], producer_ids[s % kProducers]) << label;
     if (s % 3 == 0) {
-      expected[0].id = telemetry::SessionId{s};
-      ExpectSessionResultsEqual(expected, {log.closed[s]}, label);
+      expected.id = telemetry::SessionId{s};
+      ExpectSessionResultsEqual({expected}, {closed[s]}, label);
     }
   }
 }
 
-TEST(IngestHooksTest, AbortAndHandoffLandAfterEveryEarlierRecordOfTheirSession) {
+// Two producers, each owning half of the sessions on shared shards; every session stops at a
+// different point of the donor stream and its abort or handoff follows at once. Each earlier
+// record finds the session live, the end record drops it, and a record after it is refused.
+TEST(InPlaceApplyTest, AbortAndHandoffLandAfterEveryEarlierRecordOfTheirSession) {
   constexpr uint64_t kSessions = 8;
   const DonorStream& donor = Donor();
   const hangdoctor::SpiPayload open = DonorOpen();
@@ -683,30 +500,30 @@ TEST(IngestHooksTest, AbortAndHandoffLandAfterEveryEarlierRecordOfTheirSession) 
       ControlPayload(hangdoctor::SpiPayload::Kind::kSessionAbort);
   const hangdoctor::SpiPayload handoff =
       ControlPayload(hangdoctor::SpiPayload::Kind::kSessionHandoff);
-  for (int32_t batch_size : {1, 5, 256}) {
-    HookLog log;
-    hangdoctor::ServiceOptions options;
-    options.shards = 3;
-    options.threads = 2;
-    options.ring_capacity = 1;
-    options.batch_size = batch_size;
-    hangdoctor::DetectorService service(options, log.Hooks());
-    // Two producers, each owning half of the sessions; every session stops at a different
-    // point of the donor stream, then its control record follows at once.
+  for (int32_t shards : {1, 3}) {
+    // Per session, written only by its producer: what each Apply returned, in order.
+    std::vector<std::vector<std::optional<hangdoctor::IngestCompletion::Kind>>> returned(kSessions);
+    hangdoctor::DetectorService service(hangdoctor::ServiceOptions{shards});
     std::vector<std::thread> producers;
     for (uint64_t half = 0; half < 2; ++half) {
       producers.emplace_back([&, half] {
-        hangdoctor::DetectorService::Ingestor ingestor(&service);
+        auto apply = [&](uint64_t s, const hangdoctor::SpiPayload& payload) {
+          std::optional<hangdoctor::IngestCompletion> done =
+              service.Apply({telemetry::SessionId{s}, &payload});
+          returned[s].push_back(done ? std::optional(done->kind) : std::nullopt);
+        };
         for (uint64_t s = half; s < kSessions; s += 2) {
-          ingestor.Push({telemetry::SessionId{s}, &open});
+          apply(s, open);
         }
         for (size_t r = 0; r < donor.records.size(); ++r) {
           for (uint64_t s = half; s < kSessions; s += 2) {
             const size_t stop = donor.records.size() * (s + 1) / (kSessions + 1);
             if (r < stop) {
-              ingestor.Push({telemetry::SessionId{s}, &donor.records[r]});
+              apply(s, donor.records[r]);
             } else if (r == stop) {
-              ingestor.Push({telemetry::SessionId{s}, s % 2 == 0 ? &abort : &handoff});
+              apply(s, s % 2 == 0 ? abort : handoff);
+            } else if (r == stop + 1) {
+              apply(s, donor.records[r]);
             }
           }
         }
@@ -715,33 +532,26 @@ TEST(IngestHooksTest, AbortAndHandoffLandAfterEveryEarlierRecordOfTheirSession) 
     for (std::thread& producer : producers) {
       producer.join();
     }
-    service.WaitIngestIdle();
     EXPECT_EQ(service.live_sessions(), 0u);
-    std::lock_guard<std::mutex> lock(log.mu);
-    EXPECT_TRUE(log.errors.empty());
     for (uint64_t s = 0; s < kSessions; ++s) {
       const std::string label =
-          "batch_size=" + std::to_string(batch_size) + " session " + std::to_string(s);
+          "shards=" + std::to_string(shards) + " session " + std::to_string(s);
       const size_t stop = donor.records.size() * (s + 1) / (kSessions + 1);
-      // Applied in push order: the open, every earlier record, then the control record last.
-      std::vector<const hangdoctor::SpiPayload*> want{&open};
-      for (size_t r = 0; r < stop; ++r) {
-        want.push_back(&donor.records[r]);
-      }
-      want.push_back(s % 2 == 0 ? &abort : &handoff);
-      EXPECT_EQ(log.applied[s], want) << label;
-      ASSERT_EQ(log.completions[s].size(), 1u) << label;
-      EXPECT_EQ(log.completions[s][0].first,
-                s % 2 == 0 ? hangdoctor::IngestCompletion::Kind::kAborted
-                           : hangdoctor::IngestCompletion::Kind::kHandedOff)
-          << label;
+      // The open and every earlier record applied silently; then the end; then a refusal.
+      std::vector<std::optional<hangdoctor::IngestCompletion::Kind>> want(stop + 1);
+      want.push_back(s % 2 == 0 ? hangdoctor::IngestCompletion::Kind::kAborted
+                                : hangdoctor::IngestCompletion::Kind::kHandedOff);
+      want.push_back(hangdoctor::IngestCompletion::Kind::kError);
+      EXPECT_EQ(returned[s], want) << label;
     }
   }
 }
 
-// A second source opening a live id loses, and nothing it sends afterwards — records, close,
-// abort, handoff — touches the winner's session, which still closes bit-identically.
-TEST(IngestHooksTest, CrossSourceDuplicateOpenNeverTouchesTheWinnersSession) {
+// A second source opening a live id loses, and nothing it sends — records, close, abort,
+// handoff — touches the winner's session, which still closes bit-identically. The loser's
+// thread keeps sending while the winner's thread applies the rest of the session.
+TEST(InPlaceApplyTest, CrossSourceDuplicateOpenNeverTouchesTheWinnersSession) {
+  constexpr int kLoserRounds = 20;
   const DonorStream& donor = Donor();
   const hangdoctor::SpiPayload open = DonorOpen();
   const hangdoctor::SpiPayload close =
@@ -753,52 +563,41 @@ TEST(IngestHooksTest, CrossSourceDuplicateOpenNeverTouchesTheWinnersSession) {
   const int winner = 1;
   const int loser = 2;
   const telemetry::SessionId id{42};
-  HookLog log;
-  hangdoctor::ServiceOptions options;
-  options.shards = 2;
-  options.threads = 2;
-  hangdoctor::DetectorService service(options, log.Hooks());
-  {
-    hangdoctor::DetectorService::Ingestor ingestor(&service);
-    ingestor.Push({id, &open, &winner});
-    ingestor.Push({id, &open, &loser});
-    const size_t half = donor.records.size() / 2;
-    for (size_t r = 0; r < half; ++r) {
-      ingestor.Push({id, &donor.records[r], &winner});
-    }
-    ingestor.Push({id, &donor.records[half], &loser});
-    ingestor.Push({id, &abort, &loser});
-    ingestor.Push({id, &handoff, &loser});
-    ingestor.Push({id, &close, &loser});
-    for (size_t r = half; r < donor.records.size(); ++r) {
-      ingestor.Push({id, &donor.records[r], &winner});
-    }
-    ingestor.Push({id, &close, &winner});
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{2});
+  const size_t half = donor.records.size() / 2;
+  ASSERT_FALSE(service.Apply({id, &open, &winner}));
+  for (size_t r = 0; r < half; ++r) {
+    ASSERT_FALSE(service.Apply({id, &donor.records[r], &winner}));
   }
-  service.WaitIngestIdle();
+  int refused = 0;
+  std::thread loser_thread([&] {
+    const hangdoctor::SpiPayload* sends[] = {&open, &donor.records[half], &abort, &handoff, &close};
+    for (int round = 0; round < kLoserRounds; ++round) {
+      for (const hangdoctor::SpiPayload* payload : sends) {
+        std::optional<hangdoctor::IngestCompletion> done = service.Apply({id, payload, &loser});
+        if (done && done->kind == hangdoctor::IngestCompletion::Kind::kError &&
+            done->ref.source == &loser) {
+          ++refused;
+        }
+      }
+    }
+  });
+  for (size_t r = half; r < donor.records.size(); ++r) {
+    EXPECT_FALSE(service.Apply({id, &donor.records[r], &winner}));
+  }
+  loser_thread.join();  // the winner closes only once the loser has stopped
+  EXPECT_EQ(refused, 5 * kLoserRounds) << "every loser record is refused";
+  std::optional<hangdoctor::IngestCompletion> closed = service.Apply({id, &close, &winner});
+  ASSERT_TRUE(closed);
+  ASSERT_EQ(closed->kind, hangdoctor::IngestCompletion::Kind::kClosed);
   EXPECT_EQ(service.live_sessions(), 0u);
-
-  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
-  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
-  ASSERT_EQ(expected.size(), 1u);
-  expected[0].id = id;
-
-  std::lock_guard<std::mutex> lock(log.mu);
-  // The loser's open, record, abort, handoff and close are all refused.
-  ASSERT_EQ(log.errors.size(), 5u);
-  for (const auto& [session, source] : log.errors) {
-    EXPECT_EQ(session, id.value);
-    EXPECT_EQ(source, &loser);
-  }
-  ASSERT_EQ(log.completions[id.value].size(), 1u);
-  EXPECT_EQ(log.completions[id.value][0].first, hangdoctor::IngestCompletion::Kind::kClosed);
-  ExpectSessionResultsEqual(expected, {log.closed[id.value]}, "winner");
+  ExpectSessionResultsEqual({DonorReference(id)}, {closed->result}, "winner");
 }
 
 // DetectorService::Apply on the caller's thread: nothing comes back until a record ends its
 // session, the close returns the same result the synchronous stream yields, and a record
 // from a source that did not open the session is refused without touching it.
-TEST(IngestHooksTest, InPlaceApplyReturnsEachSessionsCompletion) {
+TEST(InPlaceApplyTest, ReturnsEachSessionsCompletion) {
   const DonorStream& donor = Donor();
   const hangdoctor::SpiPayload open = DonorOpen();
   const hangdoctor::SpiPayload close =
@@ -828,116 +627,7 @@ TEST(IngestHooksTest, InPlaceApplyReturnsEachSessionsCompletion) {
   EXPECT_EQ(closed->kind, hangdoctor::IngestCompletion::Kind::kClosed);
   EXPECT_EQ(service.live_sessions(), 0u);
 
-  hangdoctor::DetectorService reference(hangdoctor::ServiceOptions{1});
-  std::vector<hangdoctor::SessionResult> expected = reference.Consume(InterleavedStream(1));
-  ASSERT_EQ(expected.size(), 1u);
-  expected[0].id = kept;
-  ExpectSessionResultsEqual(expected, {closed->result}, "in place");
-}
-
-double ProcessCpuMs() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
-}
-
-// An idle worker parks: it burns no CPU (a spin, yield or timed-nap loop would), and the
-// next pushed batch wakes it — there is no timeout to fall back on, so a lost wake would
-// hang this test instead of passing it.
-TEST(IngestHooksTest, ParkedWorkerIsWokenByTheNextBatchWithoutATimedNap) {
-  std::mutex mu;
-  std::condition_variable applied_cv;
-  int64_t applied = 0;
-  hangdoctor::IngestHooks hooks;
-  hooks.before_apply = [&](const hangdoctor::ServiceRecordRef&) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++applied;
-    applied_cv.notify_all();
-  };
-  hangdoctor::ServiceOptions options;
-  options.shards = 4;
-  options.threads = 4;
-  hangdoctor::DetectorService service(options, std::move(hooks));
-  const hangdoctor::SpiPayload publish = ControlPayload(hangdoctor::SpiPayload::Kind::kKbPublish);
-
-  const double cpu0 = ProcessCpuMs();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const double idle_cpu_ms = ProcessCpuMs() - cpu0;
-  // Four idle workers napping 100 us at a time would spend tens of ms here.
-  EXPECT_LT(idle_cpu_ms, 15.0) << "idle workers must park, not poll";
-
-  for (int round = 1; round <= 3; ++round) {
-    {
-      hangdoctor::DetectorService::Ingestor ingestor(&service);
-      ingestor.Push({telemetry::SessionId{static_cast<uint64_t>(round)}, &publish});
-    }
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(applied_cv.wait_for(lock, std::chrono::seconds(30),
-                                    [&] { return applied == round; }))
-        << "round " << round << ": the parked worker was never woken";
-    lock.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it park again
-  }
-}
-
-// A shard worker's watchdog counters: a worker wedged inside IngestHooks::before_apply stays
-// busy with its progress frozen, and resumes once released.
-TEST(IngestHooksTest, WorkerWedgedByBeforeApplyShowsFrozenProgress) {
-  const DonorStream& donor = Donor();
-  const hangdoctor::SpiPayload open = DonorOpen();
-  const hangdoctor::SpiPayload close =
-      ControlPayload(hangdoctor::SpiPayload::Kind::kSessionClose);
-  std::atomic<bool> wedged{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> applies{0};
-  hangdoctor::IngestHooks hooks;
-  hooks.before_apply = [&](const hangdoctor::ServiceRecordRef&) {
-    if (applies.fetch_add(1) == 3) {  // the session's third record
-      wedged.store(true);
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-  };
-  hangdoctor::ServiceOptions options;
-  options.threads = 1;
-  hangdoctor::DetectorService service(options, std::move(hooks));
-  // A failed ASSERT below must still release the wedge before the service's destructor
-  // joins its worker.
-  struct ReleaseOnExit {
-    std::atomic<bool>* flag;
-    ~ReleaseOnExit() { flag->store(true); }
-  } release_guard{&release};
-  const telemetry::SessionId id{5};
-  {
-    hangdoctor::DetectorService::Ingestor ingestor(&service);
-    ingestor.Push({id, &open});
-    for (const hangdoctor::SpiPayload& record : donor.records) {
-      ingestor.Push({id, &record});
-    }
-    ingestor.Push({id, &close});
-  }
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(wedged.load());
-  ASSERT_EQ(service.ingest_threads(), 1);
-  hangdoctor::DetectorService::WorkerHealth first = service.worker_health(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  hangdoctor::DetectorService::WorkerHealth second = service.worker_health(0);
-  EXPECT_TRUE(first.busy);
-  EXPECT_TRUE(second.busy);
-  EXPECT_EQ(first.progress, second.progress) << "a wedged worker's progress must freeze";
-  EXPECT_EQ(second.progress, 4u) << "the open and three records taken; the third wedged";
-
-  release.store(true);
-  std::vector<hangdoctor::SessionResult> closed = service.DrainClosed();
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0].id, id);
-  hangdoctor::DetectorService::WorkerHealth after = service.worker_health(0);
-  EXPECT_GT(after.progress, second.progress);
-  EXPECT_FALSE(after.busy);
+  ExpectSessionResultsEqual({DonorReference(kept)}, {closed->result}, "in place");
 }
 
 // ---------------------------------------------------------------------------

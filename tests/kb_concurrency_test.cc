@@ -1,7 +1,7 @@
 // KnowledgeBase concurrency: snapshot churn under TSan (writers absorbing + publishing while
 // readers acquire and query — the RCU-style publication protocol must be race-free), and the
-// bit-identity matrix of a recorded fleet pushed through the pipeline with a shared knowledge
-// base, over {threads} x {shards} x {epoch length} (recorded_fleet.h).
+// bit-identity matrix of a recorded fleet applied in place with a shared knowledge base from
+// {producer threads} x {shards} x {epoch length} (recorded_fleet.h).
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -111,14 +111,15 @@ TEST(KbConcurrencyTest, PipelinedFleetBitIdenticalAcrossThreadsShardsAndEpochs) 
   hangdoctor::BlockingApiDatabase known_db = SharedCatalog().MakeKnownDatabase();
   recorded_fleet::Fleet fleet = recorded_fleet::RecordFleet(SmallFleet(&known_db), "kb");
 
-  // One knowledge base per run, pushed from `threads` producers; returns its totals after
+  // One knowledge base per run, applied from `threads` producers; returns its totals after
   // the final publish.
   auto run = [&](int32_t threads, int32_t shards, int64_t epoch, const std::string& label) {
     hangdoctor::KnowledgeBase kb(known_db);
-    hangdoctor::ServiceOptions options{.shards = shards, .threads = threads,
-                                       .knowledge_base = &kb, .kb_epoch_sessions = epoch};
-    recorded_fleet::ExpectMatchesOracle(fleet, recorded_fleet::IngestFleet(fleet, options),
-                                        label);
+    hangdoctor::ServiceOptions options{
+        .shards = shards, .knowledge_base = &kb, .kb_epoch_sessions = epoch};
+    std::vector<hangdoctor::SessionResult> results =
+        recorded_fleet::IngestFleet(fleet, options, threads);
+    recorded_fleet::ExpectMatchesOracle(fleet, results, label);
     kb.Publish();
     return kb.TotalStats();
   };
@@ -129,7 +130,7 @@ TEST(KbConcurrencyTest, PipelinedFleetBitIdenticalAcrossThreadsShardsAndEpochs) 
     }
   }
   // Epoch-length axis at one {threads, shards} point: every-session publish and
-  // barriers-only publish both stay on the oracle's bits.
+  // caller-only publish both stay on the oracle's bits.
   for (int64_t epoch : {int64_t{1}, int64_t{0}}) {
     hangdoctor::KnowledgeBase::Stats stats = run(4, 4, epoch, "epoch=" + std::to_string(epoch));
     EXPECT_EQ(stats.sessions_absorbed, 8) << epoch;

@@ -10,6 +10,7 @@
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
@@ -207,6 +208,39 @@ TEST(NetdWireTest, ContainerSplitsLosslesslyIntoWireFrames) {
     reassembled += frame;
   }
   EXPECT_EQ(reassembled, container);
+}
+
+// A client whose socket has a receive timeout gets false from ReadReply once it expires with
+// no reply, instead of blocking forever. If the read is still blocked after a few seconds,
+// the test hangs up the peer, so a client that never times out fails this case instead of
+// hanging the battery.
+TEST(NetdClientTest, ReadReplyReturnsFalseWhenTheReceiveTimeoutExpires) {
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  timeval timeout{};
+  timeout.tv_usec = 100 * 1000;
+  ASSERT_EQ(setsockopt(sv[1], SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  netd::NetClient client;
+  client.Adopt(sv[1]);
+  std::atomic<bool> returned{false};
+  bool got_reply = true;
+  std::chrono::steady_clock::duration waited{};
+  std::thread reader([&] {
+    const auto start = std::chrono::steady_clock::now();
+    Reply reply;
+    got_reply = client.ReadReply(&reply);
+    waited = std::chrono::steady_clock::now() - start;
+    returned.store(true);
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  close(sv[0]);  // unblocks a reader that is still waiting: it then reads EOF
+  reader.join();
+  EXPECT_FALSE(got_reply);
+  EXPECT_LT(waited, std::chrono::seconds(1)) << "ReadReply outlived its receive timeout";
+  EXPECT_EQ(client.error(), "recv: timed out");
 }
 
 TEST(NetdProtocolTest, HelloNegotiatesV3AndV4) {

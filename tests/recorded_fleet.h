@@ -1,7 +1,7 @@
-// Recorded-fleet equivalence harness for DetectorService's pipelined ingest. A fleet runs
+// Recorded-fleet equivalence harness for DetectorService's in-place apply. A fleet runs
 // once on the per-job oracle (FleetOptions::service = false) with every job recording its
-// HDSL session log. Each log is parsed back, and its stream is pushed through a pipelined
-// service from `threads` producer threads, each owning one Ingestor. Every harvested
+// HDSL session log. Each log is parsed back, and its stream is applied to one service from
+// `producers` threads, each owning one Ingestor, over disjoint sessions. Every harvested
 // SessionResult must then match its oracle job (report, discovered APIs, stack samples,
 // degradation, stream health, Describe(), overhead under the oracle's usage), and its
 // execution log must match a ReplaySession of the same log alone. Faults injected while
@@ -11,7 +11,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <ios>
@@ -142,14 +141,14 @@ inline Fleet RecordFleet(std::vector<workload::FleetJob> jobs, const std::string
   return fleet;
 }
 
-// Pushes every session through a pipelined service built from `options` (threads >= 1):
-// session i goes from producer i % threads, in record order, so each session has exactly one
-// producer. Returns the results harvested at the barrier, in ascending session id; a record
-// the pipeline refused fails the test.
+// Applies every session to a service built from `options`, from `producers` (>= 1) threads:
+// session i goes from producer i % producers, in record order, so each session has exactly
+// one producer while sessions of different producers share shards. Returns the results
+// drained once every producer has finished, in ascending session id; a record the service
+// refused fails the test.
 inline std::vector<hangdoctor::SessionResult> IngestFleet(
-    const Fleet& fleet, const hangdoctor::ServiceOptions& options) {
+    const Fleet& fleet, const hangdoctor::ServiceOptions& options, size_t producers) {
   hangdoctor::DetectorService service(options);
-  const size_t producers = static_cast<size_t>(std::max(options.threads, 1));
   std::vector<std::thread> pushers;
   pushers.reserve(producers);
   for (size_t p = 0; p < producers; ++p) {
@@ -164,7 +163,7 @@ inline std::vector<hangdoctor::SessionResult> IngestFleet(
         }
         ingestor.Push({id, &session.close});
       }
-    });  // the ingestor's destructor flushes its partial batches
+    });
   }
   for (std::thread& pusher : pushers) {
     pusher.join();
@@ -176,7 +175,7 @@ inline std::vector<hangdoctor::SessionResult> IngestFleet(
   return results;
 }
 
-// Checks every pipelined result against its oracle job and its single-log replay.
+// Checks every applied result against its oracle job and its single-log replay.
 inline void ExpectMatchesOracle(const Fleet& fleet,
                                 const std::vector<hangdoctor::SessionResult>& results,
                                 const std::string& label) {
@@ -199,7 +198,7 @@ inline void ExpectMatchesOracle(const Fleet& fleet,
     EXPECT_DOUBLE_EQ(got.overhead.OverheadPercent(want.usage.cpu, want.usage.bytes),
                      want.overhead_pct)
         << job_label;
-    // The one-line health summary, rebuilt from the pipelined result.
+    // The one-line health summary, rebuilt from the applied result.
     workload::FleetJobResult as_job;
     as_job.ok = true;
     as_job.app_package = got.app_package;
