@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -457,17 +458,22 @@ void Coordinator::FailoverLocked(int32_t victim, int32_t target, const std::stri
     return;
   }
   // Retarget every unfinished session the victim held *before* replaying any, so a cascade
-  // (the target dying mid-replay) re-collects all of them under the next target.
-  std::vector<uint64_t> ids;
+  // (the target dying mid-replay) re-collects all of them under the next target. Each goes to
+  // its session's owner: the failover target, or, for a session whose range a migration
+  // already moved off the victim, the migration's target, where its next record is routed.
+  std::map<int32_t, std::vector<uint64_t>> by_owner;
   for (auto& [id, state] : sessions_) {
     if (!state.done && state.last_owner == victim) {
-      state.last_owner = target;
-      ids.push_back(id);
+      int32_t owner = topology_.OwnerOf(id);
+      state.last_owner = owner >= 0 ? owner : target;
+      by_owner[state.last_owner].push_back(id);
+      ++stats_.recovered;
     }
   }
-  stats_.recovered += static_cast<int64_t>(ids.size());
-  if (!ReplayLocked(target, ids)) {
-    CascadeFenceLocked(target, "failover replay failed");
+  for (const auto& [owner, ids] : by_owner) {
+    if (!ReplayLocked(owner, ids)) {
+      CascadeFenceLocked(owner, "failover replay failed");
+    }
   }
 }
 

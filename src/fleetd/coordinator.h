@@ -125,8 +125,9 @@ class Coordinator {
 
   // Drain-migrates every unfinished session owned by `from` onto `to` (handoff + replay).
   // Waits for the handoff ack up to handoff_timeout_ms; a worker that dies or times out
-  // mid-handoff is fenced and recovered instead — the sessions end up on a live worker
-  // either way. False only on invalid arguments (bad index, fenced end, from == to).
+  // mid-handoff is fenced and recovered instead: its sessions are replayed on their owner,
+  // `to` while it lives, so they end up where routing sends their next record either way.
+  // False only on invalid arguments (bad index, fenced end, from == to).
   bool MigrateWorker(int32_t from, int32_t to, std::string* error);
 
   // Severs the link to `worker` now (test/driver crash injection) and runs failover. The
@@ -185,8 +186,9 @@ class Coordinator {
   bool FlushLinkLocked(int32_t worker);
   // FlushLinkLocked on every live link, fencing each one whose write fails.
   void FlushAllLocked();
-  // Fences `worker` (unless already fenced) and replays its unfinished sessions on the
-  // failover target; a failed replay cascades onto the next target.
+  // Fences `worker` (unless already fenced) and replays each of its unfinished sessions on
+  // that session's owner: the failover target, or a migration's target for a session whose
+  // range already moved. A failed replay cascades onto the next target.
   void CascadeFenceLocked(int32_t worker, const std::string& reason);
   void FailoverLocked(int32_t victim, int32_t target, const std::string& reason);
   // Appends the tap of every listed session still bound to `target` to its buffer, then

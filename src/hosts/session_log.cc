@@ -432,6 +432,35 @@ bool ParseSessionLog(const std::string& data, SessionLog* log, SessionLogLayout*
   return parser.ok();
 }
 
+// A frame's flags byte: bit 0 closed-library, bit 1 UI, bit 2 self-developed.
+uint8_t SymbolFlags(const telemetry::SymbolTable& symbols, telemetry::FrameId id) {
+  uint8_t flags = 0;
+  if (symbols.Frame(id).in_closed_library) {
+    flags |= kClosedLibraryFlag;
+  }
+  if (symbols.IsUi(id)) {
+    flags |= kUiFlag;
+  }
+  if (symbols.IsSelfDeveloped(id)) {
+    flags |= kSelfDevelopedFlag;
+  }
+  return flags;
+}
+
+// The symbol-table section of the header: a varint frame count, then per frame in id order
+// its function, class and file strings, zigzag line, and SymbolFlags byte.
+void AppendSymbolTable(const telemetry::SymbolTable& symbols, std::string* out) {
+  PutVarint(out, symbols.size());
+  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
+    const telemetry::StackFrame& frame = symbols.Frame(id);
+    PutString(out, frame.function);
+    PutString(out, frame.clazz);
+    PutString(out, frame.file);
+    PutSigned(out, frame.line);
+    out->push_back(static_cast<char>(SymbolFlags(symbols, id)));
+  }
+}
+
 }  // namespace
 
 SessionLogWriter::SessionLogWriter(const std::string& path, const HangDoctorConfig& config)
@@ -639,32 +668,6 @@ void SessionLogWriter::Finish() {
     if (!out_.good()) {
       ok_ = false;
     }
-  }
-}
-
-uint8_t SymbolFlags(const telemetry::SymbolTable& symbols, telemetry::FrameId id) {
-  uint8_t flags = 0;
-  if (symbols.Frame(id).in_closed_library) {
-    flags |= kClosedLibraryFlag;
-  }
-  if (symbols.IsUi(id)) {
-    flags |= kUiFlag;
-  }
-  if (symbols.IsSelfDeveloped(id)) {
-    flags |= kSelfDevelopedFlag;
-  }
-  return flags;
-}
-
-void AppendSymbolTable(const telemetry::SymbolTable& symbols, std::string* out) {
-  PutVarint(out, symbols.size());
-  for (telemetry::FrameId id = 0; id < symbols.size(); ++id) {
-    const telemetry::StackFrame& frame = symbols.Frame(id);
-    PutString(out, frame.function);
-    PutString(out, frame.clazz);
-    PutString(out, frame.file);
-    PutSigned(out, frame.line);
-    out->push_back(static_cast<char>(SymbolFlags(symbols, id)));
   }
 }
 

@@ -116,14 +116,6 @@ class SessionLogWriter : public TelemetrySink {
   int64_t fail_after_ = -1;
 };
 
-// The symbol-table section of the header, the one encoder of it (the writer above and the
-// compact archive, compact_log.h, both use it): a varint frame count, then per frame in id
-// order its function, class and file strings, zigzag line, and SymbolFlags byte.
-void AppendSymbolTable(const telemetry::SymbolTable& symbols, std::string* out);
-
-// A frame's flags byte: bit 0 closed-library, bit 1 UI, bit 2 self-developed.
-uint8_t SymbolFlags(const telemetry::SymbolTable& symbols, telemetry::FrameId id);
-
 // One parsed SPI record. `end.samples` is not set directly (spans would dangle as the vector
 // grows); replay points it at `samples` when pushing.
 struct SessionRecord {
@@ -144,9 +136,9 @@ struct SessionRecord {
 // A fully parsed session log.
 //
 // The symbol table is an immutable, shared value: every reader (the core, the analyzer, the
-// decoders, the compactor) takes it by const reference, so sessions whose logs carry
-// byte-identical symbol tables may hold one table between them (SymbolTableCache below).
-// The table lives until the last SessionLog holding it is gone.
+// decoders) takes it by const reference, so sessions whose logs carry byte-identical symbol
+// tables may hold one table between them (SymbolTableCache below). The table lives until
+// the last SessionLog holding it is gone.
 struct SessionLog {
   SessionInfo info;  // info.symbols points at *symbols below
   HangDoctorConfig config;
@@ -164,8 +156,8 @@ struct SessionLogLayout {
   // Offset one past the header (= offset of the first record's tag byte).
   size_t header_end = 0;
   // Offset of the symbol table's count varint inside the header; the table's encoding runs
-  // [symtab_begin, header_end). Lets the compactor (src/hosts/compact_log.h) swap the symbol
-  // section for pool references while copying every other header byte verbatim.
+  // [symtab_begin, header_end). That section is the SymbolTableCache key of an open
+  // prefix. ScanMuxLog sets it to header_end, since a v3 container carries no table.
   size_t symtab_begin = 0;
   // Offset of every record's tag byte, in stream order, including kTraceUsage and the
   // trailing kEnd marker.

@@ -1,6 +1,5 @@
 // The byte codec every recorded and wire format in this repository speaks: the HDSL session
-// log, the v3 mux container, the HDSC compact archive, the netd wire frames and the fleetd
-// result codec. There is exactly one implementation of each primitive, here:
+// log, the v3 mux container, the netd wire frames and the fleetd result codec. There is exactly one implementation of each primitive, here:
 //
 //   varint  unsigned LEB128, 7 bits per byte, low group first, at most kMaxVarintBytes;
 //   signed  zigzag-mapped into a varint (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...);

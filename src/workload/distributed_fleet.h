@@ -28,8 +28,8 @@
 namespace workload {
 
 struct DistributedFleetOptions {
-  // Worker daemons in the shard group (>= 1), each with one epoll worker and two shard
-  // workers.
+  // Worker daemons in the shard group (>= 1), each with one epoll worker that applies its
+  // coordinator link's records in place.
   int32_t workers = 2;
   // Drain-migrate the busiest live worker's sessions onto the next live worker once this
   // fraction of all frames has been routed. < 0 disables; ignored with a single worker.
@@ -44,9 +44,9 @@ struct DistributedFleetOptions {
   // Leases live `lease_timeout_ms` real ms — the window a worker has to ack a heartbeat
   // before it is fenced; the driver pulses the coordinator on the real clock
   // (distributed_fleet.cc). Heartbeat acks ride the same stream as session replies, so the
-  // timeout must dominate the worker's worst backpressure stall (a parked shard queue delays
-  // acks), not just the network round trip; frame-count-coupled virtual time would fence a
-  // healthy-but-busy worker.
+  // timeout must dominate the worker's worst stall (an ack waits behind the epoll worker's
+  // in-place apply of every record read before it), not just the network round trip;
+  // frame-count-coupled virtual time would fence a healthy-but-busy worker.
   int64_t lease_timeout_ms = 2000;
 };
 

@@ -128,8 +128,8 @@ struct FleetOptions {
   // at any {jobs, shards, kb_epoch_sessions}; only FleetSummary::kb / per-job kb stats
   // change. Ignored when `service` is false.
   bool shared_kb = false;
-  // Epoch length for shared_kb: publish every N closed sessions (0 = only at ingest
-  // barriers and the end-of-run publish).
+  // Epoch length for shared_kb: publish every N closed sessions (0 = only at kKbPublish
+  // records and the end-of-run publish).
   int64_t kb_epoch_sessions = 16;
 };
 

@@ -31,7 +31,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -796,11 +798,17 @@ const FleetFrames& AllSessionFrames() {
 }
 
 // `workers` worker daemons behind socketpairs and one Coordinator over them, with the
-// recorded fleet's ids partitioned across them.
+// recorded fleet's ids partitioned across them. `tune`, when set, adjusts each worker's
+// server options before it starts.
 struct ShardGroup {
-  explicit ShardGroup(int32_t workers, fleetd::CoordinatorOptions options = {}) {
+  explicit ShardGroup(int32_t workers, fleetd::CoordinatorOptions options = {},
+                      const std::function<void(int32_t, netd::ServerOptions*)>& tune = {}) {
     for (int32_t w = 0; w < workers; ++w) {
-      servers.push_back(std::make_unique<netd::NetServer>(WorkerOptions()));
+      netd::ServerOptions server_options = WorkerOptions();
+      if (tune) {
+        tune(w, &server_options);
+      }
+      servers.push_back(std::make_unique<netd::NetServer>(server_options));
       int sv[2];
       EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
       servers.back()->AdoptConnection(sv[0]);
@@ -954,6 +962,75 @@ TEST(CoordinatorBatchTest, RoundTripMigrationReturnsSessionsToTheirFirstWorker) 
   ExpectFleetMatchesOracle(report, "round-trip migration");
   EXPECT_EQ(report.stats.failovers, 0);
   EXPECT_GT(report.stats.migrated, 0);
+}
+
+// Migrating 1 -> 2 in a three-worker group moves worker 1's ranges to worker 2 before the
+// handoff goes out. When the handoff then times out, fencing worker 1 must fail its live
+// sessions over onto worker 2, their owner, not onto the lowest live worker (0): routing
+// keeps sending their records to worker 2, so a replay anywhere else strands them.
+TEST(CoordinatorBatchTest, TimedOutHandoffFailsOverOntoTheMigrationTarget) {
+  std::atomic<bool> wedge{false};
+  std::atomic<bool> wedged{false};
+  std::atomic<bool> release{false};
+  std::mutex mu;
+  std::map<uint64_t, int> outcomes;  // id -> times on_session_done fired
+  fleetd::CoordinatorOptions options;
+  options.handoff_timeout_ms = 100;
+  options.on_session_done = [&](uint64_t id, bool) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++outcomes[id];
+  };
+  ShardGroup group(3, options, [&](int32_t worker, netd::ServerOptions* server) {
+    if (worker == 1) {
+      server->before_apply = [&](uint64_t) {
+        if (wedge.load()) {
+          wedged.store(true);
+          while (!release.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+        }
+      };
+    }
+  });
+  // Released before the group's destructor stops the wedged worker, even on a failed ASSERT.
+  struct ReleaseOnExit {
+    std::atomic<bool>* flag;
+    ~ReleaseOnExit() { flag->store(true); }
+  } release_guard{&release};
+  fleetd::Coordinator& coordinator = *group.coordinator;
+  RouteRounds(group, 40, /*hold_closes=*/true);
+
+  // Wedge worker 1 on one more of its records, so it never reads the handoff.
+  size_t wedge_session = 0;
+  while (coordinator.OwnerOf(wedge_session + 1) != 1) {
+    ++wedge_session;
+  }
+  wedge.store(true);
+  Route(group, wedge_session);
+  coordinator.Flush();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!wedged.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(wedged.load());
+
+  std::string error;
+  ASSERT_TRUE(coordinator.MigrateWorker(1, 2, &error)) << error;
+  release.store(true);
+  EXPECT_TRUE(coordinator.fenced(1)) << "the timed-out handoff must fence the old owner";
+  EXPECT_EQ(coordinator.OwnerOf(wedge_session + 1), 2);
+
+  RouteRounds(group, SIZE_MAX, /*hold_closes=*/false);
+  EXPECT_TRUE(coordinator.WaitForResults(60'000));
+  fleetd::FleetReport report = coordinator.Finish();
+  ExpectFleetMatchesOracle(report, "timed-out handoff onto a non-lowest target");
+  EXPECT_EQ(report.stats.failovers, 1);
+  EXPECT_EQ(report.stats.migrated, 0);
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(outcomes.size(), AllSessionFrames().size());
+  for (const auto& [id, count] : outcomes) {
+    EXPECT_EQ(count, 1) << "session " << id << " must end in exactly one outcome";
+  }
 }
 
 TEST(CoordinatorBatchTest, FlushDeliversARoutedCloseWithoutWaitForResults) {

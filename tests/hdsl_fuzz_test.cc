@@ -4,10 +4,9 @@
 // Fuzz half: structure-aware mutations (src/faultsim/hdsl_mutator.h) of the committed
 // mini-corpus (tests/corpus/, integrity-pinned by MANIFEST.sha256). Every mutant either
 // parses — in which case replaying it must not crash — or is rejected with a sticky,
-// non-empty error. The HDSC archive reader and the fleetd result decoder get blind
-// byte-level mutants (bit flip, byte overwrite, truncation) under the same rule. Run under
-// ASan/UBSan in CI; "no crash" there means no overflow, no uninitialized read, no unbounded
-// allocation.
+// non-empty error. The fleetd result decoder gets blind byte-level mutants (bit flip, byte
+// overwrite, truncation) under the same rule. Run under ASan/UBSan in CI; "no crash" there
+// means no overflow, no uninitialized read, no unbounded allocation.
 //
 // Property half: randomly generated *valid* SPI streams (src/faultsim/stream_gen.h) must
 // drive only legal Figure 3 action-state transitions with monotone overhead accounting;
@@ -37,7 +36,6 @@
 #include "src/faultsim/stream_gen.h"
 #include "src/hangdoctor/detector_core.h"
 #include "src/hangdoctor/knowledge_base.h"
-#include "src/hosts/compact_log.h"
 #include "src/hosts/mux_log.h"
 #include "src/hosts/replay_host.h"
 #include "src/hosts/session_log.h"
@@ -513,7 +511,7 @@ TEST(NetdWireFuzzTest, SeededWireMutantsParseOrStickyRejectNeverCrash) {
 }
 
 // One seeded byte-level mutant of `bytes`: a bit flip, a byte overwrite, or a truncation.
-// Blind to structure on purpose — the decoders below get no layout to aim mutations with.
+// Blind to structure on purpose — the decoder below gets no layout to aim mutations with.
 std::string MutateBytes(const std::string& bytes, simkit::Rng& rng) {
   std::string mutant = bytes;
   auto at = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
@@ -529,51 +527,6 @@ std::string MutateBytes(const std::string& bytes, simkit::Rng& rng) {
       break;
   }
   return mutant;
-}
-
-TEST(ByteMutantFuzzTest, CompactArchiveMutantsExtractOrRejectNeverCrash) {
-  std::vector<hangdoctor::CompactInput> inputs;
-  for (const std::string& path : CorpusFiles()) {
-    inputs.push_back({std::filesystem::path(path).filename().string(), FileBytes(path)});
-  }
-  std::string archive, error;
-  ASSERT_TRUE(hangdoctor::CompactSessionLogs(inputs, &archive, nullptr, &error)) << error;
-
-  // The clean archive extracts to the inputs and re-compacts to the same bytes.
-  std::vector<hangdoctor::CompactInput> extracted;
-  ASSERT_TRUE(hangdoctor::ExtractCompactLog(archive, &extracted, &error)) << error;
-  ASSERT_EQ(extracted.size(), inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_EQ(extracted[i].name, inputs[i].name);
-    EXPECT_EQ(extracted[i].bytes, inputs[i].bytes) << inputs[i].name;
-  }
-  std::string recompacted;
-  ASSERT_TRUE(hangdoctor::CompactSessionLogs(extracted, &recompacted, nullptr, &error)) << error;
-  EXPECT_EQ(recompacted, archive);
-
-  const int64_t iters = std::max<int64_t>(FuzzIters() / 4, 200);
-  simkit::Rng rng(FuzzSeed(), /*stream=*/0x68647363ULL);
-  int64_t rejected = 0;
-  for (int64_t i = 0; i < iters; ++i) {
-    std::string mutant = MutateBytes(archive, rng);
-    std::vector<hangdoctor::CompactInput> logs;
-    error.clear();
-    if (hangdoctor::ExtractCompactLog(mutant, &logs, &error)) {
-      // An archive that extracts hands its logs to the session-log parser, which must in
-      // turn accept or reject them cleanly.
-      for (const hangdoctor::CompactInput& log : logs) {
-        hangdoctor::SessionLog parsed;
-        std::string parse_error;
-        if (!hangdoctor::LoadSessionLogBytes(log.bytes, &parsed, &parse_error)) {
-          EXPECT_FALSE(parse_error.empty()) << "iter " << i;
-        }
-      }
-    } else {
-      ++rejected;
-      EXPECT_FALSE(error.empty()) << "iter " << i;
-    }
-  }
-  EXPECT_GT(rejected, 0) << "mutations are too gentle to test the archive reader";
 }
 
 TEST(ByteMutantFuzzTest, SessionResultMutantsDecodeOrRejectNeverCrash) {
