@@ -390,8 +390,7 @@ int main(int argc, char** argv) {
                                      /*seed=*/0x5E55);
   {
     hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(), config,
-                                  /*database=*/nullptr, /*fleet_report=*/nullptr,
-                                  /*device_id=*/0, &recorder);
+                                  /*database=*/nullptr, /*device_id=*/0, &recorder);
     harness.RunUserSession(donor_session, {});
   }
 

@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "bench/smoke.h"
-#include "src/baselines/combined_detector.h"
-#include "src/baselines/timeout_detector.h"
-#include "src/baselines/utilization_detector.h"
+#include "src/baselines/detector.h"
 #include "src/hosts/hang_doctor.h"
 #include "src/workload/experiment.h"
 

@@ -12,7 +12,7 @@
 #include <set>
 
 #include "bench/smoke.h"
-#include "src/baselines/timeout_detector.h"
+#include "src/baselines/detector.h"
 #include "src/workload/experiment.h"
 
 namespace {

@@ -4,7 +4,7 @@
 # src/hangdoctor/ is the Hang Doctor core: it may depend only on the Telemetry Host SPI
 # vocabulary (src/telemetry/) and simkit time/ids/rng. Substrate knowledge — the droidsim
 # Android model, the perfsim counter model, the kernelsim scheduler — lives in the hosts
-# (src/hosts/, src/baselines adapters). An include of a substrate header from the core is a
+# (src/hosts/, src/baselines detectors). An include of a substrate header from the core is a
 # layering violation: it would break the record/replay guarantee that a session log is a
 # complete description of everything the detector observed.
 set -euo pipefail

@@ -131,6 +131,42 @@ except socket.timeout:
 print("fleetd_smoke: bad client got reply tags", tags)
 sys.exit(0 if tags[:2] == [1, 4] else 1)  # kHelloOk, then kError
 PY
+# Finished clients must not pin memory: 100 clients, one after another, each say HELLO 4 and
+# BYE (container kEnd, tag 04) and wait for kHelloOk + kBye. fleetd's VmSize may not grow by
+# more than 64 MB over them; a thread stack kept per finished client grows it by ~8 MB each.
+python3 - "$base_port" "$base_fleetd_pid" <<'PY' || { echo "fleetd_smoke: finished clients grow fleetd's VmSize" >&2; exit 1; }
+import socket
+import sys
+
+def vm_size_kb(pid):
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1])
+    raise RuntimeError("no VmSize line")
+
+def frame(payload):
+    return bytes([len(payload)]) + payload
+
+port, pid = int(sys.argv[1]), int(sys.argv[2])
+before = vm_size_kb(pid)
+for _ in range(100):
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(frame(b"HDSL\x04") + frame(b"\x04"))
+    replies = b""
+    while True:  # fleetd closes the connection after its kBye
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        replies += chunk
+    sock.close()
+    if replies != bytes.fromhex("020104" "020500"):  # kHelloOk 4, then kBye 0
+        print("fleetd_smoke: HELLO+BYE client got", replies.hex())
+        sys.exit(1)
+after = vm_size_kb(pid)
+print(f"fleetd_smoke: 100 HELLO+BYE clients moved VmSize {before} -> {after} kB")
+sys.exit(0 if after - before <= 64 * 1024 else 1)
+PY
 "$build/tools/loadgen" --port="$base_port" --dir="$work/logs" --sessions=24 \
   --connections=4 > "$work/base_loadgen.log" 2>&1
 grep -q "24 closed, 0 busy, 0 errors" "$work/base_loadgen.log" || {

@@ -335,11 +335,6 @@ bool Coordinator::fenced(int32_t worker) {
   return topology_.fenced(worker);
 }
 
-WorkerHealth Coordinator::LastHealth(int32_t worker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return topology_.health(worker);
-}
-
 CoordinatorStats Coordinator::stats() {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

@@ -154,7 +154,6 @@ class Coordinator {
   int32_t OwnerOf(uint64_t session);
   uint64_t epoch();
   bool fenced(int32_t worker);
-  WorkerHealth LastHealth(int32_t worker);
   CoordinatorStats stats();
 
  private:

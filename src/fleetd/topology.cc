@@ -76,21 +76,12 @@ int32_t Topology::OwnerOf(uint64_t id) const {
   auto live_or_none = [this](int32_t owner) {
     return owner >= 0 && !slots_[static_cast<size_t>(owner)].fenced ? owner : -1;
   };
-  auto pin = pins_.find(id);
-  if (pin != pins_.end()) {
-    return live_or_none(pin->second);
-  }
   for (const Assignment& a : assignments_) {
     if (a.range.Contains(id)) {
       return live_or_none(a.owner);
     }
   }
   return -1;
-}
-
-void Topology::PinSession(uint64_t id, int32_t worker) {
-  CheckWorker(worker);
-  pins_[id] = worker;
 }
 
 void Topology::Register(int32_t worker, int64_t now_ms) {
@@ -154,11 +145,6 @@ int32_t Topology::Fence(int32_t worker, const std::string& reason) {
       a.owner = target;
     }
   }
-  for (auto& [id, owner] : pins_) {
-    if (owner == worker) {
-      owner = target;
-    }
-  }
   return target;
 }
 
@@ -177,11 +163,6 @@ uint64_t Topology::MoveRanges(int32_t from, int32_t to) {
       a.owner = to;
     }
   }
-  for (auto& [id, owner] : pins_) {
-    if (owner == from) {
-      owner = to;
-    }
-  }
   return epoch_;
 }
 
@@ -193,11 +174,6 @@ bool Topology::fenced(int32_t worker) const {
 const std::string& Topology::fence_reason(int32_t worker) const {
   CheckWorker(worker);
   return slots_[static_cast<size_t>(worker)].fence_reason;
-}
-
-const WorkerHealth& Topology::health(int32_t worker) const {
-  CheckWorker(worker);
-  return slots_[static_cast<size_t>(worker)].health;
 }
 
 int64_t Topology::lease_expires_ms(int32_t worker) const {

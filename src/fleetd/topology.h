@@ -6,11 +6,11 @@
 // Ownership model: AssignRange() partitions a contiguous session-id interval into one
 // contiguous sub-range per worker (fleetd's shard-group shape). Ownership then moves in two
 // ways, both of which bump the fencing epoch:
-//   MoveRanges(from, to)  drain-migration: every range and pin owned by `from` transfers to
-//                         `to`; `from` stays alive and can receive work again later.
+//   MoveRanges(from, to)  drain-migration: every range owned by `from` transfers to `to`;
+//                         `from` stays alive and can receive work again later.
 //   Fence(victim)         failover: `victim` is permanently out (crash, lease expiry, failed
-//                         self-watchdog lease). Its ranges and pins transfer to the lowest-
-//                         indexed live worker and OnHeartbeatAck() refuses to resurrect it.
+//                         self-watchdog lease). Its ranges transfer to the lowest-indexed
+//                         live worker and OnHeartbeatAck() refuses to resurrect it.
 //
 // Epochs are the fencing primitive end to end: every control frame the coordinator sends
 // carries the current epoch, workers remember the highest epoch they have seen, and a frame
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace fleetd {
@@ -74,12 +73,9 @@ class Topology {
   // failover targets immediately). Callable more than once; later ranges stack.
   void AssignRange(uint64_t first, uint64_t last);
 
-  // Current owner of `id`: the pin if one exists, else the worker whose range contains it.
-  // -1 when nobody owns it (outside every assigned range, or total outage).
+  // Current owner of `id`: the worker whose range contains it. -1 when nobody owns it
+  // (outside every assigned range, or total outage).
   int32_t OwnerOf(uint64_t id) const;
-
-  // Re-pins one session (post-replay ownership after a migration or failover).
-  void PinSession(uint64_t id, int32_t worker);
 
   // Lease protocol. Register starts the lease clock; an ack renews it (and records health)
   // unless the worker is fenced — a fenced worker's acks return false and change nothing.
@@ -91,17 +87,16 @@ class Topology {
   std::vector<FailoverDecision> Tick(int64_t now_ms);
 
   // Permanently fences `worker` (idempotent: refenced workers return -1 with no epoch
-  // bump). Transfers its ranges and pins to the lowest-indexed live worker and returns that
-  // target, or -1 on total outage.
+  // bump). Transfers its ranges to the lowest-indexed live worker and returns that target,
+  // or -1 on total outage.
   int32_t Fence(int32_t worker, const std::string& reason);
 
-  // Drain-migration: moves every range and pin owned by `from` to `to`, bumps the epoch,
-  // and returns it. Throws std::invalid_argument when either end is fenced or out of range.
+  // Drain-migration: moves every range owned by `from` to `to`, bumps the epoch, and
+  // returns it. Throws std::invalid_argument when either end is fenced or out of range.
   uint64_t MoveRanges(int32_t from, int32_t to);
 
   bool fenced(int32_t worker) const;
   const std::string& fence_reason(int32_t worker) const;
-  const WorkerHealth& health(int32_t worker) const;
   int64_t lease_expires_ms(int32_t worker) const;
   int32_t live_workers() const;
 
@@ -124,7 +119,6 @@ class Topology {
   TopologyOptions options_;
   std::vector<Slot> slots_;
   std::vector<Assignment> assignments_;
-  std::unordered_map<uint64_t, int32_t> pins_;
   uint64_t epoch_ = 1;
 };
 

@@ -30,14 +30,12 @@ const char* VerdictName(Verdict verdict) {
 }
 
 DetectorCore::DetectorCore(const SessionInfo& info, HangDoctorConfig config,
-                           BlockingApiDatabase* database, HangBugReport* fleet_report,
-                           KnowledgeBase::Snapshot kb)
+                           BlockingApiDatabase* database, KnowledgeBase::Snapshot kb)
     : info_(info),
       config_(std::move(config)),
       table_(config_.reset_after_normal),
       analyzer_(config_.analyzer),
       database_(database != nullptr ? database : &own_database_),
-      fleet_report_(fleet_report),
       kb_(kb) {
   if (info_.symbols == nullptr) {
     throw std::invalid_argument("DetectorCore: SessionInfo.symbols must be non-null");
@@ -342,10 +340,6 @@ void DetectorCore::RunDiagnoser(const ActionQuiesce& quiesce, LiveExecution& liv
   const telemetry::SymbolTable& symbols = *info_.symbols;
   local_report_.Record(info_.app_package, diagnosis, symbols, hang, info_.device_id,
                        record.degraded);
-  if (fleet_report_ != nullptr) {
-    fleet_report_->Record(info_.app_package, diagnosis, symbols, hang, info_.device_id,
-                          record.degraded);
-  }
   if (!diagnosis.is_self_developed) {
     // Self-developed lengthy operations are reported only to the developer; real APIs feed
     // the offline detectors' database.

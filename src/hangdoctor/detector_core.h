@@ -118,11 +118,11 @@ struct HangDoctorConfig {
 
 class DetectorCore : public SpiBackend {
  public:
-  // `database` and `fleet_report` may be null (a private one is used); when given they must
-  // outlive this object and collect discoveries across devices. `info.symbols` must outlive
-  // this object. Throws std::invalid_argument when `info` is malformed (null symbol table or
-  // a non-positive action count) — a session that cannot be monitored is refused up front
-  // rather than left to fault on the first telemetry push.
+  // `database` may be null (a private one is used); when given it must outlive this object
+  // and collects discoveries across devices. `info.symbols` must outlive this object. Throws
+  // std::invalid_argument when `info` is malformed (null symbol table or a non-positive
+  // action count) — a session that cannot be monitored is refused up front rather than left
+  // to fault on the first telemetry push.
   //
   // `kb` is an optional knowledge-base snapshot (knowledge_base.h): when valid, the
   // Diagnoser consults the shared diagnosis memo before running the trace analyzer — a hit
@@ -131,8 +131,7 @@ class DetectorCore : public SpiBackend {
   // reports are bit-identical with any snapshot (including none): the memo caches a pure
   // function and the database is write-only on the detection path.
   DetectorCore(const SessionInfo& info, HangDoctorConfig config,
-               BlockingApiDatabase* database = nullptr, HangBugReport* fleet_report = nullptr,
-               KnowledgeBase::Snapshot kb = {});
+               BlockingApiDatabase* database = nullptr, KnowledgeBase::Snapshot kb = {});
   DetectorCore(const DetectorCore&) = delete;
   DetectorCore& operator=(const DetectorCore&) = delete;
 
@@ -193,7 +192,6 @@ class DetectorCore : public SpiBackend {
   BlockingApiDatabase own_database_;
   BlockingApiDatabase* database_;
   HangBugReport local_report_;
-  HangBugReport* fleet_report_;
   OverheadMeter overhead_;
   StreamGuard guard_;
   DegradationStats degradation_;

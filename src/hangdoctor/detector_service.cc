@@ -57,8 +57,7 @@ std::unique_ptr<DetectorService::SessionSlot> DetectorService::BuildSlot(
   if (options_.knowledge_base != nullptr) {
     snapshot = options_.knowledge_base->Acquire();
   }
-  slot->core = std::make_unique<DetectorCore>(info, config, &slot->database,
-                                              /*fleet_report=*/nullptr, snapshot);
+  slot->core = std::make_unique<DetectorCore>(info, config, &slot->database, snapshot);
   return slot;
 }
 

@@ -1,6 +1,6 @@
-// Shared SPI-stream validation and degradation accounting for every detector core (Hang
-// Doctor's DetectorCore and the baseline cores in src/baselines/detector_cores.h — the same
-// contract on both sides keeps Table 2/5 comparisons fair when faults are injected).
+// Shared SPI-stream validation and degradation accounting for Hang Doctor's DetectorCore
+// (the baseline detectors in src/baselines/detector.h admit their events through the same
+// StreamGuard).
 //
 // On a real device the telemetry stream is not perfect: perf sessions fail to open, samplers
 // drop windows, and an adapter bug (or an injected fault — src/faultsim) can deliver

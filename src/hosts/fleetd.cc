@@ -35,6 +35,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/fleetd/coordinator.h"
@@ -47,7 +48,8 @@ namespace {
 // One client connection: reads frames on its own thread, routes them, and answers with the
 // per-session kSessionClosed replies (pushed by the coordinator's done callback) plus the
 // final kBye. Writes are serialized by `write_mu` — the done callback lands on coordinator
-// threads while the conn thread answers HELLO/BYE.
+// threads while the conn thread answers HELLO/BYE — and so is closing `fd`, so a late done
+// callback finds fd == -1 instead of sending on a closed (or reused) descriptor number.
 struct ClientConn {
   int fd = -1;
   std::mutex write_mu;
@@ -55,11 +57,15 @@ struct ClientConn {
   std::condition_variable cv;
   std::unordered_set<uint64_t> pending;  // sessions opened here, not yet concluded
   uint64_t closed = 0;                   // sessions concluded clean
+  std::atomic<bool> finished{false};     // ServeClient returned: its thread can be joined
 
   bool Send(const std::string& payload) {
     std::string frame;
     netd::AppendFrame(&frame, payload);
     std::lock_guard<std::mutex> lock(write_mu);
+    if (fd < 0) {
+      return false;
+    }
     size_t off = 0;
     while (off < frame.size()) {
       ssize_t n = send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
@@ -187,8 +193,10 @@ void ServeClient(FrontEnd* front, std::shared_ptr<ClientConn> conn) {
     conn->Send(netd::BuildBye(closed));
   }
 done:
+  std::lock_guard<std::mutex> lock(conn->write_mu);
   close(conn->fd);
   conn->fd = -1;
+  conn->finished.store(true);
 }
 
 }  // namespace
@@ -271,7 +279,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(max_sessions));
     std::fflush(stdout);
 
-    std::vector<std::thread> client_threads;
+    // A finished thread keeps its stack until it is joined, so each accept first reaps the
+    // clients that are done: retained stacks stay bounded by the live clients.
+    std::vector<std::pair<std::thread, std::shared_ptr<ClientConn>>> clients;
     std::thread acceptor([&] {
       while (true) {
         int fd = accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
@@ -281,10 +291,17 @@ int main(int argc, char** argv) {
           }
           return;  // listener closed: shutting down
         }
+        std::erase_if(clients, [](auto& client) {
+          if (!client.second->finished.load()) {
+            return false;
+          }
+          client.first.join();
+          return true;
+        });
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         auto conn = std::make_shared<ClientConn>();
         conn->fd = fd;
-        client_threads.emplace_back(ServeClient, &front, conn);
+        clients.emplace_back(std::thread(ServeClient, &front, conn), conn);
       }
     });
 
@@ -298,8 +315,8 @@ int main(int argc, char** argv) {
     shutdown(listen_fd, SHUT_RDWR);
     close(listen_fd);
     acceptor.join();
-    for (auto& thread : client_threads) {
-      thread.join();
+    for (auto& client : clients) {
+      client.first.join();
     }
     coordinator.WaitForResults(10000);
     fleetd::FleetReport report = coordinator.Finish();

@@ -28,15 +28,14 @@ std::unique_ptr<DetectorService::SessionHandle> OpenSession(DetectorService* ser
 }  // namespace
 
 HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorConfig config,
-                       BlockingApiDatabase* database, HangBugReport* fleet_report,
-                       int32_t device_id, TelemetrySink* sink, faultsim::FaultPlan plan)
+                       BlockingApiDatabase* database, int32_t device_id, TelemetrySink* sink,
+                       faultsim::FaultPlan plan)
     : phone_(phone),
       app_(app),
       rng_(phone->ForkRng(0x4844 + static_cast<uint64_t>(device_id)).NextU64(),
            /*stream=*/0x4841ULL),
       config_(std::move(config)),
-      core_(std::make_unique<DetectorCore>(MakeSessionInfo(*app, device_id), config_, database,
-                                           fleet_report)),
+      core_(std::make_unique<DetectorCore>(MakeSessionInfo(*app, device_id), config_, database)),
       injector_(std::move(plan), core_.get(), sink),
       sampler_(&phone->sim(), &app->main_looper(), config_.sample_interval) {
   FinishSetup(sink, core_->session());

@@ -48,16 +48,15 @@ namespace hangdoctor {
 
 class HangDoctor : public droidsim::AppObserver {
  public:
-  // Owned-core mode. `database` and `fleet_report` may be null (a private one is used); when
-  // given they must outlive this object and collect discoveries across devices. `sink`, when
-  // given, receives the full telemetry stream fed to the core (see host_spi.h) and must
-  // outlive this object. `plan`, when enabled, injects telemetry faults between this host's
+  // Owned-core mode. `database` may be null (a private one is used); when given it must
+  // outlive this object and collects discoveries across devices. `sink`, when given,
+  // receives the full telemetry stream fed to the core (see host_spi.h) and must outlive
+  // this object. `plan`, when enabled, injects telemetry faults between this host's
   // mechanisms and the core (src/faultsim); the sink observes the post-injection stream, so
   // faulty sessions record and replay bit-identically.
   HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorConfig config,
-             BlockingApiDatabase* database = nullptr, HangBugReport* fleet_report = nullptr,
-             int32_t device_id = 0, TelemetrySink* sink = nullptr,
-             faultsim::FaultPlan plan = {});
+             BlockingApiDatabase* database = nullptr, int32_t device_id = 0,
+             TelemetrySink* sink = nullptr, faultsim::FaultPlan plan = {});
   // Service mode: opens session `id` on `service` (throws std::invalid_argument if the id is
   // already open) and streams this app's telemetry into it. The session's seed catalog and
   // knowledge base come from the service (ServiceOptions.seed_db / knowledge_base — one

@@ -4,10 +4,8 @@
 
 namespace hangdoctor {
 
-ReplaySession::ReplaySession(SessionLog log, BlockingApiDatabase* database,
-                             HangBugReport* fleet_report)
-    : log_(std::move(log)),
-      core_(log_.info, log_.config, database, fleet_report) {}
+ReplaySession::ReplaySession(SessionLog log, BlockingApiDatabase* database)
+    : log_(std::move(log)), core_(log_.info, log_.config, database) {}
 
 void ReplaySession::Run() {
   SpiPayload payload;
@@ -29,13 +27,12 @@ double ReplaySession::OverheadPercent() const {
 }
 
 std::unique_ptr<ReplaySession> ReplaySessionLog(const std::string& path, std::string* error,
-                                                BlockingApiDatabase* database,
-                                                HangBugReport* fleet_report) {
+                                                BlockingApiDatabase* database) {
   SessionLog log;
   if (!LoadSessionLog(path, &log, error)) {
     return nullptr;
   }
-  auto session = std::make_unique<ReplaySession>(std::move(log), database, fleet_report);
+  auto session = std::make_unique<ReplaySession>(std::move(log), database);
   session->Run();
   return session;
 }

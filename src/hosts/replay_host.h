@@ -21,10 +21,9 @@ namespace hangdoctor {
 
 class ReplaySession {
  public:
-  // Takes ownership of the parsed log (the core references its symbol table). `database` and
-  // `fleet_report` behave as in the live host: optional, shared across sessions when given.
-  explicit ReplaySession(SessionLog log, BlockingApiDatabase* database = nullptr,
-                         HangBugReport* fleet_report = nullptr);
+  // Takes ownership of the parsed log (the core references its symbol table). `database`
+  // behaves as in the live host: optional, shared across sessions when given.
+  explicit ReplaySession(SessionLog log, BlockingApiDatabase* database = nullptr);
   ReplaySession(const ReplaySession&) = delete;
   ReplaySession& operator=(const ReplaySession&) = delete;
 
@@ -46,8 +45,7 @@ class ReplaySession {
 // failure).
 std::unique_ptr<ReplaySession> ReplaySessionLog(const std::string& path,
                                                 std::string* error,
-                                                BlockingApiDatabase* database = nullptr,
-                                                HangBugReport* fleet_report = nullptr);
+                                                BlockingApiDatabase* database = nullptr);
 
 }  // namespace hangdoctor
 

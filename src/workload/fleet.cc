@@ -90,8 +90,7 @@ FleetJobResult RunFleetJob(const FleetJob& job) {
   std::unique_ptr<hangdoctor::SessionLogWriter> recorder = MakeRecorder(job);
   SingleAppHarness harness(job.profile, job.spec, job.seed);
   hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(), job.doctor, &database,
-                                /*fleet_report=*/nullptr, job.device_id, recorder.get(),
-                                MakePlan(job));
+                                job.device_id, recorder.get(), MakePlan(job));
   harness.RunUserSession(job.session, job.user);
 
   result.stats = ScoreHangDoctor(harness.truth(), doctor.log());

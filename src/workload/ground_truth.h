@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/baselines/utilization_detector.h"
+#include "src/baselines/detector.h"
 #include "src/droidsim/app.h"
 #include "src/droidsim/phone.h"
 

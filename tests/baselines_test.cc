@@ -2,10 +2,8 @@
 // and the PerfChecker-style offline scanner with its three blind spots.
 #include <gtest/gtest.h>
 
-#include "src/baselines/combined_detector.h"
+#include "src/baselines/detector.h"
 #include "src/baselines/offline_scanner.h"
-#include "src/baselines/timeout_detector.h"
-#include "src/baselines/utilization_detector.h"
 #include "src/workload/api_catalog.h"
 #include "src/workload/catalog.h"
 

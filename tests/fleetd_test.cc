@@ -2,7 +2,7 @@
 //
 //   Topology        pure lease/fencing/ownership bookkeeping on a fake clock: contiguous
 //                   partitioning, lease renew/expiry, fence idempotence + epoch
-//                   monotonicity, drain-migration moves, pins, total outage.
+//                   monotonicity, drain-migration moves, total outage.
 //   Wire + worker   the fleet control vocabulary (heartbeat / handoff / acks / session
 //                   results) round-trips byte-exactly, and a live worker-role NetServer
 //                   answers it correctly over a socketpair: role gating at HELLO, epoch
@@ -124,7 +124,7 @@ Topology LeasedTopology(int32_t workers, int64_t lease_ms, int64_t now_ms) {
   return topo;
 }
 
-TEST(TopologyTest, OwnershipFollowsRangesAndPins) {
+TEST(TopologyTest, OwnershipFollowsRanges) {
   Topology topo = LeasedTopology(2, 1000, 0);
   topo.AssignRange(1, 10);
   EXPECT_EQ(topo.OwnerOf(1), 0);
@@ -132,9 +132,6 @@ TEST(TopologyTest, OwnershipFollowsRangesAndPins) {
   EXPECT_EQ(topo.OwnerOf(6), 1);
   EXPECT_EQ(topo.OwnerOf(10), 1);
   EXPECT_EQ(topo.OwnerOf(11), -1) << "outside every range";
-  topo.PinSession(3, 1);
-  EXPECT_EQ(topo.OwnerOf(3), 1) << "pins override ranges";
-  EXPECT_EQ(topo.OwnerOf(4), 0);
 }
 
 TEST(TopologyTest, LeaseRenewalKeepsAckedWorkersAliveAndFencesSilentOnes) {
@@ -205,7 +202,6 @@ TEST(TopologyTest, FencingEveryWorkerIsTotalOutage) {
 TEST(TopologyTest, MoveRangesTransfersOwnershipAndBumpsEpoch) {
   Topology topo = LeasedTopology(2, 1000, 0);
   topo.AssignRange(1, 8);
-  topo.PinSession(7, 0);
   uint64_t e0 = topo.epoch();
   uint64_t e1 = topo.MoveRanges(0, 1);
   EXPECT_GT(e1, e0);

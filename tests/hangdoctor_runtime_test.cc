@@ -249,8 +249,9 @@ TEST_F(RuntimeTest, FleetReportAggregatesAcrossDevices) {
   for (int device = 0; device < 3; ++device) {
     droidsim::Phone phone(droidsim::LgV10(), 100 + device);
     droidsim::App* app = phone.InstallApp(&spec);
-    HangDoctor doctor(&phone, app, HangDoctorConfig{}, &database, &fleet, device);
+    HangDoctor doctor(&phone, app, HangDoctorConfig{}, &database, device);
     Drive(&phone, app, 0, 3);
+    fleet.Merge(doctor.local_report());
   }
   ASSERT_EQ(fleet.NumBugs(), 1u);
   EXPECT_EQ(fleet.SortedEntries()[0].devices.size(), 3u);

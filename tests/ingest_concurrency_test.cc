@@ -176,8 +176,7 @@ const DonorStream& Donor() {
     made->harness = harness;
     {
       hangdoctor::HangDoctor doctor(&harness->phone(), &harness->app(), made->config,
-                                    /*database=*/nullptr, /*fleet_report=*/nullptr,
-                                    /*device_id=*/0, &recorder);
+                                    /*database=*/nullptr, /*device_id=*/0, &recorder);
       harness->RunUserSession(simkit::Seconds(20), {});
     }
     made->info = recorder.info();

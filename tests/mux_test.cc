@@ -68,7 +68,6 @@ std::string RecordSessionLog(size_t app_index, uint64_t seed) {
   {
     hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(),
                                   hangdoctor::HangDoctorConfig{}, /*database=*/nullptr,
-                                  /*fleet_report=*/nullptr,
                                   /*device_id=*/static_cast<int32_t>(app_index), &writer);
     (void)doctor;
     harness.RunUserSession(simkit::Seconds(15));
@@ -335,7 +334,6 @@ std::string RecordAsyncSessionLog(size_t app_index, uint64_t seed) {
   {
     hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(),
                                   hangdoctor::HangDoctorConfig{}, /*database=*/nullptr,
-                                  /*fleet_report=*/nullptr,
                                   /*device_id=*/static_cast<int32_t>(app_index), &writer);
     (void)doctor;
     harness.RunUserSession(simkit::Seconds(30));

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/timeout_detector.h"
+#include "src/baselines/detector.h"
 #include "src/hangdoctor/trace_analyzer.h"
 #include "src/hosts/hang_doctor.h"
 #include "src/workload/catalog.h"

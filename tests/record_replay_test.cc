@@ -114,7 +114,7 @@ void RoundTrip(const droidsim::AppSpec* spec, uint64_t seed,
   hangdoctor::SessionLogWriter writer(path, config);
   ASSERT_TRUE(writer.ok()) << path;
   hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(), config, &live_db,
-                                /*fleet_report=*/nullptr, /*device_id=*/3, &writer);
+                                /*device_id=*/3, &writer);
   harness.RunUserSession(simkit::Seconds(45));
   workload::TraceUsage usage = harness.Usage();
   writer.WriteTraceUsage(usage.cpu, usage.bytes);
@@ -170,8 +170,8 @@ TEST(RecordReplayTest, AsyncSessionLogsContainCausalRecords) {
     hangdoctor::SessionLogWriter writer(path, hangdoctor::HangDoctorConfig{});
     ASSERT_TRUE(writer.ok());
     hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(),
-                                  hangdoctor::HangDoctorConfig{}, &db,
-                                  /*fleet_report=*/nullptr, /*device_id=*/0, &writer);
+                                  hangdoctor::HangDoctorConfig{}, &db, /*device_id=*/0,
+                                  &writer);
     (void)doctor;
     harness.RunUserSession(simkit::Seconds(45));
     writer.Finish();
@@ -321,8 +321,8 @@ TEST(RecordReplayTest, TruncatedLogIsRejectedWithError) {
     hangdoctor::SessionLogWriter writer(path, hangdoctor::HangDoctorConfig{});
     ASSERT_TRUE(writer.ok());
     hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(),
-                                  hangdoctor::HangDoctorConfig{}, &db,
-                                  /*fleet_report=*/nullptr, /*device_id=*/0, &writer);
+                                  hangdoctor::HangDoctorConfig{}, &db, /*device_id=*/0,
+                                  &writer);
     (void)doctor;
     harness.RunUserSession(simkit::Seconds(10));
     writer.Finish();
