@@ -107,26 +107,8 @@ LevelResult RunLevel(size_t concurrent, const hangdoctor::SessionInfo& info,
   }
   for (const hangdoctor::SpiPayload& payload : records) {
     for (size_t s = 0; s < concurrent; ++s) {
-      telemetry::SessionId id{s};
-      switch (payload.kind) {
-        case hangdoctor::SpiPayload::Kind::kDispatchStart:
-          service.OnDispatchStart(id, payload.start);
-          break;
-        case hangdoctor::SpiPayload::Kind::kDispatchEnd: {
-          hangdoctor::DispatchEnd end = payload.end;
-          end.samples = payload.samples;
-          service.OnDispatchEnd(id, end);
-          break;
-        }
-        case hangdoctor::SpiPayload::Kind::kActionQuiesce:
-          service.OnActionQuiesced(id, payload.quiesce);
-          break;
-        case hangdoctor::SpiPayload::Kind::kCounterFault:
-          service.OnCounterFault(id, payload.fault);
-          break;
-        default:
-          break;
-      }
+      auto handle = service.Handle(telemetry::SessionId{s});
+      hangdoctor::PushSpiPayload(handle, payload);
     }
   }
   LevelResult result;
@@ -203,30 +185,6 @@ SweepResult RunSweep(int32_t threads, int32_t shards, size_t sessions,
   return result;
 }
 
-// One record push, shared by the capacity levels and the knowledge-base axis.
-void PushRecord(hangdoctor::DetectorService* service, telemetry::SessionId id,
-                const hangdoctor::SpiPayload& payload) {
-  switch (payload.kind) {
-    case hangdoctor::SpiPayload::Kind::kDispatchStart:
-      service->OnDispatchStart(id, payload.start);
-      break;
-    case hangdoctor::SpiPayload::Kind::kDispatchEnd: {
-      hangdoctor::DispatchEnd end = payload.end;
-      end.samples = payload.samples;
-      service->OnDispatchEnd(id, end);
-      break;
-    }
-    case hangdoctor::SpiPayload::Kind::kActionQuiesce:
-      service->OnActionQuiesced(id, payload.quiesce);
-      break;
-    case hangdoctor::SpiPayload::Kind::kCounterFault:
-      service->OnCounterFault(id, payload.fault);
-      break;
-    default:
-      break;
-  }
-}
-
 struct KbArmResult {
   size_t sessions = 0;
   double seconds = 0.0;
@@ -256,8 +214,9 @@ KbArmResult RunKbArm(size_t sessions, const hangdoctor::SessionInfo& info,
   for (size_t s = 0; s < sessions; ++s) {
     telemetry::SessionId id{s};
     service.Open(id, info, config);
+    auto handle = service.Handle(id);
     for (const hangdoctor::SpiPayload& payload : records) {
-      PushRecord(&service, id, payload);
+      hangdoctor::PushSpiPayload(handle, payload);
     }
     hangdoctor::SessionResult session = service.Close(id);
     result.memo_hits += session.kb.memo_hits;

@@ -48,6 +48,23 @@ if [ -n "$shim_includes$alias_uses" ]; then
   exit 1
 fi
 
+# One SPI interface below the service (src/hangdoctor/host_spi.h): the recording taps, the
+# fault injector and generated streams are SpiBackends and push SpiPayloads. The second
+# vocabulary they replaced — the TelemetrySink tap interface, FaultInjector's Push* family,
+# faultsim's StreamEvent record and its PushStream switch — is deleted and must not come back.
+spi_copies=$(grep -rnwE \
+  'TelemetrySink|StreamEvent|PushStream|PushStart|PushEnd|PushQuiesce|PushCounterFault|PushAsync(Post|Run|WaitStart|WaitEnd)' \
+  --include='*.h' --include='*.cc' --include='*.cpp' \
+  "$repo_root/src" "$repo_root/tests" "$repo_root/bench" "$repo_root/examples" \
+  "$repo_root/tools" 2>/dev/null || true)
+
+if [ -n "$spi_copies" ]; then
+  echo "layering violation: a deleted SPI vocabulary is back; implement SpiBackend and push" >&2
+  echo "SpiPayload (PushSpiPayload) instead:" >&2
+  echo "$spi_copies" >&2
+  exit 1
+fi
+
 # The async-execution substrate (DESIGN.md section 3.8) lives entirely in droidsim; only the
 # telemetry:: causal vocabulary (CausalEdgeId, ThreadId, the Async* SPI records) crosses the
 # SPI. A droidsim async type or hook name appearing in the core would tie waiting-chain
@@ -82,5 +99,6 @@ fi
 
 echo "layering ok: src/hangdoctor depends only on src/telemetry and src/simkit"
 echo "layering ok: no perfsim/droidsim alias-shim usage"
+echo "layering ok: one SPI interface (SpiBackend) and one stored record (SpiPayload)"
 echo "layering ok: no droidsim async substrate types in the core"
 echo "layering ok: one byte codec (src/telemetry/bytes.h)"

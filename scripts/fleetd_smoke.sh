@@ -4,7 +4,9 @@
 # coordinator port, SIGKILLs one worker mid-run, and asserts that (a) every session still
 # closes clean (failover replays the dead worker's sessions on the survivor), (b) fleetd
 # drains clean on SIGTERM, and (c) the merged report is byte-identical to a single-worker
-# baseline run of the same sessions. Run from the repo root against a configured build tree:
+# baseline run of the same sessions; then (d) that a connected client that never sends past
+# its HELLO does not hold up fleetd's drain. Run from the repo root against a configured
+# build tree:
 #
 #   scripts/fleetd_smoke.sh [build-dir]     (default: build)
 #
@@ -251,4 +253,50 @@ if ! cmp -s "$work/base_report.txt" "$work/report.txt"; then
   diff -u "$work/base_report.txt" "$work/report.txt" >&2 || true
   exit 1
 fi
-echo "fleetd_smoke: OK (24 sessions, worker killed mid-run, report identical to baseline)"
+
+# 5. A silent client may not hold up the drain: it sends only HELLO 4, then keeps its
+#    connection open for 8 s without a byte more. SIGTERM comes 1 s in, and fleetd must
+#    print its drain report within 3 s of it — the client's thread sits in recv until fleetd
+#    shuts down the read side of every connection still open.
+boot_worker "$work/silent_worker.log"
+boot_fleetd "$work/silent_fleetd.log" "$boot_port"
+silent_fleetd_pid=$boot_pid
+python3 - "$boot_port" <<'PY' &
+import socket
+import sys
+import time
+
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=10)
+sock.sendall(bytes([5]) + b"HDSL\x04")  # one frame: HELLO, wire version 4
+time.sleep(8)
+sock.close()
+PY
+pids+=("$!")
+disown "$!"  # killed at exit, never waited on
+sleep 1
+kill -TERM "$silent_fleetd_pid"
+drained=0
+for _ in $(seq 1 30); do
+  if grep -q "^drained clean: 0 sessions, 0 aborted" "$work/silent_fleetd.log"; then
+    drained=1
+    break
+  fi
+  sleep 0.1
+done
+if [ "$drained" -ne 1 ]; then
+  echo "fleetd_smoke: fleetd did not drain within 3 s of SIGTERM while a silent client" \
+       "stayed connected" >&2
+  cat "$work/silent_fleetd.log" >&2
+  exit 1
+fi
+status=0
+wait "$silent_fleetd_pid" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "fleetd_smoke: fleetd exited $status after draining past a silent client" >&2
+  cat "$work/silent_fleetd.log" >&2
+  exit 1
+fi
+echo "fleetd_smoke: a silent client did not hold up the drain"
+
+echo "fleetd_smoke: OK (24 sessions, worker killed mid-run, report identical to baseline," \
+     "silent client drained)"

@@ -5,10 +5,11 @@
 namespace faultsim {
 
 FaultInjector::FaultInjector(FaultPlan plan, hangdoctor::SpiBackend* core,
-                             hangdoctor::TelemetrySink* sink)
+                             hangdoctor::SpiBackend* sink)
     : plan_(std::move(plan)), core_(core), sink_(sink) {}
 
-hangdoctor::MonitorDirectives FaultInjector::PushStart(const hangdoctor::DispatchStart& start) {
+hangdoctor::MonitorDirectives FaultInjector::OnDispatchStart(
+    const hangdoctor::DispatchStart& start) {
   // A held record is released after the *next* record: the start is that next record, so it
   // goes first and the stale one follows with its older timestamp.
   if (sink_ != nullptr) {
@@ -19,109 +20,42 @@ hangdoctor::MonitorDirectives FaultInjector::PushStart(const hangdoctor::Dispatc
   return directives;
 }
 
-void FaultInjector::DeliverEnd(const hangdoctor::DispatchEnd& end) {
-  if (sink_ != nullptr) {
-    sink_->OnDispatchEnd(end);
-  }
-  core_->OnDispatchEnd(end);
+void FaultInjector::OnDispatchEnd(const hangdoctor::DispatchEnd& end) {
+  PushFated(&SpiBackend::OnDispatchEnd, end);
 }
 
-void FaultInjector::DeliverQuiesce(const hangdoctor::ActionQuiesce& quiesce) {
-  if (sink_ != nullptr) {
-    sink_->OnActionQuiesce(quiesce);
+void FaultInjector::OnActionQuiesce(const hangdoctor::ActionQuiesce& quiesce) {
+  PushFated(&SpiBackend::OnActionQuiesce, quiesce);
+}
+
+template <typename Record>
+void FaultInjector::PushFated(void (SpiBackend::*on)(const Record&), const Record& record) {
+  FaultPlan::RecordFate fate = plan_.NextRecordFate();
+  if (fate == FaultPlan::RecordFate::kDelay) {
+    // Hold this record; whatever is pushed next goes first. An already-held record is
+    // released now (at most one record rides the delay buffer).
+    hangdoctor::SpiPayload held = hangdoctor::MakeSpiPayload(record);
+    ReleaseHeld();
+    held_ = std::move(held);
+    return;
   }
-  core_->OnActionQuiesced(quiesce);
+  Deliver(on, record);
+  if (fate == FaultPlan::RecordFate::kDuplicate) {
+    Deliver(on, record);
+  }
+  ReleaseHeld();
 }
 
 void FaultInjector::ReleaseHeld() {
   if (!held_.has_value()) {
     return;
   }
-  Held held = std::move(*held_);
+  hangdoctor::SpiPayload held = std::move(*held_);
   held_.reset();
-  if (held.is_end) {
-    held.end.samples = held.samples;
-    DeliverEnd(held.end);
-  } else {
-    DeliverQuiesce(held.quiesce);
-  }
-}
-
-void FaultInjector::PushEnd(const hangdoctor::DispatchEnd& end) {
-  FaultPlan::RecordFate fate = plan_.NextRecordFate();
-  if (fate == FaultPlan::RecordFate::kDelay) {
-    // Hold this record; whatever is pushed next goes first. An already-held record is
-    // released now (at most one record rides the delay buffer).
-    Held held;
-    held.is_end = true;
-    held.end = end;
-    held.samples.assign(end.samples.begin(), end.samples.end());
-    ReleaseHeld();
-    held_ = std::move(held);
-    return;
-  }
-  DeliverEnd(end);
-  if (fate == FaultPlan::RecordFate::kDuplicate) {
-    DeliverEnd(end);
-  }
-  ReleaseHeld();
-}
-
-void FaultInjector::PushQuiesce(const hangdoctor::ActionQuiesce& quiesce) {
-  FaultPlan::RecordFate fate = plan_.NextRecordFate();
-  if (fate == FaultPlan::RecordFate::kDelay) {
-    Held held;
-    held.is_end = false;
-    held.quiesce = quiesce;
-    ReleaseHeld();
-    held_ = std::move(held);
-    return;
-  }
-  DeliverQuiesce(quiesce);
-  if (fate == FaultPlan::RecordFate::kDuplicate) {
-    DeliverQuiesce(quiesce);
-  }
-  ReleaseHeld();
-}
-
-void FaultInjector::PushCounterFault(const hangdoctor::CounterFault& fault) {
   if (sink_ != nullptr) {
-    sink_->OnCounterFault(fault);
+    hangdoctor::PushSpiPayload(*sink_, held);
   }
-  core_->OnCounterFault(fault);
-  ReleaseHeld();
-}
-
-void FaultInjector::PushAsyncPost(const hangdoctor::AsyncPost& post) {
-  if (sink_ != nullptr) {
-    sink_->OnAsyncPost(post);
-  }
-  core_->OnAsyncPost(post);
-  ReleaseHeld();
-}
-
-void FaultInjector::PushAsyncRun(const hangdoctor::AsyncRun& run) {
-  if (sink_ != nullptr) {
-    sink_->OnAsyncRun(run);
-  }
-  core_->OnAsyncRun(run);
-  ReleaseHeld();
-}
-
-void FaultInjector::PushAsyncWaitStart(const hangdoctor::AsyncWaitStart& wait) {
-  if (sink_ != nullptr) {
-    sink_->OnAsyncWaitStart(wait);
-  }
-  core_->OnAsyncWaitStart(wait);
-  ReleaseHeld();
-}
-
-void FaultInjector::PushAsyncWaitEnd(const hangdoctor::AsyncWaitEnd& wait) {
-  if (sink_ != nullptr) {
-    sink_->OnAsyncWaitEnd(wait);
-  }
-  core_->OnAsyncWaitEnd(wait);
-  ReleaseHeld();
+  hangdoctor::PushSpiPayload(*core_, held);
 }
 
 std::vector<telemetry::StackTrace> FaultInjector::FilterSamples(

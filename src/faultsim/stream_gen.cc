@@ -61,24 +61,22 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
                                           : Milliseconds(rng.UniformInt(1, 80));
       max_response = std::max(max_response, response);
 
-      StreamEvent start;
-      start.kind = StreamEvent::Kind::kStart;
-      start.start = {clock, execution, uid, index, events_total};
-      stream.events.push_back(std::move(start));
+      stream.events.push_back(
+          hangdoctor::MakeSpiPayload(hangdoctor::DispatchStart{clock, execution, uid, index,
+                                                               events_total}));
 
       if (fault_pending) {
         // The host failed to honor the start_counters directive for this execution.
         fault_pending = false;
-        StreamEvent fault;
-        fault.kind = StreamEvent::Kind::kFault;
-        fault.fault.now = clock + Milliseconds(1);
-        fault.fault.execution_id = execution;
-        fault.fault.permanent = rng.Bernoulli(0.2);
-        stream.events.push_back(std::move(fault));
+        hangdoctor::CounterFault fault;
+        fault.now = clock + Milliseconds(1);
+        fault.execution_id = execution;
+        fault.permanent = rng.Bernoulli(0.2);
+        stream.events.push_back(hangdoctor::MakeSpiPayload(fault));
       }
 
-      StreamEvent end;
-      end.kind = StreamEvent::Kind::kEnd;
+      hangdoctor::SpiPayload end;
+      end.kind = hangdoctor::SpiPayload::Kind::kDispatchEnd;
       end.end.now = clock + response;
       end.end.execution_id = execution;
       end.end.event_index = index;
@@ -101,8 +99,8 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
       clock += response + Milliseconds(rng.UniformInt(1, 50));
     }
 
-    StreamEvent quiesce;
-    quiesce.kind = StreamEvent::Kind::kQuiesce;
+    hangdoctor::SpiPayload quiesce;
+    quiesce.kind = hangdoctor::SpiPayload::Kind::kActionQuiesce;
     quiesce.quiesce.now = clock;
     quiesce.quiesce.execution_id = execution;
     quiesce.quiesce.action_uid = uid;
@@ -128,19 +126,19 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
         // Time regression: rewind one event's clock far into the past.
         auto index = static_cast<size_t>(
             rng.UniformInt(1, static_cast<int64_t>(stream.events.size()) - 1));
-        StreamEvent& event = stream.events[index];
+        hangdoctor::SpiPayload& event = stream.events[index];
         simkit::SimTime bogus = -Milliseconds(rng.UniformInt(1, 1000));
         switch (event.kind) {
-          case StreamEvent::Kind::kStart:
+          case hangdoctor::SpiPayload::Kind::kDispatchStart:
             event.start.now = bogus;
             break;
-          case StreamEvent::Kind::kEnd:
+          case hangdoctor::SpiPayload::Kind::kDispatchEnd:
             event.end.now = bogus;
             break;
-          case StreamEvent::Kind::kQuiesce:
+          case hangdoctor::SpiPayload::Kind::kActionQuiesce:
             event.quiesce.now = bogus;
             break;
-          case StreamEvent::Kind::kFault:
+          default:  // kCounterFault, the only other kind generated
             event.fault.now = bogus;
             break;
         }
@@ -153,13 +151,13 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
         size_t offset = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(stream.events.size()) - 1));
         for (size_t i = 0; i < stream.events.size(); ++i) {
-          StreamEvent& event = stream.events[(offset + i) % stream.events.size()];
-          if (event.kind == StreamEvent::Kind::kEnd) {
+          hangdoctor::SpiPayload& event = stream.events[(offset + i) % stream.events.size()];
+          if (event.kind == hangdoctor::SpiPayload::Kind::kDispatchEnd) {
             event.end.execution_id += 1000000;
             stream.corruption = "orphan-end";
             break;
           }
-          if (event.kind == StreamEvent::Kind::kQuiesce) {
+          if (event.kind == hangdoctor::SpiPayload::Kind::kActionQuiesce) {
             event.quiesce.execution_id += 1000000;
             stream.corruption = "orphan-quiesce";
             break;
@@ -170,8 +168,8 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
       case 2: {
         // Unmatched start: re-send a start while its event is still open.
         for (size_t index = 0; index < stream.events.size(); ++index) {
-          if (stream.events[index].kind == StreamEvent::Kind::kStart) {
-            StreamEvent duplicate = stream.events[index];
+          if (stream.events[index].kind == hangdoctor::SpiPayload::Kind::kDispatchStart) {
+            hangdoctor::SpiPayload duplicate = stream.events[index];
             stream.events.insert(stream.events.begin() + static_cast<ptrdiff_t>(index) + 1,
                                  std::move(duplicate));
             stream.corruption = "start-while-open";
@@ -182,8 +180,8 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
       }
       case 3: {
         // Undeclared action uid on a start.
-        for (StreamEvent& event : stream.events) {
-          if (event.kind == StreamEvent::Kind::kStart) {
+        for (hangdoctor::SpiPayload& event : stream.events) {
+          if (event.kind == hangdoctor::SpiPayload::Kind::kDispatchStart) {
             event.start.action_uid = options.num_actions + 5;
             stream.corruption = "uid-out-of-range";
             break;
@@ -194,7 +192,7 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
       case 4: {
         // Quiesce whose action uid disagrees with its execution's starts.
         for (auto it = stream.events.rbegin(); it != stream.events.rend(); ++it) {
-          if (it->kind == StreamEvent::Kind::kQuiesce) {
+          if (it->kind == hangdoctor::SpiPayload::Kind::kActionQuiesce) {
             // With a single declared action there is no other in-range uid to disagree
             // with; an out-of-range one still mismatches the execution's starts.
             it->quiesce.action_uid =
@@ -209,26 +207,6 @@ GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng
     }
   }
   return stream;
-}
-
-void PushStream(hangdoctor::DetectorCore& core, std::vector<StreamEvent>& events) {
-  for (StreamEvent& event : events) {
-    switch (event.kind) {
-      case StreamEvent::Kind::kStart:
-        (void)core.OnDispatchStart(event.start);
-        break;
-      case StreamEvent::Kind::kEnd:
-        event.end.samples = event.samples;
-        core.OnDispatchEnd(event.end);
-        break;
-      case StreamEvent::Kind::kQuiesce:
-        core.OnActionQuiesced(event.quiesce);
-        break;
-      case StreamEvent::Kind::kFault:
-        core.OnCounterFault(event.fault);
-        break;
-    }
-  }
 }
 
 }  // namespace faultsim

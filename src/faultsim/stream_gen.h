@@ -19,23 +19,12 @@
 #include <string>
 #include <vector>
 
-#include "src/hangdoctor/detector_core.h"
 #include "src/hangdoctor/host_spi.h"
+#include "src/hangdoctor/session_stream.h"
 #include "src/simkit/rng.h"
 #include "src/telemetry/symbols.h"
 
 namespace faultsim {
-
-// One SPI push, with sample storage owned (spans are re-pointed at push time).
-struct StreamEvent {
-  enum class Kind { kStart, kEnd, kQuiesce, kFault };
-  Kind kind = Kind::kStart;
-  hangdoctor::DispatchStart start;
-  hangdoctor::DispatchEnd end;
-  std::vector<telemetry::StackTrace> samples;
-  hangdoctor::ActionQuiesce quiesce;
-  hangdoctor::CounterFault fault;
-};
 
 struct StreamGenOptions {
   int32_t num_actions = 4;
@@ -52,15 +41,14 @@ struct StreamGenOptions {
 struct GeneratedStream {
   std::unique_ptr<telemetry::SymbolTable> symbols;
   hangdoctor::SessionInfo info;  // info.symbols points at *symbols
-  std::vector<StreamEvent> events;
+  // The SPI pushes in order (kDispatchStart / kDispatchEnd / kActionQuiesce /
+  // kCounterFault), with sample storage owned; push each with hangdoctor::PushSpiPayload.
+  std::vector<hangdoctor::SpiPayload> events;
   // Which violation was spliced in; empty for a valid stream.
   std::string corruption;
 };
 
 GeneratedStream GenerateStream(const StreamGenOptions& options, simkit::Rng& rng);
-
-// Pushes every event into `core` in order (re-pointing sample spans as it goes).
-void PushStream(hangdoctor::DetectorCore& core, std::vector<StreamEvent>& events);
 
 }  // namespace faultsim
 

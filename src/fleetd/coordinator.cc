@@ -85,20 +85,22 @@ void Coordinator::AssignRange(uint64_t first, uint64_t last) {
 
 bool Coordinator::RouteFrame(uint64_t session, const std::string& frame, std::string* error) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (frame.empty()) {
+  size_t pos = 0;
+  hangdoctor::MuxFrameHeader header;
+  const hangdoctor::MuxHeaderRead read = hangdoctor::ReadMuxFrameHeader(frame, &pos, &header);
+  if (read == hangdoctor::MuxHeaderRead::kEmpty) {
     if (error) *error = "route: empty frame";
     return false;
   }
-  auto tag = static_cast<hangdoctor::MuxFrameTag>(static_cast<uint8_t>(frame[0]));
+  const hangdoctor::MuxFrameTag tag = header.tag;
   if (tag != hangdoctor::MuxFrameTag::kOpenSession &&
       tag != hangdoctor::MuxFrameTag::kRecord &&
       tag != hangdoctor::MuxFrameTag::kCloseSession) {
     if (error) *error = "route: frame is not a session frame";
     return false;
   }
-  uint64_t framed_id = 0;
-  size_t pos = 1;
-  if (!netd::GetVarint(frame, &pos, &framed_id) || framed_id != session) {
+  // Only the id decides the route; the owner's decoder judges the rest of the frame.
+  if (read == hangdoctor::MuxHeaderRead::kBadId || header.id != session) {
     if (error) *error = "route: frame session id mismatch";
     return false;
   }

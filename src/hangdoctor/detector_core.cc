@@ -354,7 +354,7 @@ void DetectorCore::RunDiagnoser(const ActionQuiesce& quiesce, LiveExecution& liv
   }
 }
 
-void DetectorCore::OnActionQuiesced(const ActionQuiesce& quiesce) {
+void DetectorCore::OnActionQuiesce(const ActionQuiesce& quiesce) {
   if (!guard_.AdmitTime(quiesce.now)) {
     return;
   }

@@ -138,7 +138,7 @@ class DetectorCore : public SpiBackend {
   // Telemetry Host SPI entry points (see host_spi.h for the contract).
   MonitorDirectives OnDispatchStart(const DispatchStart& start) override;
   void OnDispatchEnd(const DispatchEnd& end) override;
-  void OnActionQuiesced(const ActionQuiesce& quiesce) override;
+  void OnActionQuiesce(const ActionQuiesce& quiesce) override;
   void OnCounterFault(const CounterFault& fault) override;
   void OnAsyncPost(const AsyncPost& post) override;
   void OnAsyncRun(const AsyncRun& run) override;

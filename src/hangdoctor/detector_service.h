@@ -150,7 +150,7 @@ class DetectorService {
       return service_->OnDispatchStart(id_, start);
     }
     void OnDispatchEnd(const DispatchEnd& end) override { service_->OnDispatchEnd(id_, end); }
-    void OnActionQuiesced(const ActionQuiesce& quiesce) override {
+    void OnActionQuiesce(const ActionQuiesce& quiesce) override {
       service_->OnActionQuiesced(id_, quiesce);
     }
     void OnCounterFault(const CounterFault& fault) override {
@@ -203,7 +203,7 @@ class DetectorService {
     Core(id).OnDispatchEnd(end);
   }
   void OnActionQuiesced(telemetry::SessionId id, const ActionQuiesce& quiesce) {
-    Core(id).OnActionQuiesced(quiesce);
+    Core(id).OnActionQuiesce(quiesce);
   }
   void OnCounterFault(telemetry::SessionId id, const CounterFault& fault) {
     Core(id).OnCounterFault(fault);

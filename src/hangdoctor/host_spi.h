@@ -4,16 +4,22 @@
 // /proc-style on-device collector.
 //
 // The contract is deliberately value-shaped rather than virtual-call-shaped: the host pushes
-// three kinds of telemetry into the core —
+// four kinds of telemetry into the core —
 //   (a) action dispatch begin/end/quiesce events with response times,
 //   (b) main−render counter deltas for the symptom events (read at quiesce, only when the
 //       core previously directed the host to count and the action hung),
-//   (c) interned stack samples collected during diagnosis —
+//   (c) interned stack samples collected during diagnosis,
+//   (d) cross-thread causal records (async post / run / wait) —
 // and the core answers dispatch-begin with MonitorDirectives telling the host which
 // mechanisms to engage. Because every byte the core ever sees crosses this boundary as plain
 // data, a session is trivially recordable (serialize the pushed structs) and replayable
 // (push them again): the core is a pure function of (SessionInfo, config, telemetry stream),
 // which is what makes the record/replay round-trip bit-identical.
+//
+// One interface and one record carry the stream below the service: everything that consumes
+// it — the core, a service session, the fault injector, a recording tap — is a SpiBackend
+// (below), and a record that must outlive its push (held, generated, parsed, recorded) is a
+// SpiPayload (session_stream.h), pushed with PushSpiPayload.
 //
 // Symbol resolution stays id-based: traces carry telemetry::FrameIds interned in the session's
 // SymbolTable (supplied once in SessionInfo); the core materializes strings only when a
@@ -145,32 +151,22 @@ struct MonitorDirectives {
   bool arm_hang_check = false;
 };
 
-// The consuming half of the SPI as an interface: something that eats one session's telemetry
-// and answers DispatchStart with MonitorDirectives. DetectorCore implements it directly (the
+// The SPI as an interface: something that eats one session's telemetry and answers
+// DispatchStart with MonitorDirectives. DetectorCore implements it directly (the
 // single-session case); a DetectorService session handle implements it by routing the record
-// to the shard that owns the session. Hosts and the fault injector talk to a SpiBackend so
-// the same adapter code drives either a private core or one session of a multiplexed service.
+// to the shard that owns the session. The recording taps (SessionLogWriter,
+// SpiStreamRecorder) implement it too: a tap answers every DispatchStart with default
+// directives, which nobody reads, and never influences the core. faultsim::FaultInjector is
+// one more SpiBackend, in front of a core and an optional tap, so a host drives a private
+// core, one session of a multiplexed service, or a recording of either through one interface.
 class SpiBackend {
  public:
   virtual ~SpiBackend() = default;
+  // The stream's kSessionOpen: the session's facts, before any telemetry. A backend built
+  // with its session (DetectorCore, a DetectorService session handle) ignores it; a tap
+  // writes its header here.
+  virtual void OnSessionStart(const SessionInfo& /*info*/) {}
   virtual MonitorDirectives OnDispatchStart(const DispatchStart& start) = 0;
-  virtual void OnDispatchEnd(const DispatchEnd& end) = 0;
-  virtual void OnActionQuiesced(const ActionQuiesce& quiesce) = 0;
-  virtual void OnCounterFault(const CounterFault& fault) = 0;
-  virtual void OnAsyncPost(const AsyncPost& post) = 0;
-  virtual void OnAsyncRun(const AsyncRun& run) = 0;
-  virtual void OnAsyncWaitStart(const AsyncWaitStart& wait) = 0;
-  virtual void OnAsyncWaitEnd(const AsyncWaitEnd& wait) = 0;
-};
-
-// Passive tap on the SPI: everything the host pushes into the core is offered to the sink
-// first. SessionLogWriter implements this to produce a replayable session log; the tap never
-// influences the core, so recording cannot perturb detection.
-class TelemetrySink {
- public:
-  virtual ~TelemetrySink() = default;
-  virtual void OnSessionStart(const SessionInfo& info) = 0;
-  virtual void OnDispatchStart(const DispatchStart& start) = 0;
   virtual void OnDispatchEnd(const DispatchEnd& end) = 0;
   virtual void OnActionQuiesce(const ActionQuiesce& quiesce) = 0;
   virtual void OnCounterFault(const CounterFault& fault) = 0;

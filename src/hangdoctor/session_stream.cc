@@ -5,67 +5,6 @@
 
 namespace hangdoctor {
 
-void SpiStreamRecorder::OnSessionStart(const SessionInfo& info) { info_ = info; }
-
-void SpiStreamRecorder::OnDispatchStart(const DispatchStart& start) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kDispatchStart;
-  payload.start = start;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnDispatchEnd(const DispatchEnd& end) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kDispatchEnd;
-  payload.end = end;
-  // The span in `end` points at the host's sample buffer, which is reused; own a copy and
-  // repoint at push time (Consume/ApplyRecord re-derive end.samples from payload.samples).
-  payload.samples.assign(end.samples.begin(), end.samples.end());
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnActionQuiesce(const ActionQuiesce& quiesce) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kActionQuiesce;
-  payload.quiesce = quiesce;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnCounterFault(const CounterFault& fault) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kCounterFault;
-  payload.fault = fault;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnAsyncPost(const AsyncPost& post) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kAsyncPost;
-  payload.async_post = post;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnAsyncRun(const AsyncRun& run) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kAsyncRun;
-  payload.async_run = run;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnAsyncWaitStart(const AsyncWaitStart& wait) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kAsyncWaitStart;
-  payload.wait_start = wait;
-  records_.push_back(std::move(payload));
-}
-
-void SpiStreamRecorder::OnAsyncWaitEnd(const AsyncWaitEnd& wait) {
-  SpiPayload payload;
-  payload.kind = SpiPayload::Kind::kAsyncWaitEnd;
-  payload.wait_end = wait;
-  records_.push_back(std::move(payload));
-}
-
 void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload) {
   switch (payload.kind) {
     case SpiPayload::Kind::kDispatchStart:
@@ -79,7 +18,7 @@ void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload) {
       return;
     }
     case SpiPayload::Kind::kActionQuiesce:
-      backend.OnActionQuiesced(payload.quiesce);
+      backend.OnActionQuiesce(payload.quiesce);
       return;
     case SpiPayload::Kind::kCounterFault:
       backend.OnCounterFault(payload.fault);
@@ -101,6 +40,53 @@ void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload) {
                                   std::to_string(static_cast<int>(payload.kind)) +
                                   " is not telemetry");
   }
+}
+
+namespace {
+
+template <typename Record>
+SpiPayload Wrap(SpiPayload::Kind kind, Record SpiPayload::*member, const Record& record) {
+  SpiPayload payload;
+  payload.kind = kind;
+  payload.*member = record;
+  return payload;
+}
+
+}  // namespace
+
+SpiPayload MakeSpiPayload(const DispatchStart& start) {
+  return Wrap(SpiPayload::Kind::kDispatchStart, &SpiPayload::start, start);
+}
+
+SpiPayload MakeSpiPayload(const DispatchEnd& end) {
+  SpiPayload payload = Wrap(SpiPayload::Kind::kDispatchEnd, &SpiPayload::end, end);
+  payload.samples.assign(end.samples.begin(), end.samples.end());
+  payload.end.samples = {};
+  return payload;
+}
+
+SpiPayload MakeSpiPayload(const ActionQuiesce& quiesce) {
+  return Wrap(SpiPayload::Kind::kActionQuiesce, &SpiPayload::quiesce, quiesce);
+}
+
+SpiPayload MakeSpiPayload(const CounterFault& fault) {
+  return Wrap(SpiPayload::Kind::kCounterFault, &SpiPayload::fault, fault);
+}
+
+SpiPayload MakeSpiPayload(const AsyncPost& post) {
+  return Wrap(SpiPayload::Kind::kAsyncPost, &SpiPayload::async_post, post);
+}
+
+SpiPayload MakeSpiPayload(const AsyncRun& run) {
+  return Wrap(SpiPayload::Kind::kAsyncRun, &SpiPayload::async_run, run);
+}
+
+SpiPayload MakeSpiPayload(const AsyncWaitStart& wait) {
+  return Wrap(SpiPayload::Kind::kAsyncWaitStart, &SpiPayload::wait_start, wait);
+}
+
+SpiPayload MakeSpiPayload(const AsyncWaitEnd& wait) {
+  return Wrap(SpiPayload::Kind::kAsyncWaitEnd, &SpiPayload::wait_end, wait);
 }
 
 }  // namespace hangdoctor

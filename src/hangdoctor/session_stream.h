@@ -81,22 +81,44 @@ struct ServiceRecordRef {
 // std::invalid_argument for the session framing and control kinds, which are not telemetry.
 void PushSpiPayload(SpiBackend& backend, const SpiPayload& payload);
 
-// In-memory TelemetrySink: captures a session's post-injection SPI stream as owned
+// The inverse: one telemetry record as an owned SpiPayload. A DispatchEnd's samples are
+// copied into `samples` (the host's span dies with its buffer) and its span is left empty.
+SpiPayload MakeSpiPayload(const DispatchStart& start);
+SpiPayload MakeSpiPayload(const DispatchEnd& end);
+SpiPayload MakeSpiPayload(const ActionQuiesce& quiesce);
+SpiPayload MakeSpiPayload(const CounterFault& fault);
+SpiPayload MakeSpiPayload(const AsyncPost& post);
+SpiPayload MakeSpiPayload(const AsyncRun& run);
+SpiPayload MakeSpiPayload(const AsyncWaitStart& wait);
+SpiPayload MakeSpiPayload(const AsyncWaitEnd& wait);
+
+// In-memory recording tap: captures a session's post-injection SPI stream as owned
 // SpiPayloads, ready to be stamped with a SessionId and fed to a DetectorService. Because a
-// sink tap is passive and sits downstream of the fault injector, a core fed the captured
-// stream behaves bit-identically to the core that ran live — faults included — which is what
-// lets a benchmark or test capture one donor session and replay it as many.
-class SpiStreamRecorder final : public TelemetrySink {
+// tap is passive and sits downstream of the fault injector, a core fed the captured stream
+// behaves bit-identically to the core that ran live — faults included — which is what lets
+// a benchmark or test capture one donor session and replay it as many.
+class SpiStreamRecorder final : public SpiBackend {
  public:
-  void OnSessionStart(const SessionInfo& info) override;
-  void OnDispatchStart(const DispatchStart& start) override;
-  void OnDispatchEnd(const DispatchEnd& end) override;
-  void OnActionQuiesce(const ActionQuiesce& quiesce) override;
-  void OnCounterFault(const CounterFault& fault) override;
-  void OnAsyncPost(const AsyncPost& post) override;
-  void OnAsyncRun(const AsyncRun& run) override;
-  void OnAsyncWaitStart(const AsyncWaitStart& wait) override;
-  void OnAsyncWaitEnd(const AsyncWaitEnd& wait) override;
+  void OnSessionStart(const SessionInfo& info) override { info_ = info; }
+  MonitorDirectives OnDispatchStart(const DispatchStart& start) override {
+    records_.push_back(MakeSpiPayload(start));
+    return {};
+  }
+  void OnDispatchEnd(const DispatchEnd& end) override { records_.push_back(MakeSpiPayload(end)); }
+  void OnActionQuiesce(const ActionQuiesce& quiesce) override {
+    records_.push_back(MakeSpiPayload(quiesce));
+  }
+  void OnCounterFault(const CounterFault& fault) override {
+    records_.push_back(MakeSpiPayload(fault));
+  }
+  void OnAsyncPost(const AsyncPost& post) override { records_.push_back(MakeSpiPayload(post)); }
+  void OnAsyncRun(const AsyncRun& run) override { records_.push_back(MakeSpiPayload(run)); }
+  void OnAsyncWaitStart(const AsyncWaitStart& wait) override {
+    records_.push_back(MakeSpiPayload(wait));
+  }
+  void OnAsyncWaitEnd(const AsyncWaitEnd& wait) override {
+    records_.push_back(MakeSpiPayload(wait));
+  }
 
   const SessionInfo& info() const { return info_; }
   const std::vector<SpiPayload>& records() const { return records_; }

@@ -13,9 +13,10 @@
 //
 // --port=0 (default) binds an ephemeral port; the banner "fleetd listening on port N" names
 // it (scripts/fleetd_smoke.sh parses this). Session ids 1..max-sessions are partitioned
-// into contiguous per-worker ranges up front. On SIGTERM/SIGINT fleetd folds the fleet
-// report — bit-identical to a single hangdoctord ingesting the same sessions — prints it,
-// and exits 0 with the same "drained clean: N sessions, M aborted" line hangdoctord emits.
+// into contiguous per-worker ranges up front. On SIGTERM/SIGINT fleetd stops reading from
+// every client still connected, folds the fleet report — bit-identical to a single
+// hangdoctord ingesting the same sessions — prints it, and exits 0 with the same
+// "drained clean: N sessions, M aborted" line hangdoctord emits.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -315,6 +316,16 @@ int main(int argc, char** argv) {
     shutdown(listen_fd, SHUT_RDWR);
     close(listen_fd);
     acceptor.join();
+    // A connected but silent client keeps its thread blocked in recv, and the join below
+    // would wait for it forever: shut down the read side of every connection still open, so
+    // the recv returns and the thread ends. ServeClient closes its fd under `write_mu`, so
+    // a connection already closed reads fd == -1 here and is skipped.
+    for (auto& client : clients) {
+      std::lock_guard<std::mutex> lock(client.second->write_mu);
+      if (client.second->fd >= 0) {
+        shutdown(client.second->fd, SHUT_RD);
+      }
+    }
     for (auto& client : clients) {
       client.first.join();
     }

@@ -28,7 +28,7 @@ std::unique_ptr<DetectorService::SessionHandle> OpenSession(DetectorService* ser
 }  // namespace
 
 HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorConfig config,
-                       BlockingApiDatabase* database, int32_t device_id, TelemetrySink* sink,
+                       BlockingApiDatabase* database, int32_t device_id, SpiBackend* sink,
                        faultsim::FaultPlan plan)
     : phone_(phone),
       app_(app),
@@ -38,12 +38,12 @@ HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorCon
       core_(std::make_unique<DetectorCore>(MakeSessionInfo(*app, device_id), config_, database)),
       injector_(std::move(plan), core_.get(), sink),
       sampler_(&phone->sim(), &app->main_looper(), config_.sample_interval) {
-  FinishSetup(sink, core_->session());
+  FinishSetup(core_->session());
 }
 
 HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, const HangDoctorConfig& config,
                        DetectorService* service, telemetry::SessionId id, int32_t device_id,
-                       TelemetrySink* sink, faultsim::FaultPlan plan)
+                       SpiBackend* sink, faultsim::FaultPlan plan)
     : phone_(phone),
       app_(app),
       rng_(phone->ForkRng(0x4844 + static_cast<uint64_t>(device_id)).NextU64(),
@@ -52,10 +52,10 @@ HangDoctor::HangDoctor(droidsim::Phone* phone, droidsim::App* app, const HangDoc
       handle_(OpenSession(service, id, MakeSessionInfo(*app, device_id), config_)),
       injector_(std::move(plan), handle_.get(), sink),
       sampler_(&phone->sim(), &app->main_looper(), config_.sample_interval) {
-  FinishSetup(sink, MakeSessionInfo(*app, device_id));
+  FinishSetup(MakeSessionInfo(*app, device_id));
 }
 
-void HangDoctor::FinishSetup(TelemetrySink* sink, const SessionInfo& info) {
+void HangDoctor::FinishSetup(const SessionInfo& info) {
   // One sampler per async thread, tagged with its telemetry thread id; they stay parked
   // until a future wait overlaps an active main-thread collection.
   async_samplers_.reserve(app_->num_async_threads());
@@ -64,9 +64,7 @@ void HangDoctor::FinishSetup(TelemetrySink* sink, const SessionInfo& info) {
         &phone_->sim(), &app_->async_looper(i), config_.sample_interval,
         static_cast<telemetry::ThreadId>(i + 1)));
   }
-  if (sink != nullptr) {
-    sink->OnSessionStart(info);
-  }
+  injector_.OnSessionStart(info);
   app_->AddObserver(this);
 }
 
@@ -138,7 +136,7 @@ void HangDoctor::OnInputEventStart(droidsim::App& app,
   start.action_uid = execution.action_uid;
   start.event_index = event_index;
   start.events_total = static_cast<int32_t>(execution.events_total);
-  MonitorDirectives directives = injector_.PushStart(start);
+  MonitorDirectives directives = injector_.OnDispatchStart(start);
   if (directives.start_counters && live.session == nullptr) {
     faultsim::FaultPlan::CounterOpen fate = injector_.NextCounterOpen();
     if (fate == faultsim::FaultPlan::CounterOpen::kOk) {
@@ -150,7 +148,7 @@ void HangDoctor::OnInputEventStart(droidsim::App& app,
       fault.now = start.now;
       fault.execution_id = execution.execution_id;
       fault.permanent = fate == faultsim::FaultPlan::CounterOpen::kPermanentFailure;
-      injector_.PushCounterFault(fault);
+      injector_.OnCounterFault(fault);
     }
   }
   if (directives.arm_hang_check) {
@@ -196,7 +194,7 @@ void HangDoctor::OnInputEventEnd(droidsim::App& app, const droidsim::ActionExecu
       }
     }
   }
-  injector_.PushEnd(end);
+  injector_.OnDispatchEnd(end);
 }
 
 void HangDoctor::OnActionQuiesced(droidsim::App& app,
@@ -233,7 +231,7 @@ void HangDoctor::OnActionQuiesced(droidsim::App& app,
       }
     }
   }
-  injector_.PushQuiesce(quiesce);
+  injector_.OnActionQuiesce(quiesce);
   if (it != live_.end()) {
     live_.erase(it);
   }
@@ -251,7 +249,7 @@ void HangDoctor::OnAsyncPost(droidsim::App& app, int64_t execution_id, uint64_t 
   post.target = thread;
   post.post_frame = post_frame;
   post.delay = delay;
-  injector_.PushAsyncPost(post);
+  injector_.OnAsyncPost(post);
 }
 
 void HangDoctor::OnAsyncRun(droidsim::App& app, int64_t execution_id, uint64_t edge,
@@ -263,7 +261,7 @@ void HangDoctor::OnAsyncRun(droidsim::App& app, int64_t execution_id, uint64_t e
   run.edge = telemetry::CausalEdgeId{edge};
   run.thread = thread;
   run.begin = begin;
-  injector_.PushAsyncRun(run);
+  injector_.OnAsyncRun(run);
   if (!begin) {
     edge_thread_.erase(edge);  // the task is done; its edge can never be waited on again
   }
@@ -277,7 +275,7 @@ void HangDoctor::OnAsyncWaitStart(droidsim::App& app, int64_t execution_id, uint
   wait.execution_id = execution_id;
   wait.edge = telemetry::CausalEdgeId{edge};
   wait.wait_frame = wait_frame;
-  injector_.PushAsyncWaitStart(wait);
+  injector_.OnAsyncWaitStart(wait);
   active_wait_edge_ = edge;
   active_wait_execution_ = execution_id;
   auto thread_it = edge_thread_.find(edge);
@@ -297,7 +295,7 @@ void HangDoctor::OnAsyncWaitEnd(droidsim::App& app, int64_t execution_id, uint64
   wait.execution_id = execution_id;
   wait.edge = telemetry::CausalEdgeId{edge};
   wait.waited = waited;
-  injector_.PushAsyncWaitEnd(wait);
+  injector_.OnAsyncWaitEnd(wait);
   if (active_wait_edge_ != edge) {
     return;
   }

@@ -14,10 +14,10 @@
 //  - at quiesce, the main−render counter differences are read back (only when the core was
 //    counting and the action hung) and pushed in with the quiesce event —
 // while every detection decision stays in the core. Every record goes through the host's
-// FaultInjector (src/faultsim), which hands it to an optional TelemetrySink and then to the
-// core; under the default, disabled plan it forwards each record once, in push order, and
-// draws no randomness. The sink therefore observes the exact stream the core consumes, which
-// is how session recording works (session_log.h).
+// FaultInjector (src/faultsim), an SpiBackend that hands it to an optional recording sink
+// (another SpiBackend) and then to the core; under the default, disabled plan it forwards each
+// record once, in push order, and draws no randomness. The sink therefore observes the exact
+// stream the core consumes, which is how session recording works (session_log.h).
 //
 // This is the drop-in successor of the old monolithic hangdoctor::HangDoctor; constructor and
 // accessors are unchanged, so existing experiments only swap the include path.
@@ -56,7 +56,7 @@ class HangDoctor : public droidsim::AppObserver {
   // faulty sessions record and replay bit-identically.
   HangDoctor(droidsim::Phone* phone, droidsim::App* app, HangDoctorConfig config,
              BlockingApiDatabase* database = nullptr, int32_t device_id = 0,
-             TelemetrySink* sink = nullptr, faultsim::FaultPlan plan = {});
+             SpiBackend* sink = nullptr, faultsim::FaultPlan plan = {});
   // Service mode: opens session `id` on `service` (throws std::invalid_argument if the id is
   // already open) and streams this app's telemetry into it. The session's seed catalog and
   // knowledge base come from the service (ServiceOptions.seed_db / knowledge_base — one
@@ -65,7 +65,7 @@ class HangDoctor : public droidsim::AppObserver {
   // after the run. The core-state accessors below must not be used in this mode.
   HangDoctor(droidsim::Phone* phone, droidsim::App* app, const HangDoctorConfig& config,
              DetectorService* service, telemetry::SessionId id, int32_t device_id = 0,
-             TelemetrySink* sink = nullptr, faultsim::FaultPlan plan = {});
+             SpiBackend* sink = nullptr, faultsim::FaultPlan plan = {});
   ~HangDoctor() override;
   HangDoctor(const HangDoctor&) = delete;
   HangDoctor& operator=(const HangDoctor&) = delete;
@@ -112,7 +112,7 @@ class HangDoctor : public droidsim::AppObserver {
   void StartCounters(HostExecution& live);
   void StartWaitSampler(telemetry::ThreadId thread);
 
-  void FinishSetup(TelemetrySink* sink, const SessionInfo& info);
+  void FinishSetup(const SessionInfo& info);
 
   droidsim::Phone* phone_;
   droidsim::App* app_;

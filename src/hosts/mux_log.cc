@@ -28,11 +28,9 @@ bool ScanForMux(const std::string& bytes, SessionLogLayout* layout, std::string*
 }
 
 struct Frame {
-  MuxFrameTag tag = MuxFrameTag::kEnd;
-  telemetry::SessionId id{0};  // publish ordinal for kEpochPublish frames
-  size_t frame_offset = 0;     // offset of the tag byte in the stream
+  MuxFrameHeader header;
+  size_t frame_offset = 0;  // offset of the tag byte in the stream
   size_t payload_offset = 0;
-  size_t payload_size = 0;
 };
 
 bool ParseMuxFrames(const std::string& data, std::vector<Frame>* frames, std::string* error) {
@@ -54,8 +52,21 @@ bool ParseMuxFrames(const std::string& data, std::vector<Frame>* frames, std::st
   while (pos < data.size()) {
     Frame frame;
     frame.frame_offset = pos;
-    frame.tag = static_cast<MuxFrameTag>(static_cast<uint8_t>(data[pos++]));
-    if (frame.tag == MuxFrameTag::kEnd) {
+    const MuxFrameHeader& header = frame.header;
+    switch (ReadMuxFrameHeader(data, &pos, &frame.header)) {
+      case MuxHeaderRead::kOk:
+        break;
+      case MuxHeaderRead::kBadId:
+        *error = "truncated frame session id";
+        return false;
+      case MuxHeaderRead::kBadSize:
+        *error = "truncated frame size";
+        return false;
+      default:  // kUnknownTag; the loop condition rules out kEmpty
+        *error = "unknown frame tag " + std::to_string(static_cast<int>(header.tag));
+        return false;
+    }
+    if (header.tag == MuxFrameTag::kEnd) {
       if (pos != data.size()) {
         *error = "trailing bytes after multiplexed log end marker";
         return false;
@@ -63,37 +74,15 @@ bool ParseMuxFrames(const std::string& data, std::vector<Frame>* frames, std::st
       frames->push_back(frame);
       return true;
     }
-    uint64_t id = 0;
-    if (!GetVarint(data, &pos, &id)) {
-      *error = "truncated frame session id";
-      return false;
-    }
-    frame.id = telemetry::SessionId{id};
-    switch (frame.tag) {
-      case MuxFrameTag::kOpenSession:
-      case MuxFrameTag::kRecord: {
-        uint64_t size = 0;
-        if (!GetVarint(data, &pos, &size)) {
-          *error = "truncated frame size";
-          return false;
-        }
-        // Compare against the remaining bytes, never `pos + size`: a fuzzed size near 2^64
-        // would wrap that sum and pass the check.
-        if (size > data.size() - pos) {
-          *error = "frame payload overruns the stream";
-          return false;
-        }
-        frame.payload_offset = pos;
-        frame.payload_size = static_cast<size_t>(size);
-        pos += frame.payload_size;
-        break;
-      }
-      case MuxFrameTag::kCloseSession:
-      case MuxFrameTag::kEpochPublish:  // the varint read above is the publish ordinal
-        break;
-      default:
-        *error = "unknown frame tag " + std::to_string(static_cast<int>(frame.tag));
+    if (header.tag == MuxFrameTag::kOpenSession || header.tag == MuxFrameTag::kRecord) {
+      // Compare against the remaining bytes, never `pos + size`: a fuzzed size near 2^64
+      // would wrap that sum and pass the check.
+      if (header.size > data.size() - pos) {
+        *error = "frame payload overruns the stream";
         return false;
+      }
+      frame.payload_offset = pos;
+      pos += static_cast<size_t>(header.size);
     }
     frames->push_back(frame);
   }
@@ -117,9 +106,9 @@ bool DecodeMuxLog(const std::string& bytes, std::string* error, Visit&& visit) {
   std::unordered_map<uint64_t, size_t> opened;  // session id -> open ordinal
   for (size_t i = 0; i < frames.size(); ++i) {
     const Frame& frame = frames[i];
-    if (frame.tag == MuxFrameTag::kOpenSession &&
-        !opened.try_emplace(frame.id.value, opened.size()).second) {
-      *error = "session " + std::to_string(frame.id.value) + " opened twice";
+    if (frame.header.tag == MuxFrameTag::kOpenSession &&
+        !opened.try_emplace(frame.header.id, opened.size()).second) {
+      *error = "session " + std::to_string(frame.header.id) + " opened twice";
       return false;
     }
     size_t end = i + 1 < frames.size() ? frames[i + 1].frame_offset : bytes.size();
@@ -136,6 +125,30 @@ bool DecodeMuxLog(const std::string& bytes, std::string* error, Visit&& visit) {
 }
 
 }  // namespace
+
+MuxHeaderRead ReadMuxFrameHeader(std::string_view bytes, size_t* pos, MuxFrameHeader* header) {
+  if (*pos >= bytes.size()) {
+    return MuxHeaderRead::kEmpty;
+  }
+  header->tag = static_cast<MuxFrameTag>(static_cast<uint8_t>(bytes[(*pos)++]));
+  header->id = 0;
+  header->size = 0;
+  switch (header->tag) {
+    case MuxFrameTag::kEnd:
+      return MuxHeaderRead::kOk;
+    case MuxFrameTag::kCloseSession:
+    case MuxFrameTag::kEpochPublish:
+      return GetVarint(bytes, pos, &header->id) ? MuxHeaderRead::kOk : MuxHeaderRead::kBadId;
+    case MuxFrameTag::kOpenSession:
+    case MuxFrameTag::kRecord:
+      if (!GetVarint(bytes, pos, &header->id)) {
+        return MuxHeaderRead::kBadId;
+      }
+      return GetVarint(bytes, pos, &header->size) ? MuxHeaderRead::kOk : MuxHeaderRead::kBadSize;
+    default:
+      return MuxHeaderRead::kUnknownTag;
+  }
+}
 
 bool MuxStreamDecoder::Fail(const std::string& message) {
   if (ok_) {
@@ -162,16 +175,16 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
   out->open_bytes = 0;
   out->skip = false;
   out->record.session = out->id;
-  auto tag = static_cast<MuxFrameTag>(static_cast<uint8_t>(payload[0]));
-  size_t pos = 1;
-  uint64_t id = 0;
-  switch (tag) {
+  size_t pos = 0;
+  MuxFrameHeader header;
+  const MuxHeaderRead read = ReadMuxFrameHeader(payload, &pos, &header);
+  const uint64_t id = header.id;
+  switch (header.tag) {
     case MuxFrameTag::kOpenSession: {
-      uint64_t size = 0;
-      if (!GetVarint(payload, &pos, &id) || !GetVarint(payload, &pos, &size)) {
+      if (read != MuxHeaderRead::kOk) {
         return Fail("malformed open frame");
       }
-      if (size != payload.size() - pos) {
+      if (header.size != payload.size() - pos) {
         return Fail("open frame size mismatch");
       }
       if (live_.count(id) != 0) {
@@ -195,11 +208,10 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       return true;
     }
     case MuxFrameTag::kRecord: {
-      uint64_t size = 0;
-      if (!GetVarint(payload, &pos, &id) || !GetVarint(payload, &pos, &size)) {
+      if (read != MuxHeaderRead::kOk) {
         return Fail("malformed record frame");
       }
-      if (size != payload.size() - pos) {
+      if (header.size != payload.size() - pos) {
         return Fail("record frame size mismatch");
       }
       auto it = live_.find(id);
@@ -225,7 +237,7 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       return true;
     }
     case MuxFrameTag::kCloseSession: {
-      if (!GetVarint(payload, &pos, &id) || pos != payload.size()) {
+      if (read != MuxHeaderRead::kOk || pos != payload.size()) {
         return Fail("malformed close frame");
       }
       auto it = live_.find(id);
@@ -241,8 +253,7 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       return true;
     }
     case MuxFrameTag::kEpochPublish: {
-      uint64_t seq = 0;
-      if (!GetVarint(payload, &pos, &seq) || pos != payload.size()) {
+      if (read != MuxHeaderRead::kOk || pos != payload.size()) {
         return Fail("malformed epoch-publish frame");
       }
       out->kind = DecodedFrame::Kind::kEpochPublish;
@@ -389,10 +400,10 @@ bool DemuxSessionLog(const std::string& bytes, std::vector<SessionLogSlice>* ses
     switch (decoded.kind) {
       case DecodedFrame::Kind::kOpen:
         sessions->push_back(
-            {decoded.id, bytes.substr(frame.payload_offset, frame.payload_size)});
+            {decoded.id, bytes.substr(frame.payload_offset, frame.header.size)});
         break;
       case DecodedFrame::Kind::kRecord:
-        (*sessions)[session].bytes.append(bytes, frame.payload_offset, frame.payload_size);
+        (*sessions)[session].bytes.append(bytes, frame.payload_offset, frame.header.size);
         break;
       case DecodedFrame::Kind::kClose:
         // Regenerate the v2 end marker the mux stripped.

@@ -56,6 +56,25 @@ enum class MuxFrameTag : uint8_t {
   kEpochPublish = 5,
 };
 
+// The head of one container frame: the tag byte, then the session id varint (the publish
+// ordinal for kEpochPublish; absent for kEnd), then the payload size varint (kOpenSession and
+// kRecord only). The payload follows.
+struct MuxFrameHeader {
+  MuxFrameTag tag = MuxFrameTag::kEnd;
+  uint64_t id = 0;
+  uint64_t size = 0;
+};
+
+// How far ReadMuxFrameHeader got; each reader words its own error from it.
+enum class MuxHeaderRead : uint8_t { kOk, kEmpty, kUnknownTag, kBadId, kBadSize };
+
+// The one frame-header reader: reads the header of the frame at `*pos` in `bytes` — only the
+// fields its tag carries — and leaves `*pos` just past them (at the payload, if any). A
+// failed read still sets `header->tag` when there was a byte to read it from. The payload
+// size is not checked against the bytes left: a stream reader and a one-frame reader check it
+// differently.
+MuxHeaderRead ReadMuxFrameHeader(std::string_view bytes, size_t* pos, MuxFrameHeader* header);
+
 // Schedule sentinel for MuxSessionLogs: an entry equal to this emits a kEpochPublish frame
 // (sequence numbers assigned 1, 2, ... in schedule order) instead of a session frame.
 inline constexpr size_t kMuxEpochPublish = static_cast<size_t>(-1);

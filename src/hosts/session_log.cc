@@ -547,7 +547,7 @@ void SessionLogWriter::OnSessionStart(const SessionInfo& info) {
   WriteRecord();
 }
 
-void SessionLogWriter::OnDispatchStart(const DispatchStart& start) {
+MonitorDirectives SessionLogWriter::OnDispatchStart(const DispatchStart& start) {
   std::string* out = BeginRecord(SessionRecordTag::kDispatchStart);
   PutSigned(out, start.now);
   PutSigned(out, start.execution_id);
@@ -555,6 +555,7 @@ void SessionLogWriter::OnDispatchStart(const DispatchStart& start) {
   PutSigned(out, start.event_index);
   PutSigned(out, start.events_total);
   WriteRecord();
+  return {};
 }
 
 void SessionLogWriter::OnDispatchEnd(const DispatchEnd& end) {

@@ -25,8 +25,9 @@
 // HandlerThreads and executors replays its waiting-chain diagnoses bit-identically. (v3 is
 // the multiplexed container version, mux_log.h; single-session logs skip it.)
 //
-// SessionLogWriter is a TelemetrySink: hand it to the droidsim host (or any host) and it
-// records the exact stream the core consumes, without influencing detection. SessionLog is
+// SessionLogWriter is a recording tap, an SpiBackend that answers no directives: hand it to the
+// droidsim host (or any host) as its sink and it records the exact stream the core consumes,
+// without influencing detection. SessionLog is
 // the in-memory parse; replay_host.h re-feeds it to a fresh core.
 #ifndef SRC_HOSTS_SESSION_LOG_H_
 #define SRC_HOSTS_SESSION_LOG_H_
@@ -64,7 +65,7 @@ enum class SessionRecordTag : uint8_t {
   kAsyncWaitEnd = 10,
 };
 
-class SessionLogWriter : public TelemetrySink {
+class SessionLogWriter : public SpiBackend {
  public:
   // Opens `path` for writing; the header is emitted on OnSessionStart (the config is needed
   // for the header, so it is captured here).
@@ -83,9 +84,10 @@ class SessionLogWriter : public TelemetrySink {
   // simulating a full disk or a crash mid-write. Negative disables (default).
   void SetFailAfter(int64_t bytes) { fail_after_ = bytes; }
 
-  // TelemetrySink:
+  // SpiBackend (a tap: OnSessionStart writes the header, OnDispatchStart returns no
+  // directives):
   void OnSessionStart(const SessionInfo& info) override;
-  void OnDispatchStart(const DispatchStart& start) override;
+  MonitorDirectives OnDispatchStart(const DispatchStart& start) override;
   void OnDispatchEnd(const DispatchEnd& end) override;
   void OnActionQuiesce(const ActionQuiesce& quiesce) override;
   void OnCounterFault(const CounterFault& fault) override;

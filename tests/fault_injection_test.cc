@@ -4,6 +4,7 @@
 // bit-identical record/replay of faulty sessions, the degraded flag on reports produced
 // without counters, torn-log surfacing, the session-log writer's sticky failure state, and
 // DetectorCore's construction-time SessionInfo validation.
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -162,73 +163,45 @@ class EventLog {
   std::vector<std::string> events;
 };
 
-class LoggingCore final : public hangdoctor::SpiBackend {
+// Either side of a FaultInjector: both are SpiBackends. Each answers DispatchStart with both
+// directives (the injector must return the core's) and keeps every DispatchEnd's samples.
+class LoggingBackend final : public hangdoctor::SpiBackend {
  public:
-  explicit LoggingCore(EventLog* log) : log_(log) {}
+  LoggingBackend(EventLog* log, const char* who) : log_(log), who_(who) {}
   hangdoctor::MonitorDirectives OnDispatchStart(const hangdoctor::DispatchStart& r) override {
-    log_->Add("core", "start", r.execution_id);
+    log_->Add(who_, "start", r.execution_id);
     return {.start_counters = true, .arm_hang_check = true};
   }
   void OnDispatchEnd(const hangdoctor::DispatchEnd& r) override {
-    log_->Add("core", "end", r.execution_id);
+    log_->Add(who_, "end", r.execution_id);
     end_samples = r.samples;
-  }
-  void OnActionQuiesced(const hangdoctor::ActionQuiesce& r) override {
-    log_->Add("core", "quiesce", r.execution_id);
-  }
-  void OnCounterFault(const hangdoctor::CounterFault& r) override {
-    log_->Add("core", "fault", r.execution_id);
-  }
-  void OnAsyncPost(const hangdoctor::AsyncPost& r) override {
-    log_->Add("core", "post", r.execution_id);
-  }
-  void OnAsyncRun(const hangdoctor::AsyncRun& r) override {
-    log_->Add("core", "run", r.execution_id);
-  }
-  void OnAsyncWaitStart(const hangdoctor::AsyncWaitStart& r) override {
-    log_->Add("core", "wait_start", r.execution_id);
-  }
-  void OnAsyncWaitEnd(const hangdoctor::AsyncWaitEnd& r) override {
-    log_->Add("core", "wait_end", r.execution_id);
-  }
-
-  std::span<const telemetry::StackTrace> end_samples;  // as the core received them
-
- private:
-  EventLog* log_;
-};
-
-class LoggingSink final : public hangdoctor::TelemetrySink {
- public:
-  explicit LoggingSink(EventLog* log) : log_(log) {}
-  void OnSessionStart(const hangdoctor::SessionInfo&) override {}
-  void OnDispatchStart(const hangdoctor::DispatchStart& r) override {
-    log_->Add("sink", "start", r.execution_id);
-  }
-  void OnDispatchEnd(const hangdoctor::DispatchEnd& r) override {
-    log_->Add("sink", "end", r.execution_id);
+    end_sample_copies.emplace_back(r.samples.begin(), r.samples.end());
   }
   void OnActionQuiesce(const hangdoctor::ActionQuiesce& r) override {
-    log_->Add("sink", "quiesce", r.execution_id);
+    log_->Add(who_, "quiesce", r.execution_id);
   }
   void OnCounterFault(const hangdoctor::CounterFault& r) override {
-    log_->Add("sink", "fault", r.execution_id);
+    log_->Add(who_, "fault", r.execution_id);
   }
   void OnAsyncPost(const hangdoctor::AsyncPost& r) override {
-    log_->Add("sink", "post", r.execution_id);
+    log_->Add(who_, "post", r.execution_id);
   }
   void OnAsyncRun(const hangdoctor::AsyncRun& r) override {
-    log_->Add("sink", "run", r.execution_id);
+    log_->Add(who_, "run", r.execution_id);
   }
   void OnAsyncWaitStart(const hangdoctor::AsyncWaitStart& r) override {
-    log_->Add("sink", "wait_start", r.execution_id);
+    log_->Add(who_, "wait_start", r.execution_id);
   }
   void OnAsyncWaitEnd(const hangdoctor::AsyncWaitEnd& r) override {
-    log_->Add("sink", "wait_end", r.execution_id);
+    log_->Add(who_, "wait_end", r.execution_id);
   }
+
+  std::span<const telemetry::StackTrace> end_samples;  // the last DispatchEnd's, as received
+  std::vector<std::vector<telemetry::StackTrace>> end_sample_copies;  // every DispatchEnd's
 
  private:
   EventLog* log_;
+  const char* who_;
 };
 
 // The live host pushes every record through its FaultInjector, so under the default plan the
@@ -236,22 +209,22 @@ class LoggingSink final : public hangdoctor::TelemetrySink {
 // order, sink before core, directives back from the core, samples not copied.
 TEST(FaultInjectionTest, DefaultPlanForwardsEveryRecordKindOnceInPushOrder) {
   EventLog log;
-  LoggingCore core(&log);
-  LoggingSink sink(&log);
+  LoggingBackend core(&log, "core");
+  LoggingBackend sink(&log, "sink");
   faultsim::FaultInjector injector(faultsim::FaultPlan{}, &core, &sink);
   ASSERT_FALSE(injector.plan().enabled());
 
   const std::vector<telemetry::StackTrace> samples(3);
-  hangdoctor::MonitorDirectives directives = injector.PushStart({.execution_id = 1});
+  hangdoctor::MonitorDirectives directives = injector.OnDispatchStart({.execution_id = 1});
   EXPECT_TRUE(directives.start_counters);
   EXPECT_TRUE(directives.arm_hang_check);
-  injector.PushEnd({.execution_id = 2, .trace_stopped = true, .samples = samples});
-  injector.PushQuiesce({.execution_id = 3});
-  injector.PushCounterFault({.execution_id = 4});
-  injector.PushAsyncPost({.execution_id = 5, .edge = {}});
-  injector.PushAsyncRun({.execution_id = 6, .edge = {}});
-  injector.PushAsyncWaitStart({.execution_id = 7, .edge = {}});
-  injector.PushAsyncWaitEnd({.execution_id = 8, .edge = {}});
+  injector.OnDispatchEnd({.execution_id = 2, .trace_stopped = true, .samples = samples});
+  injector.OnActionQuiesce({.execution_id = 3});
+  injector.OnCounterFault({.execution_id = 4});
+  injector.OnAsyncPost({.execution_id = 5, .edge = {}});
+  injector.OnAsyncRun({.execution_id = 6, .edge = {}});
+  injector.OnAsyncWaitStart({.execution_id = 7, .edge = {}});
+  injector.OnAsyncWaitEnd({.execution_id = 8, .edge = {}});
 
   const std::vector<std::string> want = {
       "sink start 1",      "core start 1",      "sink end 2",      "core end 2",
@@ -263,6 +236,90 @@ TEST(FaultInjectionTest, DefaultPlanForwardsEveryRecordKindOnceInPushOrder) {
   EXPECT_EQ(core.end_samples.size(), samples.size());
   EXPECT_EQ(injector.NextCounterOpen(), faultsim::FaultPlan::CounterOpen::kOk);
   EXPECT_FALSE(injector.NextCounterReadInvalid());
+}
+
+// Three distinct samples, so a reordered or truncated window cannot compare equal.
+std::vector<telemetry::StackTrace> ThreeSamples() {
+  std::vector<telemetry::StackTrace> samples(3);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    samples[i].timestamp_ns = 100 + static_cast<int64_t>(i);
+    samples[i].thread = static_cast<telemetry::ThreadId>(i);
+    samples[i].frames = {static_cast<telemetry::FrameId>(i), 7};
+  }
+  return samples;
+}
+
+bool SameSamples(const std::vector<telemetry::StackTrace>& a,
+                 const std::vector<telemetry::StackTrace>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const telemetry::StackTrace& x, const telemetry::StackTrace& y) {
+                      return x.timestamp_ns == y.timestamp_ns && x.thread == y.thread &&
+                             x.frames == y.frames;
+                    });
+}
+
+struct FatedRun {
+  EventLog log;
+  std::vector<std::vector<telemetry::StackTrace>> sink_ends;
+  std::vector<std::vector<telemetry::StackTrace>> core_ends;
+};
+
+// Pushes a DispatchEnd carrying three samples (execution 1), a CounterFault (2), an
+// ActionQuiesce (3) and an AsyncPost (4) through an injector whose plan gives every
+// DispatchEnd / ActionQuiesce `profile`'s fate. The host's sample buffer is cleared right
+// after the end's push, as a reused buffer would be; a held record must own its copy.
+FatedRun RunFated(const faultsim::FaultProfile& profile) {
+  FatedRun run;
+  LoggingBackend core(&run.log, "core");
+  LoggingBackend sink(&run.log, "sink");
+  faultsim::FaultInjector injector(faultsim::FaultPlan(profile, 99), &core, &sink);
+  std::vector<telemetry::StackTrace> buffer = ThreeSamples();
+  injector.OnDispatchEnd({.execution_id = 1, .trace_stopped = true, .samples = buffer});
+  buffer.assign(3, telemetry::StackTrace{});
+  injector.OnCounterFault({.execution_id = 2});
+  injector.OnActionQuiesce({.execution_id = 3});
+  injector.OnAsyncPost({.execution_id = 4, .edge = {}});
+  run.sink_ends = sink.end_sample_copies;
+  run.core_ends = core.end_sample_copies;
+  return run;
+}
+
+// A delayed DispatchEnd and ActionQuiesce reach both sides after the record pushed next,
+// sink before core as always, and the end still carries its three samples: the held copy,
+// not the host's reused buffer.
+TEST(FaultInjectionTest, DelayedRecordsReachSinkAndCoreAfterTheNextRecordWithTheirSamples) {
+  faultsim::FaultProfile delay;
+  delay.delay_record = 1.0;
+  FatedRun run = RunFated(delay);
+
+  const std::vector<std::string> want = {
+      "sink fault 2", "core fault 2", "sink end 1",     "core end 1",
+      "sink post 4",  "core post 4",  "sink quiesce 3", "core quiesce 3"};
+  EXPECT_EQ(run.log.events, want);
+  ASSERT_EQ(run.sink_ends.size(), 1u);
+  ASSERT_EQ(run.core_ends.size(), 1u);
+  EXPECT_TRUE(SameSamples(run.sink_ends[0], ThreeSamples()));
+  EXPECT_TRUE(SameSamples(run.core_ends[0], ThreeSamples()));
+}
+
+// A duplicated DispatchEnd and ActionQuiesce reach each side twice back to back, before the
+// record pushed next, with identical samples both times.
+TEST(FaultInjectionTest, DuplicatedRecordsReachSinkAndCoreTwiceWithTheirSamples) {
+  faultsim::FaultProfile duplicate;
+  duplicate.duplicate_record = 1.0;
+  FatedRun run = RunFated(duplicate);
+
+  const std::vector<std::string> want = {
+      "sink end 1",     "core end 1",     "sink end 1",     "core end 1",
+      "sink fault 2",   "core fault 2",   "sink quiesce 3", "core quiesce 3",
+      "sink quiesce 3", "core quiesce 3", "sink post 4",    "core post 4"};
+  EXPECT_EQ(run.log.events, want);
+  ASSERT_EQ(run.sink_ends.size(), 2u);
+  ASSERT_EQ(run.core_ends.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(SameSamples(run.sink_ends[i], ThreeSamples())) << "delivery " << i;
+    EXPECT_TRUE(SameSamples(run.core_ends[i], ThreeSamples())) << "delivery " << i;
+  }
 }
 
 TEST(FaultInjectionTest, NoFaultPlanIsByteIdenticalToPlanlessRun) {

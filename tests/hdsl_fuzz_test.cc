@@ -590,11 +590,8 @@ TEST(SpiStreamPropertyTest, ValidStreamsDriveOnlyLegalTransitionsWithMonotoneOve
     hangdoctor::DetectorCore core(stream.info, hangdoctor::HangDoctorConfig{});
     int64_t last_cpu = 0;
     int64_t last_bytes = 0;
-    for (faultsim::StreamEvent& event : stream.events) {
-      std::vector<faultsim::StreamEvent> one;
-      one.push_back(std::move(event));
-      faultsim::PushStream(core, one);
-      event = std::move(one.front());
+    for (const hangdoctor::SpiPayload& event : stream.events) {
+      hangdoctor::PushSpiPayload(core, event);
       EXPECT_GE(core.overhead().cpu(), last_cpu) << "round " << round;
       EXPECT_GE(core.overhead().memory_bytes(), last_bytes) << "round " << round;
       last_cpu = core.overhead().cpu();
@@ -628,7 +625,9 @@ TEST(SpiStreamPropertyTest, CorruptStreamsAreDroppedOrStickyFailedNeverFatal) {
     corruptions_seen.insert(stream.corruption);
 
     hangdoctor::DetectorCore core(stream.info, hangdoctor::HangDoctorConfig{});
-    faultsim::PushStream(core, stream.events);
+    for (const hangdoctor::SpiPayload& event : stream.events) {
+      hangdoctor::PushSpiPayload(core, event);
+    }
     bool noticed = core.degradation().dropped_records > 0 || !core.stream().ok();
     EXPECT_TRUE(noticed) << "round " << round << ": corruption '" << stream.corruption
                          << "' sailed through unnoticed";
