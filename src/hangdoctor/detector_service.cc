@@ -5,6 +5,15 @@
 #include <utility>
 
 namespace hangdoctor {
+
+// One session's arena: everything that exists only while the session is live. `database`
+// overlays the service seed (seed_view_), so a slot holds only what this session learned.
+struct SessionSlot {
+  BlockingApiDatabase database;
+  std::unique_ptr<DetectorCore> core;
+  const void* source = nullptr;  // the ServiceRecordRef::source of the applied open
+};
+
 namespace {
 
 void ValidateOptions(const ServiceOptions& options) {
@@ -46,11 +55,13 @@ DetectorService::DetectorService(const ServiceOptions& options) : options_(optio
   }
 }
 
+DetectorService::~DetectorService() = default;
+
 // ---------------------------------------------------------------------------
 // Arena lifecycle (shared by both ingestion surfaces).
 
-std::unique_ptr<DetectorService::SessionSlot> DetectorService::BuildSlot(
-    const SessionInfo& info, const HangDoctorConfig& config) {
+std::unique_ptr<SessionSlot> DetectorService::BuildSlot(const SessionInfo& info,
+                                                      const HangDoctorConfig& config) {
   auto slot = std::make_unique<SessionSlot>();
   slot->database.SetBase(seed_view_);
   KnowledgeBase::Snapshot snapshot;
@@ -86,8 +97,8 @@ namespace {
 
 }  // namespace
 
-DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry::SessionId id,
-                                                        const void* source) {
+SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry::SessionId id,
+                                       const void* source) {
   SessionSlot* slot = nullptr;
   {
     std::lock_guard<simkit::SpinLock> lock(shard.lock);
@@ -106,8 +117,12 @@ DetectorService::SessionSlot* DetectorService::FindSlot(Shard& shard, telemetry:
   return slot;
 }
 
-std::unique_ptr<DetectorService::SessionSlot> DetectorService::RemoveSlot(
-    Shard& shard, telemetry::SessionId id, const void* source) {
+DetectorCore& DetectorService::Core(telemetry::SessionId id) {
+  return *FindSlot(ShardFor(id), id)->core;
+}
+
+std::unique_ptr<SessionSlot> DetectorService::RemoveSlot(Shard& shard, telemetry::SessionId id,
+                                                       const void* source) {
   std::unique_ptr<SessionSlot> slot;
   {
     std::lock_guard<simkit::SpinLock> lock(shard.lock);
@@ -220,16 +235,22 @@ void DetectorService::Discard(telemetry::SessionId id) {
 // In-place apply.
 
 std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
-  Shard& shard = ShardFor(ref.session);
   IngestCompletion::Kind ended;
   std::unique_ptr<SessionSlot> removed;
   try {
     const SpiPayload& payload = *ref.record;
     switch (payload.kind) {
       case SpiPayload::Kind::kSessionOpen: {
+        if (ref.arena != nullptr) {
+          *ref.arena = nullptr;  // stays null if the open is refused
+        }
         std::unique_ptr<SessionSlot> slot = BuildSlot(payload.info, payload.config);
         slot->source = ref.source;
-        InsertSlot(shard, ref.session, std::move(slot));
+        SessionSlot* arena = slot.get();
+        InsertSlot(ShardFor(ref.session), ref.session, std::move(slot));
+        if (ref.arena != nullptr) {
+          *ref.arena = arena;
+        }
         return std::nullopt;
       }
       case SpiPayload::Kind::kKbPublish:
@@ -249,11 +270,20 @@ std::optional<IngestCompletion> DetectorService::Apply(ServiceRecordRef ref) {
       case SpiPayload::Kind::kSessionHandoff:
         ended = IngestCompletion::Kind::kHandedOff;
         break;
-      default:
-        PushSpiPayload(*FindSlot(shard, ref.session, ref.source)->core, payload);
+      default: {
+        // The handle is the arena itself: only the producer that opened the session holds
+        // it, so the record needs neither the shard lock nor the source check.
+        SessionSlot* slot = ref.arena != nullptr && *ref.arena != nullptr
+                                ? *ref.arena
+                                : FindSlot(ShardFor(ref.session), ref.session, ref.source);
+        PushSpiPayload(*slot->core, payload);
         return std::nullopt;
+      }
     }
-    removed = RemoveSlot(shard, ref.session, ref.source);
+    if (ref.arena != nullptr) {
+      *ref.arena = nullptr;  // the session is ending: its handle must not outlive it
+    }
+    removed = RemoveSlot(ShardFor(ref.session), ref.session, ref.source);
   } catch (const std::exception& e) {
     // Reported, not thrown: one bad session must not poison the other sessions its
     // producer (a daemon connection, a replayed stream) is still feeding.

@@ -23,9 +23,14 @@
 //  - Many threads may drive disjoint sessions at once, through either surface. Each
 //    session's records come from one thread, in session order (the natural shape: a
 //    device's telemetry arrives in order), and a session is driven through one surface only.
-//  - The only shared state on the record path is the shard's session map, guarded by a spin
-//    lock held for the probe alone; the core call itself runs unlocked, because a session has
-//    exactly one producer. Sessions of different producers share shards freely.
+//  - Opens, closes, aborts and handoffs go through the shard's session map, under a spin
+//    lock held for the probe alone. Sessions of different producers share shards freely.
+//  - A telemetry record takes one of two paths. A producer that kept its open's arena handle
+//    (ServiceRecordRef::arena; hangdoctord keeps it in the connection's decoder) hands it
+//    back, and the record touches nothing shared: no lock, no probe. Every other producer —
+//    Ingestor, Consume, SessionHandle, mux replay — pays the locked probe, which also checks
+//    the record's source. Either way the core call runs unlocked, because a session has
+//    exactly one producer.
 //  - Detection is per-session pure: a session's result depends only on its own (info, config,
 //    stream), never on shard placement, thread interleaving, or which other sessions are
 //    live — so per-session results are bit-identical at any shard count and any number of
@@ -137,6 +142,7 @@ struct IngestCompletion {
 class DetectorService {
  public:
   explicit DetectorService(const ServiceOptions& options = {});
+  ~DetectorService();
   DetectorService(const DetectorService&) = delete;
   DetectorService& operator=(const DetectorService&) = delete;
 
@@ -229,7 +235,9 @@ class DetectorService {
   // is refused. Returns the session's completion when the record ended it (closed, aborted,
   // handed off) or could not be applied (kError; nothing is thrown), and nothing otherwise.
   // Calls for distinct sessions may run concurrently: the shard spin lock guards every map
-  // probe. One session's records must come from one thread, in order.
+  // probe. One session's records must come from one thread, in order. A record carrying a
+  // filled `ref.arena` skips the probe and the source check (session_stream.h), so a session
+  // opened with a handle must end through Apply — not Close or Discard — which clears it.
   std::optional<IngestCompletion> Apply(ServiceRecordRef ref);
 
   // The sessions currently live, ascending. Callers must quiesce their producers first
@@ -258,14 +266,6 @@ class DetectorService {
   int32_t shards() const { return static_cast<int32_t>(shards_.size()); }
 
  private:
-  // One session's arena: everything that exists only while the session is live. `database`
-  // overlays the service seed (seed_view_), so a slot holds only what this session learned.
-  struct SessionSlot {
-    BlockingApiDatabase database;
-    std::unique_ptr<DetectorCore> core;
-    const void* source = nullptr;  // the ServiceRecordRef::source of the applied open
-  };
-
   struct Shard {
     // Guards `live` probes, and only the probes; the core calls run unlocked.
     simkit::SpinLock lock;
@@ -277,7 +277,7 @@ class DetectorService {
   Shard& ShardFor(telemetry::SessionId id) {
     return *shards_[telemetry::ShardOf(id, shards_.size())];
   }
-  DetectorCore& Core(telemetry::SessionId id) { return *FindSlot(ShardFor(id), id)->core; }
+  DetectorCore& Core(telemetry::SessionId id);
 
   // Arena lifecycle shared by both ingestion surfaces. Find/Remove throw
   // std::invalid_argument for a session that is not live from `source` (the synchronous

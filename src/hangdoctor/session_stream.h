@@ -64,16 +64,28 @@ struct SpiPayload {
 // One element of the interleaved stream: an SPI payload stamped with its session.
 using ServiceRecord = telemetry::SessionStamped<SpiPayload>;
 
-// A non-owning view of one stream element — what DetectorService::Apply takes: 24 bytes, so
+// One live session's arena inside a DetectorService (detector_service.cc). Opaque to
+// producers: they hold a pointer to one only as the handle ServiceRecordRef::arena names.
+struct SessionSlot;
+
+// A non-owning view of one stream element — what DetectorService::Apply takes: 32 bytes, so
 // N sessions replaying one shared donor stream cost N refs, not N copies. The payload must
 // stay alive until Apply returns. `source` names the producer-side owner
 // (hangdoctord: the connection): a session belongs to the source of its open, and a record,
 // close, abort or handoff from another source is refused, so a losing duplicate open can
 // never feed, harvest or discard the winner's session. Null for single-source producers.
+//
+// `arena` is the producer's handle for the session, or null. An applied kSessionOpen writes
+// the session's arena into *arena (null when the open fails). A later record whose filled
+// handle it carries goes straight to that arena: no shard lock, no map probe and no source
+// check, because the handle exists only in the table of the producer that opened the
+// session. A close, abort or handoff removes the session through the shard map, with the
+// source check, and writes null. Producers that pass no handle get the locked probe.
 struct ServiceRecordRef {
   telemetry::SessionId session;
   const SpiPayload* record = nullptr;
   const void* source = nullptr;
+  SessionSlot** arena = nullptr;
 };
 
 // Pushes one telemetry record into `backend` — the one SPI dispatch switch every ingestion

@@ -173,6 +173,7 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
   // payload is not rebuilt from defaults per frame).
   out->id = telemetry::SessionId{0};
   out->open_bytes = 0;
+  out->session = nullptr;
   out->skip = false;
   out->record.session = out->id;
   size_t pos = 0;
@@ -187,24 +188,27 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       if (header.size != payload.size() - pos) {
         return Fail("open frame size mismatch");
       }
-      if (live_.count(id) != 0) {
+      auto [session, inserted] = live_.Insert(telemetry::SessionId{id}, MuxSession{});
+      if (!inserted) {
         return Fail("duplicate open for session " + std::to_string(id));
       }
+      // A failed parse leaves the entry behind, but a failed decoder decodes nothing more.
       auto log = std::make_shared<SessionLog>();
       std::string error;
       if (!ParseSessionLogPrefix(payload.substr(pos), *symbols_, log.get(), &error,
                                  &out->shared_symbols)) {
         return Fail("session " + std::to_string(id) + ": " + error);
       }
-      live_[id] = log;
+      session->log = log;
       out->kind = DecodedFrame::Kind::kOpen;
       out->id = telemetry::SessionId{id};
       out->open_bytes = payload.size();
-      out->log = log;
+      out->log = std::move(log);
+      out->session = session;
       out->record.session = out->id;
       record->kind = SpiPayload::Kind::kSessionOpen;
-      record->info = log->info;
-      record->config = log->config;
+      record->info = out->log->info;
+      record->config = out->log->config;
       return true;
     }
     case MuxFrameTag::kRecord: {
@@ -214,20 +218,21 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       if (header.size != payload.size() - pos) {
         return Fail("record frame size mismatch");
       }
-      auto it = live_.find(id);
-      if (it == live_.end()) {
+      MuxSession* session = live_.Find(telemetry::SessionId{id});
+      if (session == nullptr) {
         return Fail("record for unopened session " + std::to_string(id));
       }
       std::string error;
-      if (!ParseSessionRecordBytes(payload.substr(pos), *it->second->symbols, &parsed_,
+      if (!ParseSessionRecordBytes(payload.substr(pos), *session->log->symbols, &parsed_,
                                    &error)) {
         return Fail("session " + std::to_string(id) + ": " + error);
       }
       out->kind = DecodedFrame::Kind::kRecord;
       out->id = telemetry::SessionId{id};
-      if (out->log != it->second) {
-        out->log = it->second;  // a run of one session's records keeps its reference
+      if (out->log != nullptr) {
+        out->log.reset();  // once, after an open or a close: later records find it null
       }
+      out->session = session;
       out->record.session = out->id;
       if (!ToSpiPayload(std::move(parsed_), record)) {
         // kTraceUsage overhead footer (the parser rejects bare end markers): structurally a
@@ -240,16 +245,15 @@ bool MuxStreamDecoder::Decode(std::string_view payload, DecodedFrame* out,
       if (read != MuxHeaderRead::kOk || pos != payload.size()) {
         return Fail("malformed close frame");
       }
-      auto it = live_.find(id);
-      if (it == live_.end()) {
+      MuxSession ended;
+      if (!live_.Erase(telemetry::SessionId{id}, &ended)) {
         return Fail("close for unopened session " + std::to_string(id));
       }
       out->kind = DecodedFrame::Kind::kClose;
       out->id = telemetry::SessionId{id};
-      out->log = it->second;
+      out->log = std::move(ended.log);
       out->record.session = out->id;
       record->kind = SpiPayload::Kind::kSessionClose;
-      live_.erase(it);
       return true;
     }
     case MuxFrameTag::kEpochPublish: {

@@ -36,13 +36,13 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/hangdoctor/detector_service.h"
 #include "src/hangdoctor/session_stream.h"
 #include "src/hosts/session_log.h"
+#include "src/simkit/shard_map.h"
 #include "src/telemetry/session.h"
 namespace hangdoctor {
 
@@ -99,6 +99,14 @@ bool MuxFrameCount(const std::string& bytes, size_t* count, std::string* error);
 bool MuxSessionLogs(std::span<const SessionLogSlice> sessions, std::span<const size_t> schedule,
                     std::string* out, std::string* error);
 
+// One open session's state in a MuxStreamDecoder: its parsed prefix, plus the arena handle
+// a caller that applies into a DetectorService keeps beside it (ServiceRecordRef::arena).
+// The decoder never reads the handle; it only makes sure it dies with the session's entry.
+struct MuxSession {
+  std::shared_ptr<SessionLog> log;  // holds the symbol table
+  SessionSlot* arena = nullptr;
+};
+
 // One decoded container frame.
 struct DecodedFrame {
   enum class Kind : uint8_t {
@@ -112,8 +120,13 @@ struct DecodedFrame {
   telemetry::SessionId id{0};
   // kOpen: bytes of the open payload — the admission estimate's variable part.
   size_t open_bytes = 0;
-  // kOpen / kRecord / kClose: the session's parsed prefix (holds the symbol table).
+  // kOpen / kClose: the session's parsed prefix, an owning reference (it holds the symbol
+  // table, so a frame kept past its close keeps the table alive). Null after a kRecord:
+  // a record hands out no reference, so a run of records copies no shared_ptr.
   std::shared_ptr<SessionLog> log;
+  // kOpen / kRecord: the decoder's entry for the session. Valid until the decoder's next
+  // Decode or EndSession; null for the other kinds (a close has already dropped the entry).
+  MuxSession* session = nullptr;
   // kOpen: the symbol table came from the cache, shared with a live session, not parsed.
   bool shared_symbols = false;
   ServiceRecord record;
@@ -128,9 +141,11 @@ struct DecodedFrame {
 // sticky: a broken stream is beyond repair, so a torn frame cannot corrupt a neighbour.
 //
 // Ownership: an open payload (a complete v4 log prefix) parses into a shared SessionLog that
-// every decoded frame of the session carries, so its symbol table outlives each record. The
-// table is parsed through a SymbolTableCache (session_log.h), private unless one is given;
-// hangdoctord and fleetd hand every connection's decoder the same one.
+// the session's entry holds until its close, and that the open and close frames hand out, so
+// the symbol table outlives every record of the session. A record frame costs one probe of
+// the decoder's flat session table and touches no reference count. The table is parsed
+// through a SymbolTableCache (session_log.h), private unless one is given; hangdoctord and
+// fleetd hand every connection's decoder the same one.
 class MuxStreamDecoder {
  public:
   // Parses open-frame symbol tables through a private cache.
@@ -154,27 +169,25 @@ class MuxStreamDecoder {
   bool Decode(std::string_view payload, DecodedFrame* out, SpiPayload* record);
 
   // Ends open session `id` without a close frame, so a later open of the id starts it
-  // afresh (the session left by a fleetd handoff). Returns its parsed prefix, or null when
-  // it was not open: records already decoded may still need its symbol table.
-  std::shared_ptr<SessionLog> EndSession(uint64_t id) {
-    std::shared_ptr<SessionLog> log = OpenLog(id);
-    live_.erase(id);
-    return log;
+  // afresh (the session left by a fleetd handoff). Returns its entry moved out, or an empty
+  // one when it was not open: records already decoded may still need its symbol table.
+  MuxSession EndSession(uint64_t id) {
+    MuxSession ended;
+    live_.Erase(telemetry::SessionId{id}, &ended);
+    return ended;
   }
 
   const std::string& error() const { return error_; }
   bool saw_bye() const { return saw_bye_; }
-  // The parsed prefix of open session `id`, or null when it is not open.
-  std::shared_ptr<SessionLog> OpenLog(uint64_t id) const {
-    auto it = live_.find(id);
-    return it != live_.end() ? it->second : nullptr;
-  }
+  // The entry of open session `id`, or null when it is not open. Valid until the next
+  // Decode or EndSession.
+  MuxSession* FindSession(uint64_t id) { return live_.Find(telemetry::SessionId{id}); }
 
  private:
   bool Fail(const std::string& message);
 
   std::shared_ptr<SymbolTableCache> symbols_ = std::make_shared<SymbolTableCache>();
-  std::unordered_map<uint64_t, std::shared_ptr<SessionLog>> live_;
+  simkit::OpenHashMap<telemetry::SessionId, MuxSession, telemetry::SessionIdHasher> live_;
   SessionRecord parsed_;  // every record frame parses here, then moves its kind's member out
   bool saw_bye_ = false;
   bool ok_ = true;

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/netd/record_codec.h"
@@ -57,8 +56,11 @@ struct Connection {
   DecodedFrame frame;  // reused for every decoded frame; its payload is applied in place
   bool hello_done = false;
   HelloRole role = HelloRole::kClient;
-  std::unordered_map<uint64_t, int64_t> live;  // admitted sessions → budget charge
-  std::unordered_set<uint64_t> refused;        // kBusy'd sessions: records dropped
+  // Admitted sessions → budget charge, each with an entry in `decoder`. Consulted at open,
+  // close, handoff, abort and drain only: a record finds its session through the decoder's
+  // entry, whose arena handle is null for a session refused at admission (kBusy; its
+  // records are dropped).
+  std::unordered_map<uint64_t, int64_t> live;
   std::string out;                             // unsent reply bytes
   uint64_t closed_count = 0;                   // sessions closed: the BYE's tally
   bool reading = true;
@@ -147,11 +149,14 @@ struct NetServer::Impl {
 
   // Applies one record of `conn`'s session `id` on this epoll worker and answers for it at
   // once: a close's replies go to `conn->out`, an outcome is retained, the budget charge
-  // `estimate` is released when the session ends. A close's `log` gives its retained result
-  // an owning pointer to the session's table; an abort's outcome carries `reason`. Returns
-  // true when the record ended its session cleanly (closed, aborted or handed off).
+  // `estimate` is released when the session ends. `arena` is the session's handle in the
+  // connection's decoder entry (null once the close frame has dropped the entry): the open
+  // fills it, a record goes straight to it, and whatever ends the session clears it. A
+  // close's `log` gives its retained result an owning pointer to the session's table; an
+  // abort's outcome carries `reason`. Returns true when the record ended its session
+  // cleanly (closed, aborted or handed off).
   bool Apply(WorkerState& wk, const std::shared_ptr<Connection>& conn, telemetry::SessionId id,
-             const hd::SpiPayload& record, int64_t estimate = 0,
+             const hd::SpiPayload& record, hd::SessionSlot** arena, int64_t estimate = 0,
              const hd::SessionLog* log = nullptr, std::string_view reason = {}) {
     // Single writer: plain stores, no locked read-modify-write per record.
     wk.busy.store(true, std::memory_order_relaxed);
@@ -161,7 +166,7 @@ struct NetServer::Impl {
       opt.before_apply(id.value);
     }
     std::optional<hd::IngestCompletion> done =
-        self->service_->Apply(hd::ServiceRecordRef{id, &record, conn.get()});
+        self->service_->Apply(hd::ServiceRecordRef{id, &record, conn.get(), arena});
     wk.busy.store(false, std::memory_order_relaxed);
     ++wk.applied;
     if (!done) {
@@ -302,9 +307,10 @@ struct NetServer::Impl {
                          const std::string& reason) {
     // Taken out first, so no apply can change the map under this loop.
     std::unordered_map<uint64_t, int64_t> live = std::exchange(conn->live, {});
-    conn->refused.clear();
     for (const auto& [id, est] : live) {
-      Apply(wk, conn, telemetry::SessionId{id}, abort_record, est, nullptr, reason);
+      hd::MuxSession* session = conn->decoder.FindSession(id);
+      Apply(wk, conn, telemetry::SessionId{id}, abort_record, &session->arena, est, nullptr,
+            reason);
     }
   }
 
@@ -362,33 +368,35 @@ struct NetServer::Impl {
         int64_t est = static_cast<int64_t>(dec.open_bytes) + opt.session_overhead_bytes;
         int64_t live_now = self->live_session_bytes_.load(std::memory_order_relaxed);
         if (live_now + est > opt.session_budget_bytes) {
+          // The entry's handle stays null: the session's records are dropped.
           self->stats_.sessions_refused.fetch_add(1, std::memory_order_relaxed);
-          conn->refused.insert(dec.id.value);
           AppendFrame(&conn->out, BuildBusy(dec.id.value, static_cast<uint64_t>(live_now),
                                             static_cast<uint64_t>(opt.session_budget_bytes)));
           return;
         }
         self->live_session_bytes_.fetch_add(est, std::memory_order_relaxed);
         conn->live[dec.id.value] = est;
-        Apply(wk, conn, dec.id, dec.record.record, est);
+        Apply(wk, conn, dec.id, dec.record.record, &dec.session->arena, est);
         return;
       }
       case DecodedFrame::Kind::kRecord:
-        if (dec.skip || (!conn->refused.empty() && conn->refused.count(dec.id.value) != 0)) {
+        // One probe per record, the decoder's: a null handle is a session refused at
+        // admission (an open the service refused ended the connection).
+        if (dec.skip || dec.session->arena == nullptr) {
           return;
         }
-        Apply(wk, conn, dec.id, dec.record.record);
+        Apply(wk, conn, dec.id, dec.record.record, &dec.session->arena);
         return;
       case DecodedFrame::Kind::kClose: {
-        if (conn->refused.erase(dec.id.value) != 0) {
+        auto it = conn->live.find(dec.id.value);
+        if (it == conn->live.end()) {
           return;  // the open was kBusy'd; nothing to close
         }
-        int64_t est = 0;
-        if (auto it = conn->live.find(dec.id.value); it != conn->live.end()) {
-          est = it->second;
-          conn->live.erase(it);
-        }
-        Apply(wk, conn, dec.id, dec.record.record, est, dec.log.get());
+        const int64_t est = it->second;
+        conn->live.erase(it);
+        // The decoder dropped the entry, and its handle with it; the close goes through the
+        // shard map.
+        Apply(wk, conn, dec.id, dec.record.record, nullptr, est, dec.log.get());
         return;
       }
       case DecodedFrame::Kind::kEpochPublish:
@@ -459,16 +467,17 @@ struct NetServer::Impl {
       for (uint64_t id : sessions) {
         // The session leaves this stream without a close frame: end it in the decoder too, or
         // its return to this worker would be refused as a duplicate open. The parsed prefix
-        // (the symbol table) stays alive until the discard has applied.
-        std::shared_ptr<hd::SessionLog> log = conn->decoder.EndSession(id);
-        conn->refused.erase(id);
+        // (the symbol table) stays alive until the discard has applied, and the discard
+        // clears the entry's handle.
+        hd::MuxSession ended = conn->decoder.EndSession(id);
         auto it = conn->live.find(id);
         if (it == conn->live.end()) {
           continue;
         }
         const int64_t est = it->second;
         conn->live.erase(it);
-        discarded += Apply(wk, conn, telemetry::SessionId{id}, handoff_record, est) ? 1 : 0;
+        discarded +=
+            Apply(wk, conn, telemetry::SessionId{id}, handoff_record, &ended.arena, est) ? 1 : 0;
       }
       AppendFrame(&conn->out, BuildHandoffAck(epoch, discarded));
       return;
@@ -606,11 +615,11 @@ struct NetServer::Impl {
     // before the connection goes away. Taken out first: a close that fails ends in a
     // protocol error, which aborts what is still live.
     std::unordered_map<uint64_t, int64_t> live = std::exchange(conn->live, {});
-    conn->refused.clear();
     for (const auto& [id, est] : live) {
-      // Like a close frame's log: keeps the table alive and owned by the retained result.
-      std::shared_ptr<hd::SessionLog> log = conn->decoder.OpenLog(id);
-      Apply(wk, conn, telemetry::SessionId{id}, close_record, est, log.get());
+      // Like a close frame's log: the retained result takes an owning pointer to its table.
+      hd::MuxSession* session = conn->decoder.FindSession(id);
+      Apply(wk, conn, telemetry::SessionId{id}, close_record, &session->arena, est,
+            session->log.get());
     }
     conn->want_bye = true;
     UpdateEvents(wk, conn);

@@ -21,10 +21,12 @@
 //                   is appended to the connection's replies, the outcome is retained. The
 //                   replies one read chunk produced leave in one send.
 //
-// Two epoll workers may apply to the same service shard at once: the shard's spin lock
-// guards every session-map probe, and each session's detector state is touched by its one
-// connection's thread only. Scale-out comes from more connections and epoll workers, or from
-// more worker daemons under fleetd: one connection's sessions apply on one thread.
+// A record touches only what its connection's epoll worker owns: one probe of the
+// connection's decoder finds the session's entry, which holds the arena handle the service
+// filled at the open, and the record applies through it with no shard lock. Opens and
+// session ends (close, abort, handoff, drain) go through the service's locked shard map, and
+// each end clears the handle. Scale-out comes from more connections and epoll workers, or
+// from more worker daemons under fleetd: one connection's sessions apply on one thread.
 //
 // Flow control is TCP's: a worker does not read while it applies, so a peer that sends
 // faster than its records apply fills its socket and blocks. Replies are capped: once a

@@ -415,10 +415,14 @@ TEST(RecordParseAllocationTest, SampledRecordAllocatesOncePerSample) {
   EXPECT_EQ(allocations, 0);
 }
 
-// The daemon's decode: the same record as a v3 container frame, decoded by a
-// MuxStreamDecoder into one reused DecodedFrame. The decoder swaps sample buffers with the
-// frame's payload, so from the third decode on (both buffers warm) it allocates nothing.
-TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
+// The daemon's frames for one deep-stack session: its open (the log's header, DeepTable's
+// symbols) and one sampled DispatchEnd record, both as v3 container frames of session 1.
+struct SessionFrames {
+  std::string open;
+  std::string record;
+};
+
+SessionFrames DeepSessionFrames() {
   const telemetry::SymbolTable& symbols = DeepTable();
   const std::filesystem::path path = std::filesystem::temp_directory_path() /
                                      ("hd_hotpath_" + std::to_string(getpid()) + ".hdsl");
@@ -426,7 +430,7 @@ TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
     hangdoctor::SessionLogWriter writer(path.string(), hangdoctor::HangDoctorConfig{});
     writer.OnSessionStart({"com.example.deep", 1, 0, &symbols});
     writer.Finish();
-    ASSERT_TRUE(writer.ok());
+    EXPECT_TRUE(writer.ok());
   }
   std::string log;
   {
@@ -436,7 +440,7 @@ TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
   std::filesystem::remove(path);
   hangdoctor::SessionLogLayout layout;
   std::string error;
-  ASSERT_TRUE(hangdoctor::ScanSessionLog(log, &layout, &error)) << error;
+  EXPECT_TRUE(hangdoctor::ScanSessionLog(log, &layout, &error)) << error;
   // Open: tag, id, size, the log's header. Record: tag, id, size, the record's bytes.
   auto frame = [](hangdoctor::MuxFrameTag tag, std::string_view body) {
     std::string out(1, static_cast<char>(tag));
@@ -445,23 +449,56 @@ TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
     out.append(body);
     return out;
   };
-  const std::string open = frame(hangdoctor::MuxFrameTag::kOpenSession,
-                                 std::string_view(log).substr(0, layout.header_end));
-  const std::string record = frame(hangdoctor::MuxFrameTag::kRecord, SampledDispatchEnd());
+  return {frame(hangdoctor::MuxFrameTag::kOpenSession,
+                std::string_view(log).substr(0, layout.header_end)),
+          frame(hangdoctor::MuxFrameTag::kRecord, SampledDispatchEnd())};
+}
 
+// The daemon's decode: the same record as a v3 container frame, decoded by a
+// MuxStreamDecoder into one reused DecodedFrame. The decoder swaps sample buffers with the
+// frame's payload, so from the third decode on (both buffers warm) it allocates nothing.
+TEST(RecordParseAllocationTest, WarmMuxFrameDecodeAllocatesNothing) {
+  const SessionFrames frames = DeepSessionFrames();
   hangdoctor::MuxStreamDecoder decoder;
   hangdoctor::DecodedFrame decoded;
-  ASSERT_TRUE(decoder.Decode(open, &decoded)) << decoder.error();
-  ASSERT_TRUE(decoder.Decode(record, &decoded)) << decoder.error();
-  ASSERT_TRUE(decoder.Decode(record, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(frames.open, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(frames.record, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(frames.record, &decoded)) << decoder.error();
   int64_t before = AllocationCount();
-  bool ok = decoder.Decode(record, &decoded);
+  bool ok = decoder.Decode(frames.record, &decoded);
   int64_t allocations = AllocationCount() - before;
   ASSERT_TRUE(ok) << decoder.error();
   ASSERT_EQ(decoded.kind, hangdoctor::DecodedFrame::Kind::kRecord);
   ASSERT_EQ(decoded.record.record.kind, hangdoctor::SpiPayload::Kind::kDispatchEnd);
   ASSERT_EQ(decoded.record.record.samples.size(), static_cast<size_t>(kSamples));
   EXPECT_EQ(decoded.record.record.samples.back().frames.size(), static_cast<size_t>(kDepth));
+  EXPECT_EQ(allocations, 0);
+}
+
+// A run of one session's records touches no reference count: the decoder hands each record
+// its session entry, not an owning pointer, so 1,000 warm record decodes leave the use count
+// of the session's parsed prefix where they found it, and allocate nothing.
+TEST(RecordParseAllocationTest, WarmRecordRunLeavesThePrefixUseCountUnchanged) {
+  const SessionFrames frames = DeepSessionFrames();
+  hangdoctor::MuxStreamDecoder decoder;
+  hangdoctor::DecodedFrame decoded;
+  ASSERT_TRUE(decoder.Decode(frames.open, &decoded)) << decoder.error();
+  const std::weak_ptr<hangdoctor::SessionLog> prefix = decoded.log;
+  ASSERT_FALSE(prefix.expired());
+  ASSERT_TRUE(decoder.Decode(frames.record, &decoded)) << decoder.error();
+  ASSERT_TRUE(decoder.Decode(frames.record, &decoded)) << decoder.error();
+  const hangdoctor::MuxSession* session = decoded.session;
+  ASSERT_NE(session, nullptr);
+  const long uses = prefix.use_count();
+  int64_t before = AllocationCount();
+  bool ok = true;
+  for (int i = 0; i < 1000 && ok; ++i) {
+    ok = decoder.Decode(frames.record, &decoded);
+    ok = ok && decoded.session == session && decoded.log == nullptr;
+  }
+  int64_t allocations = AllocationCount() - before;
+  ASSERT_TRUE(ok) << decoder.error();
+  EXPECT_EQ(prefix.use_count(), uses);
   EXPECT_EQ(allocations, 0);
 }
 

@@ -479,6 +479,101 @@ TEST(NetdProtocolTest, DuplicateSessionAcrossConnectionsIsRejected) {
   EXPECT_EQ(first_replies.back().tag, ReplyTag::kBye);
 }
 
+// Encoded results of the clean closes on one client connection that sends `frames` after its
+// HELLO, in close order.
+std::vector<std::string> ClientResults(const std::vector<std::string>& frames) {
+  netd::NetServer server(SocketpairOptions());
+  netd::NetClient client = ConnectPair(server);
+  EXPECT_TRUE(client.SendHello(4));
+  for (const std::string& frame : frames) {
+    EXPECT_TRUE(client.SendFrame(frame));
+  }
+  std::vector<Reply> replies;
+  ReadUntilEof(client, &replies);
+  EXPECT_FALSE(replies.empty());
+  if (!replies.empty()) {
+    EXPECT_EQ(replies.back().tag, ReplyTag::kBye);
+  }
+  server.Stop();
+  std::vector<std::string> results;
+  for (netd::NetSessionOutcome& outcome : server.TakeResults()) {
+    EXPECT_FALSE(outcome.aborted) << outcome.stream_error;
+    results.push_back(netd::EncodeSessionResult(outcome.result));
+  }
+  return results;
+}
+
+// A session id reopened on the connection that closed it starts in a fresh arena: the
+// decoder's entry, and the arena handle in it, died with the close. Each run of the session
+// yields the result a fresh daemon gives it.
+TEST(NetdProtocolTest, SessionReopenedOnItsConnectionAfterCloseGetsAFreshArena) {
+  std::vector<std::string> session = WireFrames({61});
+  const std::string end = session.back();  // the container end: BYE
+  session.pop_back();
+  std::vector<std::string> once = session;
+  once.push_back(end);
+  const std::vector<std::string> fresh = ClientResults(once);
+  ASSERT_EQ(fresh.size(), 1u);
+  std::vector<std::string> thrice;
+  for (int run = 0; run < 3; ++run) {
+    thrice.insert(thrice.end(), session.begin(), session.end());
+  }
+  thrice.push_back(end);
+  const std::vector<std::string> reopened = ClientResults(thrice);
+  ASSERT_EQ(reopened.size(), 3u);
+  for (const std::string& result : reopened) {
+    EXPECT_EQ(result, fresh[0]);
+  }
+}
+
+// The replies of one worker link (a fleetd coordinator's connection) that sends `frames`
+// after its HELLO, until the daemon closes it.
+std::vector<Reply> WorkerLinkReplies(const std::vector<std::string>& frames) {
+  netd::ServerOptions options = SocketpairOptions();
+  options.allow_worker_role = true;
+  netd::NetServer server(options);
+  netd::NetClient link = ConnectPair(server);
+  EXPECT_TRUE(link.SendHello(4, netd::HelloRole::kWorker));
+  for (const std::string& frame : frames) {
+    EXPECT_TRUE(link.SendFrame(frame));
+  }
+  std::vector<Reply> replies;
+  ReadUntilEof(link, &replies);
+  server.Stop();
+  return replies;
+}
+
+std::vector<std::string> ShippedResults(const std::vector<Reply>& replies) {
+  std::vector<std::string> results;
+  for (const Reply& reply : replies) {
+    if (reply.tag == ReplyTag::kSessionResult) {
+      results.push_back(reply.result);
+    }
+  }
+  return results;
+}
+
+// A kCtrlHandoff discard ends the session in the service and in the link's decoder at once,
+// so when the coordinator sends the session back on the same link it opens in a fresh arena
+// and ships the result a fresh daemon ships.
+TEST(NetdProtocolTest, SessionReopenedOnAWorkerLinkAfterAHandoffGetsAFreshArena) {
+  const std::vector<std::string> frames = WireFrames({62});
+  const std::vector<std::string> fresh = ShippedResults(WorkerLinkReplies(frames));
+  ASSERT_EQ(fresh.size(), 1u);
+  // The open and the first half of the records, the handoff, then the whole session again.
+  ASSERT_GT(frames.size(), 4u);
+  std::vector<std::string> migrated(frames.begin(), frames.begin() + frames.size() / 2);
+  migrated.push_back(netd::BuildHandoff(/*epoch=*/1, {62}));
+  migrated.insert(migrated.end(), frames.begin(), frames.end());
+  const std::vector<Reply> replies = WorkerLinkReplies(migrated);
+  const auto ack = std::find_if(replies.begin(), replies.end(), [](const Reply& reply) {
+    return reply.tag == ReplyTag::kHandoffAck;
+  });
+  ASSERT_NE(ack, replies.end());
+  EXPECT_EQ(ack->discarded, 1u);
+  EXPECT_EQ(ShippedResults(replies), fresh);
+}
+
 TEST(NetdProtocolTest, GracefulDrainFlushesInFlightSessionReports) {
   netd::NetServer server(SocketpairOptions());
   netd::NetClient client = ConnectPair(server);

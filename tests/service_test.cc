@@ -4,6 +4,7 @@
 // worker count. Plus direct service-surface tests: session lifecycle errors, Discard,
 // live-session accounting, and the ascending-id merge order.
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hangdoctor/detector_service.h"
+#include "src/hangdoctor/session_stream.h"
 #include "src/hosts/hang_doctor.h"
 #include "src/workload/catalog.h"
 #include "src/workload/experiment.h"
@@ -231,6 +233,91 @@ TEST(DetectorServiceTest, MergeSessionReportsFoldsInAscendingIdOrder) {
   std::vector<hangdoctor::SessionResult> reversed(results.rbegin(), results.rend());
   hangdoctor::HangBugReport merged_reversed = hangdoctor::MergeSessionReports(reversed);
   EXPECT_EQ(merged.Render(4), merged_reversed.Render(4));
+}
+
+// In-place apply's arena handle (ServiceRecordRef::arena). An applied open fills the
+// producer's handle, records that carry it land in the session exactly as the locked probe
+// puts them, and whatever ends the session — a close, an abort, a handoff — clears it. A
+// failed open writes null, and a record from another source that carries no handle is still
+// refused.
+TEST(DetectorServiceTest, ArenaHandleIsFilledAtOpenAndClearedWhenTheSessionEnds) {
+  using Kind = hangdoctor::SpiPayload::Kind;
+  // A recorded K9-Mail session's SPI stream. The harness owns the symbol table the stream's
+  // info points at, so it lives as long as the test.
+  workload::SingleAppHarness harness(droidsim::LgV10(), SharedCatalog().FindApp("K9-Mail"),
+                                     /*seed=*/0xA7E);
+  hangdoctor::SpiStreamRecorder recorder;
+  {
+    hangdoctor::HangDoctor doctor(&harness.phone(), &harness.app(),
+                                  hangdoctor::HangDoctorConfig{}, /*database=*/nullptr,
+                                  /*device_id=*/0, &recorder);
+    harness.RunUserSession(simkit::Seconds(20));
+  }
+  ASSERT_FALSE(recorder.records().empty());
+  auto payload = [](Kind kind) {
+    hangdoctor::SpiPayload made;
+    made.kind = kind;
+    return made;
+  };
+  hangdoctor::SpiPayload open = payload(Kind::kSessionOpen);
+  open.info = recorder.info();
+  const hangdoctor::SpiPayload close = payload(Kind::kSessionClose);
+  const int owner = 1;
+  const int stranger = 2;
+  hangdoctor::DetectorService service(hangdoctor::ServiceOptions{2});
+
+  // The same stream twice: session 1 through its handle, session 2 through the probe.
+  const telemetry::SessionId handled{1};
+  const telemetry::SessionId probed{2};
+  hangdoctor::SessionSlot* handle = nullptr;
+  ASSERT_FALSE(service.Apply({handled, &open, &owner, &handle}));
+  ASSERT_NE(handle, nullptr);
+  ASSERT_FALSE(service.Apply({probed, &open, &owner}));
+  for (const hangdoctor::SpiPayload& record : recorder.records()) {
+    ASSERT_FALSE(service.Apply({handled, &record, &owner, &handle}));
+    ASSERT_FALSE(service.Apply({probed, &record, &owner}));
+  }
+  std::optional<hangdoctor::IngestCompletion> foreign =
+      service.Apply({handled, &recorder.records().front(), &stranger});
+  ASSERT_TRUE(foreign);
+  EXPECT_EQ(foreign->kind, hangdoctor::IngestCompletion::Kind::kError);
+  hangdoctor::SessionSlot* duplicate = handle;
+  std::optional<hangdoctor::IngestCompletion> reopened =
+      service.Apply({handled, &open, &stranger, &duplicate});
+  ASSERT_TRUE(reopened);
+  EXPECT_EQ(reopened->kind, hangdoctor::IngestCompletion::Kind::kError);
+  EXPECT_EQ(duplicate, nullptr) << "a refused open must not leave a handle";
+
+  std::optional<hangdoctor::IngestCompletion> closed =
+      service.Apply({handled, &close, &owner, &handle});
+  ASSERT_TRUE(closed);
+  EXPECT_EQ(closed->kind, hangdoctor::IngestCompletion::Kind::kClosed);
+  EXPECT_EQ(handle, nullptr) << "the close must clear the handle";
+  std::optional<hangdoctor::IngestCompletion> reference = service.Apply({probed, &close, &owner});
+  ASSERT_TRUE(reference);
+  ASSERT_EQ(reference->kind, hangdoctor::IngestCompletion::Kind::kClosed);
+  EXPECT_GT(closed->result.log.size(), 0u);
+  EXPECT_EQ(closed->result.log.size(), reference->result.log.size());
+  EXPECT_EQ(closed->result.report.Render(4), reference->result.report.Render(4));
+  EXPECT_EQ(closed->result.stack_samples, reference->result.stack_samples);
+  EXPECT_EQ(closed->result.discovered, reference->result.discovered);
+
+  for (Kind ending : {Kind::kSessionAbort, Kind::kSessionHandoff}) {
+    const telemetry::SessionId id{3};
+    hangdoctor::SessionSlot* ended_handle = nullptr;
+    ASSERT_FALSE(service.Apply({id, &open, &owner, &ended_handle}));
+    ASSERT_NE(ended_handle, nullptr);
+    ASSERT_FALSE(service.Apply({id, &recorder.records().front(), &owner, &ended_handle}));
+    const hangdoctor::SpiPayload end = payload(ending);
+    std::optional<hangdoctor::IngestCompletion> ended =
+        service.Apply({id, &end, &owner, &ended_handle});
+    ASSERT_TRUE(ended);
+    EXPECT_EQ(ended->kind, ending == Kind::kSessionAbort
+                               ? hangdoctor::IngestCompletion::Kind::kAborted
+                               : hangdoctor::IngestCompletion::Kind::kHandedOff);
+    EXPECT_EQ(ended_handle, nullptr) << "ending kind " << static_cast<int>(ending);
+  }
+  EXPECT_EQ(service.live_sessions(), 0u);
 }
 
 }  // namespace

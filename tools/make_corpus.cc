@@ -10,6 +10,8 @@
 // tests/corpus/MANIFEST.sha256 (see scripts/check_corpus.sh).
 //
 // Usage: make_corpus <output-dir>
+// Any argument that starts with '-' (--help included) prints the usage, creates nothing and
+// exits 2.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -53,9 +55,9 @@ std::string ReadFile(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
+  if (argc != 2 || argv[1][0] == '-') {
     std::fprintf(stderr, "usage: %s <output-dir>\n", argv[0]);
-    return 1;
+    return 2;
   }
   const std::string dir = argv[1];
   std::filesystem::create_directories(dir);
