@@ -37,7 +37,9 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -238,11 +240,25 @@ TEST(FleetWireTest, HelloCarriesWorkerRole) {
   }
 }
 
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return hex;
+}
+
+// Round trips pass for any self-consistent format, so every payload below is also compared
+// with hex captured from its encoder. Each field differs from its default and from the
+// other fields of its payload.
 TEST(FleetWireTest, ControlFramesRoundTripAndStayDisjointFromMuxTags) {
   static_assert(netd::kCtrlBase >= 0x40, "control tags must not collide with mux tags");
   std::string hb = netd::BuildHeartbeat(12345);
   ASSERT_FALSE(hb.empty());
   EXPECT_GE(static_cast<uint8_t>(hb[0]), netd::kCtrlBase);
+  EXPECT_EQ(Hex(hb), "40b960");
   uint64_t epoch = 0;
   std::string error;
   ASSERT_TRUE(netd::ParseHeartbeat(hb, &epoch, &error)) << error;
@@ -253,20 +269,32 @@ TEST(FleetWireTest, ControlFramesRoundTripAndStayDisjointFromMuxTags) {
        {std::vector<uint64_t>{}, std::vector<uint64_t>{1, 5, 1u << 20}}) {
     std::string handoff = netd::BuildHandoff(7, ids);
     EXPECT_GE(static_cast<uint8_t>(handoff[0]), netd::kCtrlBase);
+    EXPECT_EQ(Hex(handoff), ids.empty() ? "410700" : "4107030105808040");
     uint64_t got_epoch = 0;
     std::vector<uint64_t> got_ids;
     ASSERT_TRUE(netd::ParseHandoff(handoff, &got_epoch, &got_ids, &error)) << error;
     EXPECT_EQ(got_epoch, 7u);
     EXPECT_EQ(got_ids, ids);
   }
+
+  // HELLO: a client omits the role; a worker appends it.
+  for (netd::HelloRole role : {netd::HelloRole::kClient, netd::HelloRole::kWorker}) {
+    std::string hello = netd::BuildHello(300, role);
+    EXPECT_EQ(Hex(hello), role == netd::HelloRole::kClient ? "4844534cac02" : "4844534cac0201");
+    uint32_t version = 0;
+    netd::HelloRole got_role = netd::HelloRole::kClient;
+    ASSERT_TRUE(netd::ParseHello(hello, &version, &got_role, &error)) << error;
+    EXPECT_EQ(version, 300u);
+    EXPECT_EQ(got_role, role);
+  }
 }
 
 TEST(FleetWireTest, FleetRepliesRoundTripThroughParseReply) {
   netd::Reply reply;
   std::string error;
-  ASSERT_TRUE(netd::ParseReply(netd::BuildHeartbeatAck(9, 3, 77, true, false), &reply,
-                               &error))
-      << error;
+  std::string payload = netd::BuildHeartbeatAck(9, 3, 77, true, false);
+  EXPECT_EQ(Hex(payload), "0609034d0100");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
   EXPECT_EQ(reply.tag, netd::ReplyTag::kHeartbeatAck);
   EXPECT_EQ(reply.epoch, 9u);
   EXPECT_EQ(reply.live_sessions, 3u);
@@ -274,21 +302,60 @@ TEST(FleetWireTest, FleetRepliesRoundTripThroughParseReply) {
   EXPECT_TRUE(reply.applier_stuck);
   EXPECT_FALSE(reply.lease_failed);
 
-  ASSERT_TRUE(netd::ParseReply(netd::BuildStaleEpoch(41), &reply, &error)) << error;
+  payload = netd::BuildStaleEpoch(41);
+  EXPECT_EQ(Hex(payload), "0729");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
   EXPECT_EQ(reply.tag, netd::ReplyTag::kStaleEpoch);
   EXPECT_EQ(reply.epoch, 41u);
 
-  ASSERT_TRUE(netd::ParseReply(netd::BuildHandoffAck(6, 4), &reply, &error)) << error;
+  payload = netd::BuildHandoffAck(6, 4);
+  EXPECT_EQ(Hex(payload), "080604");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
   EXPECT_EQ(reply.tag, netd::ReplyTag::kHandoffAck);
   EXPECT_EQ(reply.epoch, 6u);
   EXPECT_EQ(reply.discarded, 4u);
 
-  ASSERT_TRUE(netd::ParseReply(netd::BuildSessionResult(12, "payload-bytes"), &reply,
-                               &error))
-      << error;
+  payload = netd::BuildSessionResult(12, "payload-bytes");
+  EXPECT_EQ(Hex(payload), "090c0d7061796c6f61642d6279746573");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
   EXPECT_EQ(reply.tag, netd::ReplyTag::kSessionResult);
   EXPECT_EQ(reply.session_id, 12u);
   EXPECT_EQ(reply.result, "payload-bytes");
+
+  payload = netd::BuildHelloOk(4);
+  EXPECT_EQ(Hex(payload), "0104");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.tag, netd::ReplyTag::kHelloOk);
+  EXPECT_EQ(reply.version, 4u);
+
+  payload = netd::BuildBusy(21, 300, 70000);
+  EXPECT_EQ(Hex(payload), "0215ac02f0a204");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.tag, netd::ReplyTag::kBusy);
+  EXPECT_EQ(reply.session_id, 21u);
+  EXPECT_EQ(reply.live_bytes, 300u);
+  EXPECT_EQ(reply.budget_bytes, 70000u);
+
+  payload = netd::BuildSessionClosed(22, false, 5, "torn");
+  EXPECT_EQ(Hex(payload), "0316000504746f726e");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.tag, netd::ReplyTag::kSessionClosed);
+  EXPECT_EQ(reply.session_id, 22u);
+  EXPECT_FALSE(reply.stream_ok);
+  EXPECT_EQ(reply.report_entries, 5u);
+  EXPECT_EQ(reply.message, "torn");
+
+  payload = netd::BuildError("bad frame");
+  EXPECT_EQ(Hex(payload), "0409626164206672616d65");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.tag, netd::ReplyTag::kError);
+  EXPECT_EQ(reply.message, "bad frame");
+
+  payload = netd::BuildBye(130);
+  EXPECT_EQ(Hex(payload), "058201");
+  ASSERT_TRUE(netd::ParseReply(payload, &reply, &error)) << error;
+  EXPECT_EQ(reply.tag, netd::ReplyTag::kBye);
+  EXPECT_EQ(reply.sessions_closed, 130u);
 
   std::string ack = netd::BuildHeartbeatAck(9, 3, 77, true, false);
   EXPECT_FALSE(netd::ParseReply(ack.substr(0, ack.size() - 1), &reply, &error))
@@ -304,7 +371,23 @@ TEST(FleetWireTest, SessionResultCodecRoundTripsAndRejectsTruncation) {
   result.stream_error = "torn mid-frame";
   result.stack_samples = 17;
   result.discovered = {"android.net.Socket.connect", "com.x.Parser.parse"};
+  result.degradation = {101, 102, 103, 104, 105, 106, true};
+  result.overhead.AddCpu(201);
+  result.overhead.AddMemory(202);
+  result.overhead.CountCounterRetry(203);
+  result.overhead.CountAsyncRecord(204);
+  result.kb = {301, 302, 303};
+  result.report.Absorb({"com.example.app", "com.x.Db.query", "Db.java", 401, true, true,
+                        "java.util.concurrent.Future.get@Future.java:9", 402, {5, 9}, 403,
+                        404});
   std::string bytes = netd::EncodeSessionResult(result);
+  EXPECT_EQ(Hex(bytes),
+            "012a0f636f6d2e6578616d706c652e61707006000e746f726e206d69642d6672616d6522021a"
+            "616e64726f69642e6e65742e536f636b65742e636f6e6e65637412636f6d2e782e5061727365"
+            "722e7061727365ca01cc01ce01d001d201d401019203940396039803da04dc04de04010f636f"
+            "6d2e6578616d706c652e6170700e636f6d2e782e44622e71756572790744622e6a617661a206"
+            "01012d6a6176612e7574696c2e636f6e63757272656e742e4675747572652e67657440467574"
+            "7572652e6a6176613a39a406020a12a606a806");
   hangdoctor::SessionResult decoded;
   std::string error;
   ASSERT_TRUE(netd::DecodeSessionResult(bytes, &decoded, &error)) << error;
@@ -315,6 +398,35 @@ TEST(FleetWireTest, SessionResultCodecRoundTripsAndRejectsTruncation) {
   EXPECT_EQ(decoded.stream_error, "torn mid-frame");
   EXPECT_EQ(decoded.stack_samples, 17);
   EXPECT_EQ(decoded.discovered, result.discovered);
+  const hangdoctor::DegradationStats& d = decoded.degradation;
+  EXPECT_EQ(d.counter_open_failures, 101);
+  EXPECT_EQ(d.counter_retries, 102);
+  EXPECT_EQ(d.invalid_counter_windows, 103);
+  EXPECT_EQ(d.degraded_checks, 104);
+  EXPECT_EQ(d.empty_trace_windows, 105);
+  EXPECT_EQ(d.dropped_records, 106);
+  EXPECT_TRUE(d.counters_unavailable);
+  EXPECT_EQ(decoded.overhead.cpu(), 201);
+  EXPECT_EQ(decoded.overhead.memory_bytes(), 202);
+  EXPECT_EQ(decoded.overhead.counter_retries(), 203);
+  EXPECT_EQ(decoded.overhead.async_records(), 204);
+  EXPECT_EQ(decoded.kb.memo_hits, 301);
+  EXPECT_EQ(decoded.kb.memo_misses, 302);
+  EXPECT_EQ(decoded.kb.known_hits, 303);
+  std::vector<hangdoctor::BugReportEntry> entries = decoded.report.Entries();
+  ASSERT_EQ(entries.size(), 1u);
+  const hangdoctor::BugReportEntry& entry = entries[0];
+  EXPECT_EQ(entry.app_package, "com.example.app");
+  EXPECT_EQ(entry.api, "com.x.Db.query");
+  EXPECT_EQ(entry.file, "Db.java");
+  EXPECT_EQ(entry.line, 401);
+  EXPECT_TRUE(entry.self_developed);
+  EXPECT_TRUE(entry.degraded);
+  EXPECT_EQ(entry.wait_site, "java.util.concurrent.Future.get@Future.java:9");
+  EXPECT_EQ(entry.occurrences, 402);
+  EXPECT_EQ(entry.devices, (std::set<int32_t>{5, 9}));
+  EXPECT_EQ(entry.total_hang, 403);
+  EXPECT_EQ(entry.max_hang, 404);
   EXPECT_EQ(decoded.report.Render(4), result.report.Render(4));
   for (size_t cut = 0; cut < bytes.size(); cut += std::max<size_t>(1, bytes.size() / 16)) {
     EXPECT_FALSE(netd::DecodeSessionResult(bytes.substr(0, cut), &decoded, &error))

@@ -9,12 +9,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/hangdoctor/detector_core.h"
 #include "src/hosts/hang_doctor.h"
+#include "src/hosts/mux_log.h"
 #include "src/hosts/replay_host.h"
 #include "src/hosts/session_log.h"
 #include "src/workload/catalog.h"
@@ -136,6 +138,220 @@ void RoundTrip(const droidsim::AppSpec* spec, uint64_t seed,
   EXPECT_EQ(session->log().info.app_package, spec->package) << label;
   EXPECT_EQ(session->log().config.main_only, config.main_only) << label;
   EXPECT_EQ(session->log().config.second_phase_only, config.second_phase_only) << label;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (char c : bytes) {
+    hex.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return hex;
+}
+
+// The v2 log's bytes: magic, version, SessionInfo, the full HangDoctorConfig and a
+// two-frame symbol table, then one record of each tag (DispatchEnd with two thread-tagged
+// samples), the TraceUsage footer and the end marker. Every field differs from its default
+// and from the other fields, so a dropped, swapped or re-typed field changes these bytes.
+constexpr std::string_view kPinnedLogHex =
+    "4844534c0412636f6d2e6578616d706c652e70696e6e6564120e0202000000000000f83f090000000000"
+    "00024001de01e001e201e401e601d7a3703d0ad7d33f7b14ae47e17ad43f1f85eb51b81ed53f92039403"
+    "960398039a039c039e03a003a203a403a603a803aa030101020372756e0c636f6d2e782e576f726b6572"
+    "0b576f726b65722e6a6176612203046472617711616e64726f69642e766965772e566965770956696577"
+    "2e6a6176612e0401d20fd40fd60fd80fda0f02a21fa41fa61fa81f0102aa1f02020001ac1f03010103f2"
+    "2ef42ef62ef82e0102010000000000000c40040000000000001dc006c23ec43e0107924e944e8b270501"
+    "984e08e25de45df32e060009b26db46ddb36010a827d847dc33e877d04d28c01d48c0105";
+
+// That log in a v3 container as session 77, one frame of each tag: open, an epoch publish,
+// the nine records, close and end.
+constexpr std::string_view kPinnedContainerHex =
+    "4844534c03014daf014844534c0412636f6d2e6578616d706c652e70696e6e6564120e02020000000000"
+    "00f83f09000000000000024001de01e001e201e401e601d7a3703d0ad7d33f7b14ae47e17ad43f1f85eb"
+    "51b81ed53f92039403960398039a039c039e03a003a203a403a603a803aa030101020372756e0c636f6d"
+    "2e782e576f726b65720b576f726b65722e6a6176612203046472617711616e64726f69642e766965772e"
+    "5669657709566965772e6a6176612e040501024d0b01d20fd40fd60fd80fda0f024d1602a21fa41fa61f"
+    "a81f0102aa1f02020001ac1f030101024d1d03f22ef42ef62ef82e0102010000000000000c4004000000"
+    "0000001dc0024d0606c23ec43e01024d0b07924e944e8b270501984e024d0908e25de45df32e0600024d"
+    "0809b26db46ddb3601024d090a827d847dc33e877d024d0704d28c01d48c01034d04";
+
+// Round trips pass for any self-consistent format; this pins the format itself. The
+// encodings are compared with hex captured from the encoder, then decoded field by field.
+TEST(RecordReplayTest, HdslEncodingsMatchThePinnedBytesFieldByField) {
+  telemetry::SymbolTable symbols;
+  ASSERT_EQ(symbols.Intern({"run", "com.x.Worker", "Worker.java", 17, true}, true, false), 0u);
+  ASSERT_EQ(symbols.Intern({"draw", "android.view.View", "View.java", 23, false}, false, true),
+            1u);
+  hangdoctor::SessionInfo info{"com.example.pinned", 9, 7, &symbols};
+  hangdoctor::HangDoctorConfig config;
+  config.filter = hangdoctor::SoftHangFilter(
+      {{telemetry::PerfEventType::kPageFaults, 1.5}, {telemetry::PerfEventType::kCpuCycles, 2.25}});
+  config.main_only = true;
+  config.hang_timeout = 111;
+  config.sample_interval = 112;
+  config.reset_after_normal = 113;
+  config.max_counter_retries = 114;
+  config.counter_retry_backoff = 115;
+  config.analyzer = {0.31, 0.32, 0.33};
+  config.costs = {201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211, 212, 213};
+  config.second_phase_only = true;
+  config.keep_traces = true;
+
+  std::vector<telemetry::StackTrace> samples = {{2005, 2, {0, 1}}, {2006, 3, {1}}};
+  hangdoctor::ActionQuiesce quiesce{3001, 3002, 3003, 3004, true, {}};
+  quiesce.counter_diffs[1] = 3.5;
+  quiesce.counter_diffs[4] = -7.25;
+  const std::string path = TempPath("pinned.hdsl");
+  {
+    hangdoctor::SessionLogWriter writer(path, config);
+    writer.OnSessionStart(info);
+    writer.OnDispatchStart({1001, 1002, 1003, 1004, 1005});
+    writer.OnDispatchEnd({2001, 2002, 2003, 2004, true, samples});
+    writer.OnActionQuiesce(quiesce);
+    writer.OnCounterFault({4001, 4002, true});
+    writer.OnAsyncPost({5001, 5002, {5003}, 5, 1, 5004});
+    writer.OnAsyncRun({6001, 6002, {6003}, 6, false});
+    writer.OnAsyncWaitStart({7001, 7002, {7003}, 1});
+    writer.OnAsyncWaitEnd({8001, 8002, {8003}, -8004});
+    writer.WriteTraceUsage(9001, 9002);
+    writer.Finish();
+    ASSERT_TRUE(writer.ok());
+  }
+  const std::string bytes = FileBytes(path);
+  EXPECT_EQ(Hex(bytes), kPinnedLogHex);
+
+  hangdoctor::SessionLog log;
+  std::string error;
+  ASSERT_TRUE(hangdoctor::LoadSessionLogBytes(bytes, &log, &error)) << error;
+  EXPECT_EQ(log.info.app_package, "com.example.pinned");
+  EXPECT_EQ(log.info.num_actions, 9);
+  EXPECT_EQ(log.info.device_id, 7);
+  ASSERT_EQ(log.config.filter.conditions().size(), 2u);
+  EXPECT_EQ(log.config.filter.conditions()[0].event, telemetry::PerfEventType::kPageFaults);
+  EXPECT_EQ(log.config.filter.conditions()[0].threshold, 1.5);
+  EXPECT_EQ(log.config.filter.conditions()[1].event, telemetry::PerfEventType::kCpuCycles);
+  EXPECT_EQ(log.config.filter.conditions()[1].threshold, 2.25);
+  EXPECT_TRUE(log.config.main_only);
+  EXPECT_EQ(log.config.hang_timeout, 111);
+  EXPECT_EQ(log.config.sample_interval, 112);
+  EXPECT_EQ(log.config.reset_after_normal, 113);
+  EXPECT_EQ(log.config.max_counter_retries, 114);
+  EXPECT_EQ(log.config.counter_retry_backoff, 115);
+  EXPECT_EQ(log.config.analyzer.api_occurrence_threshold, 0.31);
+  EXPECT_EQ(log.config.analyzer.caller_occurrence_threshold, 0.32);
+  EXPECT_EQ(log.config.analyzer.ui_majority, 0.33);
+  const hangdoctor::MonitorCosts& costs = log.config.costs;
+  EXPECT_EQ(std::vector<int64_t>({costs.perf_start, costs.perf_stop, costs.perf_read_per_event,
+                                  costs.perf_session_bytes, costs.state_lookup,
+                                  costs.trace_start, costs.trace_start_bytes,
+                                  costs.stack_sample, costs.stack_sample_bytes,
+                                  costs.utilization_sample, costs.utilization_sample_bytes,
+                                  costs.response_probe, costs.async_record}),
+            std::vector<int64_t>({201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211, 212,
+                                  213}));
+  EXPECT_TRUE(log.config.second_phase_only);
+  EXPECT_TRUE(log.config.keep_traces);
+  ASSERT_EQ(log.symbols->size(), 2u);
+  for (telemetry::FrameId id : {0u, 1u}) {
+    EXPECT_EQ(log.symbols->Frame(id), symbols.Frame(id)) << id;
+    EXPECT_EQ(log.symbols->Frame(id).in_closed_library, symbols.Frame(id).in_closed_library);
+    EXPECT_EQ(log.symbols->IsUi(id), symbols.IsUi(id)) << id;
+    EXPECT_EQ(log.symbols->IsSelfDeveloped(id), symbols.IsSelfDeveloped(id)) << id;
+  }
+  EXPECT_TRUE(log.has_usage);
+  EXPECT_EQ(log.usage_cpu, 9001);
+  EXPECT_EQ(log.usage_bytes, 9002);
+
+  using Tag = hangdoctor::SessionRecordTag;
+  ASSERT_EQ(log.records.size(), 8u);
+  const hangdoctor::SessionRecord* r = log.records.data();
+  ASSERT_EQ(r[0].tag, Tag::kDispatchStart);
+  EXPECT_EQ(r[0].start.now, 1001);
+  EXPECT_EQ(r[0].start.execution_id, 1002);
+  EXPECT_EQ(r[0].start.action_uid, 1003);
+  EXPECT_EQ(r[0].start.event_index, 1004);
+  EXPECT_EQ(r[0].start.events_total, 1005);
+  ASSERT_EQ(r[1].tag, Tag::kDispatchEnd);
+  EXPECT_EQ(r[1].end.now, 2001);
+  EXPECT_EQ(r[1].end.execution_id, 2002);
+  EXPECT_EQ(r[1].end.event_index, 2003);
+  EXPECT_EQ(r[1].end.response, 2004);
+  EXPECT_TRUE(r[1].end.trace_stopped);
+  ASSERT_EQ(r[1].samples.size(), 2u);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    EXPECT_EQ(r[1].samples[i].timestamp_ns, samples[i].timestamp_ns) << i;
+    EXPECT_EQ(r[1].samples[i].thread, samples[i].thread) << i;
+    EXPECT_EQ(r[1].samples[i].frames, samples[i].frames) << i;
+  }
+  ASSERT_EQ(r[2].tag, Tag::kActionQuiesce);
+  EXPECT_EQ(r[2].quiesce.now, 3001);
+  EXPECT_EQ(r[2].quiesce.execution_id, 3002);
+  EXPECT_EQ(r[2].quiesce.action_uid, 3003);
+  EXPECT_EQ(r[2].quiesce.max_response, 3004);
+  EXPECT_TRUE(r[2].quiesce.counters_valid);
+  EXPECT_EQ(r[2].quiesce.counter_diffs, quiesce.counter_diffs);
+  ASSERT_EQ(r[3].tag, Tag::kCounterFault);
+  EXPECT_EQ(r[3].fault.now, 4001);
+  EXPECT_EQ(r[3].fault.execution_id, 4002);
+  EXPECT_TRUE(r[3].fault.permanent);
+  ASSERT_EQ(r[4].tag, Tag::kAsyncPost);
+  EXPECT_EQ(r[4].async_post.now, 5001);
+  EXPECT_EQ(r[4].async_post.execution_id, 5002);
+  EXPECT_EQ(r[4].async_post.edge.value, 5003u);
+  EXPECT_EQ(r[4].async_post.target, 5u);
+  EXPECT_EQ(r[4].async_post.post_frame, 1u);
+  EXPECT_EQ(r[4].async_post.delay, 5004);
+  ASSERT_EQ(r[5].tag, Tag::kAsyncRun);
+  EXPECT_EQ(r[5].async_run.now, 6001);
+  EXPECT_EQ(r[5].async_run.execution_id, 6002);
+  EXPECT_EQ(r[5].async_run.edge.value, 6003u);
+  EXPECT_EQ(r[5].async_run.thread, 6u);
+  EXPECT_FALSE(r[5].async_run.begin);
+  ASSERT_EQ(r[6].tag, Tag::kAsyncWaitStart);
+  EXPECT_EQ(r[6].wait_start.now, 7001);
+  EXPECT_EQ(r[6].wait_start.execution_id, 7002);
+  EXPECT_EQ(r[6].wait_start.edge.value, 7003u);
+  EXPECT_EQ(r[6].wait_start.wait_frame, 1u);
+  ASSERT_EQ(r[7].tag, Tag::kAsyncWaitEnd);
+  EXPECT_EQ(r[7].wait_end.now, 8001);
+  EXPECT_EQ(r[7].wait_end.execution_id, 8002);
+  EXPECT_EQ(r[7].wait_end.edge.value, 8003u);
+  EXPECT_EQ(r[7].wait_end.waited, -8004);
+
+  // The v3 container: its bytes, then every frame header field by field.
+  const hangdoctor::SessionLogSlice slice{telemetry::SessionId{77}, bytes};
+  std::vector<size_t> schedule(11, 0);
+  schedule.insert(schedule.begin() + 1, hangdoctor::kMuxEpochPublish);
+  std::string container;
+  ASSERT_TRUE(hangdoctor::MuxSessionLogs({&slice, 1}, schedule, &container, &error)) << error;
+  EXPECT_EQ(Hex(container), kPinnedContainerHex);
+  hangdoctor::SessionLogLayout frames;
+  ASSERT_TRUE(hangdoctor::ScanMuxLog(container, &frames, &error)) << error;
+  hangdoctor::SessionLogLayout records;
+  ASSERT_TRUE(hangdoctor::ScanSessionLog(bytes, &records, &error)) << error;
+  ASSERT_EQ(frames.record_offsets.size(), 13u);
+  using Mux = hangdoctor::MuxFrameTag;
+  for (size_t i = 0; i < frames.record_offsets.size(); ++i) {
+    size_t pos = frames.record_offsets[i];
+    hangdoctor::MuxFrameHeader header;
+    ASSERT_EQ(hangdoctor::ReadMuxFrameHeader(container, &pos, &header),
+              hangdoctor::MuxHeaderRead::kOk)
+        << i;
+    Mux tag = i == 0 ? Mux::kOpenSession
+              : i == 1 ? Mux::kEpochPublish
+              : i == 11 ? Mux::kCloseSession
+              : i == 12 ? Mux::kEnd
+                        : Mux::kRecord;
+    EXPECT_EQ(header.tag, tag) << i;
+    EXPECT_EQ(header.id, tag == Mux::kEpochPublish ? 1u : tag == Mux::kEnd ? 0u : 77u) << i;
+    uint64_t size = 0;
+    if (tag == Mux::kOpenSession) {
+      size = records.header_end;
+    } else if (tag == Mux::kRecord) {
+      size = records.record_offsets[i - 1] - records.record_offsets[i - 2];
+    }
+    EXPECT_EQ(header.size, size) << i;
+  }
 }
 
 TEST(RecordReplayTest, EveryStudyAppRoundTripsBitIdentically) {
