@@ -97,8 +97,30 @@ if [ -n "$codec_copies" ]; then
   exit 1
 fi
 
+# One statement of each format (DESIGN.md section 3.3): the HDSL log, SessionResult and wire
+# payload codecs are field lists over telemetry::ByteWriter / ByteReader, each field named
+# once for both directions. A raw PutVarint/GetString-style call in their modules, outside
+# the frame-length layer (netd's FrameSplitter, the v3 frame-header pair
+# AppendMuxFrameHeader / ReadMuxFrameHeader), is a hand-written encoder or decoder coming
+# back. A top-level definition line starts each function; calls inside the allowed ones pass.
+codec_files="src/hosts/session_log.cc src/netd/result_codec.cc src/hosts/mux_log.cc src/netd/wire.cc"
+raw_calls=$(cd "$repo_root" && awk '
+  /^[A-Za-z_]/ && /\(/ { fn = $0 }
+  /(^|[^A-Za-z0-9_])(Put|Get)(Varint|Signed|Double|String)\(/ &&
+      fn !~ /(FrameSplitter::|AppendMuxFrameHeader|ReadMuxFrameHeader)/ {
+    print FILENAME ":" FNR ": " $0
+  }' $codec_files)
+
+if [ -n "$raw_calls" ]; then
+  echo "layering violation: a format written out by hand; state it once as a field list over" >&2
+  echo "telemetry::ByteWriter / ByteReader (src/telemetry/bytes.h):" >&2
+  echo "$raw_calls" >&2
+  exit 1
+fi
+
 echo "layering ok: src/hangdoctor depends only on src/telemetry and src/simkit"
 echo "layering ok: no perfsim/droidsim alias-shim usage"
 echo "layering ok: one SPI interface (SpiBackend) and one stored record (SpiPayload)"
 echo "layering ok: no droidsim async substrate types in the core"
 echo "layering ok: one byte codec (src/telemetry/bytes.h)"
+echo "layering ok: every byte format stated once, as a field list"

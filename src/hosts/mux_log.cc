@@ -1,6 +1,5 @@
 #include "src/hosts/mux_log.h"
 
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -33,22 +32,26 @@ struct Frame {
   size_t payload_offset = 0;
 };
 
+// The container's first bytes: the HDSL magic, then the container version.
+template <typename IO>
+void PreambleFields(IO& io) {
+  io.Magic({kSessionLogMagic, sizeof(kSessionLogMagic)});
+  uint64_t version = kMuxLogVersion;
+  io.Varint(version);
+  if constexpr (IO::kReading) {
+    if (io.ok() && version != kMuxLogVersion) {
+      io.Fail("unsupported multiplexed log version " + std::to_string(version));
+    }
+  }
+}
+
 bool ParseMuxFrames(const std::string& data, std::vector<Frame>* frames, std::string* error) {
-  if (data.size() < sizeof(kSessionLogMagic) ||
-      std::memcmp(data.data(), kSessionLogMagic, sizeof(kSessionLogMagic)) != 0) {
-    *error = "not a multiplexed log (bad magic)";
+  telemetry::ByteReader preamble(data, error, "multiplexed log");
+  PreambleFields(preamble);
+  if (!preamble.ok()) {
     return false;
   }
-  size_t pos = sizeof(kSessionLogMagic);
-  uint64_t version = 0;
-  if (!GetVarint(data, &pos, &version)) {
-    *error = "truncated multiplexed log version";
-    return false;
-  }
-  if (version != kMuxLogVersion) {
-    *error = "unsupported multiplexed log version " + std::to_string(version);
-    return false;
-  }
+  size_t pos = preamble.pos();
   while (pos < data.size()) {
     Frame frame;
     frame.frame_offset = pos;
@@ -125,6 +128,16 @@ bool DecodeMuxLog(const std::string& bytes, std::string* error, Visit&& visit) {
 }
 
 }  // namespace
+
+void AppendMuxFrameHeader(std::string* out, const MuxFrameHeader& header) {
+  out->push_back(static_cast<char>(header.tag));
+  if (header.tag != MuxFrameTag::kEnd) {
+    PutVarint(out, header.id);
+  }
+  if (header.tag == MuxFrameTag::kOpenSession || header.tag == MuxFrameTag::kRecord) {
+    PutVarint(out, header.size);
+  }
+}
 
 MuxHeaderRead ReadMuxFrameHeader(std::string_view bytes, size_t* pos, MuxFrameHeader* header) {
   if (*pos >= bytes.size()) {
@@ -332,13 +345,12 @@ bool MuxSessionLogs(std::span<const SessionLogSlice> sessions, std::span<const s
 
   std::vector<size_t> cursor(sessions.size(), 0);
   out->clear();
-  out->append(kSessionLogMagic, sizeof(kSessionLogMagic));
-  PutVarint(out, kMuxLogVersion);
+  telemetry::ByteWriter preamble(out);
+  PreambleFields(preamble);
   uint64_t publish_seq = 0;
   for (size_t index : schedule) {
     if (index == kMuxEpochPublish) {
-      out->push_back(static_cast<char>(MuxFrameTag::kEpochPublish));
-      PutVarint(out, ++publish_seq);
+      AppendMuxFrameHeader(out, {MuxFrameTag::kEpochPublish, ++publish_seq, 0});
       continue;
     }
     if (index >= sessions.size()) {
@@ -353,19 +365,14 @@ bool MuxSessionLogs(std::span<const SessionLogSlice> sessions, std::span<const s
       return false;
     }
     if (frame == 0) {
-      out->push_back(static_cast<char>(MuxFrameTag::kOpenSession));
-      PutVarint(out, session.id.value);
-      PutVarint(out, layout.header_end);
+      AppendMuxFrameHeader(out, {MuxFrameTag::kOpenSession, session.id.value, layout.header_end});
       out->append(session.bytes, 0, layout.header_end);
     } else if (frame + 1 == total_frames[index]) {
-      out->push_back(static_cast<char>(MuxFrameTag::kCloseSession));
-      PutVarint(out, session.id.value);
+      AppendMuxFrameHeader(out, {MuxFrameTag::kCloseSession, session.id.value, 0});
     } else {
       size_t offset = layout.record_offsets[frame - 1];
       size_t size = layout.record_offsets[frame] - offset;
-      out->push_back(static_cast<char>(MuxFrameTag::kRecord));
-      PutVarint(out, session.id.value);
-      PutVarint(out, size);
+      AppendMuxFrameHeader(out, {MuxFrameTag::kRecord, session.id.value, size});
       out->append(session.bytes, offset, size);
     }
   }
@@ -375,7 +382,7 @@ bool MuxSessionLogs(std::span<const SessionLogSlice> sessions, std::span<const s
       return false;
     }
   }
-  out->push_back(static_cast<char>(MuxFrameTag::kEnd));
+  AppendMuxFrameHeader(out, {MuxFrameTag::kEnd, 0, 0});
   return true;
 }
 

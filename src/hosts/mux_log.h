@@ -5,8 +5,8 @@
 // reproduces each input log byte-identically.
 //
 // Framing (after the shared magic "HDSL" and varint version = 3), one frame per step:
-//   kOpenSession  = 1 : varint session_id, varint size, payload = the session's complete v2
-//                       prefix (magic "HDSL", varint version = 2, and the whole header —
+//   kOpenSession  = 1 : varint session_id, varint size, payload = the session's complete log
+//                       prefix (magic "HDSL", varint version = 4, and the whole header —
 //                       SessionInfo, config, symbol table).
 //   kRecord       = 2 : varint session_id, varint size, payload = exactly one v2 record
 //                       (tag byte + body), in that session's recorded order.
@@ -64,6 +64,10 @@ struct MuxFrameHeader {
   uint64_t id = 0;
   uint64_t size = 0;
 };
+
+// The one frame-header writer, ReadMuxFrameHeader's twin: the tag byte, then only the fields
+// the tag carries. The payload, if any, follows.
+void AppendMuxFrameHeader(std::string* out, const MuxFrameHeader& header);
 
 // How far ReadMuxFrameHeader got; each reader words its own error from it.
 enum class MuxHeaderRead : uint8_t { kOk, kEmpty, kUnknownTag, kBadId, kBadSize };

@@ -8,14 +8,16 @@
 //             frame with its is_ui / self-developed classification), so the reader can rebuild FrameId
 //             resolution exactly;
 //   records — the SPI stream: one record per DispatchStart / DispatchEnd / ActionQuiesce /
-//             CounterFault, in push order, including stack samples (as interned FrameIds)
-//             and the main−render counter differences S-Checker read;
+//             CounterFault / AsyncPost / AsyncRun / AsyncWaitStart / AsyncWaitEnd, in push
+//             order, including thread-tagged stack samples (as interned FrameIds) and the
+//             main−render counter differences S-Checker read;
 //   footer  — optionally, the monitored trace's own resource usage (CPU + bytes), so the
 //             Section 4.5 overhead percentage is reproducible offline.
 //
 // Encoding: the shared byte codec (src/telemetry/bytes.h) — unsigned LEB128 varints, zigzag
 // for signed integers, raw little-endian IEEE-754 for doubles, length-prefixed UTF-8 for
-// strings. The byte-level layout is specified in DESIGN.md ("Session log format").
+// strings, each field stated once in session_log.cc's field lists, which the writer and the
+// parsers both run. The byte-level layout is specified in DESIGN.md section 3.3.
 //
 // Version history: v1 had no CounterFault records and no retry-policy config fields; v2
 // adds both, so a session recorded under injected telemetry faults replays the same
@@ -103,11 +105,9 @@ class SessionLogWriter : public SpiBackend {
   void Finish();
 
  private:
-  void WriteBytes(const char* data, size_t size);
   // Each record is encoded into record_ (reused, so steady-state recording allocates
   // nothing) and written with one WriteBytes.
-  std::string* BeginRecord(SessionRecordTag tag);
-  void WriteRecord();
+  void WriteBytes(std::string_view bytes);
 
   std::ofstream out_;
   std::string record_;

@@ -1,250 +1,249 @@
 #include "src/netd/wire.h"
 
-#include <cstring>
+#include <string>
+#include <utility>
 
 namespace netd {
 
 namespace {
+
+using telemetry::FieldRef;
+
 constexpr char kMagic[4] = {'H', 'D', 'S', 'L'};
+
+struct Hello {
+  uint32_t version = 0;
+  HelloRole role = HelloRole::kClient;
+};
+
+template <typename IO>
+void HelloFields(IO& io, FieldRef<IO, Hello> hello) {
+  io.Magic({kMagic, sizeof(kMagic)});
+  io.Varint(hello.version);
+  // The role is optional: a client's HELLO omits it, which keeps it the two-field payload.
+  bool has_role = false;
+  if constexpr (IO::kReading) {
+    has_role = !io.AtEnd();
+  } else {
+    has_role = hello.role != HelloRole::kClient;
+  }
+  if (has_role) {
+    auto role = static_cast<uint64_t>(hello.role);
+    io.Varint(role);
+    if constexpr (IO::kReading) {
+      if (io.ok() && role > static_cast<uint64_t>(HelloRole::kWorker)) {
+        io.Fail("unknown role " + std::to_string(role));
+      }
+      hello.role = static_cast<HelloRole>(role);
+    }
+  }
+}
+
+// A control frame: its lead byte, the sender's epoch, and for a handoff the session ids.
+template <typename IO>
+void HeartbeatFields(IO& io, FieldRef<IO, uint64_t> epoch) {
+  io.Magic({reinterpret_cast<const char*>(&kCtrlHeartbeat), 1});
+  io.Varint(epoch);
+}
+
+template <typename IO>
+void HandoffFields(IO& io, FieldRef<IO, uint64_t> epoch,
+                   FieldRef<IO, std::vector<uint64_t>> sessions) {
+  io.Magic({reinterpret_cast<const char*>(&kCtrlHandoff), 1});
+  io.Varint(epoch);
+  io.Sequence(sessions, [&io](FieldRef<IO, uint64_t> id) { io.Varint(id); });
+}
+
+// A server reply: the tag byte, then the fields that tag carries.
+template <typename IO>
+void ReplyFields(IO& io, FieldRef<IO, Reply> reply) {
+  auto tag = static_cast<uint8_t>(reply.tag);
+  io.Byte(tag);
+  if constexpr (IO::kReading) {
+    reply.tag = static_cast<ReplyTag>(tag);
+  }
+  switch (static_cast<ReplyTag>(tag)) {
+    case ReplyTag::kHelloOk:
+      io.Varint(reply.version);
+      break;
+    case ReplyTag::kBusy:
+      io.Varint(reply.session_id);
+      io.Varint(reply.live_bytes);
+      io.Varint(reply.budget_bytes);
+      break;
+    case ReplyTag::kSessionClosed:
+      io.Varint(reply.session_id);
+      io.Bool(reply.stream_ok);
+      io.Varint(reply.report_entries);
+      io.String(reply.message);
+      break;
+    case ReplyTag::kError:
+      io.String(reply.message);
+      break;
+    case ReplyTag::kBye:
+      io.Varint(reply.sessions_closed);
+      break;
+    case ReplyTag::kHeartbeatAck:
+      io.Varint(reply.epoch);
+      io.Varint(reply.live_sessions);
+      io.Varint(reply.records_applied);
+      io.Bool(reply.applier_stuck);
+      io.Bool(reply.lease_failed);
+      break;
+    case ReplyTag::kStaleEpoch:
+      io.Varint(reply.epoch);
+      break;
+    case ReplyTag::kHandoffAck:
+      io.Varint(reply.epoch);
+      io.Varint(reply.discarded);
+      break;
+    case ReplyTag::kSessionResult:
+      io.Varint(reply.session_id);
+      io.String(reply.result);
+      break;
+    default:
+      if constexpr (IO::kReading) {
+        io.Fail("unknown tag " + std::to_string(tag));
+      }
+      break;
+  }
+}
+
+// Decodes a whole payload with `fields`, prefixing any failure with `what`.
+template <typename Fields>
+bool Decode(std::string_view payload, const char* what, std::string* error, Fields&& fields) {
+  std::string reason;
+  telemetry::ByteReader io(payload, &reason, "payload");
+  fields(io);
+  if (io.ok() && !io.AtEnd()) {
+    io.Fail("trailing bytes");
+  }
+  if (!io.ok()) {
+    *error = std::string(what) + ": " + reason;
+    return false;
+  }
+  return true;
+}
+
+// Encodes a reply of `tag` whose fields `set` fills in.
+template <typename Set>
+std::string EncodeReply(ReplyTag tag, Set&& set) {
+  Reply reply;
+  reply.tag = tag;
+  set(reply);
+  std::string payload;
+  telemetry::ByteWriter io(&payload);
+  ReplyFields(io, reply);
+  return payload;
+}
+
 }  // namespace
 
 std::string BuildHello(uint32_t version, HelloRole role) {
-  std::string payload(kMagic, sizeof(kMagic));
-  PutVarint(&payload, version);
-  if (role != HelloRole::kClient) {
-    PutVarint(&payload, static_cast<uint64_t>(role));
-  }
+  std::string payload;
+  telemetry::ByteWriter io(&payload);
+  HelloFields(io, Hello{version, role});
   return payload;
 }
 
 bool ParseHello(std::string_view payload, uint32_t* version, HelloRole* role,
                 std::string* error) {
-  if (payload.size() < sizeof(kMagic) ||
-      std::memcmp(payload.data(), kMagic, sizeof(kMagic)) != 0) {
-    *error = "hello: bad magic";
+  Hello hello;
+  if (!Decode(payload, "hello", error, [&](auto& io) { HelloFields(io, hello); })) {
     return false;
   }
-  size_t pos = sizeof(kMagic);
-  uint64_t value = 0;
-  if (!GetVarint(payload, &pos, &value)) {
-    *error = "hello: malformed version";
-    return false;
-  }
-  *version = static_cast<uint32_t>(value);
-  *role = HelloRole::kClient;
-  if (pos < payload.size()) {
-    uint64_t raw_role = 0;
-    if (!GetVarint(payload, &pos, &raw_role) || pos != payload.size()) {
-      *error = "hello: malformed role";
-      return false;
-    }
-    if (raw_role > static_cast<uint64_t>(HelloRole::kWorker)) {
-      *error = "hello: unknown role " + std::to_string(raw_role);
-      return false;
-    }
-    *role = static_cast<HelloRole>(raw_role);
-  }
+  *version = hello.version;
+  *role = hello.role;
   return true;
 }
 
 std::string BuildHeartbeat(uint64_t epoch) {
-  std::string payload(1, static_cast<char>(kCtrlHeartbeat));
-  PutVarint(&payload, epoch);
+  std::string payload;
+  telemetry::ByteWriter io(&payload);
+  HeartbeatFields(io, epoch);
   return payload;
 }
 
 bool ParseHeartbeat(std::string_view payload, uint64_t* epoch, std::string* error) {
-  if (payload.empty() || static_cast<uint8_t>(payload[0]) != kCtrlHeartbeat) {
-    *error = "heartbeat: bad tag";
-    return false;
-  }
-  size_t pos = 1;
-  if (!GetVarint(payload, &pos, epoch) || pos != payload.size()) {
-    *error = "heartbeat: malformed payload";
-    return false;
-  }
-  return true;
+  return Decode(payload, "heartbeat", error, [&](auto& io) { HeartbeatFields(io, *epoch); });
 }
 
 std::string BuildHandoff(uint64_t epoch, const std::vector<uint64_t>& sessions) {
-  std::string payload(1, static_cast<char>(kCtrlHandoff));
-  PutVarint(&payload, epoch);
-  PutVarint(&payload, sessions.size());
-  for (uint64_t id : sessions) {
-    PutVarint(&payload, id);
-  }
+  std::string payload;
+  telemetry::ByteWriter io(&payload);
+  HandoffFields(io, epoch, sessions);
   return payload;
 }
 
 bool ParseHandoff(std::string_view payload, uint64_t* epoch,
                   std::vector<uint64_t>* sessions, std::string* error) {
-  if (payload.empty() || static_cast<uint8_t>(payload[0]) != kCtrlHandoff) {
-    *error = "handoff: bad tag";
-    return false;
-  }
-  size_t pos = 1;
-  uint64_t count = 0;
-  if (!GetVarint(payload, &pos, epoch) || !GetVarint(payload, &pos, &count)) {
-    *error = "handoff: malformed payload";
-    return false;
-  }
-  // Each id costs at least one byte, so `count` is bounded by the remaining payload — a
-  // hostile count cannot reserve unbounded memory.
-  if (count > payload.size() - pos) {
-    *error = "handoff: session count exceeds payload";
-    return false;
-  }
-  sessions->clear();
-  sessions->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    if (!GetVarint(payload, &pos, &id)) {
-      *error = "handoff: truncated session list";
-      return false;
-    }
-    sessions->push_back(id);
-  }
-  if (pos != payload.size()) {
-    *error = "handoff: trailing bytes";
-    return false;
-  }
-  return true;
+  return Decode(payload, "handoff", error,
+                [&](auto& io) { HandoffFields(io, *epoch, *sessions); });
 }
 
 std::string BuildHelloOk(uint32_t version) {
-  std::string payload(1, static_cast<char>(ReplyTag::kHelloOk));
-  PutVarint(&payload, version);
-  return payload;
+  return EncodeReply(ReplyTag::kHelloOk, [&](Reply& r) { r.version = version; });
 }
 
 std::string BuildBusy(uint64_t session_id, uint64_t live_bytes, uint64_t budget_bytes) {
-  std::string payload(1, static_cast<char>(ReplyTag::kBusy));
-  PutVarint(&payload, session_id);
-  PutVarint(&payload, live_bytes);
-  PutVarint(&payload, budget_bytes);
-  return payload;
+  return EncodeReply(ReplyTag::kBusy, [&](Reply& r) {
+    r.session_id = session_id;
+    r.live_bytes = live_bytes;
+    r.budget_bytes = budget_bytes;
+  });
 }
 
 std::string BuildSessionClosed(uint64_t session_id, bool stream_ok, uint64_t report_entries,
                                const std::string& stream_error) {
-  std::string payload(1, static_cast<char>(ReplyTag::kSessionClosed));
-  PutVarint(&payload, session_id);
-  payload.push_back(stream_ok ? '\1' : '\0');
-  PutVarint(&payload, report_entries);
-  PutString(&payload, stream_error);
-  return payload;
+  return EncodeReply(ReplyTag::kSessionClosed, [&](Reply& r) {
+    r.session_id = session_id;
+    r.stream_ok = stream_ok;
+    r.report_entries = report_entries;
+    r.message = stream_error;
+  });
 }
 
 std::string BuildError(const std::string& message) {
-  std::string payload(1, static_cast<char>(ReplyTag::kError));
-  PutString(&payload, message);
-  return payload;
+  return EncodeReply(ReplyTag::kError, [&](Reply& r) { r.message = message; });
 }
 
 std::string BuildBye(uint64_t sessions_closed) {
-  std::string payload(1, static_cast<char>(ReplyTag::kBye));
-  PutVarint(&payload, sessions_closed);
-  return payload;
+  return EncodeReply(ReplyTag::kBye, [&](Reply& r) { r.sessions_closed = sessions_closed; });
 }
 
 std::string BuildHeartbeatAck(uint64_t epoch, uint64_t live_sessions,
                               uint64_t records_applied, bool applier_stuck,
                               bool lease_failed) {
-  std::string payload(1, static_cast<char>(ReplyTag::kHeartbeatAck));
-  PutVarint(&payload, epoch);
-  PutVarint(&payload, live_sessions);
-  PutVarint(&payload, records_applied);
-  payload.push_back(applier_stuck ? '\1' : '\0');
-  payload.push_back(lease_failed ? '\1' : '\0');
-  return payload;
+  return EncodeReply(ReplyTag::kHeartbeatAck, [&](Reply& r) {
+    r.epoch = epoch;
+    r.live_sessions = live_sessions;
+    r.records_applied = records_applied;
+    r.applier_stuck = applier_stuck;
+    r.lease_failed = lease_failed;
+  });
 }
 
 std::string BuildStaleEpoch(uint64_t lease_epoch) {
-  std::string payload(1, static_cast<char>(ReplyTag::kStaleEpoch));
-  PutVarint(&payload, lease_epoch);
-  return payload;
+  return EncodeReply(ReplyTag::kStaleEpoch, [&](Reply& r) { r.epoch = lease_epoch; });
 }
 
 std::string BuildHandoffAck(uint64_t epoch, uint64_t discarded) {
-  std::string payload(1, static_cast<char>(ReplyTag::kHandoffAck));
-  PutVarint(&payload, epoch);
-  PutVarint(&payload, discarded);
-  return payload;
+  return EncodeReply(ReplyTag::kHandoffAck, [&](Reply& r) {
+    r.epoch = epoch;
+    r.discarded = discarded;
+  });
 }
 
 std::string BuildSessionResult(uint64_t session_id, const std::string& result_bytes) {
-  std::string payload(1, static_cast<char>(ReplyTag::kSessionResult));
-  PutVarint(&payload, session_id);
-  PutString(&payload, result_bytes);
-  return payload;
+  return EncodeReply(ReplyTag::kSessionResult, [&](Reply& r) {
+    r.session_id = session_id;
+    r.result = result_bytes;
+  });
 }
 
 bool ParseReply(const std::string& payload, Reply* reply, std::string* error) {
-  if (payload.empty()) {
-    *error = "reply: empty payload";
-    return false;
-  }
   *reply = Reply{};
-  reply->tag = static_cast<ReplyTag>(static_cast<uint8_t>(payload[0]));
-  size_t pos = 1;
-  uint64_t value = 0;
-  bool ok = true;
-  switch (reply->tag) {
-    case ReplyTag::kHelloOk:
-      ok = GetVarint(payload, &pos, &value);
-      reply->version = static_cast<uint32_t>(value);
-      break;
-    case ReplyTag::kBusy:
-      ok = GetVarint(payload, &pos, &reply->session_id) &&
-           GetVarint(payload, &pos, &reply->live_bytes) &&
-           GetVarint(payload, &pos, &reply->budget_bytes);
-      break;
-    case ReplyTag::kSessionClosed:
-      ok = GetVarint(payload, &pos, &reply->session_id);
-      if (ok && pos < payload.size()) {
-        reply->stream_ok = payload[pos++] != '\0';
-      } else {
-        ok = false;
-      }
-      ok = ok && GetVarint(payload, &pos, &reply->report_entries) &&
-           GetString(payload, &pos, &reply->message);
-      break;
-    case ReplyTag::kError:
-      ok = GetString(payload, &pos, &reply->message);
-      break;
-    case ReplyTag::kBye:
-      ok = GetVarint(payload, &pos, &reply->sessions_closed);
-      break;
-    case ReplyTag::kHeartbeatAck:
-      ok = GetVarint(payload, &pos, &reply->epoch) &&
-           GetVarint(payload, &pos, &reply->live_sessions) &&
-           GetVarint(payload, &pos, &reply->records_applied) &&
-           payload.size() - pos == 2;
-      if (ok) {
-        reply->applier_stuck = payload[pos++] != '\0';
-        reply->lease_failed = payload[pos++] != '\0';
-      }
-      break;
-    case ReplyTag::kStaleEpoch:
-      ok = GetVarint(payload, &pos, &reply->epoch);
-      break;
-    case ReplyTag::kHandoffAck:
-      ok = GetVarint(payload, &pos, &reply->epoch) &&
-           GetVarint(payload, &pos, &reply->discarded);
-      break;
-    case ReplyTag::kSessionResult:
-      ok = GetVarint(payload, &pos, &reply->session_id) &&
-           GetString(payload, &pos, &reply->result);
-      break;
-    default:
-      *error = "reply: unknown tag " + std::to_string(static_cast<int>(reply->tag));
-      return false;
-  }
-  if (!ok || pos != payload.size()) {
-    *error = "reply: malformed payload";
-    return false;
-  }
-  return true;
+  return Decode(payload, "reply", error, [&](auto& io) { ReplyFields(io, *reply); });
 }
 
 bool FrameSplitter::Fail(const std::string& message) {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,46 @@ TEST(BytesTest, NegativeZeroAndNanDoublesRoundTripBitForBit) {
   EXPECT_FALSE(telemetry::GetDouble(out, &pos, &untouched)) << "seven bytes left";
   EXPECT_EQ(pos, 1u);
   EXPECT_EQ(untouched, 7.0);
+}
+
+// The field-list reader at its edges: a narrow field takes exactly the values that fit it,
+// the first failure names its byte and sticks, and a declared count reserves no more than
+// the bytes left could hold.
+TEST(BytesTest, ByteReaderRefusesWhatDoesNotFitAndStaysSticky) {
+  std::string out;
+  telemetry::ByteWriter writer(&out);
+  writer.Signed(std::numeric_limits<int32_t>::max());
+  writer.Varint(std::numeric_limits<uint32_t>::max());
+  writer.Signed(int64_t{std::numeric_limits<int32_t>::min()} - 1);
+  writer.Varint(7);
+  std::string error;
+  telemetry::ByteReader reader(out, &error, "test");
+  int32_t at_max = 0;
+  uint32_t at_umax = 0;
+  int32_t below_min = 5;
+  uint8_t after = 9;
+  reader.Signed(at_max);
+  reader.Varint(at_umax);
+  EXPECT_EQ(at_max, std::numeric_limits<int32_t>::max());
+  EXPECT_EQ(at_umax, std::numeric_limits<uint32_t>::max());
+  const size_t at = reader.pos();
+  reader.Signed(below_min);
+  reader.Varint(after);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(error, "value out of range (at byte " + std::to_string(at) + ")");
+  EXPECT_EQ(below_min, 5);
+  EXPECT_EQ(after, 9) << "a failed reader reads nothing more";
+
+  std::string huge;
+  telemetry::PutVarint(&huge, uint64_t{1} << 40);
+  huge += "abc";
+  std::string sequence_error;
+  telemetry::ByteReader sequence(huge, &sequence_error, "test");
+  std::vector<uint8_t> elements;
+  sequence.Sequence(elements, [&](uint8_t& element) { sequence.Byte(element); });
+  EXPECT_FALSE(sequence.ok());
+  EXPECT_EQ(sequence_error.rfind("unexpected end of test", 0), 0u) << sequence_error;
+  EXPECT_LE(elements.capacity(), huge.size());
 }
 
 }  // namespace

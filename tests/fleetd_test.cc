@@ -33,6 +33,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -360,6 +361,12 @@ TEST(FleetWireTest, FleetRepliesRoundTripThroughParseReply) {
   std::string ack = netd::BuildHeartbeatAck(9, 3, 77, true, false);
   EXPECT_FALSE(netd::ParseReply(ack.substr(0, ack.size() - 1), &reply, &error))
       << "truncated ack must not parse";
+
+  // A kHelloOk version above UINT32_MAX is refused, not truncated to a supported one.
+  std::string wide_ok(1, static_cast<char>(netd::ReplyTag::kHelloOk));
+  telemetry::PutVarint(&wide_ok, (uint64_t{1} << 32) + 3);
+  EXPECT_FALSE(netd::ParseReply(wide_ok, &reply, &error));
+  EXPECT_NE(error.find("value out of range"), std::string::npos) << error;
 }
 
 TEST(FleetWireTest, SessionResultCodecRoundTripsAndRejectsTruncation) {
@@ -431,6 +438,29 @@ TEST(FleetWireTest, SessionResultCodecRoundTripsAndRejectsTruncation) {
   for (size_t cut = 0; cut < bytes.size(); cut += std::max<size_t>(1, bytes.size() / 16)) {
     EXPECT_FALSE(netd::DecodeSessionResult(bytes.substr(0, cut), &decoded, &error))
         << "truncation at " << cut << " must not decode";
+  }
+
+  // An int32 field given 2^32 + 1 is refused, not wrapped. The device id, the entry line and
+  // the entry's device carry distinct values near INT32_MAX, each swapped in turn.
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  auto encoded = [](int64_t value) {
+    std::string out;
+    telemetry::PutSigned(&out, value);
+    return out;
+  };
+  hangdoctor::SessionResult wide;
+  wide.device_id = static_cast<int32_t>(kMax);
+  wide.report.Absorb({"app", "C.f", "C.java", static_cast<int32_t>(kMax - 1), false, false, "",
+                      1, {static_cast<int32_t>(kMax - 2)}, 10, 10});
+  const std::string wide_bytes = netd::EncodeSessionResult(wide);
+  ASSERT_TRUE(netd::DecodeSessionResult(wide_bytes, &decoded, &error)) << error;
+  for (int64_t field : {kMax, kMax - 1, kMax - 2}) {
+    std::string mutated = wide_bytes;
+    const size_t at = mutated.find(encoded(field));
+    ASSERT_NE(at, std::string::npos) << field;
+    mutated.replace(at, encoded(field).size(), encoded((int64_t{1} << 32) + 1));
+    EXPECT_FALSE(netd::DecodeSessionResult(mutated, &decoded, &error)) << field;
+    EXPECT_NE(error.find("value out of range"), std::string::npos) << field << ": " << error;
   }
 }
 

@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -245,6 +247,61 @@ TEST(HdslFuzzTest, HugeDeclaredSampleCountsAreRejectedWithoutAHugeReserve) {
     EXPECT_EQ(error.rfind("unexpected end of log", 0), 0u) << name << ": " << error;
     EXPECT_LE(record.samples.capacity(), bytes.size()) << name;
   }
+
+  // A declared value too wide for its int32 field is refused, never wrapped: 2^32 + 1 read
+  // as an action uid is not action 1. The log gives each int32 field a distinct value near
+  // INT32_MAX, so each one's encoding can be swapped for 2^32 + 1's.
+  constexpr int64_t kMax = std::numeric_limits<int32_t>::max();
+  auto encoded = [](int64_t value) {
+    std::string bytes;
+    telemetry::PutSigned(&bytes, value);
+    return bytes;
+  };
+  hangdoctor::HangDoctorConfig config;
+  config.reset_after_normal = kMax - 1;
+  config.max_counter_retries = kMax - 2;
+  config.counter_retry_backoff = kMax - 3;
+  telemetry::SymbolTable wide_symbols;
+  wide_symbols.Intern({"f", "C", "C.java", static_cast<int32_t>(kMax - 4)}, false);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hd_fuzz_int32_fields.hdsl").string();
+  {
+    hangdoctor::SessionLogWriter writer(path, config);
+    writer.OnSessionStart({"com.example.wide", 3, static_cast<int32_t>(kMax), &wide_symbols});
+    writer.OnDispatchStart({10, 1, static_cast<int32_t>(kMax - 5),
+                            static_cast<int32_t>(kMax - 6), static_cast<int32_t>(kMax - 7)});
+    writer.OnDispatchEnd({20, 1, static_cast<int32_t>(kMax - 8), 10, false, {}});
+    writer.OnActionQuiesce({30, 1, static_cast<int32_t>(kMax - 9), 10, false, {}});
+    writer.Finish();
+    ASSERT_TRUE(writer.ok());
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string log_bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  hangdoctor::SessionLog log;
+  std::string error;
+  ASSERT_TRUE(hangdoctor::LoadSessionLogBytes(log_bytes, &log, &error)) << error;
+  // device_id, reset_after_normal, max_counter_retries, counter_retry_backoff, frame line,
+  // action_uid, event_index, events_total, DispatchEnd event_index, ActionQuiesce action_uid.
+  for (int64_t field = kMax; field >= kMax - 9; --field) {
+    std::string bytes = log_bytes;
+    const size_t at = bytes.find(encoded(field));
+    ASSERT_NE(at, std::string::npos) << field;
+    ASSERT_EQ(bytes.find(encoded(field), at + 1), std::string::npos) << field;
+    bytes.replace(at, encoded(field).size(), encoded((int64_t{1} << 32) + 1));
+    error.clear();
+    EXPECT_FALSE(hangdoctor::LoadSessionLogBytes(bytes, &log, &error)) << field;
+    EXPECT_EQ(error.rfind("value out of range (at byte " + std::to_string(at) + ")", 0), 0u)
+        << field << ": " << error;
+  }
+  // The streaming record parse refuses it too.
+  std::string start(1, static_cast<char>(hangdoctor::SessionRecordTag::kDispatchStart));
+  for (int64_t field : {int64_t{10}, int64_t{1}, (int64_t{1} << 32) + 1, int64_t{0}, int64_t{1}}) {
+    telemetry::PutSigned(&start, field);
+  }
+  hangdoctor::SessionRecord record;
+  EXPECT_FALSE(hangdoctor::ParseSessionRecordBytes(start, symbols, &record, &error));
+  EXPECT_EQ(error.rfind("value out of range", 0), 0u) << error;
 }
 
 // Differential: the cached open-prefix parse (the daemon's path, src/hosts/session_log.h

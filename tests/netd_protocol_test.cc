@@ -28,6 +28,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,15 +275,24 @@ TEST(NetdProtocolTest, HelloNegotiatesV3AndV4) {
 }
 
 TEST(NetdProtocolTest, UnknownHelloVersionIsRejected) {
-  for (uint32_t version : {0u, 2u, 5u, 99u}) {
+  // The last HELLO declares 2^32 + 3, which a uint32 cast would read as version 3.
+  std::string wide = "HDSL";
+  netd::PutVarint(&wide, (uint64_t{1} << 32) + 3);
+  const std::pair<std::string, const char*> hellos[] = {
+      {netd::BuildHello(0), "unsupported wire version"},
+      {netd::BuildHello(2), "unsupported wire version"},
+      {netd::BuildHello(5), "unsupported wire version"},
+      {netd::BuildHello(99), "unsupported wire version"},
+      {wide, "value out of range"},
+  };
+  for (const auto& [hello, want] : hellos) {
     netd::NetServer server(SocketpairOptions());
     netd::NetClient client = ConnectPair(server);
-    ASSERT_TRUE(client.SendHello(version));
+    ASSERT_TRUE(client.SendFrame(hello));
     Reply reply;
     ASSERT_TRUE(client.ReadReply(&reply));
-    EXPECT_EQ(reply.tag, ReplyTag::kError);
-    EXPECT_NE(reply.message.find("unsupported wire version"), std::string::npos)
-        << reply.message;
+    ASSERT_EQ(reply.tag, ReplyTag::kError);
+    EXPECT_NE(reply.message.find(want), std::string::npos) << reply.message;
     // Sticky: the server closes; no further replies.
     std::vector<Reply> rest;
     ReadUntilEof(client, &rest);
